@@ -4,11 +4,18 @@
 //! [`Session::hold`] solves a request once and keeps the instance and its
 //! coloring alive; [`HeldSolution::apply`] then patches the instance with
 //! an [`EdgeDelta`] and **repairs** the previous solution instead of
-//! re-solving from scratch: the incremental conditional-expectation engine
-//! ([`derand::FixerState`]) is seeded with the previous coloring for every
-//! clean variable and only the dirty variables — the delta's endpoints —
-//! are re-fixed, so only the dirty region's halo of constraints is ever
-//! re-examined.
+//! re-solving from scratch. The incremental conditional-expectation engine
+//! is built over the delta's halo only ([`derand::FixerState::seeded`]):
+//! each halo constraint is seeded from its clean neighbors' previous
+//! colors, and only the dirty variables — the delta's endpoints — are
+//! re-fixed, in the same order and with the same arithmetic as a replay
+//! over the whole instance, so colorings and the `Φ < 1` decision are
+//! bit-identical to that replay.
+//!
+//! Cost model per update: the fixer is `O(Σ_{u ∈ halo} deg u)`; the
+//! regime re-check and the copy of the coloring are `O(n)`; the
+//! whole-instance certificate check is `O(m)` (and so is the content hash
+//! a `splitd` `mutate` re-derives).
 //!
 //! Repair is an optimization, never a correctness shortcut:
 //!
@@ -31,7 +38,7 @@ use derand::{ColoringEstimator, FixerState};
 use local_runtime::RoundLedger;
 use splitgraph::checks;
 use splitgraph::delta::{DirtyRegion, EdgeDelta};
-use splitgraph::{BipartiteGraph, Color, MultiColor};
+use splitgraph::{BipartiteGraph, Color};
 use splitting_core::{decide_pipeline, Pipeline, RegimeParams};
 use std::sync::Arc;
 
@@ -285,39 +292,29 @@ impl HeldSolution {
         if fraction > self.threshold {
             return None;
         }
-        // seed the incremental fixer with the previous coloring on every
-        // clean variable, then greedily re-fix the dirty ones; Φ < 1 at
-        // the end certifies zero violated constraints
-        let nv = self.graph.right_count();
-        let mut dirty = vec![false; nv];
-        for &v in &region.right {
-            dirty[v] = true;
+        // seed the incremental fixer over the halo only: each halo
+        // constraint starts from its clean neighbors' previous colors, then
+        // the dirty variables are greedily re-fixed in ascending order —
+        // the same commits, in the same order, that a whole-instance replay
+        // makes on these constraints, so the choices are identical
+        let est = ColoringEstimator::monochromatic(&self.graph);
+        let prev_color = |v: usize| u32::from(prev[v] == Color::Blue);
+        let mut state =
+            FixerState::seeded(&self.graph, &est, &region.halo, &region.right, prev_color);
+        let mut two = prev.to_vec();
+        for (j, &v) in region.right.iter().enumerate() {
+            let x = state.best_color(j);
+            state.fix(j, x);
+            two[v] = if x == 0 { Color::Red } else { Color::Blue };
         }
-        let mut state = FixerState::new(&self.graph, ColoringEstimator::monochromatic(&self.graph));
-        let mut colors: Vec<MultiColor> = prev
-            .iter()
-            .map(|&c| match c {
-                Color::Red => 0,
-                Color::Blue => 1,
-            })
-            .collect();
-        for (v, &is_dirty) in dirty.iter().enumerate() {
-            if !is_dirty {
-                state.fix(v, colors[v]);
-            }
-        }
-        for &v in &region.right {
-            let x = state.best_color(v);
-            state.fix(v, x);
-            colors[v] = x;
-        }
+        // Φ < 1 certifies the halo. A constraint outside it kept its edges
+        // and its neighbors' colors, so it is fully fixed and adds exactly
+        // 0 to the whole-instance Φ unless it is violated — and then the
+        // whole-instance check below declines — so accept/decline always
+        // matches a Φ summed over the whole instance
         if state.total() >= 1.0 {
             return None;
         }
-        let two: Vec<Color> = colors
-            .iter()
-            .map(|&x| if x == 0 { Color::Red } else { Color::Blue })
-            .collect();
         // full certificate over the whole patched instance — repair never
         // narrows verification to the dirty region
         let kind = CertificateKind::WeakSplitting { min_degree: 0 };

@@ -42,9 +42,20 @@
 //! touched constraint's `φ_u` is re-evaluated — with a periodic
 //! full-recompute guard against floating-point drift (see
 //! [`FixerState::tracked_total`]).
+//!
+//! # Seeded halo state
+//!
+//! [`FixerState::seeded`] builds the same engine over a *halo* of an
+//! instance whose other variables already hold colors: only the halo's
+//! constraints get state, each seeded from its fixed neighbors' colors,
+//! and only the unfixed ("dirty") variables get incidence rows. Its cost
+//! is `O(Σ_{u ∈ halo} deg u)`, independent of the instance size — the
+//! repair step of churn updates, where a few edited variables are re-fixed
+//! against an otherwise certified coloring (SLOCAL(2): a choice reads only
+//! its constraints and their fixed neighbors).
 
 use splitgraph::csr::Csr;
-use splitgraph::BipartiteGraph;
+use splitgraph::{BipartiteGraph, MultiColor};
 
 /// A product-form pessimistic estimator over a bipartite instance.
 #[derive(Debug, Clone)]
@@ -134,6 +145,18 @@ impl ColoringEstimator {
         self.exempt[u]
     }
 
+    /// The estimator over the constraints `keep` only: constraint `i` of
+    /// the result is constraint `keep[i]` of `self`.
+    fn restricted(&self, keep: &[usize]) -> Self {
+        ColoringEstimator {
+            palette: self.palette,
+            factor: self.factor,
+            step: self.step,
+            base_zero: keep.iter().map(|&u| self.base_zero[u]).collect(),
+            exempt: keep.iter().map(|&u| self.exempt[u]).collect(),
+        }
+    }
+
     /// Palette size `C`.
     pub fn palette(&self) -> u32 {
         self.palette
@@ -183,7 +206,8 @@ pub fn chernoff_t(cap: f64, palette: u32, degree: f64) -> f64 {
 /// interval tied to `|U|` the whole-run overhead stays `O(m)`.
 const REBASE_MIN_INTERVAL: usize = 64;
 
-/// Incremental fixer state over a bipartite instance.
+/// Incremental fixer state over a bipartite instance (or, built by
+/// [`FixerState::seeded`], over a halo of one).
 ///
 /// Per-constraint fixed counts (flat `|U| × C`), unfixed counts, running
 /// base sums and `φ_u` values, backed by a flat CSR copy of the variable →
@@ -222,9 +246,85 @@ impl FixerState {
     /// Initializes the state for an instance where every variable is
     /// unfixed.
     pub fn new(b: &BipartiteGraph, est: ColoringEstimator) -> Self {
-        let nu = b.left_count();
+        let pairs: Vec<(usize, usize)> = b.edges().map(|(u, v)| (v, u)).collect();
+        let var_rows = Csr::from_directed_pairs(b.right_count(), &pairs);
+        let degrees: Vec<u32> = (0..b.left_count())
+            .map(|u| b.left_degree(u) as u32)
+            .collect();
+        let mut st = FixerState::all_unfixed(est, var_rows, degrees);
+        st.tracked = st.total();
+        st
+    }
+
+    /// Initializes the state over the constraints `halo` of `b` after every
+    /// variable outside `dirty` has been fixed to `fixed(v)`, exactly as
+    /// [`FixerState::new`] followed by [`FixerState::fix`] of each such
+    /// variable in ascending order would leave those constraints — bit for
+    /// bit, since each halo constraint replays the same commits in the same
+    /// order — without touching anything outside the halo.
+    ///
+    /// The state is indexed locally: constraint `i` is `halo[i]` and
+    /// variable `j` is `dirty[j]` (so [`FixerState::best_color`],
+    /// [`FixerState::fix`] and [`FixerState::phi`] take local indices, and
+    /// [`FixerState::total`] sums the halo in ascending global order).
+    /// `est` is over all of `b`; [`FixerState::estimator`] returns its
+    /// restriction to the halo. Cost: `O(Σ_{u ∈ halo} deg u · log)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `halo` or `dirty` is not strictly ascending, or if a
+    /// constraint of a dirty variable is missing from `halo`.
+    pub fn seeded(
+        b: &BipartiteGraph,
+        est: &ColoringEstimator,
+        halo: &[usize],
+        dirty: &[usize],
+        fixed: impl Fn(usize) -> MultiColor,
+    ) -> Self {
+        assert!(
+            halo.windows(2).all(|w| w[0] < w[1]),
+            "halo must be strictly ascending"
+        );
+        assert!(
+            dirty.windows(2).all(|w| w[0] < w[1]),
+            "dirty variables must be strictly ascending"
+        );
+        let mut offsets = Vec::with_capacity(dirty.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for &v in dirty {
+            for u in b.right_neighbors(v) {
+                let i = halo.binary_search(u).unwrap_or_else(|_| {
+                    panic!("constraint {u} of dirty variable {v} is outside the halo")
+                });
+                targets.push(i);
+            }
+            offsets.push(targets.len());
+        }
+        let degrees: Vec<u32> = halo.iter().map(|&u| b.left_degree(u) as u32).collect();
+        let mut st = FixerState::all_unfixed(
+            est.restricted(halo),
+            Csr::from_parts(offsets, targets),
+            degrees,
+        );
+        for (i, &u) in halo.iter().enumerate() {
+            for &v in b.left_neighbors(u) {
+                if dirty.binary_search(&v).is_err() {
+                    st.apply_commit(i, fixed(v));
+                }
+            }
+        }
+        st.tracked = st.total();
+        st
+    }
+
+    /// The all-unfixed state over `var_rows` (variable → constraint
+    /// incidence) and the given constraint degrees. `tracked` is left at
+    /// 0 for the caller to set once the state is final.
+    fn all_unfixed(est: ColoringEstimator, var_rows: Csr, degrees: Vec<u32>) -> Self {
+        let nu = degrees.len();
         let c = est.palette as usize;
-        let max_deg = b.max_left_degree();
+        let max_deg = degrees.iter().copied().max().unwrap_or(0);
         // entry k is exactly x.powi(k): table lookups reproduce the naive
         // per-term powi evaluation bit for bit
         let factor_pow: Vec<f64> = (0..=max_deg as i32 + 1)
@@ -235,15 +335,12 @@ impl FixerState {
         } else {
             (0..=max_deg as i32 + 1).map(|k| est.step.powi(k)).collect()
         };
-        let unfixed: Vec<u32> = (0..nu).map(|u| b.left_degree(u) as u32).collect();
         let sums: Vec<f64> = (0..nu).map(|u| c as f64 * est.base(u, 0)).collect();
-        let pairs: Vec<(usize, usize)> = b.edges().map(|(u, v)| (v, u)).collect();
-        let var_rows = Csr::from_directed_pairs(b.right_count(), &pairs);
-        let mut st = FixerState {
+        FixerState {
             est,
             var_rows,
             counts: vec![0u32; nu * c],
-            unfixed,
+            unfixed: degrees,
             sums,
             factor_pow,
             step_pow,
@@ -251,9 +348,7 @@ impl FixerState {
             commits_since_rebase: 0,
             rebase_interval: nu.max(REBASE_MIN_INTERVAL),
             scores: vec![0.0; c],
-        };
-        st.tracked = st.total();
-        st
+        }
     }
 
     /// The estimator.
@@ -327,18 +422,8 @@ impl FixerState {
     ///
     /// Panics if `u` has no unfixed neighbors left.
     pub fn commit(&mut self, u: usize, x: u32) {
-        assert!(
-            self.unfixed[u] > 0,
-            "constraint {u} has no unfixed neighbors"
-        );
         let phi_old = self.phi(u);
-        let c = self.est.palette as usize;
-        let idx = u * c + x as usize;
-        let old = self.base_fast(u, self.counts[idx]);
-        self.counts[idx] += 1;
-        let new = self.base_fast(u, self.counts[idx]);
-        self.sums[u] += new - old;
-        self.unfixed[u] -= 1;
+        self.apply_commit(u, x);
         self.tracked += self.phi(u) - phi_old;
         self.commits_since_rebase += 1;
         if self.commits_since_rebase >= self.rebase_interval {
@@ -346,6 +431,23 @@ impl FixerState {
             self.tracked = self.total();
             self.commits_since_rebase = 0;
         }
+    }
+
+    /// The per-constraint half of [`FixerState::commit`]: counts, base sum
+    /// and unfixed count, without the tracked-`Φ` bookkeeping.
+    #[inline]
+    fn apply_commit(&mut self, u: usize, x: u32) {
+        assert!(
+            self.unfixed[u] > 0,
+            "constraint {u} has no unfixed neighbors"
+        );
+        let c = self.est.palette as usize;
+        let idx = u * c + x as usize;
+        let old = self.base_fast(u, self.counts[idx]);
+        self.counts[idx] += 1;
+        let new = self.base_fast(u, self.counts[idx]);
+        self.sums[u] += new - old;
+        self.unfixed[u] -= 1;
     }
 
     /// For variable `v`, the color minimizing the summed `φ'` over `v`'s

@@ -7,6 +7,11 @@
 //! at every step of the trajectory, across left-regular and irregular
 //! bipartite instances and all three estimator instantiations.
 //!
+//! A second family pins [`FixerState::seeded`] — the halo-restricted state
+//! churn repair builds — against a whole-instance [`FixerState`] that fixes
+//! every clean variable in ascending order: identical re-fix choices and
+//! bit-identical `φ_u` on every halo constraint.
+//!
 //! The reference keeps the `S_u ← S_u − old + new` update of the original
 //! engine rather than re-summing `S_u = Σ_x base(u, F_{u,x})` per query:
 //! re-summing is mathematically identical but visits the addends in a
@@ -19,6 +24,7 @@ use derand::{sequential_fix, ColoringEstimator, FixerState};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::Rng;
 use rand::SeedableRng;
 use splitgraph::{generators, BipartiteGraph};
 
@@ -196,6 +202,54 @@ fn assert_parity(b: &BipartiteGraph, kind: Kind, order_seed: u64) {
     assert!(close(out.final_phi, naive.total()));
 }
 
+/// Seeds a halo state from a random previous coloring and a random dirty
+/// set, re-fixes the dirty variables on both it and a whole-instance
+/// replay, and asserts identical choices and bit-identical halo `φ_u`.
+fn assert_seeded_parity(b: &BipartiteGraph, kind: Kind, seed: u64) {
+    let est = estimator(b, kind);
+    let nv = b.right_count();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let prev: Vec<u32> = (0..nv)
+        .map(|_| rng.random_range(0..est.palette()))
+        .collect();
+    let dirty: Vec<usize> = (0..nv).filter(|_| rng.random_bool(0.3)).collect();
+    // the halo: every constraint of a dirty variable, plus a few others
+    let mut halo: Vec<usize> = dirty
+        .iter()
+        .flat_map(|&v| b.right_neighbors(v).iter().copied())
+        .chain((0..b.left_count()).filter(|_| rng.random_bool(0.2)))
+        .collect();
+    halo.sort_unstable();
+    halo.dedup();
+
+    let mut whole = FixerState::new(b, est.clone());
+    for (v, &x) in prev.iter().enumerate() {
+        if dirty.binary_search(&v).is_err() {
+            whole.fix(v, x);
+        }
+    }
+    let mut seeded = FixerState::seeded(b, &est, &halo, &dirty, |v| prev[v]);
+    let check_halo = |whole: &FixerState, seeded: &FixerState, when: &str| {
+        for (i, &u) in halo.iter().enumerate() {
+            assert_eq!(
+                seeded.phi(i).to_bits(),
+                whole.phi(u).to_bits(),
+                "{kind:?}: φ of constraint {u} diverged {when}"
+            );
+        }
+    };
+    check_halo(&whole, &seeded, "after seeding");
+    for (j, &v) in dirty.iter().enumerate() {
+        let x = whole.best_color(v);
+        assert_eq!(seeded.best_color(j), x, "{kind:?}: choice for {v} diverged");
+        whole.fix(v, x);
+        seeded.fix(j, x);
+    }
+    check_halo(&whole, &seeded, "after re-fixing");
+    let halo_total: f64 = halo.iter().map(|&u| whole.phi(u)).sum();
+    assert_eq!(seeded.total().to_bits(), halo_total.to_bits());
+}
+
 const ALL_KINDS: [Kind; 4] = [
     Kind::Monochromatic,
     Kind::MissingColor(3),
@@ -241,6 +295,17 @@ proptest! {
         let b = generators::random_left_regular(nc, nv, deg, &mut rng).unwrap();
         for palette in [2u32, 3, 5] {
             assert_parity(&b, Kind::Overload(palette), seed ^ 0x33);
+        }
+    }
+
+    #[test]
+    fn seeded_halo_matches_whole_instance_replay(
+        (nc, nv, p10, seed) in (1usize..12, 1usize..24, 1usize..8, 0u64..10_000)
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let b = generators::erdos_renyi_bipartite(nc, nv, 0.1 * p10 as f64, &mut rng);
+        for kind in ALL_KINDS {
+            assert_seeded_parity(&b, kind, seed ^ 0x77);
         }
     }
 }

@@ -506,11 +506,19 @@ impl Shared {
     }
 
     /// Applies a validated `mutate` frame to the interned-instance
-    /// table: patch a copy of the addressed bipartite instance, re-derive
-    /// its content hash, move the table entry to the new hash, and
-    /// re-key any held solutions (recording the delta as pending repair
-    /// work). Shared verbatim by live ingest and journal replay, so a
-    /// recovered mutation stream rebuilds the exact same table.
+    /// table: validate the edits against the addressed bipartite
+    /// instance, patch it copy-on-write, re-derive its content hash, move
+    /// the table entry to the new hash, and re-key any held solutions
+    /// (recording the delta as pending repair work). Shared verbatim by
+    /// live ingest and journal replay, so a recovered mutation stream
+    /// rebuilds the exact same table.
+    ///
+    /// The patch goes through [`Arc::make_mut`]: the instance is
+    /// deep-copied only while some other owner — an admitted solve, a
+    /// held solution's request — still shares it, so those owners keep
+    /// the pre-patch graph, and an unshared entry is patched in place in
+    /// `O(edits)`. The content hash stays `O(m)`. A batch that fails
+    /// validation leaves the entry and its hash untouched.
     fn apply_mutation(
         &self,
         handle: &str,
@@ -534,23 +542,20 @@ impl Shared {
                 ),
             });
         };
-        let mut graph = b.clone();
-        let delta =
-            EdgeDelta::new(&graph, inserts, deletes).map_err(|e| ApiError::InvalidRequest {
-                field: "delta",
-                reason: e.to_string(),
-            })?;
+        let delta = EdgeDelta::new(b, inserts, deletes).map_err(|e| ApiError::InvalidRequest {
+            field: "delta",
+            reason: e.to_string(),
+        })?;
+        let mut instance = handles.remove(&hash).expect("looked up above");
+        let Instance::Bipartite(graph) = Arc::make_mut(&mut instance) else {
+            unreachable!("checked bipartite above");
+        };
         delta
-            .apply(&mut graph)
-            .map_err(|e| ApiError::InvalidRequest {
-                field: "delta",
-                reason: e.to_string(),
-            })?;
+            .apply(graph)
+            .expect("validated against this graph under the same lock");
         let edges = graph.edge_count();
-        let patched = Instance::Bipartite(graph);
-        let new_hash = wire::instance_fingerprint(&patched);
-        handles.remove(&hash);
-        handles.entry(new_hash).or_insert_with(|| Arc::new(patched));
+        let new_hash = wire::instance_fingerprint(&instance);
+        handles.entry(new_hash).or_insert(instance);
         let held_count = handles.len();
         drop(handles);
         // move held solutions along with the instance, carrying the
@@ -2358,14 +2363,7 @@ mod tests {
         let reply = split_reply(&frame).expect(&frame);
         assert_eq!(reply.frame_type, "mutated");
         assert_eq!(reply.id, "m1");
-        let new_handle = reply
-            .payload
-            .unwrap()
-            .split("\"new_handle\":\"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .expect("mutated payload names the new handle")
-            .to_owned();
+        let new_handle = new_handle_of(reply.payload.unwrap());
         assert_ne!(new_handle, handle, "content hash must move");
         assert_eq!(server.stats().handles_held, 1, "moved, not duplicated");
 
@@ -2496,6 +2494,174 @@ mod tests {
         server.shutdown();
     }
 
+    /// The `new_handle` a `mutated` reply frame names.
+    fn new_handle_of(frame: &str) -> String {
+        frame
+            .split("\"new_handle\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("mutated payload names the new handle")
+            .to_owned()
+    }
+
+    /// The interned table entry under `hash`, if any.
+    fn interned(server: &Server, hash: PayloadHash) -> Option<Arc<Instance>> {
+        server.shared.handles.lock().unwrap().get(&hash).cloned()
+    }
+
+    #[test]
+    fn mutate_patches_copy_on_write() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use splitgraph::delta::{random_delta, ChurnStyle};
+
+        let server = Server::start(quiet_config());
+        let (mut tx, mut rx) = server.connect().split();
+        let mut rng = StdRng::seed_from_u64(61);
+        let b = generators::random_biregular(64, 64, 6, &mut rng).unwrap();
+        let original = Instance::Bipartite(b.clone());
+        let hash = wire::instance_fingerprint(&original);
+        let handle = wire::render_handle(hash);
+        assert_eq!(
+            tx.submit_line(&wire::render_upload("u1", &original)),
+            Submitted::Replied
+        );
+        rx.recv().unwrap();
+
+        // an owner that shares the interned Arc (as an admitted solve
+        // does) keeps the pre-patch instance; the table moves on
+        let pinned = interned(&server, hash).unwrap();
+        let delta = random_delta(&b, ChurnStyle::Rewire, 3, &mut rng);
+        let line = wire::render_mutate("m1", &handle, delta.inserts(), delta.deletes());
+        assert_eq!(tx.submit_line(&line), Submitted::Replied);
+        let new_handle = new_handle_of(&rx.recv().unwrap());
+        let new_hash = wire::parse_handle(&new_handle).unwrap();
+        assert_eq!(*pinned, original, "a shared instance is never patched");
+        let mut patched = b.clone();
+        delta.apply(&mut patched).unwrap();
+        let patched = Instance::Bipartite(patched);
+        assert_eq!(new_hash, wire::instance_fingerprint(&patched));
+        assert!(interned(&server, hash).is_none(), "the old hash is gone");
+        let entry = interned(&server, new_hash).expect("the entry moved");
+        assert_eq!(*entry, patched);
+        assert!(!Arc::ptr_eq(&entry, &pinned), "shared → copied");
+        assert_eq!(server.stats().handles_held, 1);
+
+        // once no other owner shares it, the entry is patched in place
+        let address = Arc::as_ptr(&entry);
+        drop((entry, pinned));
+        let delta = random_delta(&b, ChurnStyle::Grow, 2, &mut rng);
+        let line = wire::render_mutate("m2", &new_handle, delta.inserts(), delta.deletes());
+        assert_eq!(tx.submit_line(&line), Submitted::Replied);
+        let newer = wire::parse_handle(&new_handle_of(&rx.recv().unwrap())).unwrap();
+        let entry = interned(&server, newer).expect("the entry moved again");
+        assert_eq!(Arc::as_ptr(&entry), address, "unshared → patched in place");
+        assert_eq!(server.stats().mutations_applied, 2);
+        tx.finish();
+        assert!(rx.recv().is_none());
+        server.shutdown();
+    }
+
+    #[test]
+    fn failed_mutate_leaves_the_entry_and_its_hash_untouched() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let server = Server::start(quiet_config());
+        let (mut tx, mut rx) = server.connect().split();
+        let mut rng = StdRng::seed_from_u64(62);
+        let b = generators::random_biregular(16, 16, 4, &mut rng).unwrap();
+        let original = Instance::Bipartite(b.clone());
+        let hash = wire::instance_fingerprint(&original);
+        let handle = wire::render_handle(hash);
+        assert_eq!(
+            tx.submit_line(&wire::render_upload("u1", &original)),
+            Submitted::Replied
+        );
+        rx.recv().unwrap();
+        let address = Arc::as_ptr(&interned(&server, hash).unwrap());
+        let absent = (0..16)
+            .map(|v| (0, v))
+            .find(|&(u, v)| !b.contains_edge(u, v))
+            .unwrap();
+        let present = (0, b.left_neighbors(0)[0]);
+        // each batch holds valid edits next to one invalid edit: the
+        // whole batch is refused, nothing of it applied
+        for (inserts, deletes) in [
+            (vec![absent], vec![absent]),
+            (vec![absent, present], vec![]),
+            (vec![absent], vec![(0, 99)]),
+            (vec![], vec![present, present]),
+        ] {
+            let line = wire::render_mutate("m", &handle, &inserts, &deletes);
+            assert_eq!(tx.submit_line(&line), Submitted::Replied);
+            let frame = rx.recv().unwrap();
+            assert!(frame.contains("\"kind\":\"invalid-request\""), "{frame}");
+            let entry = interned(&server, hash).expect("the handle still resolves");
+            assert_eq!(*entry, original);
+            assert_eq!(Arc::as_ptr(&entry), address, "not even copied");
+            assert_eq!(server.stats().handles_held, 1);
+        }
+        assert_eq!(server.stats().mutations_applied, 0);
+        tx.finish();
+        assert!(rx.recv().is_none());
+        server.shutdown();
+    }
+
+    #[test]
+    fn two_mutates_drain_like_direct_hold_and_apply() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use splitgraph::delta::{random_delta, ChurnStyle};
+
+        let server = Server::start(quiet_config());
+        let (mut tx, mut rx) = server.connect().split();
+        let mut rng = StdRng::seed_from_u64(63);
+        let b = generators::random_biregular(2000, 2000, 32, &mut rng).unwrap();
+        let request = Request::new(Problem::weak_splitting(), b.clone())
+            .deterministic()
+            .seed(9);
+        let handle = wire::render_handle(wire::instance_fingerprint(request.instance()));
+        assert_eq!(
+            tx.submit_line(&wire::render_upload("u1", request.instance())),
+            Submitted::Replied
+        );
+        rx.recv().unwrap();
+        let solve = wire::render_request_with_handle("s1", Priority::Normal, &handle, &request);
+        assert_eq!(tx.submit_line(&solve), Submitted::Queued);
+        assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
+
+        // two mutates queue two pending deltas on the held entry
+        let first = random_delta(&b, ChurnStyle::Rewire, 6, &mut rng);
+        let mut after_first = b.clone();
+        first.apply(&mut after_first).unwrap();
+        let second = random_delta(&after_first, ChurnStyle::Shrink, 4, &mut rng);
+        let mut current = handle;
+        for (id, delta) in [("m1", &first), ("m2", &second)] {
+            let line = wire::render_mutate(id, &current, delta.inserts(), delta.deletes());
+            assert_eq!(tx.submit_line(&line), Submitted::Replied);
+            current = new_handle_of(&rx.recv().unwrap());
+        }
+        let solve = wire::render_request_with_handle("s2", Priority::Normal, &current, &request);
+        assert_eq!(tx.submit_line(&solve), Submitted::Queued);
+        let frame = rx.recv().unwrap();
+        let reply = split_reply(&frame).expect(&frame);
+        assert_eq!(reply.frame_type, "solution");
+
+        // one solve drains both, answering with the last repair's bytes
+        let mut direct = Session::with_threads(1).hold(&request).unwrap();
+        direct.apply(&first).unwrap();
+        let expect = direct.apply(&second).unwrap().to_json_line();
+        assert_eq!(reply.payload, Some(expect.as_str()), "byte parity");
+        let stats = server.stats();
+        assert_eq!(stats.mutations_applied, 2);
+        assert_eq!(stats.repairs, direct.stats().repairs);
+        assert_eq!(stats.full_resolves, direct.stats().full_resolves);
+        tx.finish();
+        assert!(rx.recv().is_none());
+        server.shutdown();
+    }
+
     #[test]
     fn journal_replays_mutation_stream_across_restart() {
         use crate::journal::{FsyncPolicy, Journal};
@@ -2612,12 +2778,7 @@ mod tests {
         let mutate = wire::render_mutate("m1", &handle, &[], &deletes);
         assert_eq!(tx.submit_line(&mutate), Submitted::Replied);
         let frame = rx.recv().unwrap();
-        let new_handle = frame
-            .split("\"new_handle\":\"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .expect("mutated payload names the new handle")
-            .to_owned();
+        let new_handle = new_handle_of(&frame);
 
         // draining the pending delta exits the regime: a typed decline,
         // and the now-stale entry is dropped rather than reinserted
