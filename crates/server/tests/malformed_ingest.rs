@@ -17,37 +17,49 @@ fn quiet_server() -> Server {
     })
 }
 
-/// Every hostile line and the reason it is hostile. All must produce an
-/// `invalid-request` error frame.
-fn hostile_lines() -> Vec<(&'static str, String)> {
-    let truncated: Vec<String> = [
-        // the good request chopped at ever-earlier byte offsets,
-        // including mid-string, mid-number, and mid-escape cuts
-        140, 100, 60, 30, 10, 3, 1,
-    ]
-    .iter()
-    .map(|&n| GOOD_REQUEST.chars().take(n).collect())
-    .collect();
-    let mut table: Vec<(&'static str, String)> = vec![
-        ("not JSON at all", "hello there".into()),
-        ("top-level array", "[1,2,3]".into()),
-        ("top-level string", "\"frame\"".into()),
-        ("top-level number", "17".into()),
-        ("unbalanced braces", "{\"v\":1".into()),
-        ("trailing garbage", "{\"v\":1,\"type\":\"ping\"} extra".into()),
-        ("duplicate keys", r#"{"v":1,"v":1,"type":"ping"}"#.into()),
-        ("missing version", r#"{"type":"ping"}"#.into()),
-        ("future version", r#"{"v":99,"type":"ping"}"#.into()),
-        ("string version", r#"{"v":"1","type":"ping"}"#.into()),
-        ("missing type", r#"{"v":1}"#.into()),
-        ("unknown type", r#"{"v":1,"type":"solve"}"#.into()),
+/// A request frame whose instance carries `edges` verbatim.
+fn with_edges(edges: &str) -> String {
+    format!(
+        r#"{{"v":1,"type":"request","id":"x","problem":{{"name":"mis"}},"instance":{{"kind":"host","nodes":3,"edges":{edges}}}}}"#
+    )
+}
+
+/// Idempotency key whose (error) reply is cached before the table runs,
+/// so the cache-hit row below replays it.
+const CACHED_KEY: &str = "cached-key";
+
+/// A keyed request that fails in the worker; its error reply is cached
+/// under [`CACHED_KEY`].
+const CACHED_KEY_REQUEST: &str = r#"{"v":1,"type":"request","id":"seed-key","idempotency_key":"cached-key","problem":{"name":"graph-coloring"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#;
+
+/// Every hostile line, the reason it is hostile, and the exact reply
+/// frame it must produce (with timings off). All but the cache-hit row
+/// are `invalid-request` error frames; the cache-hit row replays the
+/// error cached under [`CACHED_KEY`]. Sequence numbers count from 1
+/// because a good request leads the stream.
+fn hostile_lines() -> Vec<(&'static str, String, &'static str)> {
+    let mut table: Vec<(&'static str, String, &'static str)> = vec![
+        ("not JSON at all", "hello there".into(), r#"{"v":1,"type":"error","id":"","seq":1,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 0: expected '{', found 'h'"}}"#),
+        ("top-level array", "[1,2,3]".into(), r#"{"v":1,"type":"error","id":"","seq":2,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 0: expected '{', found '['"}}"#),
+        ("top-level string", "\"frame\"".into(), r#"{"v":1,"type":"error","id":"","seq":3,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 0: expected '{', found '\"'"}}"#),
+        ("top-level number", "17".into(), r#"{"v":1,"type":"error","id":"","seq":4,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 0: expected '{', found '1'"}}"#),
+        ("unbalanced braces", "{\"v\":1".into(), r#"{"v":1,"type":"error","id":"","seq":5,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 6: expected ',' or '}', found end of input"}}"#),
+        ("trailing garbage", "{\"v\":1,\"type\":\"ping\"} extra".into(), r#"{"v":1,"type":"error","id":"","seq":6,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 22: trailing characters after the object"}}"#),
+        ("duplicate keys", r#"{"v":1,"v":1,"type":"ping"}"#.into(), r#"{"v":1,"type":"error","id":"","seq":7,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 10: duplicate key \"v\""}}"#),
+        ("missing version", r#"{"type":"ping"}"#.into(), r#"{"v":1,"type":"error","id":"","seq":8,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: v: missing protocol version; send \"v\":1"}}"#),
+        ("future version", r#"{"v":99,"type":"ping"}"#.into(), r#"{"v":1,"type":"error","id":"","seq":9,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: v: unsupported protocol version 99; this server speaks v1"}}"#),
+        ("string version", r#"{"v":"1","type":"ping"}"#.into(), r#"{"v":1,"type":"error","id":"","seq":10,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: v: unsupported protocol version \"1\"; this server speaks v1"}}"#),
+        ("missing type", r#"{"v":1}"#.into(), r#"{"v":1,"type":"error","id":"","seq":11,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: type: missing frame type"}}"#),
+        ("unknown type", r#"{"v":1,"type":"solve"}"#.into(), r#"{"v":1,"type":"error","id":"","seq":12,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: type: unknown frame type \"solve\"; use request, upload, release, mutate, ping, or shutdown"}}"#),
         (
             "unknown top-level field",
             r#"{"v":1,"type":"ping","turbo":true}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":13,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: unknown field \"turbo\" on a ping frame"}}"#,
         ),
         (
             "numeric id",
             r#"{"v":1,"type":"request","id":7,"problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":14,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: id: id must be a JSON string"}}"#,
         ),
         (
             "oversized id",
@@ -55,70 +67,133 @@ fn hostile_lines() -> Vec<(&'static str, String)> {
                 r#"{{"v":1,"type":"request","id":"{}","problem":{{"name":"mis"}},"instance":{{"kind":"host","nodes":1,"edges":[]}}}}"#,
                 "x".repeat(200)
             ),
+            r#"{"v":1,"type":"error","id":"","seq":15,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: id: id exceeds 128 bytes (200 given)"}}"#,
         ),
         (
             "unknown priority",
             r#"{"v":1,"type":"request","id":"x","priority":"urgent","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":16,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: priority: unknown priority \"urgent\"; use high, normal, or low"}}"#,
         ),
         (
             "missing problem",
             r#"{"v":1,"type":"request","id":"x","instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":17,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: request frames must carry a problem"}}"#,
         ),
         (
             "unknown problem name",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"graph-coloring"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":18,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: unknown problem \"graph-coloring\""}}"#,
         ),
         (
             "unknown problem field (typo)",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis","basedegree":4},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":19,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: unknown field \"basedegree\""}}"#,
         ),
         (
             "unknown instance kind",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"hypergraph","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":20,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: unknown instance kind \"hypergraph\"; use bipartite, host, or multigraph"}}"#,
         ),
         (
             "unknown instance field",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[],"weights":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":21,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: unknown field \"weights\" on a host instance"}}"#,
         ),
         (
             "edge with one endpoint",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":2,"edges":[[0]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":22,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 36: expected ',', found ']'"}}"#,
         ),
         (
             "edge with three endpoints",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":3,"edges":[[0,1,2]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":23,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 38: expected ']', found ','"}}"#,
         ),
         (
             "edge endpoint out of range",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"multigraph","nodes":2,"edges":[[0,9]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":24,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edge endpoint (0, 9) out of range for 2 nodes"}}"#,
+        ),
+        ("empty edge endpoint", with_edges("[[0,,1]]"), r#"{"v":1,"type":"error","id":"x","seq":25,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 37: malformed number"}}"#),
+        ("leading-zero endpoint", with_edges("[[01,2]]"), r#"{"v":1,"type":"error","id":"x","seq":26,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 36: expected ',', found '1'"}}"#),
+        ("negative endpoint", with_edges("[[-1,2]]"), r#"{"v":1,"type":"error","id":"x","seq":27,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 37: edge endpoints must be non-negative integers"}}"#),
+        ("fractional endpoint", with_edges("[[0,1.5]]"), r#"{"v":1,"type":"error","id":"x","seq":28,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 40: edge endpoints must be non-negative integers"}}"#),
+        ("endpoint overflowing f64", with_edges("[[1e400,1]]"), r#"{"v":1,"type":"error","id":"x","seq":29,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 40: number out of range"}}"#),
+        (
+            "endpoint one past u64::MAX",
+            with_edges("[[18446744073709551616,0]]"),
+            r#"{"v":1,"type":"error","id":"x","seq":30,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 55: edge endpoints must be non-negative integers"}}"#,
+        ),
+        ("edges that are an object", with_edges(r#"{"0":1}"#), r#"{"v":1,"type":"error","id":"x","seq":31,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 33: expected '[', found '{'"}}"#),
+        (
+            "malformed edges placed before an unknown kind",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"edges":[[0,,1]],"kind":"hypergraph","nodes":3}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":32,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: unknown instance kind \"hypergraph\"; use bipartite, host, or multigraph"}}"#,
+        ),
+        (
+            "malformed edges placed before the kind",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"edges":[[0,,1]],"kind":"host","nodes":3}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":33,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 13: malformed number"}}"#,
+        ),
+        (
+            "malformed edges under an unknown problem",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"graph-coloring"},"instance":{"kind":"host","nodes":3,"edges":[[0,,1]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":34,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: unknown problem \"graph-coloring\""}}"#,
+        ),
+        (
+            "malformed edges beside a negative seed",
+            r#"{"v":1,"type":"request","id":"x","seed":-1,"problem":{"name":"mis"},"instance":{"kind":"host","nodes":3,"edges":[[0,,1]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":35,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 37: malformed number"}}"#,
+        ),
+        (
+            "malformed edges followed by a structural error",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":3,"edges":[[0,,1]]},}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":36,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 112: expected '\"', found '}'"}}"#,
+        ),
+        (
+            "instance that is a string",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":"host"}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":37,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: not a JSON object: JSON parse error at byte 0: expected '{', found '\"'"}}"#,
+        ),
+        (
+            "duplicate key inside the instance",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","edges":[[0,,1]],"nodes":3,"edges":[[0,1]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":38,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: not a JSON object: JSON parse error at byte 49: duplicate key \"edges\""}}"#,
         ),
         (
             "negative node count",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":-4,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":39,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: nodes must be a non-negative integer"}}"#,
         ),
         (
             "negative seed",
             r#"{"v":1,"type":"request","id":"x","seed":-1,"problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":40,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: seed: must be an unsigned 64-bit integer"}}"#,
         ),
         (
             "NaN literal",
             r#"{"v":1,"type":"request","id":"x","max_rounds":NaN,"problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":41,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: max_rounds: must be a JSON number"}}"#,
         ),
         (
             "unknown pipeline",
             r#"{"v":1,"type":"request","id":"x","force_pipeline":"theorem99","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":42,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: force_pipeline: unknown pipeline \"theorem99\"; use theorem27, theorem25, zero-round, or theorem12"}}"#,
         ),
         (
             "unknown determinism policy",
             r#"{"v":1,"type":"request","id":"x","determinism":"maybe","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":43,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: determinism: unknown policy \"maybe\"; use deterministic or randomized"}}"#,
         ),
         (
             "raw control character in string",
             "{\"v\":1,\"type\":\"request\",\"id\":\"a\x01b\",\"problem\":{\"name\":\"mis\"},\"instance\":{\"kind\":\"host\",\"nodes\":1,\"edges\":[]}}".into(),
+            r#"{"v":1,"type":"error","id":"","seq":44,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: id: id must be a JSON string"}}"#,
         ),
         (
             "lone surrogate escape",
             r#"{"v":1,"type":"request","id":"\ud800","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":45,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: id: id must be a JSON string"}}"#,
         ),
         (
             "deeply nested instance value",
@@ -127,6 +202,7 @@ fn hostile_lines() -> Vec<(&'static str, String)> {
                 "[".repeat(100),
                 "]".repeat(100)
             ),
+            r#"{"v":1,"type":"error","id":"","seq":46,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 156: nesting deeper than 64"}}"#,
         ),
         (
             "oversized frame",
@@ -134,49 +210,114 @@ fn hostile_lines() -> Vec<(&'static str, String)> {
                 r#"{{"v":1,"type":"request","id":"big","problem":{{"name":"mis"}},"instance":{{"kind":"host","nodes":1,"edges":[],"pad":"{}"}}}}"#,
                 "y".repeat(8000)
             ),
+            r#"{"v":1,"type":"error","id":"","seq":47,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: frame of 8117 bytes exceeds the 4096-byte limit"}}"#,
         ),
         (
-            // the error offset must index into the instance text (pinned
-            // precisely in wire's offset-consistency unit test); here we
-            // assert the frame is the usual typed error
+            // the offset indexes into the instance text, not the edges
             "malformed edge deep in a long array",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":9,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":48,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 79: malformed number"}}"#,
         ),
         (
             "request with both inline instance and handle",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"handle":"00000000000000000000000000000000","instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":49,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: carry either an inline instance or a handle, not both"}}"#,
         ),
         (
             "request with neither instance nor handle",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"}}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":50,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: request frames must carry an instance or an instance handle"}}"#,
         ),
         (
             "malformed handle string",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"handle":"BEEF"}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":51,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: handle: \"BEEF\" is not a 32-digit lowercase-hex instance handle"}}"#,
         ),
         (
             "handle nobody uploaded",
             r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"handle":"00000000000000000000000000000000"}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":52,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: handle: unknown instance handle \"00000000000000000000000000000000\"; upload it first"}}"#,
         ),
         (
             "upload without an instance",
             r#"{"v":1,"type":"upload","id":"x"}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":53,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: upload frames must carry an instance"}}"#,
         ),
         (
             "upload with a malformed instance",
             r#"{"v":1,"type":"upload","id":"x","instance":{"kind":"host","nodes":2,"edges":[[0,5]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":54,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: node index 5 out of range for graph with 2 nodes"}}"#,
+        ),
+        (
+            "upload with a malformed edge",
+            r#"{"v":1,"type":"upload","id":"u","instance":{"kind":"bipartite","left":2,"right":2,"edges":[[0,1],[1,-1]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"u","seq":55,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: edges: JSON parse error at byte 59: edge endpoints must be non-negative integers"}}"#,
+        ),
+        (
+            "keyed mutate with malformed inserts (cache miss)",
+            r#"{"v":1,"type":"mutate","id":"m","handle":"00000000000000000000000000000000","idempotency_key":"fresh-key","inserts":[[0,1],[2]]}"#.into(),
+            r#"{"v":1,"type":"error","id":"m","seq":56,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: inserts: malformed edit list: JSON parse error at byte 9: expected ',', found ']'"}}"#,
+        ),
+        (
+            "keyed mutate with malformed inserts (cache hit)",
+            format!(
+                r#"{{"v":1,"type":"mutate","id":"m","handle":"00000000000000000000000000000000","idempotency_key":"{CACHED_KEY}","inserts":[[0,1],[2]]}}"#
+            ),
+            r#"{"v":1,"type":"error","id":"m","seq":57,"replayed":true,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: unknown problem \"graph-coloring\""}}"#,
+        ),
+        (
+            "mutate with malformed deletes after valid inserts",
+            r#"{"v":1,"type":"mutate","id":"m","handle":"00000000000000000000000000000000","inserts":[[0,1]],"deletes":[[1, 2.5]]}"#.into(),
+            r#"{"v":1,"type":"error","id":"m","seq":58,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: deletes: malformed edit list: JSON parse error at byte 8: edge endpoints must be non-negative integers"}}"#,
         ),
         (
             "release without a handle",
             r#"{"v":1,"type":"release","id":"x"}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":59,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: handle: release frames must name the handle to drop"}}"#,
         ),
         (
             "release of a handle nobody holds",
             r#"{"v":1,"type":"release","id":"x","handle":"00000000000000000000000000000000"}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":60,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: handle: unknown instance handle \"00000000000000000000000000000000\""}}"#,
         ),
     ];
-    for t in truncated {
-        table.push(("truncated request", t));
+    // the good request chopped at ever-earlier byte offsets, including
+    // mid-string, mid-number, and mid-escape cuts
+    for (n, expected) in [
+        (
+            140,
+            r#"{"v":1,"type":"error","id":"","seq":61,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 140: expected ',' or '}', found end of input"}}"#,
+        ),
+        (
+            100,
+            r#"{"v":1,"type":"error","id":"","seq":62,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 100: unterminated string"}}"#,
+        ),
+        (
+            60,
+            r#"{"v":1,"type":"error","id":"","seq":63,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 60: expected '\"', found end of input"}}"#,
+        ),
+        (
+            30,
+            r#"{"v":1,"type":"error","id":"","seq":64,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 30: unterminated string"}}"#,
+        ),
+        (
+            10,
+            r#"{"v":1,"type":"error","id":"","seq":65,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 10: unterminated string"}}"#,
+        ),
+        (
+            3,
+            r#"{"v":1,"type":"error","id":"","seq":66,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 3: unterminated string"}}"#,
+        ),
+        (
+            1,
+            r#"{"v":1,"type":"error","id":"","seq":67,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: not a JSON object: JSON parse error at byte 1: expected '\"', found end of input"}}"#,
+        ),
+    ] {
+        table.push((
+            "truncated request",
+            GOOD_REQUEST.chars().take(n).collect(),
+            expected,
+        ));
     }
     table
 }
@@ -184,13 +325,22 @@ fn hostile_lines() -> Vec<(&'static str, String)> {
 #[test]
 fn every_hostile_line_gets_a_typed_error_frame() {
     let server = quiet_server();
+    // seed the idempotency cache on a first connection, and wait for
+    // its reply, so the cache-hit row finds the key
+    let mut seeded = Vec::new();
+    transport::serve_stream(
+        &server,
+        format!("{CACHED_KEY_REQUEST}\n").as_bytes(),
+        &mut seeded,
+    )
+    .unwrap();
     let table = hostile_lines();
     // interleave: valid request, all hostile lines, valid request — the
     // connection must survive everything in between
     let mut input = String::new();
     input.push_str(GOOD_REQUEST);
     input.push('\n');
-    for (_, line) in &table {
+    for (_, line, _) in &table {
         input.push_str(line);
         input.push('\n');
     }
@@ -215,7 +365,8 @@ fn every_hostile_line_gets_a_typed_error_frame() {
     );
     assert_eq!(last.id, "good");
 
-    for (frame, (what, line)) in frames[1..frames.len() - 1].iter().zip(&table) {
+    for (frame, (what, line, expected)) in frames[1..frames.len() - 1].iter().zip(&table) {
+        assert_eq!(frame, expected, "{what}: {line}");
         let reply =
             split_reply(frame).unwrap_or_else(|| panic!("{what}: reply frame malformed: {frame}"));
         assert_eq!(reply.frame_type, "error", "{what}: {line} -> {frame}");
