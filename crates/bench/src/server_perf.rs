@@ -39,9 +39,10 @@
 //!   so requests are a few hundred bytes and solves share the interned
 //!   `Arc<Instance>`. The run asserts `parse_fallbacks == 0`.
 //! * **`wire_fast_parse`** — a codec microbench over the exact edge
-//!   array bytes the wire rows carry: `wall_ns` times the zero-copy
-//!   scanner, `wall_ns_direct` the strict parser, so on this one row
-//!   `vs_direct` reads as the scanner's speedup (> 1.0).
+//!   array bytes the wire rows carry: `wall_ns` times the frame scan's
+//!   in-place edge-list decoder, `wall_ns_direct` the strict `Json`
+//!   tree parser read back into pairs, so on this one row `vs_direct`
+//!   reads as the decoder's speedup over the tree (> 1.0).
 //!
 //! Results feed `BENCH_server.json`.
 
@@ -287,7 +288,13 @@ fn drive(
             .iter()
             .map(|(p, r)| {
                 let handle = wire::render_handle(wire::instance_fingerprint(r.instance()));
-                wire::render_request_with_handle(pool.name, *p, &handle, r)
+                wire::render_request_with(
+                    pool.name,
+                    *p,
+                    None,
+                    wire::InstanceRef::Handle(&handle),
+                    r,
+                )
             })
             .collect(),
         _ => Vec::new(),
@@ -491,10 +498,11 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
         server.shutdown();
     }
 
-    // Codec microbench: the zero-copy edge scanner against the strict
-    // parser over the exact edge-array bytes the wire rows carry. No
-    // server in the loop — this row isolates the tentpole parse win, so
-    // its `vs_direct` is the scanner's speedup over the strict parser.
+    // Codec microbench: the frame scan's edge-list decoder against the
+    // strict `Json` tree parser over the exact edge-array bytes the wire
+    // rows carry. No server in the loop — this row isolates ingest
+    // decoding, so its `vs_direct` is the decoder's speedup over the
+    // tree.
     {
         let (pool, _) = &pools[0];
         let lines: Vec<String> = pool
@@ -520,23 +528,49 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
             })
             .collect();
         let iters = if quick { 2_000 } else { 10_000 };
-        // warm both paths once, then time strict (baseline) and scanner
+        // the strict reference: a full tree, then read back into pairs
+        let tree_pairs = |e: &str| -> Vec<(usize, usize)> {
+            json::parse(e)
+                .expect("valid")
+                .as_array()
+                .expect("an edge array")
+                .iter()
+                .map(|pair| match pair.as_array() {
+                    Some([u, v]) => (
+                        u.as_number()
+                            .and_then(json::Number::as_usize)
+                            .expect("endpoint"),
+                        v.as_number()
+                            .and_then(json::Number::as_usize)
+                            .expect("endpoint"),
+                    ),
+                    _ => panic!("edges are pairs"),
+                })
+                .collect()
+        };
+        let decode = |e: &str| {
+            let list = json::Cursor::new(e)
+                .edge_list(0)
+                .and_then(|decoded| decoded)
+                .expect("valid");
+            assert!(list.canonical, "canonical edges decode canonically");
+            list.pairs
+        };
+        // warm both paths once (checking they agree), then time the
+        // tree (baseline) and the decoder
         for e in &edges {
-            std::hint::black_box(json::parse_edge_pairs(e).expect("valid").len());
-            std::hint::black_box(json::scan_edge_pairs(e).expect("valid").0.len());
+            assert_eq!(tree_pairs(e), decode(e));
         }
         let t0 = Instant::now();
         for i in 0..iters {
             let e = edges[i % edges.len()];
-            std::hint::black_box(json::parse_edge_pairs(e).expect("valid").len());
+            std::hint::black_box(tree_pairs(e).len());
         }
         let wall_ns_direct = t0.elapsed().as_nanos();
         let t0 = Instant::now();
         for i in 0..iters {
             let e = edges[i % edges.len()];
-            let (pairs, fast) = json::scan_edge_pairs(e).expect("valid");
-            assert!(fast, "canonical edges must ride the fast path");
-            std::hint::black_box(pairs.len());
+            std::hint::black_box(decode(e).len());
         }
         let wall_ns = t0.elapsed().as_nanos();
         records.push(ServerRecord {

@@ -1459,7 +1459,13 @@ fn check_server(ctx: &mut Ctx<'_>) {
         }
     }
     for (i, ((name, request), handle)) in requests.iter().zip(&handles).enumerate() {
-        let line = wire::render_request_with_handle(name, Priority::Normal, handle, request);
+        let line = wire::render_request_with(
+            name,
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(handle),
+            request,
+        );
         ctx.check(
             "server.handle-admitted",
             tx.submit_line(&line) == Submitted::Queued,
@@ -1495,10 +1501,11 @@ fn check_server(ctx: &mut Ctx<'_>) {
             again.contains("unknown instance handle"),
             || format!("{name}: double release not a typed error: {again}"),
         );
-        tx.submit_line(&wire::render_request_with_handle(
+        tx.submit_line(&wire::render_request_with(
             name,
             Priority::Normal,
-            handle,
+            None,
+            wire::InstanceRef::Handle(handle),
             request,
         ));
         let stale = rx.recv().unwrap_or_default();
@@ -1811,7 +1818,13 @@ fn check_recovery(ctx: &mut Ctx<'_>) {
     });
     let (mut tx, mut rx) = server.connect().split();
     for ((name, request), key) in requests.iter().zip(&keys) {
-        let line = wire::render_request_with_key(name, Priority::Normal, Some(key), request);
+        let line = wire::render_request_with(
+            name,
+            Priority::Normal,
+            Some(key),
+            wire::InstanceRef::Inline,
+            request,
+        );
         let _ = tx.submit_line(&line);
     }
     tx.finish();
@@ -1998,7 +2011,13 @@ fn check_recovery(ctx: &mut Ctx<'_>) {
     // ---- pass 3: the client reconnects and retries everything -------
     let (mut tx, rx) = server.connect().split();
     for ((name, request), key) in requests.iter().zip(&keys) {
-        let line = wire::render_request_with_key(name, Priority::Normal, Some(key), request);
+        let line = wire::render_request_with(
+            name,
+            Priority::Normal,
+            Some(key),
+            wire::InstanceRef::Inline,
+            request,
+        );
         let _ = tx.submit_line(&line);
     }
     tx.finish();
@@ -2281,14 +2300,15 @@ fn check_churn(ctx: &mut Ctx<'_>) {
         let handle = wire::render_handle(wire::instance_fingerprint(request.instance()));
         tx.submit_line(&wire::render_upload("up", request.instance()));
         rx.recv();
-        tx.submit_line(&wire::render_request_with_handle(
+        tx.submit_line(&wire::render_request_with(
             "s1",
             Priority::Normal,
-            &handle,
+            None,
+            wire::InstanceRef::Handle(&handle),
             &request,
         ));
         rx.recv();
-        let mutate = wire::render_mutate("m1", &handle, delta.inserts(), delta.deletes());
+        let mutate = wire::render_mutate("m1", &handle, None, delta.inserts(), delta.deletes());
         ctx.check(
             "churn.server-mutate-inline",
             tx.submit_line(&mutate) == Submitted::Replied,
@@ -2306,10 +2326,11 @@ fn check_churn(ctx: &mut Ctx<'_>) {
             frame.contains("\"type\":\"mutated\"") && !new_handle.is_empty(),
             || format!("expected a mutated frame naming the new handle, got {frame}"),
         );
-        tx.submit_line(&wire::render_request_with_handle(
+        tx.submit_line(&wire::render_request_with(
             "s2",
             Priority::Normal,
-            &new_handle,
+            None,
+            wire::InstanceRef::Handle(&new_handle),
             &request,
         ));
         let reply = rx.recv().unwrap_or_default();

@@ -161,10 +161,11 @@ fn main() {
     // (but before durably recording it) must be able to retry without
     // the work running twice. The key makes the retry safe: the server
     // replays the cached reply frame with identical payload bytes.
-    let keyed = wire::render_request_with_key(
+    let keyed = wire::render_request_with(
         "keyed-1",
         Priority::Normal,
         Some("backoff-demo-key"),
+        wire::InstanceRef::Inline,
         &Request::new(
             Problem::Mis {
                 base_degree: Some(8),

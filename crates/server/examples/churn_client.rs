@@ -76,7 +76,13 @@ fn main() {
         mirror.edge_count()
     );
 
-    let line = wire::render_request_with_handle("solve-0", Priority::Normal, &handle, &policy);
+    let line = wire::render_request_with(
+        "solve-0",
+        Priority::Normal,
+        None,
+        wire::InstanceRef::Handle(&handle),
+        &policy,
+    );
     assert_eq!(tx.submit_line(&line), Submitted::Queued);
     let first = rx.recv().expect("first solution");
     println!("solve-0: route={}", field_str(&first, "route"));
@@ -97,6 +103,7 @@ fn main() {
         let mutate = wire::render_mutate(
             &format!("mut-{round}"),
             &handle,
+            None,
             delta.inserts(),
             delta.deletes(),
         );
@@ -111,7 +118,13 @@ fn main() {
         handle = new_handle;
 
         let id = format!("solve-{}", round + 1);
-        let line = wire::render_request_with_handle(&id, Priority::Normal, &handle, &policy);
+        let line = wire::render_request_with(
+            &id,
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&handle),
+            &policy,
+        );
         assert_eq!(tx.submit_line(&line), Submitted::Queued);
         let solved = rx.recv().expect("post-mutation solution");
         assert!(solved.contains("\"type\":\"solution\""), "{solved}");

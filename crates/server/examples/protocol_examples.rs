@@ -218,10 +218,11 @@ fn main() {
     // idempotency: the same keyed request twice over one connection;
     // the retry is answered from the idempotency cache — same payload
     // bytes, its own seq, flagged `"replayed":true`, no fresh solve
-    let keyed = wire::render_request_with_key(
+    let keyed = wire::render_request_with(
         "idem-1",
         Priority::Normal,
         Some("retry-demo-1"),
+        wire::InstanceRef::Inline,
         &Request::new(
             Problem::Mis {
                 base_degree: Some(8),
@@ -257,7 +258,13 @@ fn main() {
             generators::cycle(6).unwrap(),
         )
         .seed(seed);
-        let line = wire::render_request_with_handle(id, Priority::Normal, &handle, &request);
+        let line = wire::render_request_with(
+            id,
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&handle),
+            &request,
+        );
         assert_eq!(tx.submit_line(&line), Submitted::Queued, "{name}");
         let reply = rx.recv().expect("one reply per handle request");
         print_pair(name, &line, &reply);
@@ -292,14 +299,19 @@ fn main() {
     let reply = rx.recv().expect("uploaded frame");
     print_pair("upload-bipartite", &upload, &reply);
     let churn_request = Request::new(Problem::weak_splitting(), churned.clone()).seed(7);
-    let line =
-        wire::render_request_with_handle("w-1", Priority::Normal, &bip_handle, &churn_request);
+    let line = wire::render_request_with(
+        "w-1",
+        Priority::Normal,
+        None,
+        wire::InstanceRef::Handle(&bip_handle),
+        &churn_request,
+    );
     assert_eq!(tx.submit_line(&line), Submitted::Queued, "handle-weak-1");
     let reply = rx.recv().expect("one reply per handle request");
     print_pair("handle-weak-1", &line, &reply);
     let inserts = [(7usize, 0usize)];
     let deletes = [(0usize, 0usize)];
-    let mutate = wire::render_mutate("mut-1", &bip_handle, &inserts, &deletes);
+    let mutate = wire::render_mutate("mut-1", &bip_handle, None, &inserts, &deletes);
     assert_eq!(tx.submit_line(&mutate), Submitted::Replied, "mutate");
     let reply = rx.recv().expect("mutated frame");
     print_pair("mutate-instance", &mutate, &reply);
@@ -314,8 +326,13 @@ fn main() {
     let new_handle = wire::render_handle(wire::instance_fingerprint(
         &splitting_api::Instance::Bipartite(patched),
     ));
-    let line =
-        wire::render_request_with_handle("w-2", Priority::Normal, &new_handle, &churn_request);
+    let line = wire::render_request_with(
+        "w-2",
+        Priority::Normal,
+        None,
+        wire::InstanceRef::Handle(&new_handle),
+        &churn_request,
+    );
     assert_eq!(tx.submit_line(&line), Submitted::Queued, "handle-weak-2");
     let reply = rx.recv().expect("one reply per handle request");
     print_pair("handle-weak-2", &line, &reply);

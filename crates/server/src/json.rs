@@ -474,180 +474,217 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     Ok(v)
 }
 
-// ----------------------------------------------------------- skip scanner
+// ------------------------------------------------------------- cursor scan
+
+/// Byte range of a key's contents or of a value's text in the scanned
+/// input.
+pub type Span = std::ops::Range<usize>;
+
+/// A `[[u,v],...]` edge list decoded in place by [`Cursor::edge_list`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EdgeList {
+    /// The `(u, v)` endpoint pairs, in source order.
+    pub pairs: Vec<(usize, usize)>,
+    /// `false` when some endpoint used a valid non-canonical spelling
+    /// (`2.0`, `2e0`, `-0.0`) instead of plain decimal digits.
+    pub canonical: bool,
+}
+
+/// A cursor that walks one object value by value, without building a
+/// [`Json`] tree. Values are skipped by default — structure is validated
+/// (string escapes, balanced nesting, comma placement, depth), grammar
+/// inside skipped values is not — or decoded in place by the caller's
+/// callback, in the same pass that finds each value's end.
+///
+/// Decoding never changes which inputs the walk accepts: a value that
+/// fails to decode is skipped like any other, and its decode error is
+/// handed back to the caller to report later. Offsets in every error are
+/// byte offsets into the cursor's input.
+pub struct Cursor<'a> {
+    input: &'a str,
+    p: Parser<'a>,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Cursor {
+            input,
+            p: Parser {
+                bytes: input.as_bytes(),
+                pos: 0,
+            },
+        }
+    }
+
+    /// The byte under the cursor. Inside a callback this is the first
+    /// byte of the value.
+    pub fn peek(&self) -> Option<u8> {
+        self.p.peek()
+    }
+
+    /// Walks the object at the cursor and returns its `(key, value)`
+    /// spans in source order. Keys are raw (escapes unresolved):
+    /// protocol keys are plain ASCII identifiers, so an escaped key
+    /// simply fails exact-match lookups downstream. `value(cursor, key)`
+    /// runs with the cursor on each value's first byte and returns
+    /// `true` if it consumed exactly that value, `false` to have it
+    /// skipped. A repeated key is an error.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError`] when the input at the cursor is not a structurally
+    /// valid object, or from `value`.
+    pub fn object(
+        &mut self,
+        value: impl FnMut(&mut Self, &'a str) -> Result<bool, ParseError>,
+    ) -> Result<Vec<(Span, Span)>, ParseError> {
+        self.p.skip_ws();
+        self.p.expect(b'{')?;
+        self.walk(0, None, value)
+    }
+
+    /// [`Cursor::object`] for a value nested at `depth` that should be
+    /// an object. The value's structure is judged exactly as a skip of
+    /// it would be (the outer `Err`). What a skip would pass but an
+    /// object scan rejects — a value that is not an object, or a
+    /// repeated key — comes back as the inner `Err`, with the value
+    /// consumed, for the caller to report later.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cursor::object`], for structural faults only.
+    #[allow(clippy::type_complexity)]
+    pub fn nested_object(
+        &mut self,
+        depth: usize,
+        value: impl FnMut(&mut Self, &'a str) -> Result<bool, ParseError>,
+    ) -> Result<Result<Vec<(Span, Span)>, ParseError>, ParseError> {
+        if let Err(e) = self.p.expect(b'{') {
+            skip_value(&mut self.p, depth)?;
+            return Ok(Err(e));
+        }
+        let mut duplicate = None;
+        let fields = self.walk(depth, Some(&mut duplicate), value)?;
+        Ok(duplicate.map_or(Ok(fields), Err))
+    }
+
+    /// Decodes the `[[u,v],...]` edge list at the cursor (a value nested
+    /// at `depth`) with the strict pair grammar: every element is a
+    /// two-element array of non-negative integers. Canonical endpoints
+    /// (plain decimal digits) are read by an inlined digit loop; any
+    /// other spelling is re-read at that token by the full number
+    /// grammar and, when it is still an exact non-negative integer,
+    /// accepted with [`EdgeList::canonical`] cleared.
+    ///
+    /// The outer `Err` is a structural fault of the value, judged
+    /// exactly as a skip of it would be. The inner `Err` is the first
+    /// violation of the pair grammar, with the value consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError`] for structural faults only.
+    pub fn edge_list(&mut self, depth: usize) -> Result<Result<EdgeList, ParseError>, ParseError> {
+        let start = self.p.pos;
+        match edge_pairs(&mut self.p) {
+            Ok(list) => Ok(Ok(list)),
+            Err(e) => {
+                self.p.pos = start;
+                skip_value(&mut self.p, depth)?;
+                Ok(Err(e))
+            }
+        }
+    }
+
+    /// Checks that nothing but whitespace follows the walked object.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError`] on trailing characters.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        self.p.skip_ws();
+        if self.p.pos != self.p.bytes.len() {
+            return self.p.err("trailing characters after the object");
+        }
+        Ok(())
+    }
+
+    /// The object walk shared by [`Cursor::object`] and
+    /// [`Cursor::nested_object`], from just past the opening `{`: values
+    /// are skipped at `depth`, and a repeated key is fatal unless
+    /// `duplicate` collects the first one.
+    fn walk(
+        &mut self,
+        depth: usize,
+        mut duplicate: Option<&mut Option<ParseError>>,
+        mut value: impl FnMut(&mut Self, &'a str) -> Result<bool, ParseError>,
+    ) -> Result<Vec<(Span, Span)>, ParseError> {
+        let input = self.input;
+        let mut fields: Vec<(Span, Span)> = Vec::new();
+        self.p.skip_ws();
+        if self.p.peek() == Some(b'}') {
+            self.p.pos += 1;
+            return Ok(fields);
+        }
+        loop {
+            self.p.skip_ws();
+            let key_start = self.p.pos + 1;
+            skip_string(&mut self.p)?;
+            let key_span = key_start..self.p.pos - 1;
+            let key = &input[key_span.clone()];
+            if fields.iter().any(|(k, _)| &input[k.clone()] == key) {
+                let e = ParseError {
+                    offset: self.p.pos,
+                    reason: format!("duplicate key \"{key}\""),
+                };
+                match duplicate.as_deref_mut() {
+                    None => return Err(e),
+                    Some(first) => {
+                        first.get_or_insert(e);
+                    }
+                }
+            }
+            self.p.skip_ws();
+            self.p.expect(b':')?;
+            self.p.skip_ws();
+            let value_start = self.p.pos;
+            if !value(self, key)? {
+                skip_value(&mut self.p, depth)?;
+            }
+            fields.push((key_span, value_start..self.p.pos));
+            self.p.skip_ws();
+            match self.p.peek() {
+                Some(b',') => self.p.pos += 1,
+                Some(b'}') => {
+                    self.p.pos += 1;
+                    return Ok(fields);
+                }
+                _ => {
+                    return self.p.err(format!(
+                        "expected ',' or '}}', found {}",
+                        self.p.found_desc()
+                    ))
+                }
+            }
+        }
+    }
+}
 
 /// Splits one top-level JSON object into `(key, raw-value)` pairs without
-/// building any values — nested payloads are brace-matched and returned
-/// as input slices. This is the cheap path ingest takes to read a frame's
-/// envelope (a few small fields) without parsing a multi-megabyte
-/// instance, and the byte-exact path tests take to extract embedded
-/// sub-objects.
-///
-/// The scanner validates structure (string escapes, balanced nesting,
-/// comma placement, depth) but not the grammar inside skipped values —
-/// number-only arrays in particular are skipped by a byte-class loop
-/// that checks bracket balance alone, so comma placement inside them is
-/// only judged when the value is used. Anything the server goes on to
-/// use is re-parsed strictly with [`parse`] or the edge parsers.
+/// building any values: a [`Cursor`] walk that skips every value. Reply
+/// decoding and tests use it to extract embedded payloads byte-exactly.
 ///
 /// # Errors
 ///
 /// [`ParseError`] when the input is not a single top-level object.
 pub fn scan_top_level(input: &str) -> Result<Vec<(&str, &str)>, ParseError> {
-    scan_top_level_impl(input, None)
-}
-
-/// [`scan_top_level`] fused with the zero-copy edge scanner: while
-/// skipping the value of a top-level `"edges"` key, the canonical
-/// `[[a,b],...]` fast grammar is parsed in the same traversal, so the
-/// hot instance-ingest path touches the edge bytes once instead of
-/// twice (skip, then re-scan). The second element is `Some(pairs)` when
-/// the fast grammar served the edge list; `None` means either there was
-/// no `edges` key or its spelling was exotic — the caller falls back to
-/// [`scan_edge_pairs`] on the returned raw slice, whose acceptance,
-/// rejection, and offsets are byte-identical by construction.
-///
-/// # Errors
-///
-/// Exactly the [`ParseError`]s of [`scan_top_level`].
-#[allow(clippy::type_complexity)]
-pub fn scan_object_with_edges(
-    input: &str,
-) -> Result<(Vec<(&str, &str)>, Option<Vec<(usize, usize)>>), ParseError> {
-    let mut captured = None;
-    let fields = scan_top_level_impl(input, Some(Capture::Edges(&mut captured)))?;
-    Ok((fields, captured))
-}
-
-/// One-pass scan of a request frame: the top-level fields, plus — when
-/// the `"instance"` value is an object the fused grammar fully served —
-/// that object's own fields and its parsed edge pairs. The ingest
-/// thread uses this so the per-frame envelope scan it must do anyway
-/// also harvests everything the worker would otherwise re-scan.
-#[derive(Debug)]
-pub struct FrameScan<'a> {
-    /// Top-level `(key, raw-value)` pairs, exactly as [`scan_top_level`].
-    pub fields: Vec<(&'a str, &'a str)>,
-    /// The `"instance"` object's own `(key, raw-value)` pairs, when the
-    /// fused scan served the whole object (canonical edge spelling, no
-    /// structural surprises). `None` means the worker falls back to its
-    /// own strict scan — behavior is byte-identical either way.
-    pub instance_fields: Option<Vec<(&'a str, &'a str)>>,
-    /// The instance's edge pairs; `Some` exactly when `instance_fields`
-    /// is `Some` (the fused scan is all-or-nothing).
-    pub edge_pairs: Option<Vec<(usize, usize)>>,
-}
-
-/// [`scan_top_level`] fused with instance-object and edge-list capture
-/// — see [`FrameScan`]. Accepts and rejects byte-identically to
-/// [`scan_top_level`]: capture is a side harvest, never a grammar
-/// change.
-///
-/// # Errors
-///
-/// Exactly the [`ParseError`]s of [`scan_top_level`].
-pub fn scan_frame(input: &str) -> Result<FrameScan<'_>, ParseError> {
-    let mut captured = None;
-    let fields = scan_top_level_impl(input, Some(Capture::Instance(&mut captured)))?;
-    let (instance_fields, edge_pairs) = match captured {
-        Some((fields, pairs)) => (Some(fields), Some(pairs)),
-        None => (None, None),
-    };
-    Ok(FrameScan {
-        fields,
-        instance_fields,
-        edge_pairs,
-    })
-}
-
-/// What a fused scan harvests while skipping values it would have to
-/// traverse anyway. `'m` borrows the caller's capture slot, `'a` the
-/// input text.
-enum Capture<'m, 'a> {
-    /// Parse a top-level `"edges"` array on the canonical fast grammar.
-    Edges(&'m mut Option<Vec<(usize, usize)>>),
-    /// Scan a top-level `"instance"` object's fields and parse its
-    /// `"edges"` on the canonical fast grammar, all-or-nothing.
-    #[allow(clippy::type_complexity)]
-    Instance(&'m mut Option<(Vec<(&'a str, &'a str)>, Vec<(usize, usize)>)>),
-}
-
-fn scan_top_level_impl<'a>(
-    input: &'a str,
-    mut capture: Option<Capture<'_, 'a>>,
-) -> Result<Vec<(&'a str, &'a str)>, ParseError> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields: Vec<(&str, &str)> = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key_start = p.pos;
-            skip_string(&mut p)?;
-            // raw key contents, escapes unresolved — protocol keys are
-            // plain ASCII identifiers, so escaped keys simply fail the
-            // exact-match lookups downstream (reported as unknown fields)
-            let key = &input[key_start + 1..p.pos - 1];
-            if fields.iter().any(|(k, _)| *k == key) {
-                return p.err(format!("duplicate key \"{key}\""));
-            }
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value_start = p.pos;
-            // fused capture: consume the target value while locating its
-            // end; a bail rewinds `pos` and the generic skip handles the
-            // value like any other
-            let mut skipped = false;
-            match &mut capture {
-                Some(Capture::Edges(cap)) if key == "edges" && p.peek() == Some(b'[') => {
-                    let mut end = p.pos;
-                    if let Some(pairs) = fast_pairs_core(bytes, &mut end) {
-                        **cap = Some(pairs);
-                        p.pos = end;
-                        skipped = true;
-                    }
-                }
-                Some(Capture::Instance(cap)) if key == "instance" && p.peek() == Some(b'{') => {
-                    let start = p.pos;
-                    match try_scan_object_with_edges(input, &mut p) {
-                        Some(inner) => {
-                            **cap = Some(inner);
-                            skipped = true;
-                        }
-                        None => p.pos = start,
-                    }
-                }
-                _ => {}
-            }
-            if !skipped {
-                skip_value(&mut p, 0)?;
-            }
-            let raw = &input[value_start..p.pos];
-            fields.push((key, raw));
-            p.skip_ws();
-            match p.peek() {
-                Some(b',') => p.pos += 1,
-                Some(b'}') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => {
-                    return p.err(format!("expected ',' or '}}', found {}", p.found_desc()));
-                }
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return p.err("trailing characters after the object");
-    }
-    Ok(fields)
+    let mut cursor = Cursor::new(input);
+    let fields = cursor.object(|_, _| Ok(false))?;
+    cursor.finish()?;
+    Ok(fields
+        .into_iter()
+        .map(|(k, v)| (&input[k], &input[v]))
+        .collect())
 }
 
 fn skip_string(p: &mut Parser<'_>) -> Result<(), ParseError> {
@@ -729,72 +766,6 @@ fn skip_numeric_array(p: &mut Parser<'_>, depth: usize) -> bool {
     false
 }
 
-/// Attempts to scan one object value (cursor on `{`) collecting its
-/// `(key, raw-value)` pairs and fast-parsing its `"edges"` array, in
-/// the same traversal that locates the object's end. Returns `None`
-/// (with `p.pos` clobbered — the caller rewinds) on any structural
-/// anomaly, duplicate key, exotic edge spelling, or missing edges key:
-/// the generic [`skip_value`] then handles the value, and whoever
-/// parses the slice later reproduces today's exact error or fallback.
-#[allow(clippy::type_complexity)]
-fn try_scan_object_with_edges<'a>(
-    input: &'a str,
-    p: &mut Parser<'a>,
-) -> Option<(Vec<(&'a str, &'a str)>, Vec<(usize, usize)>)> {
-    let bytes = p.bytes;
-    p.pos += 1;
-    let mut fields: Vec<(&'a str, &'a str)> = Vec::new();
-    let mut pairs: Option<Vec<(usize, usize)>> = None;
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-        return None; // an empty object has no edges to capture
-    }
-    loop {
-        p.skip_ws();
-        let key_start = p.pos;
-        if skip_string(p).is_err() {
-            return None;
-        }
-        let key = &input[key_start + 1..p.pos - 1];
-        if fields.iter().any(|(k, _)| *k == key) {
-            return None;
-        }
-        p.skip_ws();
-        if p.peek() != Some(b':') {
-            return None;
-        }
-        p.pos += 1;
-        p.skip_ws();
-        let value_start = p.pos;
-        if key == "edges" {
-            let mut end = p.pos;
-            match fast_pairs_core(bytes, &mut end) {
-                Some(got) => {
-                    pairs = Some(got);
-                    p.pos = end;
-                }
-                // exotic spelling: bail the whole capture so the strict
-                // fallback path (and its fallback counter) runs as today
-                None => return None,
-            }
-        } else if skip_value(p, 1).is_err() {
-            return None;
-        }
-        fields.push((key, &input[value_start..p.pos]));
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.pos += 1,
-            Some(b'}') => {
-                p.pos += 1;
-                break;
-            }
-            _ => return None,
-        }
-    }
-    Some((fields, pairs?))
-}
-
 fn skip_value(p: &mut Parser<'_>, depth: usize) -> Result<(), ParseError> {
     if depth > MAX_DEPTH {
         return p.err(format!("nesting deeper than {MAX_DEPTH}"));
@@ -827,13 +798,12 @@ fn skip_value(p: &mut Parser<'_>, depth: usize) -> Result<(), ParseError> {
             }
         }
         Some(b'[') => {
-            // fast path for number-only arrays — the shape of instance
-            // edge lists, which dominate request frames by bytes. A
-            // byte-class loop tracks only bracket depth; anything that
-            // is not a number/separator/whitespace byte (strings,
-            // objects, literals) rewinds and takes the general loop.
-            // Grammar inside either skip stays unvalidated, per this
-            // scanner's contract — downstream strict parses decide.
+            // fast path for number-only arrays — the shape of most
+            // arrays in request frames. A byte-class loop tracks only
+            // bracket depth; anything that is not a number/separator/
+            // whitespace byte (strings, objects, literals) rewinds and
+            // takes the general loop. Grammar inside either skip stays
+            // unvalidated, per the cursor's contract.
             let start = p.pos;
             if skip_numeric_array(p, depth) {
                 return Ok(());
@@ -876,239 +846,103 @@ fn skip_value(p: &mut Parser<'_>, depth: usize) -> Result<(), ParseError> {
     }
 }
 
-/// Parses a JSON array of `[u, v]` integer pairs directly into endpoint
-/// tuples — the hot path for instance edge lists, which dominate request
-/// frames by bytes. Strict: every element must be a two-element array of
-/// non-negative integers.
-///
-/// # Errors
-///
-/// [`ParseError`] on anything that is not exactly a pair list.
-pub fn parse_edge_pairs(input: &str) -> Result<Vec<(usize, usize)>, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let mut out = Vec::new();
-    p.skip_ws();
+/// The strict pair grammar behind [`Cursor::edge_list`]. Stops at the
+/// list's closing `]`; whatever follows is the walk's business.
+fn edge_pairs(p: &mut Parser<'_>) -> Result<EdgeList, ParseError> {
     p.expect(b'[')?;
+    let mut list = EdgeList {
+        pairs: Vec::new(),
+        canonical: true,
+    };
     p.skip_ws();
     if p.peek() == Some(b']') {
         p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            p.expect(b'[')?;
-            p.skip_ws();
-            let u = pair_int(&mut p)?;
-            p.skip_ws();
-            p.expect(b',')?;
-            p.skip_ws();
-            let v = pair_int(&mut p)?;
-            p.skip_ws();
-            p.expect(b']')?;
-            out.push((u, v));
-            p.skip_ws();
-            match p.peek() {
-                Some(b',') => p.pos += 1,
-                Some(b']') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => return p.err(format!("expected ',' or ']', found {}", p.found_desc())),
-            }
-        }
+        return Ok(list);
     }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing characters after the edge list");
-    }
-    Ok(out)
-}
-
-fn pair_int(p: &mut Parser<'_>) -> Result<usize, ParseError> {
-    let n = p.number()?;
-    match n.as_usize() {
-        Some(u) => Ok(u),
-        None => p.err("edge endpoints must be non-negative integers"),
-    }
-}
-
-// ------------------------------------------------------ zero-copy scanner
-
-/// Parses an edge list with a zero-copy fast path: one tight byte loop
-/// over the canonical shape `[[a,b],[c,d],...]` (plain decimal integers,
-/// optional JSON whitespace) writing straight into a preallocated vector
-/// — no `Json` tree, no per-number text slice. Anything outside that
-/// shape — leading zeros, signs, fractions, exponents, out-of-range
-/// endpoints, structural surprises — bails out and re-runs the strict
-/// [`parse_edge_pairs`], so acceptance, rejection, and error offsets are
-/// byte-identical to the strict parser by construction.
-///
-/// Returns the pairs plus `true` when the fast path served the input
-/// (`false` means the strict fallback ran; the server counts those).
-///
-/// # Errors
-///
-/// Exactly the [`ParseError`]s of [`parse_edge_pairs`].
-pub fn scan_edge_pairs(input: &str) -> Result<(Vec<(usize, usize)>, bool), ParseError> {
-    match fast_edge_pairs(input) {
-        Some(pairs) => Ok((pairs, true)),
-        None => parse_edge_pairs(input).map(|pairs| (pairs, false)),
-    }
-}
-
-/// The fast-path grammar: a strict subset of [`parse_edge_pairs`]'s.
-/// `None` means "not in the subset" — the caller re-parses strictly,
-/// which either accepts (float-typed integral endpoints like `2.0`) or
-/// produces the canonical error. Never accepts anything strict rejects.
-fn fast_edge_pairs(input: &str) -> Option<Vec<(usize, usize)>> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    fast_skip_ws(bytes, &mut pos);
-    let out = fast_pairs_core(bytes, &mut pos)?;
-    fast_skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return None;
-    }
-    Some(out)
-}
-
-#[inline]
-fn fast_skip_ws(bytes: &[u8], pos: &mut usize) {
-    while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        *pos += 1;
-    }
-}
-
-/// Parses one `[[a,b],...]` array of canonical decimal pairs starting at
-/// `*pos` (which must point at the opening `[`), consuming exactly
-/// through the matching `]`. Shared by the standalone fast path and the
-/// fused object scan, so both accept the identical grammar subset.
-fn fast_pairs_core(bytes: &[u8], pos: &mut usize) -> Option<Vec<(usize, usize)>> {
-    #[inline]
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        fast_skip_ws(bytes, pos);
-    }
-    #[inline]
-    fn int(bytes: &[u8], pos: &mut usize) -> Option<usize> {
-        let first = *bytes.get(*pos)?;
-        if !first.is_ascii_digit() {
-            return None;
-        }
-        *pos += 1;
-        if first == b'0' {
-            // a second digit would be a leading zero, which the strict
-            // grammar rejects — bail so the error comes from there
-            if bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-                return None;
-            }
-            return Some(0);
-        }
-        let mut val = usize::from(first - b'0');
-        while let Some(&b) = bytes.get(*pos) {
-            if !b.is_ascii_digit() {
-                break;
-            }
-            val = val.checked_mul(10)?.checked_add(usize::from(b - b'0'))?;
-            *pos += 1;
-        }
-        Some(val)
-    }
-
-    let mut i = *pos;
-    if *bytes.get(i)? != b'[' {
-        return None;
-    }
-    i += 1;
     // canonical renderings spend ≥ 6 bytes per pair (`[a,b],`), so this
     // preallocation never reallocates on the hot path
-    let mut out = Vec::with_capacity((bytes.len() - i) / 6 + 1);
-    skip_ws(bytes, &mut i);
-    if bytes.get(i) == Some(&b']') {
-        i += 1;
-    } else {
-        loop {
-            skip_ws(bytes, &mut i);
-            if *bytes.get(i)? != b'[' {
-                return None;
+    list.pairs.reserve((p.bytes.len() - p.pos) / 6 + 1);
+    loop {
+        p.skip_ws();
+        p.expect(b'[')?;
+        p.skip_ws();
+        let u = endpoint(p, &mut list.canonical)?;
+        p.skip_ws();
+        p.expect(b',')?;
+        p.skip_ws();
+        let v = endpoint(p, &mut list.canonical)?;
+        p.skip_ws();
+        p.expect(b']')?;
+        list.pairs.push((u, v));
+        p.skip_ws();
+        match p.peek() {
+            Some(b',') => p.pos += 1,
+            Some(b']') => {
+                p.pos += 1;
+                return Ok(list);
             }
-            i += 1;
-            skip_ws(bytes, &mut i);
-            let u = int(bytes, &mut i)?;
-            skip_ws(bytes, &mut i);
-            if *bytes.get(i)? != b',' {
-                return None;
-            }
-            i += 1;
-            skip_ws(bytes, &mut i);
-            let v = int(bytes, &mut i)?;
-            skip_ws(bytes, &mut i);
-            if *bytes.get(i)? != b']' {
-                return None;
-            }
-            i += 1;
-            out.push((u, v));
-            skip_ws(bytes, &mut i);
-            match *bytes.get(i)? {
-                b',' => i += 1,
-                b']' => {
-                    i += 1;
-                    break;
-                }
-                _ => return None,
-            }
+            _ => return p.err(format!("expected ',' or ']', found {}", p.found_desc())),
         }
     }
-    *pos = i;
-    Some(out)
+}
+
+/// One edge endpoint. Plain decimal digits are read inline; a leading
+/// zero ends the token after the `0`, exactly as the number grammar
+/// does. Anything else — a sign, a fraction, an exponent, a value past
+/// `usize::MAX`, or no digit at all — is re-read at this token by
+/// [`Parser::number`], which accepts exact non-negative integers in any
+/// spelling (clearing `canonical`) and names every other fault.
+#[inline]
+fn endpoint(p: &mut Parser<'_>, canonical: &mut bool) -> Result<usize, ParseError> {
+    let bytes = p.bytes;
+    let mut i = p.pos;
+    let mut value = 0usize;
+    match bytes.get(i) {
+        Some(b'0') => i += 1,
+        Some(&d @ b'1'..=b'9') => {
+            value = usize::from(d - b'0');
+            i += 1;
+            while let Some(&d) = bytes.get(i) {
+                if !d.is_ascii_digit() {
+                    break;
+                }
+                match value
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(usize::from(d - b'0')))
+                {
+                    Some(v) => value = v,
+                    None => return spelled_endpoint(p, canonical),
+                }
+                i += 1;
+            }
+        }
+        _ => return spelled_endpoint(p, canonical),
+    }
+    if matches!(bytes.get(i), Some(b'.' | b'e' | b'E')) {
+        return spelled_endpoint(p, canonical);
+    }
+    p.pos = i;
+    Ok(value)
+}
+
+#[cold]
+fn spelled_endpoint(p: &mut Parser<'_>, canonical: &mut bool) -> Result<usize, ParseError> {
+    match p.number()?.as_usize() {
+        Some(v) => {
+            *canonical = false;
+            Ok(v)
+        }
+        None => p.err("edge endpoints must be non-negative integers"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn fused_scans_agree_with_the_plain_scanner() {
-        let line = r#"{"v":1,"type":"request","id":"r","problem":{"name":"mis","base_degree":3},"instance":{"kind":"bipartite","left":3,"right":3,"edges":[[0,1],[2,0]]}}"#;
-        let scan = scan_frame(line).unwrap();
-        assert_eq!(scan.fields, scan_top_level(line).unwrap());
-        assert_eq!(scan.edge_pairs, Some(vec![(0, 1), (2, 0)]));
-        let instance = scan
-            .fields
-            .iter()
-            .find(|(k, _)| *k == "instance")
-            .unwrap()
-            .1;
-        assert_eq!(
-            scan.instance_fields,
-            Some(scan_top_level(instance).unwrap())
-        );
-
-        // the instance-level fused scan harvests the same pairs
-        let (fields, pairs) = scan_object_with_edges(instance).unwrap();
-        assert_eq!(fields, scan_top_level(instance).unwrap());
-        assert_eq!(pairs, Some(vec![(0, 1), (2, 0)]));
-
-        // exotic spelling: capture bails all-or-nothing, fields unchanged
-        let exotic = line.replace("[2,0]", "[2,0.0]");
-        let scan = scan_frame(&exotic).unwrap();
-        assert_eq!(scan.fields, scan_top_level(&exotic).unwrap());
-        assert!(scan.edge_pairs.is_none() && scan.instance_fields.is_none());
-
-        // a duplicate key inside the instance bails capture but scans
-        // (the plain scanner never dup-checks nested objects either)
-        let dup = r#"{"instance":{"edges":[[0,1]],"edges":[[0,2]]}}"#;
-        let scan = scan_frame(dup).unwrap();
-        assert_eq!(scan.fields, scan_top_level(dup).unwrap());
-        assert!(scan.edge_pairs.is_none());
-
-        // malformed input errors identically
-        let bad = r#"{"instance":{"kind":}}"#;
-        assert_eq!(
-            scan_frame(bad).unwrap_err(),
-            scan_top_level(bad).unwrap_err()
-        );
+    /// Decodes a standalone edge list the way the frame scan does.
+    fn edge_list(input: &str) -> Result<EdgeList, ParseError> {
+        Cursor::new(input).edge_list(0).and_then(|decoded| decoded)
     }
 
     #[test]
@@ -1256,7 +1090,7 @@ mod tests {
         // never valid edge endpoints
         assert_eq!(parse("-0").unwrap(), Json::Number(Number::Signed(0)));
         assert_eq!(Number::Signed(0).as_u64(), None);
-        assert!(parse_edge_pairs("[[-0,1]]").is_err());
+        assert!(edge_list("[[-0,1]]").is_err());
         // `-0.0` is a float equal to zero (IEEE) and converts to 0
         let n = parse("-0.0").unwrap().as_number().unwrap();
         assert_eq!(n, Number::Float(-0.0));
@@ -1264,62 +1098,50 @@ mod tests {
     }
 
     #[test]
-    fn edge_pairs_fast_path() {
-        assert_eq!(parse_edge_pairs("[]").unwrap(), vec![]);
-        assert_eq!(
-            parse_edge_pairs("[[0,1],[2, 3]]").unwrap(),
-            vec![(0, 1), (2, 3)]
-        );
-        for bad in [
-            "[[0]]",
-            "[[0,1,2]]",
-            "[[0,-1]]",
-            "[[0,1.5]]",
-            "[0,1]",
-            "[[0,1]],",
+    fn edge_lists_decode_in_place() {
+        let canonical = edge_list("[[0,1],[2, 3]]").unwrap();
+        assert_eq!(canonical.pairs, vec![(0, 1), (2, 3)]);
+        assert!(canonical.canonical);
+        assert_eq!(edge_list("[]").unwrap().pairs, vec![]);
+        // valid non-canonical spellings decode, flagged
+        let spelled = edge_list("[[0,1],[2,3.0],[2e1,-0.0]]").unwrap();
+        assert_eq!(spelled.pairs, vec![(0, 1), (2, 3), (20, 0)]);
+        assert!(!spelled.canonical);
+        // the decoder stops at the list's end; the walk judges the rest
+        let mut cursor = Cursor::new("[[0,1]] x");
+        assert!(cursor.edge_list(0).unwrap().is_ok());
+        assert_eq!(cursor.peek(), Some(b' '));
+        for (bad, offset, reason) in [
+            ("[[0]]", 3, "expected ',', found ']'"),
+            ("[[0,1,2]]", 5, "expected ']', found ','"),
+            (
+                "[[0,-1]]",
+                6,
+                "edge endpoints must be non-negative integers",
+            ),
+            (
+                "[[0,1.5]]",
+                7,
+                "edge endpoints must be non-negative integers",
+            ),
+            ("[[01,2]]", 3, "expected ',', found '1'"),
+            ("[[0,,1]]", 4, "malformed number"),
+            ("[0,1]", 1, "expected '[', found '0'"),
+            ("[[1e400,1]]", 7, "number out of range"),
+            (
+                "[[18446744073709551616,0]]",
+                22,
+                "edge endpoints must be non-negative integers",
+            ),
         ] {
-            assert!(parse_edge_pairs(bad).is_err(), "accepted {bad:?}");
+            let err = edge_list(bad).unwrap_err();
+            assert_eq!((err.offset, err.reason.as_str()), (offset, reason), "{bad}");
         }
-    }
-
-    #[test]
-    fn fast_edge_scan_matches_the_strict_parser() {
-        let cases = [
-            "[]",
-            "[[0,1]]",
-            "[[0,1],[2, 3]]",
-            " [ [ 12 , 7 ] ] ",
-            "[[18446744073709551615,0]]",
-            "[[18446744073709551616,0]]",
-            "[[01,2]]",
-            "[[+1,2]]",
-            "[[1,2.0]]",
-            "[[1,2e1]]",
-            "[[-0,1]]",
-            "[[1,2],]",
-            "[[1]]",
-            "[[1,2,3]]",
-            "[1,2]",
-            "[[1,2]]x",
-            "[[1,2]",
-            "",
-            "[",
-            "[[",
-        ];
-        for case in cases {
-            let strict = parse_edge_pairs(case);
-            let fast = scan_edge_pairs(case);
-            match (&strict, &fast) {
-                (Ok(a), Ok((b, _))) => assert_eq!(a, b, "{case:?}"),
-                (Err(a), Err(b)) => assert_eq!(a, b, "{case:?}"),
-                _ => panic!("{case:?}: strict {strict:?} vs fast {fast:?}"),
-            }
-        }
-        // the canonical rendering must ride the fast path...
-        assert!(scan_edge_pairs("[[0,1],[2,3]]").unwrap().1);
-        assert!(scan_edge_pairs("[]").unwrap().1);
-        // ...and anything fancy falls back (still accepted, via strict)
-        assert!(!scan_edge_pairs("[[0,1],[2,3.0]]").unwrap().1);
-        assert!(!scan_edge_pairs("[[0,1],[2,2e1]]").unwrap().1);
+        // a malformed list is skipped like any value: the structural
+        // verdict is the walk's, the grammar verdict is deferred
+        let mut cursor = Cursor::new("[[0,,1]]");
+        assert!(cursor.edge_list(0).unwrap().is_err());
+        assert_eq!(cursor.peek(), None);
+        assert!(Cursor::new("[[0,1]").edge_list(0).is_err());
     }
 }

@@ -127,7 +127,7 @@ impl Default for ServerConfig {
 
 enum Payload {
     /// A raw wire line; the worker runs the strict body parse.
-    Wire(String),
+    Wire(String, wire::Body),
     /// An already-typed request (the in-process fast path used by the
     /// benchmark harness to measure queue/worker machinery without
     /// codec cost).
@@ -153,10 +153,6 @@ struct Job {
     /// Client-supplied idempotency key; the delivered reply is cached
     /// under it so a retry replays instead of re-solving.
     idempotency_key: Option<String>,
-    /// Field ranges and pre-parsed edge pairs harvested by the ingest
-    /// scan, when the frame's spelling was canonical — the worker then
-    /// re-scans nothing. Never journaled; recovered jobs re-parse.
-    prescan: Option<wire::PreScan>,
 }
 
 enum Report {
@@ -525,9 +521,10 @@ impl Shared {
         inserts: &[(usize, usize)],
         deletes: &[(usize, usize)],
     ) -> Result<String, ApiError> {
-        let hash = wire::parse_handle(handle).expect("validated by scan_envelope");
         let mut handles = self.handles.lock().unwrap();
-        let Some(existing) = handles.get(&hash) else {
+        let Some((hash, existing)) =
+            wire::parse_handle(handle).and_then(|hash| Some((hash, handles.get(&hash)?)))
+        else {
             return Err(ApiError::InvalidRequest {
                 field: "handle",
                 reason: format!("unknown instance handle \"{handle}\"; upload it first"),
@@ -582,18 +579,8 @@ impl Shared {
     /// Journal-replay half of `upload`: re-parse and re-intern the
     /// instance, silently. Idempotent — repeated uploads of the same
     /// content land on the same table entry.
-    fn replay_upload(&self, line: &str) {
-        let Ok(fields) = crate::json::scan_top_level(line) else {
-            return;
-        };
-        let Some(raw) = fields
-            .iter()
-            .find(|(k, _)| *k == "instance")
-            .map(|(_, v)| *v)
-        else {
-            return;
-        };
-        if let Ok((instance, _)) = wire::parse_instance_traced(raw) {
+    fn replay_upload(&self, line: &str, body: wire::Body) {
+        if let Ok(instance) = wire::build_instance(line, body) {
             let hash = wire::instance_fingerprint(&instance);
             self.handles
                 .lock()
@@ -751,7 +738,6 @@ fn worker_loop(shared: &Shared, slot: usize) {
             None => CancelToken::new(),
         };
         *shared.active[slot].lock().unwrap() = Some(token.clone());
-        let prescan = job.prescan.take();
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 panic!("chaos: injected worker panic");
@@ -762,15 +748,13 @@ fn worker_loop(shared: &Shared, slot: usize) {
                     .map(|s| s.to_json_line())
                     .unwrap_or_else(|e| e.to_json_line())
             };
-            match &job.payload {
-                Payload::Wire(line) => {
-                    let parsed = match prescan {
-                        Some(pre) => wire::parse_request_prescanned(line, pre),
-                        None => wire::parse_request_traced(line),
-                    };
-                    match parsed {
-                        Ok((_, request, fast)) => {
-                            if !fast {
+            match &mut job.payload {
+                Payload::Wire(line, body) => {
+                    let body = std::mem::take(body);
+                    let canonical = body.canonical();
+                    match wire::build_request(line, body, None) {
+                        Ok(request) => {
+                            if !canonical {
                                 shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
                             }
                             solve(&request)
@@ -900,52 +884,55 @@ impl Server {
             // rebuilds the interned-handle table exactly as the old
             // process held it. Replays answer nobody and swallow
             // errors: a mutate that failed live fails identically here.
-            match wire::scan_envelope(&rec.line) {
-                Ok(ClientFrame::Upload { .. }) => {
-                    self.shared.replay_upload(&rec.line);
+            let body = match wire::scan(&rec.line) {
+                Ok((ClientFrame::Request(_), body)) => body,
+                Ok((ClientFrame::Upload { .. }, body)) => {
+                    self.shared.replay_upload(&rec.line, body);
                     self.shared.track_state_record(Some(rec.record.record_id));
                     continue;
                 }
-                Ok(ClientFrame::Release { handle, .. }) => {
+                Ok((ClientFrame::Release { handle, .. }, _)) => {
                     self.shared.replay_release(&handle);
                     self.shared.track_state_record(Some(rec.record.record_id));
                     continue;
                 }
-                Ok(ClientFrame::Mutate { handle, .. }) => {
-                    if let Ok(fields) = crate::json::scan_top_level(&rec.line) {
-                        if let Ok((inserts, deletes)) = wire::parse_mutate_edits(&fields) {
-                            let outcome = self.shared.apply_mutation(&handle, &inserts, &deletes);
-                            // a keyed mutation that applied (live or
-                            // here) must keep replaying its reply after
-                            // the crash — the payload is deterministic,
-                            // so the recovered bytes match the originals
-                            if let (Ok(payload), Some(key)) = (outcome, &rec.record.idempotency_key)
-                            {
-                                self.shared.idempotency.lock().unwrap().insert(
-                                    key.clone(),
-                                    CachedReply {
-                                        kind: ReplyKind::Mutated,
-                                        payload,
-                                    },
-                                );
-                            }
+                Ok((ClientFrame::Mutate { handle, .. }, body)) => {
+                    if let Ok((inserts, deletes)) = body.edits(&rec.line) {
+                        let outcome = self.shared.apply_mutation(&handle, &inserts, &deletes);
+                        // a keyed mutation that applied (live or here)
+                        // must keep replaying its reply after the crash —
+                        // the payload is deterministic, so the recovered
+                        // bytes match the originals
+                        if let (Ok(payload), Some(key)) = (outcome, &rec.record.idempotency_key) {
+                            self.shared.idempotency.lock().unwrap().insert(
+                                key.clone(),
+                                CachedReply {
+                                    kind: ReplyKind::Mutated,
+                                    payload,
+                                },
+                            );
                         }
                     }
                     self.shared.track_state_record(Some(rec.record.record_id));
                     continue;
                 }
-                _ => {}
-            }
+                // only lines that passed this scan at admission are
+                // journaled, and never pings or shutdowns; anything else
+                // is not work to resume
+                _ => {
+                    let _ = journal.mark_completed(rec.record.record_id);
+                    continue;
+                }
+            };
             let job = Job {
                 conn: RECOVERY_CONN,
                 seq,
                 id: rec.record.id,
-                payload: Payload::Wire(rec.line),
+                payload: Payload::Wire(rec.line, body),
                 enqueued: self.shared.config.record_timings.then(Instant::now),
                 deadline: None,
                 journal_id: Some(rec.record.record_id),
                 idempotency_key: rec.record.idempotency_key,
-                prescan: None,
                 handle_hash: None,
             };
             seq += 1;
@@ -1129,13 +1116,7 @@ impl Submitter {
         self.send_now(seq, wire::error_frame(id, seq, None, &payload));
     }
 
-    fn enqueue(
-        &self,
-        envelope: Envelope,
-        seq: u64,
-        payload: Payload,
-        prescan: Option<wire::PreScan>,
-    ) -> Submitted {
+    fn enqueue(&self, envelope: Envelope, seq: u64, payload: Payload) -> Submitted {
         if self.shared.is_killed() {
             // a dead process answers nothing
             return Submitted::Skipped;
@@ -1175,7 +1156,7 @@ impl Submitter {
         let mut journal_id = None;
         if let Some(journal) = &self.shared.config.journal {
             journal_id = match &payload {
-                Payload::Wire(line) => journal.append_admitted(
+                Payload::Wire(line, _) => journal.append_admitted(
                     &envelope.id,
                     envelope.priority,
                     envelope.deadline_ms,
@@ -1204,7 +1185,6 @@ impl Submitter {
                 .map(|ms| (Instant::now() + Duration::from_millis(ms), ms)),
             journal_id,
             idempotency_key: envelope.idempotency_key,
-            prescan,
             handle_hash: envelope.handle.as_deref().and_then(wire::parse_handle),
         };
         let refused = match self.shared.config.admission {
@@ -1267,15 +1247,15 @@ impl Submitter {
             self.send_now(seq, wire::error_frame("", seq, None, &payload));
             return Submitted::Replied;
         }
-        match wire::scan_envelope_prescanned(trimmed) {
-            Ok((ClientFrame::Request(envelope), prescan)) => {
+        match wire::scan(trimmed) {
+            Ok((ClientFrame::Request(envelope), body)) => {
                 if envelope.handle.is_some() {
-                    self.enqueue_handle(envelope, seq, trimmed)
+                    self.enqueue_handle(envelope, seq, trimmed, body)
                 } else {
-                    self.enqueue(envelope, seq, Payload::Wire(trimmed.to_owned()), prescan)
+                    self.enqueue(envelope, seq, Payload::Wire(trimmed.to_owned(), body))
                 }
             }
-            Ok((ClientFrame::Upload { id }, _)) => self.upload(&id, seq, trimmed),
+            Ok((ClientFrame::Upload { id }, body)) => self.upload(&id, seq, trimmed, body),
             Ok((ClientFrame::Release { id, handle }, _)) => {
                 self.release(&id, seq, trimmed, &handle)
             }
@@ -1285,8 +1265,8 @@ impl Submitter {
                     handle,
                     idempotency_key,
                 },
-                _,
-            )) => self.mutate(&id, seq, trimmed, &handle, idempotency_key),
+                body,
+            )) => self.mutate(&id, seq, trimmed, &handle, idempotency_key, body),
             Ok((ClientFrame::Ping { id }, _)) => {
                 let frame = wire::heartbeat_frame(&id, seq, self.shared.stats());
                 self.send_now(seq, frame);
@@ -1329,8 +1309,8 @@ impl Submitter {
     /// in-process fast path. Admission control, journaling, and
     /// priority scheduling apply exactly as for wire requests. This
     /// path never attaches an idempotency key; use
-    /// [`wire::render_request_with_key`] + [`Submitter::submit_line`]
-    /// for keyed submissions.
+    /// [`wire::render_request_with`] + [`Submitter::submit_line`] for
+    /// keyed submissions.
     pub fn submit_request(&mut self, id: &str, priority: Priority, request: Request) -> Submitted {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -1345,7 +1325,6 @@ impl Submitter {
             },
             seq,
             Payload::Parsed(Box::new(request)),
-            None,
         )
     }
 
@@ -1356,19 +1335,14 @@ impl Submitter {
     /// same handle. Processed inline on the ingest thread (like pings),
     /// so a request referencing a just-uploaded handle can never race a
     /// queued upload job.
-    fn upload(&self, id: &str, seq: u64, line: &str) -> Submitted {
+    fn upload(&self, id: &str, seq: u64, line: &str, body: wire::Body) -> Submitted {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        let fields = crate::json::scan_top_level(line).expect("validated by scan_envelope");
-        let raw = fields
-            .iter()
-            .find(|(k, _)| *k == "instance")
-            .map(|(_, v)| *v)
-            .expect("instance presence checked by scan_envelope");
-        match wire::parse_instance_traced(raw) {
-            Ok((instance, fast)) => {
-                if !fast {
+        let canonical = body.canonical();
+        match wire::build_instance(line, body) {
+            Ok(instance) => {
+                if !canonical {
                     self.shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
                 }
                 let hash = wire::instance_fingerprint(&instance);
@@ -1407,12 +1381,12 @@ impl Submitter {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        let hash = wire::parse_handle(handle).expect("validated by scan_envelope");
         let (removed, held) = {
             let mut handles = self.shared.handles.lock().unwrap();
-            (handles.remove(&hash).is_some(), handles.len())
+            let removed = wire::parse_handle(handle).filter(|hash| handles.remove(hash).is_some());
+            (removed, handles.len())
         };
-        if removed {
+        if let Some(hash) = removed {
             // a released instance must not pin held-solution capacity
             self.shared.purge_held(hash);
             // state record (see `upload`): replayed on restart so a
@@ -1458,6 +1432,7 @@ impl Submitter {
         line: &str,
         handle: &str,
         idempotency_key: Option<String>,
+        body: wire::Body,
     ) -> Submitted {
         if self.shared.is_killed() {
             return Submitted::Skipped;
@@ -1474,8 +1449,7 @@ impl Submitter {
                 return Submitted::Replied;
             }
         }
-        let fields = crate::json::scan_top_level(line).expect("validated by scan_envelope");
-        let (inserts, deletes) = match wire::parse_mutate_edits(&fields) {
+        let (inserts, deletes) = match body.edits(line) {
             Ok(edits) => edits,
             Err(e) => {
                 self.send_now(seq, wire::error_frame(id, seq, None, &e.to_json_line()));
@@ -1520,16 +1494,22 @@ impl Submitter {
     /// (sharing the interned `Arc<Instance>`), so workers pay no codec
     /// or graph-build cost and multi-worker scheduling cannot reorder a
     /// solve ahead of the upload it references.
-    fn enqueue_handle(&self, envelope: Envelope, seq: u64, line: &str) -> Submitted {
-        let handle = envelope.handle.as_deref().expect("checked by submit_line");
-        let hash = wire::parse_handle(handle).expect("validated by scan_envelope");
-        let instance = self
-            .shared
-            .handles
-            .lock()
-            .unwrap()
-            .get(&hash)
-            .map(Arc::clone);
+    fn enqueue_handle(
+        &self,
+        envelope: Envelope,
+        seq: u64,
+        line: &str,
+        body: wire::Body,
+    ) -> Submitted {
+        let handle = envelope.handle.as_deref().unwrap_or_default();
+        let instance = wire::parse_handle(handle).and_then(|hash| {
+            self.shared
+                .handles
+                .lock()
+                .unwrap()
+                .get(&hash)
+                .map(Arc::clone)
+        });
         let Some(instance) = instance else {
             let payload = ApiError::InvalidRequest {
                 field: "handle",
@@ -1539,10 +1519,8 @@ impl Submitter {
             self.send_now(seq, wire::error_frame(&envelope.id, seq, None, &payload));
             return Submitted::Replied;
         };
-        match wire::parse_request_with_instance(line, instance) {
-            Ok((_, request)) => {
-                self.enqueue(envelope, seq, Payload::Parsed(Box::new(request)), None)
-            }
+        match wire::build_request(line, body, Some(instance)) {
+            Ok(request) => self.enqueue(envelope, seq, Payload::Parsed(Box::new(request))),
             Err(e) => {
                 self.send_now(
                     seq,
@@ -2100,10 +2078,11 @@ mod tests {
             ..quiet_config()
         });
         let (mut tx, mut rx) = server.connect().split();
-        let line = wire::render_request_with_key(
+        let line = wire::render_request_with(
             "h1",
             Priority::Normal,
             Some("hb-key"),
+            wire::InstanceRef::Inline,
             &Request::new(
                 Problem::Mis {
                     base_degree: Some(8),
@@ -2170,8 +2149,13 @@ mod tests {
             generators::cycle(8).unwrap(),
         )
         .seed(3);
-        let line =
-            wire::render_request_with_key("job-1", Priority::Normal, Some("retry-key"), &request);
+        let line = wire::render_request_with(
+            "job-1",
+            Priority::Normal,
+            Some("retry-key"),
+            wire::InstanceRef::Inline,
+            &request,
+        );
         let direct = Session::with_threads(1)
             .solve(&request)
             .unwrap()
@@ -2283,7 +2267,13 @@ mod tests {
         assert_eq!(server.stats().handles_held, 1);
 
         // a handle-form solve is byte-identical to the inline form
-        let by_handle = wire::render_request_with_handle("h1", Priority::Normal, &handle, &request);
+        let by_handle = wire::render_request_with(
+            "h1",
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&handle),
+            &request,
+        );
         assert_eq!(tx.submit_line(&by_handle), Submitted::Queued);
         let frame = rx.recv().unwrap();
         let reply = split_reply(&frame).expect(&frame);
@@ -2350,14 +2340,20 @@ mod tests {
         let upload = wire::render_upload("u1", request.instance());
         assert_eq!(tx.submit_line(&upload), Submitted::Replied);
         rx.recv().unwrap();
-        let solve1 = wire::render_request_with_handle("s1", Priority::Normal, &handle, &request);
+        let solve1 = wire::render_request_with(
+            "s1",
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&handle),
+            &request,
+        );
         assert_eq!(tx.submit_line(&solve1), Submitted::Queued);
         let frame = rx.recv().unwrap();
         assert!(frame.contains("\"type\":\"solution\""), "{frame}");
 
         // a small rewire through the wire protocol moves the handle
         let delta = random_delta(&b, ChurnStyle::Rewire, 8, &mut rng);
-        let mutate = wire::render_mutate("m1", &handle, delta.inserts(), delta.deletes());
+        let mutate = wire::render_mutate("m1", &handle, None, delta.inserts(), delta.deletes());
         assert_eq!(tx.submit_line(&mutate), Submitted::Replied);
         let frame = rx.recv().unwrap();
         let reply = split_reply(&frame).expect(&frame);
@@ -2373,8 +2369,13 @@ mod tests {
 
         // solving by the new handle repairs the held solution instead of
         // re-solving, byte-identical to the direct hold → apply path
-        let solve2 =
-            wire::render_request_with_handle("s2", Priority::Normal, &new_handle, &request);
+        let solve2 = wire::render_request_with(
+            "s2",
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&new_handle),
+            &request,
+        );
         assert_eq!(tx.submit_line(&solve2), Submitted::Queued);
         let frame = rx.recv().unwrap();
         let reply = split_reply(&frame).expect(&frame);
@@ -2424,7 +2425,7 @@ mod tests {
 
         // unknown handle
         let bogus = "0123456789abcdef0123456789abcdef";
-        let line = wire::render_mutate("m1", bogus, &[(0, 0)], &[]);
+        let line = wire::render_mutate("m1", bogus, None, &[(0, 0)], &[]);
         assert_eq!(tx.submit_line(&line), Submitted::Replied);
         let frame = rx.recv().unwrap();
         assert!(
@@ -2454,7 +2455,7 @@ mod tests {
             Submitted::Replied
         );
         rx.recv().unwrap();
-        let line = wire::render_mutate("m3", &host_handle, &[(0, 0)], &[]);
+        let line = wire::render_mutate("m3", &host_handle, None, &[(0, 0)], &[]);
         assert_eq!(tx.submit_line(&line), Submitted::Replied);
         let frame = rx.recv().unwrap();
         assert!(
@@ -2477,7 +2478,7 @@ mod tests {
             Submitted::Replied
         );
         rx.recv().unwrap();
-        let line = wire::render_mutate("m4", &handle, &[], &[absent]);
+        let line = wire::render_mutate("m4", &handle, None, &[], &[absent]);
         assert_eq!(tx.submit_line(&line), Submitted::Replied);
         let frame = rx.recv().unwrap();
         assert!(
@@ -2532,7 +2533,7 @@ mod tests {
         // does) keeps the pre-patch instance; the table moves on
         let pinned = interned(&server, hash).unwrap();
         let delta = random_delta(&b, ChurnStyle::Rewire, 3, &mut rng);
-        let line = wire::render_mutate("m1", &handle, delta.inserts(), delta.deletes());
+        let line = wire::render_mutate("m1", &handle, None, delta.inserts(), delta.deletes());
         assert_eq!(tx.submit_line(&line), Submitted::Replied);
         let new_handle = new_handle_of(&rx.recv().unwrap());
         let new_hash = wire::parse_handle(&new_handle).unwrap();
@@ -2551,7 +2552,7 @@ mod tests {
         let address = Arc::as_ptr(&entry);
         drop((entry, pinned));
         let delta = random_delta(&b, ChurnStyle::Grow, 2, &mut rng);
-        let line = wire::render_mutate("m2", &new_handle, delta.inserts(), delta.deletes());
+        let line = wire::render_mutate("m2", &new_handle, None, delta.inserts(), delta.deletes());
         assert_eq!(tx.submit_line(&line), Submitted::Replied);
         let newer = wire::parse_handle(&new_handle_of(&rx.recv().unwrap())).unwrap();
         let entry = interned(&server, newer).expect("the entry moved again");
@@ -2593,7 +2594,7 @@ mod tests {
             (vec![absent], vec![(0, 99)]),
             (vec![], vec![present, present]),
         ] {
-            let line = wire::render_mutate("m", &handle, &inserts, &deletes);
+            let line = wire::render_mutate("m", &handle, None, &inserts, &deletes);
             assert_eq!(tx.submit_line(&line), Submitted::Replied);
             let frame = rx.recv().unwrap();
             assert!(frame.contains("\"kind\":\"invalid-request\""), "{frame}");
@@ -2627,7 +2628,13 @@ mod tests {
             Submitted::Replied
         );
         rx.recv().unwrap();
-        let solve = wire::render_request_with_handle("s1", Priority::Normal, &handle, &request);
+        let solve = wire::render_request_with(
+            "s1",
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&handle),
+            &request,
+        );
         assert_eq!(tx.submit_line(&solve), Submitted::Queued);
         assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
 
@@ -2638,11 +2645,17 @@ mod tests {
         let second = random_delta(&after_first, ChurnStyle::Shrink, 4, &mut rng);
         let mut current = handle;
         for (id, delta) in [("m1", &first), ("m2", &second)] {
-            let line = wire::render_mutate(id, &current, delta.inserts(), delta.deletes());
+            let line = wire::render_mutate(id, &current, None, delta.inserts(), delta.deletes());
             assert_eq!(tx.submit_line(&line), Submitted::Replied);
             current = new_handle_of(&rx.recv().unwrap());
         }
-        let solve = wire::render_request_with_handle("s2", Priority::Normal, &current, &request);
+        let solve = wire::render_request_with(
+            "s2",
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&current),
+            &request,
+        );
         assert_eq!(tx.submit_line(&solve), Submitted::Queued);
         let frame = rx.recv().unwrap();
         let reply = split_reply(&frame).expect(&frame);
@@ -2693,7 +2706,7 @@ mod tests {
                 Submitted::Replied
             );
             rx.recv().unwrap();
-            let mutate = wire::render_mutate("m1", &handle, delta.inserts(), delta.deletes());
+            let mutate = wire::render_mutate("m1", &handle, None, delta.inserts(), delta.deletes());
             assert_eq!(tx.submit_line(&mutate), Submitted::Replied);
             let frame = rx.recv().unwrap();
             assert!(
@@ -2718,7 +2731,7 @@ mod tests {
             assert_eq!(stats.mutations_applied, 1, "the replayed mutation counts");
             let (mut tx, mut rx) = server.connect().split();
             // the pre-mutation handle did not survive; the patched one did
-            let stale = wire::render_mutate("m2", &handle, delta.inserts(), delta.deletes());
+            let stale = wire::render_mutate("m2", &handle, None, delta.inserts(), delta.deletes());
             assert_eq!(tx.submit_line(&stale), Submitted::Replied);
             assert!(rx.recv().unwrap().contains("unknown instance handle"));
             assert_eq!(
@@ -2768,22 +2781,33 @@ mod tests {
             Submitted::Replied
         );
         rx.recv().unwrap();
-        let solve1 = wire::render_request_with_handle("s1", Priority::Normal, &handle, &request);
+        let solve1 = wire::render_request_with(
+            "s1",
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&handle),
+            &request,
+        );
         assert_eq!(tx.submit_line(&solve1), Submitted::Queued);
         let frame = rx.recv().unwrap();
         assert!(frame.contains("\"type\":\"solution\""), "{frame}");
         assert_eq!(server.shared.held.lock().unwrap().len(), 1, "adopted");
 
         let deletes: Vec<(usize, usize)> = (0..6).map(|j| (0, j)).collect();
-        let mutate = wire::render_mutate("m1", &handle, &[], &deletes);
+        let mutate = wire::render_mutate("m1", &handle, None, &[], &deletes);
         assert_eq!(tx.submit_line(&mutate), Submitted::Replied);
         let frame = rx.recv().unwrap();
         let new_handle = new_handle_of(&frame);
 
         // draining the pending delta exits the regime: a typed decline,
         // and the now-stale entry is dropped rather than reinserted
-        let solve2 =
-            wire::render_request_with_handle("s2", Priority::Normal, &new_handle, &request);
+        let solve2 = wire::render_request_with(
+            "s2",
+            Priority::Normal,
+            None,
+            wire::InstanceRef::Handle(&new_handle),
+            &request,
+        );
         assert_eq!(tx.submit_line(&solve2), Submitted::Queued);
         let frame = rx.recv().unwrap();
         assert!(frame.contains("unsupported-regime"), "{frame}");
@@ -2836,10 +2860,11 @@ mod tests {
             );
             rx.recv().unwrap();
         }
-        let solve_a = wire::render_request_with_handle(
+        let solve_a = wire::render_request_with(
             "sa",
             Priority::Normal,
-            &wire::render_handle(hash_a),
+            None,
+            wire::InstanceRef::Handle(&wire::render_handle(hash_a)),
             &req_a,
         );
         assert_eq!(tx.submit_line(&solve_a), Submitted::Queued);
@@ -2851,10 +2876,11 @@ mod tests {
         }
         // at capacity, adopting B's solution evicts A (the LRU entry)
         // instead of refusing the adoption
-        let solve_b = wire::render_request_with_handle(
+        let solve_b = wire::render_request_with(
             "sb",
             Priority::Normal,
-            &wire::render_handle(hash_b),
+            None,
+            wire::InstanceRef::Handle(&wire::render_handle(hash_b)),
             &req_b,
         );
         assert_eq!(tx.submit_line(&solve_b), Submitted::Queued);
@@ -2914,7 +2940,7 @@ mod tests {
         let delta = random_delta(&b, ChurnStyle::Rewire, 3, &mut rng);
         let instance = Instance::Bipartite(b);
         let handle = wire::render_handle(wire::instance_fingerprint(&instance));
-        let mutate = wire::render_mutate_with_key(
+        let mutate = wire::render_mutate(
             "m1",
             &handle,
             Some("retry-m1"),
@@ -3024,6 +3050,7 @@ mod tests {
                 let line = wire::render_mutate(
                     &format!("m{i}"),
                     &handle,
+                    None,
                     delta.inserts(),
                     delta.deletes(),
                 );

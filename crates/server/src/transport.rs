@@ -311,7 +311,13 @@ mod tests {
         let input = format!(
             "{}\n{}\n{}\n{}\n",
             wire::render_upload("up", request.instance()),
-            wire::render_request_with_handle("s1", Priority::Normal, &handle, &request),
+            wire::render_request_with(
+                "s1",
+                Priority::Normal,
+                None,
+                wire::InstanceRef::Handle(&handle),
+                &request
+            ),
             wire::render_request("s2", Priority::Normal, &request),
             wire::render_release("rel", &handle),
         );

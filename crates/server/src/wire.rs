@@ -18,6 +18,7 @@ use splitgraph::{BipartiteGraph, Graph, MultiGraph};
 use splitting_api::render::JsonObject;
 use splitting_api::{ApiError, Instance, Pipeline, Problem, Request};
 use splitting_reductions::EdgeSplitEngine;
+use std::sync::Arc;
 
 /// The wire protocol version this build speaks. Every frame carries
 /// `"v":1`; other versions are rejected with a typed error.
@@ -177,7 +178,7 @@ const MUTATE_KEYS: &[&str] = &[
 const PING_KEYS: &[&str] = &["v", "type", "id"];
 const SHUTDOWN_KEYS: &[&str] = &["v", "type"];
 
-fn check_version(raw: Option<&&str>) -> Result<(), ApiError> {
+fn check_version(raw: Option<&str>) -> Result<(), ApiError> {
     match raw {
         Some(raw) => {
             let v = json::parse(raw)
@@ -200,7 +201,7 @@ fn check_version(raw: Option<&&str>) -> Result<(), ApiError> {
     }
 }
 
-fn parse_id(raw: Option<&&str>) -> Result<String, ApiError> {
+fn parse_id(raw: Option<&str>) -> Result<String, ApiError> {
     let Some(raw) = raw else {
         return Err(invalid(
             "id",
@@ -223,7 +224,7 @@ fn parse_id(raw: Option<&&str>) -> Result<String, ApiError> {
     Ok(id)
 }
 
-fn parse_priority(raw: Option<&&str>) -> Result<Priority, ApiError> {
+fn parse_priority(raw: Option<&str>) -> Result<Priority, ApiError> {
     match raw {
         None => Ok(Priority::Normal),
         Some(raw) => {
@@ -243,7 +244,7 @@ fn parse_priority(raw: Option<&&str>) -> Result<Priority, ApiError> {
 
 /// Parses a raw `"idempotency_key"` value (shared by request and mutate
 /// frames): a non-empty JSON string of at most [`MAX_ID_BYTES`] bytes.
-fn parse_idempotency_key(raw: Option<&&str>) -> Result<Option<String>, ApiError> {
+fn parse_idempotency_key(raw: Option<&str>) -> Result<Option<String>, ApiError> {
     let Some(raw) = raw else { return Ok(None) };
     let key = json::parse(raw)
         .ok()
@@ -264,74 +265,126 @@ fn parse_idempotency_key(raw: Option<&&str>) -> Result<Option<String>, ApiError>
     Ok(Some(key))
 }
 
-/// Classifies one line and validates its envelope (`v`, `type`, `id`,
-/// `priority`, and key-set strictness) **without** parsing the problem or
-/// instance payloads — those are brace-skipped, so admission control on
-/// a megabyte-scale frame costs a single scan. The deferred payload is
-/// parsed strictly by the worker ([`parse_request`]); a body error then
-/// comes back as a typed error frame under this envelope's id.
+/// Byte range of a key or value within a scanned frame line.
+type Span = json::Span;
+
+/// The raw value span of `key` among scanned `fields`.
+fn field<'f>(line: &str, fields: &'f [(Span, Span)], key: &str) -> Option<&'f Span> {
+    fields
+        .iter()
+        .find(|(k, _)| &line[k.clone()] == key)
+        .map(|(_, v)| v)
+}
+
+/// The raw value text of `key` among scanned `fields`.
+fn get<'l>(line: &'l str, fields: &[(Span, Span)], key: &str) -> Option<&'l str> {
+    field(line, fields, key).map(|v| &line[v.clone()])
+}
+
+/// Moves a decode error's offset from the line into the text that
+/// starts at `base` (the instance object, or an edit list).
+fn relative(mut e: json::ParseError, base: usize) -> json::ParseError {
+    e.offset -= base;
+    e
+}
+
+/// What [`scan`] read beyond the envelope: field spans into the scanned
+/// line, and the frame's edge lists, already decoded. A decode error is
+/// kept here, not raised by the scan, so the build steps —
+/// [`build_request`], [`build_instance`], [`Body::edits`] — report it
+/// where a strict parse would: after `problem`, `kind`, and
+/// unknown-field errors. Owned (spans, not slices), so an admitted
+/// request carries it from ingest to the worker next to its line.
+#[derive(Debug, Default)]
+pub struct Body {
+    fields: Vec<(Span, Span)>,
+    /// The `instance` object's own fields; `Err` when the value is not
+    /// an object or repeats a key.
+    instance: Option<Result<Vec<(Span, Span)>, json::ParseError>>,
+    /// The instance's `edges`.
+    edges: Option<Result<json::EdgeList, json::ParseError>>,
+    /// A mutate's `inserts`.
+    inserts: Option<Result<json::EdgeList, json::ParseError>>,
+    /// A mutate's `deletes`.
+    deletes: Option<Result<json::EdgeList, json::ParseError>>,
+}
+
+impl Body {
+    /// `false` when the inline instance's edge list spelled some
+    /// endpoint non-canonically (`2.0`, `2e0`); the server counts those
+    /// on its [`StatsSnapshot::parse_fallbacks`] gauge.
+    pub fn canonical(&self) -> bool {
+        !matches!(&self.edges, Some(Ok(list)) if !list.canonical)
+    }
+
+    /// The edit lists of a scanned `mutate` frame: `(inserts, deletes)`,
+    /// each `[]` when the frame omitted the list.
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::InvalidRequest`] on a malformed list, with the byte
+    /// offset into that list.
+    pub fn edits(self, line: &str) -> Result<(EditList, EditList), ApiError> {
+        let list = |key: &'static str, decoded: Option<Result<json::EdgeList, _>>| match decoded {
+            None => Ok(Vec::new()),
+            Some(Ok(list)) => Ok(list.pairs),
+            Some(Err(e)) => {
+                let base = field(line, &self.fields, key).map_or(0, |v| v.start);
+                Err(invalid(
+                    key,
+                    format!("malformed edit list: {}", relative(e, base)),
+                ))
+            }
+        };
+        Ok((
+            list("inserts", self.inserts)?,
+            list("deletes", self.deletes)?,
+        ))
+    }
+}
+
+/// Reads one client frame — the only way a frame is read, live and on
+/// journal recovery. One cursor pass splits the top-level object into
+/// field spans and decodes in place the edge lists the protocol carries
+/// (an inline instance's `edges`, a mutate's `inserts` and `deletes`);
+/// then the frame is classified and its envelope validated (`v`,
+/// `type`, `id`, `priority`, key-set strictness). The problem and the
+/// rest of the instance wait for a build step, so a body error comes
+/// back as a typed error frame under the envelope's id.
 ///
 /// # Errors
 ///
 /// [`ApiError::InvalidRequest`] for anything that is not a structurally
 /// valid v1 client frame.
-pub fn scan_envelope(line: &str) -> Result<ClientFrame, ApiError> {
-    let fields = json::scan_top_level(line)
+pub fn scan(line: &str) -> Result<(ClientFrame, Body), ApiError> {
+    let mut body = Body::default();
+    let mut cursor = json::Cursor::new(line);
+    let fields = cursor
+        .object(|c, key| {
+            let list = match key {
+                "instance" => {
+                    let edges = &mut body.edges;
+                    body.instance = Some(c.nested_object(1, |c, key| {
+                        if key != "edges" {
+                            return Ok(false);
+                        }
+                        *edges = Some(c.edge_list(1)?);
+                        Ok(true)
+                    })?);
+                    return Ok(true);
+                }
+                "inserts" => &mut body.inserts,
+                "deletes" => &mut body.deletes,
+                _ => return Ok(false),
+            };
+            *list = Some(c.edge_list(0)?);
+            Ok(true)
+        })
+        .and_then(|fields| cursor.finish().map(|()| fields))
         .map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
-    classify_frame(&fields)
-}
-
-/// Everything the ingest scan harvested beyond the envelope, as byte
-/// ranges into the submitted line (ranges survive the ingest copy of
-/// the line into the job, slices would not). A worker holding this
-/// skips every byte of re-scanning: it reslices the fields, parses the
-/// small ones, and builds the graph straight from the pre-parsed edge
-/// pairs.
-pub struct PreScan {
-    /// Top-level `(key, value)` ranges of the frame.
-    pub fields: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)>,
-    /// `(key, value)` ranges of the instance object's own fields.
-    pub instance_fields: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)>,
-    /// Edge pairs parsed by the canonical fast grammar.
-    pub edge_pairs: Vec<(usize, usize)>,
-}
-
-/// [`scan_envelope`] plus a [`PreScan`] when the line is an
-/// inline-instance request frame whose instance the fused scan fully
-/// served. Classification and errors are byte-identical to
-/// [`scan_envelope`]; the prescan is a side harvest for the worker.
-///
-/// # Errors
-///
-/// Exactly the [`ApiError`]s of [`scan_envelope`].
-pub fn scan_envelope_prescanned(line: &str) -> Result<(ClientFrame, Option<PreScan>), ApiError> {
-    let scan =
-        json::scan_frame(line).map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
-    let frame = classify_frame(&scan.fields)?;
-    let base = line.as_ptr() as usize;
-    let to_ranges = |fields: &[(&str, &str)]| {
-        fields
-            .iter()
-            .map(|(k, v)| {
-                let ks = k.as_ptr() as usize - base;
-                let vs = v.as_ptr() as usize - base;
-                (ks..ks + k.len(), vs..vs + v.len())
-            })
-            .collect()
-    };
-    let prescan = match (&frame, scan.instance_fields, scan.edge_pairs) {
-        (ClientFrame::Request(envelope), Some(instance_fields), Some(edge_pairs))
-            if envelope.handle.is_none() =>
-        {
-            Some(PreScan {
-                fields: to_ranges(&scan.fields),
-                instance_fields: to_ranges(&instance_fields),
-                edge_pairs,
-            })
-        }
-        _ => None,
-    };
-    Ok((frame, prescan))
+    let frame = classify_frame(line, &fields)?;
+    body.fields = fields;
+    Ok((frame, body))
 }
 
 /// Parses a raw `"handle"` value: a JSON string of exactly 32 lowercase
@@ -350,11 +403,21 @@ fn parse_handle_field(raw: &str) -> Result<String, ApiError> {
     Ok(handle)
 }
 
-/// [`scan_envelope`] over already-scanned top-level fields, so callers
-/// that need the field slices anyway (the full request parse, the
-/// ingest upload path) pay for one scan instead of two.
-fn classify_frame(fields: &[(&str, &str)]) -> Result<ClientFrame, ApiError> {
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+/// Parses a raw `"deadline_ms"` value: an unsigned integer of
+/// milliseconds.
+fn parse_deadline(raw: Option<&str>) -> Result<Option<u64>, ApiError> {
+    let Some(raw) = raw else { return Ok(None) };
+    json::parse(raw)
+        .ok()
+        .and_then(|j| j.as_number())
+        .and_then(Number::as_u64)
+        .map(Some)
+        .ok_or_else(|| invalid("deadline_ms", "must be an unsigned integer (milliseconds)"))
+}
+
+/// Classifies a scanned frame and validates its envelope.
+fn classify_frame(line: &str, fields: &[(Span, Span)]) -> Result<ClientFrame, ApiError> {
+    let get = |key: &str| get(line, fields, key);
     check_version(get("v"))?;
     let ty = match get("type") {
         Some(raw) => json::parse(raw)
@@ -378,7 +441,8 @@ fn classify_frame(fields: &[(&str, &str)]) -> Result<ClientFrame, ApiError> {
         )),
     };
     for (key, _) in fields {
-        if !allowed.contains(key) {
+        let key = &line[key.clone()];
+        if !allowed.contains(&key) {
             return Err(invalid(
                 "frame",
                 format!("unknown field \"{key}\" on a {ty} frame"),
@@ -389,18 +453,7 @@ fn classify_frame(fields: &[(&str, &str)]) -> Result<ClientFrame, ApiError> {
         "request" => {
             let id = parse_id(get("id"))?;
             let priority = parse_priority(get("priority"))?;
-            let deadline_ms = match get("deadline_ms") {
-                None => None,
-                Some(raw) => Some(
-                    json::parse(raw)
-                        .ok()
-                        .and_then(|j| j.as_number())
-                        .and_then(Number::as_u64)
-                        .ok_or_else(|| {
-                            invalid("deadline_ms", "must be an unsigned integer (milliseconds)")
-                        })?,
-                ),
-            };
+            let deadline_ms = parse_deadline(get("deadline_ms"))?;
             let idempotency_key = parse_idempotency_key(get("idempotency_key"))?;
             let handle = match get("handle") {
                 None => None,
@@ -489,10 +542,14 @@ fn classify_frame(fields: &[(&str, &str)]) -> Result<ClientFrame, ApiError> {
 
 // ------------------------------------------------------- request parsing
 
-fn field_str(fields: &[(&str, &str)], key: &'static str) -> Result<Option<String>, ApiError> {
-    match fields.iter().find(|(k, _)| *k == key) {
+fn field_str(
+    line: &str,
+    fields: &[(Span, Span)],
+    key: &'static str,
+) -> Result<Option<String>, ApiError> {
+    match get(line, fields, key) {
         None => Ok(None),
-        Some((_, raw)) => json::parse(raw)
+        Some(raw) => json::parse(raw)
             .ok()
             .and_then(|j| j.as_str().map(str::to_owned))
             .map(Some)
@@ -500,10 +557,14 @@ fn field_str(fields: &[(&str, &str)], key: &'static str) -> Result<Option<String
     }
 }
 
-fn field_number(fields: &[(&str, &str)], key: &'static str) -> Result<Option<Number>, ApiError> {
-    match fields.iter().find(|(k, _)| *k == key) {
+fn field_number(
+    line: &str,
+    fields: &[(Span, Span)],
+    key: &'static str,
+) -> Result<Option<Number>, ApiError> {
+    match get(line, fields, key) {
         None => Ok(None),
-        Some((_, raw)) => json::parse(raw)
+        Some(raw) => json::parse(raw)
             .ok()
             .and_then(|j| j.as_number())
             .map(Some)
@@ -647,34 +708,37 @@ fn parse_problem(raw: &str) -> Result<Problem, ApiError> {
     }
 }
 
-/// Parses a raw `"instance"` object (as sliced out of a frame by the
-/// envelope scan) into a typed [`Instance`], reporting whether the
-/// zero-copy edge scanner served the edge list (`false` = the strict
-/// fallback parser ran; the server counts those on its
-/// [`StatsSnapshot::parse_fallbacks`] gauge).
+/// Builds the inline instance of a scanned `upload` (or inline
+/// `request`) frame from the edge list [`scan`] decoded.
 ///
 /// # Errors
 ///
-/// [`ApiError::InvalidRequest`] on the `instance` field. Edge-list error
-/// offsets are reported in the coordinate system of the instance object
-/// — the same one every other instance error uses — not of the inner
-/// edges slice.
-pub fn parse_instance_traced(raw: &str) -> Result<(Instance, bool), ApiError> {
-    let (fields, fused_pairs) = json::scan_object_with_edges(raw)
-        .map_err(|e| invalid("instance", format!("not a JSON object: {e}")))?;
-    parse_instance_from_parts(raw, &fields, fused_pairs)
+/// [`ApiError::InvalidRequest`] on the `instance` field. Byte offsets,
+/// edge-list ones included, count from the instance object's first
+/// byte.
+pub fn build_instance(line: &str, body: Body) -> Result<Instance, ApiError> {
+    instance_from(line, &body.fields, body.instance, body.edges)
 }
 
-/// [`parse_instance_traced`] over an already-scanned field list, so the
-/// prescanned ingest path ([`parse_request_prescanned`]) skips the
-/// object re-scan entirely. `fused_pairs` carries edge pairs the fused
-/// scan already parsed on the canonical fast grammar (`fast = true`).
-fn parse_instance_from_parts(
-    raw: &str,
-    fields: &[(&str, &str)],
-    mut fused_pairs: Option<Vec<(usize, usize)>>,
-) -> Result<(Instance, bool), ApiError> {
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+#[allow(clippy::type_complexity)]
+fn instance_from(
+    line: &str,
+    top: &[(Span, Span)],
+    instance: Option<Result<Vec<(Span, Span)>, json::ParseError>>,
+    edges: Option<Result<json::EdgeList, json::ParseError>>,
+) -> Result<Instance, ApiError> {
+    let base = field(line, top, "instance").map_or(0, |v| v.start);
+    let fields = match instance {
+        Some(Ok(fields)) => fields,
+        Some(Err(e)) => {
+            return Err(invalid(
+                "instance",
+                format!("not a JSON object: {}", relative(e, base)),
+            ))
+        }
+        None => return Err(invalid("instance", "missing instance")),
+    };
+    let get = |key: &str| get(line, &fields, key);
     let kind = match get("kind") {
         Some(raw) => json::parse(raw)
             .ok()
@@ -695,26 +759,15 @@ fn parse_instance_from_parts(
                 }),
         }
     };
-    let mut edges = || -> Result<(Vec<(usize, usize)>, bool), ApiError> {
-        match get("edges") {
-            // the fused scan already parsed the canonical fast grammar
-            // in the same pass that located the value's end
-            Some(_) if fused_pairs.is_some() => {
-                Ok((fused_pairs.take().expect("checked above"), true))
-            }
-            Some(slice) => json::scan_edge_pairs(slice).map_err(|mut e| {
-                // the edge parser reports offsets relative to the edges
-                // slice; shift into the instance object so every
-                // instance error shares one coordinate system
-                e.offset += slice.as_ptr() as usize - raw.as_ptr() as usize;
-                invalid("instance", format!("edges: {e}"))
-            }),
-            None => Err(invalid("instance", "missing edges array")),
-        }
+    let edges = || match edges {
+        Some(Ok(list)) => Ok(list.pairs),
+        Some(Err(e)) => Err(invalid("instance", format!("edges: {}", relative(e, base)))),
+        None => Err(invalid("instance", "missing edges array")),
     };
     let check_keys = |allowed: &[&str]| -> Result<(), ApiError> {
-        for (key, _) in fields {
-            if !allowed.contains(key) {
+        for (key, _) in &fields {
+            let key = &line[key.clone()];
+            if !allowed.contains(&key) {
                 return Err(invalid(
                     "instance",
                     format!("unknown field \"{key}\" on a {kind} instance"),
@@ -730,25 +783,23 @@ fn parse_instance_from_parts(
                 .ok_or_else(|| invalid("instance", "missing left (constraint count)"))?;
             let right = small_usize("right")?
                 .ok_or_else(|| invalid("instance", "missing right (variable count)"))?;
-            let (pairs, fast) = edges()?;
-            let b = BipartiteGraph::from_edges_bulk(left, right, &pairs)
+            let b = BipartiteGraph::from_edges_bulk(left, right, &edges()?)
                 .map_err(|e| invalid("instance", e.to_string()))?;
-            Ok((Instance::Bipartite(b), fast))
+            Ok(Instance::Bipartite(b))
         }
         "host" => {
             check_keys(&["kind", "nodes", "edges"])?;
             let n =
                 small_usize("nodes")?.ok_or_else(|| invalid("instance", "missing node count"))?;
-            let (pairs, fast) = edges()?;
-            let g = Graph::from_edges_bulk(n, &pairs)
+            let g = Graph::from_edges_bulk(n, &edges()?)
                 .map_err(|e| invalid("instance", e.to_string()))?;
-            Ok((Instance::Host(g), fast))
+            Ok(Instance::Host(g))
         }
         "multigraph" => {
             check_keys(&["kind", "nodes", "edges"])?;
             let n =
                 small_usize("nodes")?.ok_or_else(|| invalid("instance", "missing node count"))?;
-            let (endpoints, fast) = edges()?;
+            let endpoints = edges()?;
             // from_endpoints panics on out-of-range ids; validate first so
             // malformed frames stay typed errors
             for &(a, b) in &endpoints {
@@ -759,10 +810,7 @@ fn parse_instance_from_parts(
                     ));
                 }
             }
-            Ok((
-                Instance::Multi(MultiGraph::from_endpoints(n, endpoints)),
-                fast,
-            ))
+            Ok(Instance::Multi(MultiGraph::from_endpoints(n, endpoints)))
         }
         other => Err(invalid(
             "instance",
@@ -771,143 +819,51 @@ fn parse_instance_from_parts(
     }
 }
 
-/// Fully parses a `request` frame into its envelope and the typed
-/// [`Request`] the in-process API solves. Strict: unknown fields anywhere
-/// in the frame, the problem object, or the instance object are typed
-/// errors (typos must not silently become defaults).
+/// Builds the typed [`Request`] of a scanned `request` frame. An inline
+/// frame's instance is built from `body`; a handle-form frame takes
+/// `shared`, the instance its handle resolved to in the server's table
+/// (structurally shared, no per-request graph allocation). Strict:
+/// unknown fields in the problem or instance object are typed errors
+/// (typos must not silently become defaults).
 ///
 /// # Errors
 ///
-/// [`ApiError::InvalidRequest`] describing the first offending field.
-pub fn parse_request(line: &str) -> Result<(Envelope, Request), ApiError> {
-    parse_request_traced(line).map(|(envelope, request, _)| (envelope, request))
-}
-
-/// [`parse_request`] plus the zero-copy tracing bit of
-/// [`parse_instance_traced`]: `true` when the fast edge scanner served
-/// the instance, `false` when the strict fallback ran. The worker loop
-/// uses this to maintain the fast-path fallback counter.
-///
-/// # Errors
-///
-/// As [`parse_request`]. Handle-form frames are an error here: the
-/// handle table lives in the server, which resolves handles at
-/// admission and enqueues an already-typed request.
-pub fn parse_request_traced(line: &str) -> Result<(Envelope, Request, bool), ApiError> {
-    let fields = json::scan_top_level(line)
-        .map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
-    let envelope = match classify_frame(&fields)? {
-        ClientFrame::Request(envelope) => envelope,
-        other => {
-            return Err(invalid(
-                "type",
-                format!("expected a request frame, got {other:?}"),
-            ))
-        }
-    };
-    if envelope.handle.is_some() {
-        return Err(invalid(
-            "handle",
-            "instance handles are resolved by the server at admission; \
-             this parser needs an inline instance",
-        ));
-    }
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-    let problem = parse_problem(get("problem").expect("checked by classify_frame"))?;
-    let (instance, fast) =
-        parse_instance_traced(get("instance").expect("checked by classify_frame"))?;
-    let request = apply_policy_fields(&fields, &envelope, Request::new(problem, instance))?;
-    Ok((envelope, request, fast))
-}
-
-/// [`parse_request_traced`] fed by the ingest thread's [`PreScan`]: no
-/// byte of the line is re-scanned — the field slices are restored from
-/// the recorded ranges and the edge list was already parsed by the
-/// fused fast grammar (so `fast` is `true` by construction). Falls back
-/// to the full parse if the ranges do not reslice cleanly (they always
-/// do for a prescan built from the same line content).
-///
-/// # Errors
-///
-/// As [`parse_request_traced`] — the prescan carries no validation the
-/// full parse would not redo identically.
-pub fn parse_request_prescanned(
+/// [`ApiError::InvalidRequest`] describing the first offending field:
+/// the problem, then the instance, then the policy fields.
+pub fn build_request(
     line: &str,
-    pre: PreScan,
-) -> Result<(Envelope, Request, bool), ApiError> {
-    let reslice = |ranges: &[(std::ops::Range<usize>, std::ops::Range<usize>)]| {
-        ranges
-            .iter()
-            .map(|(k, v)| Some((line.get(k.clone())?, line.get(v.clone())?)))
-            .collect::<Option<Vec<(&str, &str)>>>()
-    };
-    let (Some(fields), Some(instance_fields)) =
-        (reslice(&pre.fields), reslice(&pre.instance_fields))
-    else {
-        return parse_request_traced(line);
-    };
-    let envelope = match classify_frame(&fields)? {
-        ClientFrame::Request(envelope) => envelope,
-        other => {
-            return Err(invalid(
-                "type",
-                format!("expected a request frame, got {other:?}"),
-            ))
-        }
-    };
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-    let problem = parse_problem(get("problem").expect("checked by classify_frame"))?;
-    let raw = get("instance").expect("checked by classify_frame");
-    let (instance, fast) = parse_instance_from_parts(raw, &instance_fields, Some(pre.edge_pairs))?;
-    let request = apply_policy_fields(&fields, &envelope, Request::new(problem, instance))?;
-    Ok((envelope, request, fast))
-}
-
-/// Parses a handle-form `request` frame against its already-resolved
-/// shared instance: everything [`parse_request`] does, except that the
-/// instance comes from the server's handle table (structurally shared,
-/// no per-request graph allocation) instead of the frame body.
-///
-/// # Errors
-///
-/// [`ApiError::InvalidRequest`] for frames that are not handle-form
-/// requests or whose policy fields are malformed.
-pub fn parse_request_with_instance(
-    line: &str,
-    instance: std::sync::Arc<Instance>,
-) -> Result<(Envelope, Request), ApiError> {
-    let fields = json::scan_top_level(line)
-        .map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
-    let envelope = match classify_frame(&fields)? {
-        ClientFrame::Request(envelope) => envelope,
-        other => {
-            return Err(invalid(
-                "type",
-                format!("expected a request frame, got {other:?}"),
-            ))
-        }
-    };
-    if envelope.handle.is_none() {
-        return Err(invalid(
-            "handle",
-            "this frame carries an inline instance; use parse_request",
-        ));
-    }
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-    let problem = parse_problem(get("problem").expect("checked by classify_frame"))?;
-    let request = apply_policy_fields(&fields, &envelope, Request::from_shared(problem, instance))?;
-    Ok((envelope, request))
-}
-
-/// Applies the policy tail of a request frame — determinism, seed,
-/// pipeline override, budget — shared by the inline and handle-form
-/// parsers.
-fn apply_policy_fields(
-    fields: &[(&str, &str)],
-    envelope: &Envelope,
-    mut request: Request,
+    body: Body,
+    shared: Option<Arc<Instance>>,
 ) -> Result<Request, ApiError> {
-    match field_str(fields, "determinism")?.as_deref() {
+    let Body {
+        fields,
+        instance,
+        edges,
+        ..
+    } = body;
+    match (field(line, &fields, "handle"), &shared) {
+        (Some(_), None) => {
+            return Err(invalid(
+                "handle",
+                "instance handles are resolved by the server at admission; \
+                 this parser needs an inline instance",
+            ))
+        }
+        (None, Some(_)) => {
+            return Err(invalid(
+                "handle",
+                "this frame carries an inline instance; build it without a shared one",
+            ))
+        }
+        _ => {}
+    }
+    let problem = parse_problem(get(line, &fields, "problem").unwrap_or_default())?;
+    let mut request = match shared {
+        Some(shared) => Request::from_shared(problem, shared),
+        None => Request::new(problem, instance_from(line, &fields, instance, edges)?),
+    };
+    // the policy tail: determinism, seed, pipeline override, budget
+    match field_str(line, &fields, "determinism")?.as_deref() {
         None => {}
         Some("deterministic") => request = request.deterministic(),
         Some("randomized") => request = request.randomized(),
@@ -918,13 +874,13 @@ fn apply_policy_fields(
             ))
         }
     }
-    if let Some(n) = field_number(fields, "seed")? {
+    if let Some(n) = field_number(line, &fields, "seed")? {
         let seed = n
             .as_u64()
             .ok_or_else(|| invalid("seed", "must be an unsigned 64-bit integer"))?;
         request = request.seed(seed);
     }
-    if let Some(name) = field_str(fields, "force_pipeline")? {
+    if let Some(name) = field_str(line, &fields, "force_pipeline")? {
         let pipeline = [
             Pipeline::Theorem27,
             Pipeline::Theorem25,
@@ -943,19 +899,41 @@ fn apply_policy_fields(
         })?;
         request = request.force_pipeline(pipeline);
     }
-    if let Some(n) = field_number(fields, "max_rounds")? {
+    if let Some(n) = field_number(line, &fields, "max_rounds")? {
         request = request.max_rounds(n.as_f64());
     }
-    if let Some(n) = field_number(fields, "attempts")? {
+    if let Some(n) = field_number(line, &fields, "attempts")? {
         let attempts = n
             .as_usize()
             .ok_or_else(|| invalid("attempts", "must be a non-negative integer"))?;
         request = request.attempts(attempts);
     }
-    if let Some(ms) = envelope.deadline_ms {
+    if let Some(ms) = parse_deadline(get(line, &fields, "deadline_ms"))? {
         request = request.deadline_ms(ms);
     }
     Ok(request)
+}
+
+/// Fully parses a `request` frame into its envelope and the typed
+/// [`Request`] the in-process API solves: [`scan`], then
+/// [`build_request`].
+///
+/// # Errors
+///
+/// [`ApiError::InvalidRequest`] describing the first offending field.
+/// Handle-form frames are an error here: the handle table lives in the
+/// server, which resolves handles at admission.
+pub fn parse_request(line: &str) -> Result<(Envelope, Request), ApiError> {
+    match scan(line)? {
+        (ClientFrame::Request(envelope), body) => {
+            let request = build_request(line, body, None)?;
+            Ok((envelope, request))
+        }
+        (other, _) => Err(invalid(
+            "type",
+            format!("expected a request frame, got {other:?}"),
+        )),
+    }
 }
 
 // ------------------------------------------------------ request rendering
@@ -1068,25 +1046,37 @@ fn render_problem(problem: &Problem) -> String {
     obj.finish()
 }
 
+/// Where a rendered `request` frame's instance comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InstanceRef<'a> {
+    /// The request's own instance, serialized inline.
+    Inline,
+    /// An interned instance, referenced by its 32-hex handle; the
+    /// server resolves it against its table at admission. The request's
+    /// own instance is not serialized.
+    Handle(&'a str),
+}
+
 /// Renders a [`Request`] as a canonical v1 `request` frame — the
 /// client-side encoder. [`parse_request`] inverts it exactly
 /// (round-trip-tested), so in-process callers can go over the wire
 /// without hand-writing JSON.
 pub fn render_request(id: &str, priority: Priority, request: &Request) -> String {
-    render_request_with_key(id, priority, None, request)
+    render_request_with(id, priority, None, InstanceRef::Inline, request)
 }
 
 /// [`render_request`] with an optional client-supplied idempotency key
-/// (rendered right after `priority`; `None` renders the exact same
-/// frame as the keyless variant).
-pub fn render_request_with_key(
+/// (rendered right after `priority`) and the instance inline or by
+/// handle (the upload-once/solve-many encoder). `None` and
+/// [`InstanceRef::Inline`] render exactly [`render_request`]'s frame.
+pub fn render_request_with(
     id: &str,
     priority: Priority,
     idempotency_key: Option<&str>,
+    instance: InstanceRef<'_>,
     request: &Request,
 ) -> String {
     let problem = render_problem(request.problem());
-    let instance = render_instance(request.instance());
     let mut obj = JsonObject::new();
     obj.uint("v", PROTOCOL_VERSION)
         .string("type", "request")
@@ -1095,44 +1085,16 @@ pub fn render_request_with_key(
     if let Some(key) = idempotency_key {
         obj.string("idempotency_key", key);
     }
-    obj.raw("problem", &problem)
-        .raw("instance", &instance)
-        .string("determinism", request.determinism().name())
-        .uint("seed", request.master_seed());
-    if let Some(p) = request.pipeline_override() {
-        obj.string("force_pipeline", p.name());
+    obj.raw("problem", &problem);
+    match instance {
+        InstanceRef::Inline => {
+            obj.raw("instance", &render_instance(request.instance()));
+        }
+        InstanceRef::Handle(handle) => {
+            obj.string("handle", handle);
+        }
     }
-    if let Some(r) = request.budget().max_rounds {
-        obj.float("max_rounds", r);
-    }
-    if let Some(a) = request.budget().attempts {
-        obj.uint("attempts", a as u64);
-    }
-    if let Some(ms) = request.budget().deadline_ms {
-        obj.uint("deadline_ms", ms);
-    }
-    obj.finish()
-}
-
-/// Renders a `request` frame that references an interned instance by
-/// handle instead of carrying it inline — the upload-once/solve-many
-/// client encoder. The request's own instance is *not* serialized; the
-/// server resolves `handle` against its table at admission.
-pub fn render_request_with_handle(
-    id: &str,
-    priority: Priority,
-    handle: &str,
-    request: &Request,
-) -> String {
-    let problem = render_problem(request.problem());
-    let mut obj = JsonObject::new();
-    obj.uint("v", PROTOCOL_VERSION)
-        .string("type", "request")
-        .string("id", id)
-        .string("priority", priority.name())
-        .raw("problem", &problem)
-        .string("handle", handle)
-        .string("determinism", request.determinism().name())
+    obj.string("determinism", request.determinism().name())
         .uint("seed", request.master_seed());
     if let Some(p) = request.pipeline_override() {
         obj.string("force_pipeline", p.name());
@@ -1172,23 +1134,12 @@ pub fn render_release(id: &str, handle: &str) -> String {
 }
 
 /// Renders a `mutate` frame applying an edge-delta batch to an interned
-/// bipartite instance. Empty lists are omitted (the frame must carry at
-/// least one non-empty list to classify).
+/// bipartite instance, with an optional client-supplied idempotency key.
+/// Empty lists are omitted (the frame must carry at least one non-empty
+/// list to classify). A keyed mutate whose reply is lost can be retried
+/// verbatim: the server replays the cached `mutated` frame instead of
+/// failing on the already-moved handle.
 pub fn render_mutate(
-    id: &str,
-    handle: &str,
-    inserts: &[(usize, usize)],
-    deletes: &[(usize, usize)],
-) -> String {
-    render_mutate_with_key(id, handle, None, inserts, deletes)
-}
-
-/// [`render_mutate`] with an optional client-supplied idempotency key
-/// (`None` renders the exact same frame as the keyless variant). A keyed
-/// mutate whose reply is lost can be retried verbatim: the server
-/// replays the cached `mutated` frame instead of failing on the
-/// already-moved handle.
-pub fn render_mutate_with_key(
     id: &str,
     handle: &str,
     idempotency_key: Option<&str>,
@@ -1218,26 +1169,6 @@ pub fn render_mutate_with_key(
 
 /// One edit list of a `mutate` frame: `(left, right)` edge endpoints.
 pub type EditList = Vec<(usize, usize)>;
-
-/// Parses the edit lists of a `mutate` frame out of its already-scanned
-/// top-level fields: `(inserts, deletes)`, each `[]` when the frame
-/// omitted the list. Edits ride the same `[[u,v],...]` grammar as
-/// instance edge lists (and the same fast scanner).
-///
-/// # Errors
-///
-/// [`ApiError::InvalidRequest`] on a malformed list.
-pub fn parse_mutate_edits(fields: &[(&str, &str)]) -> Result<(EditList, EditList), ApiError> {
-    let list = |key: &'static str| -> Result<EditList, ApiError> {
-        match fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v) {
-            None => Ok(Vec::new()),
-            Some(slice) => json::scan_edge_pairs(slice)
-                .map(|(pairs, _)| pairs)
-                .map_err(|e| invalid(key, format!("malformed edit list: {e}"))),
-        }
-    };
-    Ok((list("inserts")?, list("deletes")?))
-}
 
 /// Feeds an instance's structural content into a hasher: a kind/shape
 /// tag word followed by the packed edge list. Shared by
@@ -1744,6 +1675,20 @@ mod tests {
     use rand::SeedableRng;
     use splitgraph::generators;
 
+    /// Classifies a frame, discarding its body.
+    fn scan_envelope(line: &str) -> Result<ClientFrame, ApiError> {
+        scan(line).map(|(frame, _)| frame)
+    }
+
+    /// Scans `raw` as the instance of an upload frame and builds it,
+    /// reporting whether its edge list was spelled canonically.
+    fn build_upload(raw: &str) -> (Result<Instance, ApiError>, bool) {
+        let line = format!(r#"{{"v":1,"type":"upload","id":"u","instance":{raw}}}"#);
+        let (_, body) = scan(&line).unwrap();
+        let canonical = body.canonical();
+        (build_instance(&line, body), canonical)
+    }
+
     #[test]
     fn envelope_scan_classifies_frames() {
         let line = r#"{"v":1,"type":"request","id":"r1","priority":"high","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#;
@@ -2004,7 +1949,13 @@ mod tests {
     fn idempotency_keys_ride_the_envelope_not_the_request() {
         let g = generators::cycle(6).unwrap();
         let request = Request::new(Problem::Mis { base_degree: None }, g).seed(3);
-        let keyed = render_request_with_key("k1", Priority::Normal, Some("retry-abc"), &request);
+        let keyed = render_request_with(
+            "k1",
+            Priority::Normal,
+            Some("retry-abc"),
+            InstanceRef::Inline,
+            &request,
+        );
         assert!(
             keyed.contains(r#""idempotency_key":"retry-abc""#),
             "{keyed}"
@@ -2023,7 +1974,7 @@ mod tests {
     #[test]
     fn mutate_frames_carry_an_optional_idempotency_key() {
         let handle = "0123456789abcdef0123456789abcdef";
-        let keyed = render_mutate_with_key("m1", handle, Some("retry-m"), &[(0, 1)], &[]);
+        let keyed = render_mutate("m1", handle, Some("retry-m"), &[(0, 1)], &[]);
         assert!(keyed.contains(r#""idempotency_key":"retry-m""#), "{keyed}");
         match scan_envelope(&keyed).unwrap() {
             ClientFrame::Mutate {
@@ -2037,13 +1988,8 @@ mod tests {
             }
             other => panic!("expected a mutate frame, got {other:?}"),
         }
-        // the keyless renderings are byte-identical (doc-sync transcripts
-        // rely on this), and scan to a None key
-        let plain = render_mutate("m1", handle, &[(0, 1)], &[]);
-        assert_eq!(
-            plain,
-            render_mutate_with_key("m1", handle, None, &[(0, 1)], &[])
-        );
+        // keyless renderings scan to a None key
+        let plain = render_mutate("m1", handle, None, &[(0, 1)], &[]);
         match scan_envelope(&plain).unwrap() {
             ClientFrame::Mutate {
                 idempotency_key, ..
@@ -2203,7 +2149,13 @@ mod tests {
         let g = generators::cycle(6).unwrap();
         let request = Request::new(Problem::Mis { base_degree: None }, g).seed(3);
         let handle = render_handle(instance_fingerprint(request.instance()));
-        let line = render_request_with_handle("h1", Priority::Normal, &handle, &request);
+        let line = render_request_with(
+            "h1",
+            Priority::Normal,
+            None,
+            InstanceRef::Handle(&handle),
+            &request,
+        );
         match scan_envelope(&line).unwrap() {
             ClientFrame::Request(envelope) => {
                 assert_eq!(envelope.id, "h1");
@@ -2215,15 +2167,15 @@ mod tests {
         let err = parse_request(&line).unwrap_err();
         assert_eq!(err.kind(), "invalid-request");
         assert!(err.to_string().contains("handle"), "{err}");
-        // the resolved-instance parser reconstructs the same request
-        let shared = std::sync::Arc::new(request.instance().clone());
-        let (envelope, parsed) = parse_request_with_instance(&line, shared).unwrap();
-        assert_eq!(envelope.id, "h1");
-        assert_eq!(parsed, request);
-        // and refuses inline frames, pointing callers at parse_request
+        // building against the resolved instance reconstructs the request
+        let shared = Arc::new(request.instance().clone());
+        let (_, body) = scan(&line).unwrap();
+        assert_eq!(build_request(&line, body, Some(shared)).unwrap(), request);
+        // and an inline frame refuses a resolved instance
         let inline = render_request("h1", Priority::Normal, &request);
-        let shared = std::sync::Arc::new(request.instance().clone());
-        let err = parse_request_with_instance(&inline, shared).unwrap_err();
+        let shared = Arc::new(request.instance().clone());
+        let (_, body) = scan(&inline).unwrap();
+        let err = build_request(&inline, body, Some(shared)).unwrap_err();
         assert!(err.to_string().contains("inline"), "{err}");
     }
 
@@ -2323,54 +2275,18 @@ mod tests {
     #[test]
     fn edge_errors_report_offsets_into_the_instance_text() {
         let raw = r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,x]]}"#;
-        let err = parse_instance_traced(raw).unwrap_err();
+        let err = build_upload(raw).0.unwrap_err();
         let expected = raw.find('x').unwrap();
         assert!(
             err.to_string().contains(&format!("at byte {expected}")),
             "expected offset {expected} in: {err}"
         );
-        // canonical encodings ride the fast scanner; exotic-but-valid
-        // ones fall back but still parse
-        let (_, fast) =
-            parse_instance_traced(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2]]}"#).unwrap();
-        assert!(fast);
-        let (_, slow) =
-            parse_instance_traced(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2.0]]}"#).unwrap();
-        assert!(!slow);
-    }
-
-    #[test]
-    fn prescanned_requests_parse_identically_without_rescanning() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let b = generators::random_biregular(8, 8, 4, &mut rng).unwrap();
-        let request = Request::new(Problem::weak_splitting(), b).seed(9);
-        let line = render_request("pre", Priority::High, &request);
-        let (frame, prescan) = scan_envelope_prescanned(&line).unwrap();
-        assert_eq!(frame, scan_envelope(&line).unwrap());
-        let prescan = prescan.expect("canonical inline request must prescan");
-        // the job stores a copy of the line; ranges must survive it
-        let copied = line.clone();
-        let (env_pre, req_pre, fast_pre) = parse_request_prescanned(&copied, prescan).unwrap();
-        let (env_full, req_full, fast_full) = parse_request_traced(&line).unwrap();
-        assert_eq!(env_pre, env_full);
-        assert!(fast_pre && fast_full);
-        assert_eq!(
-            request_fingerprint(&req_pre),
-            request_fingerprint(&req_full)
-        );
-
-        // exotic edge spellings, handle-form requests, and non-request
-        // frames never carry a prescan — those paths re-parse as before
-        let exotic = r#"{"v":1,"type":"request","id":"x","problem":{"name":"weak_splitting"},"instance":{"kind":"host","nodes":4,"edges":[[0,1],[1,2.0]]}}"#;
-        let (_, none) = scan_envelope_prescanned(exotic).unwrap();
-        assert!(none.is_none(), "exotic spelling must not prescan");
-        let (instance, _) =
-            parse_instance_traced(r#"{"kind":"host","nodes":2,"edges":[[0,1]]}"#).unwrap();
-        let handle = render_handle(instance_fingerprint(&instance));
-        let with_handle = render_request_with_handle("pre", Priority::Normal, &handle, &request);
-        let (_, none) = scan_envelope_prescanned(&with_handle).unwrap();
-        assert!(none.is_none(), "handle-form requests must not prescan");
-        let (_, none) = scan_envelope_prescanned(r#"{"v":1,"type":"ping","id":"p"}"#).unwrap();
-        assert!(none.is_none(), "pings must not prescan");
+        // canonical encodings are flagged canonical; exotic-but-valid
+        // ones are flagged but still parse
+        let (built, canonical) = build_upload(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2]]}"#);
+        assert!(built.is_ok() && canonical);
+        let (built, canonical) =
+            build_upload(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2.0]]}"#);
+        assert!(built.is_ok() && !canonical);
     }
 }

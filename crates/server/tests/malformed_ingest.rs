@@ -448,62 +448,59 @@ fn hostile_client_does_not_disturb_other_connections() {
     }
 }
 
-/// Differential fuzzing of the zero-copy edge scanner against the strict
-/// parser: whatever bytes arrive, both must agree on accept vs reject,
-/// on the parsed pairs, and on the exact error (offset and reason).
-mod edge_scanner_differential {
+/// Fuzzing of the frame scan's in-place edge-list decoder against the
+/// strict `Json` tree parser: whatever bytes arrive as an edge list, the
+/// decoder must accept exactly what the tree reads as an array of
+/// two-element arrays of non-negative integers, with the same pairs,
+/// and flag exactly the non-canonical spellings.
+mod edge_decoder_matches_the_tree_parser {
     use proptest::prelude::*;
     use splitting_server::json;
 
-    fn assert_agreement(input: &str) {
-        let strict = json::parse_edge_pairs(input);
-        let scanned = json::scan_edge_pairs(input);
-        match (&strict, &scanned) {
-            (Ok(a), Ok((b, _fast))) => assert_eq!(a, b, "parsed pairs diverge on {input:?}"),
-            (Err(a), Err(b)) => assert_eq!(a, b, "errors diverge on {input:?}"),
-            _ => {
-                panic!("accept/reject diverges on {input:?}: strict={strict:?} scanned={scanned:?}")
-            }
-        }
-        assert_frame_scan_agreement(input);
+    /// The reference: a full tree, read back into pairs.
+    fn tree(input: &str) -> Option<Vec<(usize, usize)>> {
+        let endpoint = |v: &json::Json| v.as_number()?.as_usize();
+        json::parse(input)
+            .ok()?
+            .as_array()?
+            .iter()
+            .map(|pair| match pair.as_array()? {
+                [u, v] => Some((endpoint(u)?, endpoint(v)?)),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// The fused frame scan (ingest prescan path) must accept, reject,
-    /// and err byte-identically to the plain scanner with the edge text
-    /// embedded where it travels on the wire, and any pairs it captures
-    /// must match the strict parser's.
-    fn assert_frame_scan_agreement(edges: &str) {
-        let line = format!(
-            r#"{{"v":1,"type":"request","id":"d","problem":{{"name":"weak_splitting"}},"instance":{{"kind":"bipartite","left":4,"right":4,"edges":{edges}}}}}"#
+    /// The decoder, on the list where a frame carries it.
+    fn decoded(input: &str) -> Option<json::EdgeList> {
+        let line = format!("{{\"edges\":{input}}}");
+        let mut cursor = json::Cursor::new(&line);
+        let mut list = None;
+        cursor
+            .object(|c, _| {
+                list = Some(c.edge_list(0)?);
+                Ok(true)
+            })
+            .ok()?;
+        cursor.finish().ok()?;
+        list?.ok()
+    }
+
+    fn assert_agreement(input: &str) {
+        let reference = tree(input);
+        let list = decoded(input);
+        assert_eq!(
+            list.as_ref().map(|l| &l.pairs),
+            reference.as_ref(),
+            "decoder and tree disagree on {input:?}"
         );
-        let plain = json::scan_top_level(&line);
-        match json::scan_frame(&line) {
-            Ok(scan) => {
-                let plain = plain.expect("scan_frame accepted, scan_top_level rejected");
-                assert_eq!(scan.fields, plain, "fused fields diverge on {edges:?}");
-                if let Some(pairs) = &scan.edge_pairs {
-                    assert_eq!(
-                        &json::parse_edge_pairs(edges).expect("capture implies strict accept"),
-                        pairs,
-                        "captured pairs diverge on {edges:?}"
-                    );
-                    let instance = scan
-                        .fields
-                        .iter()
-                        .find(|(k, _)| *k == "instance")
-                        .expect("frame carries an instance")
-                        .1;
-                    assert_eq!(
-                        scan.instance_fields,
-                        Some(json::scan_top_level(instance).expect("instance scans")),
-                        "captured instance fields diverge on {edges:?}"
-                    );
-                }
-            }
-            Err(e) => {
-                let plain_err = plain.expect_err("scan_frame rejected, scan_top_level accepted");
-                assert_eq!(e, plain_err, "errors diverge on {edges:?}");
-            }
+        if let Some(list) = list {
+            // an accepted list holds sign, fraction, and exponent bytes
+            // only inside endpoints, so these mark a non-canonical one
+            let spelled = input
+                .bytes()
+                .any(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'));
+            assert_eq!(list.canonical, !spelled, "canonical flag on {input:?}");
         }
     }
 
@@ -516,7 +513,7 @@ mod edge_scanner_differential {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         // byte soup over the edge-list alphabet: mostly invalid inputs,
-        // exercising every early-bail branch of the fast scanner
+        // exercising every error branch of the decoder
         #[test]
         fn random_soup_agrees(
             picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..64)
@@ -527,7 +524,8 @@ mod edge_scanner_differential {
 
         // structurally valid edge lists with random whitespace, then a
         // single-character substitution and deletion — near-valid inputs
-        // probe the boundary between the fast path and the fallback
+        // probe the boundary between canonical digits, other spellings,
+        // and errors
         #[test]
         fn perturbed_edge_lists_agree(
             (pairs, gaps, mutate, at, replacement) in (
