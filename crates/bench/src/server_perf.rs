@@ -19,10 +19,10 @@
 //!   must stay within 10% of the single-threaded `zero_round_batch`
 //!   figure committed in `BENCH_api.json`.
 //! * **wire** — rendered JSON lines via `Submitter::submit_line`,
-//!   additionally paying the full codec round trip (envelope scan on
-//!   ingest, strict parse in the worker), reported honestly rather than
-//!   hidden: on multi-kilobyte instances the parse dominates a
-//!   zero-round solve.
+//!   additionally paying the full codec round trip (frame scan and
+//!   edge decoding on ingest, request build in the worker), reported
+//!   honestly rather than hidden: on multi-kilobyte instances the parse
+//!   dominates a zero-round solve.
 //!
 //! A `zero_round_degraded` row reruns the zero-round workload under
 //! the seeded chaos layer (2% injected worker panics, 2% 1 ms stalls)
@@ -410,12 +410,12 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
             let outcome = drive(&server, pool, *total, transport, false);
             assert_eq!(outcome.replies, *total, "one reply per request");
             if transport == "wire" {
-                // the renderer emits canonical encodings, so every edge
-                // parse must ride the zero-copy fast path
+                // the renderer emits canonical encodings, so no edge list
+                // may count as a non-canonical spelling
                 assert_eq!(
                     server.stats().parse_fallbacks,
                     0,
-                    "canonical wire encodings fell back to the strict parser"
+                    "canonical wire encodings counted as non-canonical spellings"
                 );
             }
             records.push(ServerRecord {
@@ -473,7 +473,7 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
         let stats = server.stats();
         assert_eq!(
             stats.parse_fallbacks, 0,
-            "handle-path envelopes must never hit the strict edge parser"
+            "handle-path frames carry no edge list to count"
         );
         assert_eq!(
             stats.handles_held as usize,

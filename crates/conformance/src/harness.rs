@@ -1519,12 +1519,12 @@ fn check_server(ctx: &mut Ctx<'_>) {
     ctx.check("server.handle-stream-drained", rx.recv().is_none(), || {
         "unexpected trailing frames on the handle connection".into()
     });
-    // every rendering this pass produced is canonical, so nothing may
-    // have fallen off the zero-copy fast path onto the strict parser
+    // every rendering this pass produced is canonical, so no instance
+    // edge list may have used a non-canonical spelling
     let stats = server.stats();
     ctx.check("server.fast-path", stats.parse_fallbacks == 0, || {
         format!(
-            "{} canonical instance parses used the strict fallback",
+            "{} canonical instance edge lists counted as a non-canonical spelling",
             stats.parse_fallbacks
         )
     });

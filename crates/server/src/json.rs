@@ -6,15 +6,15 @@
 //! `Infinity` tokens, a hard nesting-depth cap — because every accepted
 //! frame must round-trip through the renderer byte-for-byte.
 //!
-//! Two entry points:
+//! One [`Cursor`] reads everything, two ways:
 //!
-//! * [`parse`] — full recursive parse into a [`Json`] tree;
-//! * [`scan_top_level`] — a cheap single-pass scanner that splits one
-//!   top-level object into `(key, raw-value-slice)` pairs without
-//!   building values. Ingest uses it to read the envelope fields
-//!   (`type`, `id`, `priority`) of a large request frame without paying
-//!   for the instance payload; workers and tests use the slices to
-//!   extract embedded payloads byte-exactly.
+//! * [`parse`] — full recursive parse into a [`Json`] tree, for the
+//!   small values of a frame (envelope fields, the problem object);
+//! * [`Cursor::object`] — one pass over an object that skips each value
+//!   or decodes it in place, the way ingest reads a whole frame: the
+//!   edge lists that dominate a frame's bytes are decoded by
+//!   [`Cursor::edge_list`] in the same traversal that finds their end.
+//!   [`scan_top_level`] is the walk that skips every value.
 
 use std::fmt;
 
@@ -175,12 +175,34 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
+/// A cursor over one input: the module's only reader. [`parse`] builds
+/// a [`Json`] tree with it; ingest walks one object value by value with
+/// it, without a tree. Walked values are skipped by default — structure
+/// is validated (string escapes, balanced nesting, comma placement,
+/// depth), grammar inside skipped values is not — or decoded in place
+/// by the caller's callback, in the same pass that finds each value's
+/// end.
+///
+/// Decoding never changes which inputs a walk accepts: a value that
+/// fails to decode is skipped like any other, and its decode error is
+/// handed back to the caller to report later. Offsets in every error are
+/// byte offsets into the cursor's input.
+pub struct Cursor<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Cursor {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err<T>(&self, reason: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
             offset: self.pos,
@@ -229,8 +251,8 @@ impl<'a> Parser<'a> {
         }
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
+            Some(b'{') => self.tree_object(depth),
+            Some(b'[') => self.tree_array(depth),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -249,7 +271,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn tree_object(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut fields: Vec<(String, Json)> = Vec::new();
         self.skip_ws();
@@ -279,7 +301,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn tree_array(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -360,13 +382,10 @@ impl<'a> Parser<'a> {
                 0x00..=0x1f => return self.err("unescaped control character in string"),
                 _ => {
                     // multi-byte UTF-8: the input is already a valid &str,
-                    // so reassemble the char from its leading byte
+                    // so copy the char its leading byte starts
                     let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    self.pos = start + len;
-                    let s = std::str::from_utf8(&self.bytes[start..start + len])
-                        .expect("input is valid UTF-8");
-                    out.push_str(s);
+                    self.pos = start + utf8_len(b);
+                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }
@@ -430,7 +449,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.input[start..self.pos];
         if integral {
             if negative {
                 if let Ok(i) = text.parse::<i64>() {
@@ -462,10 +481,7 @@ fn utf8_len(lead: u8) -> usize {
 ///
 /// [`ParseError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Cursor::new(input);
     let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -490,39 +506,7 @@ pub struct EdgeList {
     pub canonical: bool,
 }
 
-/// A cursor that walks one object value by value, without building a
-/// [`Json`] tree. Values are skipped by default — structure is validated
-/// (string escapes, balanced nesting, comma placement, depth), grammar
-/// inside skipped values is not — or decoded in place by the caller's
-/// callback, in the same pass that finds each value's end.
-///
-/// Decoding never changes which inputs the walk accepts: a value that
-/// fails to decode is skipped like any other, and its decode error is
-/// handed back to the caller to report later. Offsets in every error are
-/// byte offsets into the cursor's input.
-pub struct Cursor<'a> {
-    input: &'a str,
-    p: Parser<'a>,
-}
-
 impl<'a> Cursor<'a> {
-    /// A cursor at the start of `input`.
-    pub fn new(input: &'a str) -> Self {
-        Cursor {
-            input,
-            p: Parser {
-                bytes: input.as_bytes(),
-                pos: 0,
-            },
-        }
-    }
-
-    /// The byte under the cursor. Inside a callback this is the first
-    /// byte of the value.
-    pub fn peek(&self) -> Option<u8> {
-        self.p.peek()
-    }
-
     /// Walks the object at the cursor and returns its `(key, value)`
     /// spans in source order. Keys are raw (escapes unresolved):
     /// protocol keys are plain ASCII identifiers, so an escaped key
@@ -539,8 +523,8 @@ impl<'a> Cursor<'a> {
         &mut self,
         value: impl FnMut(&mut Self, &'a str) -> Result<bool, ParseError>,
     ) -> Result<Vec<(Span, Span)>, ParseError> {
-        self.p.skip_ws();
-        self.p.expect(b'{')?;
+        self.skip_ws();
+        self.expect(b'{')?;
         self.walk(0, None, value)
     }
 
@@ -560,8 +544,8 @@ impl<'a> Cursor<'a> {
         depth: usize,
         value: impl FnMut(&mut Self, &'a str) -> Result<bool, ParseError>,
     ) -> Result<Result<Vec<(Span, Span)>, ParseError>, ParseError> {
-        if let Err(e) = self.p.expect(b'{') {
-            skip_value(&mut self.p, depth)?;
+        if let Err(e) = self.expect(b'{') {
+            skip_value(self, depth)?;
             return Ok(Err(e));
         }
         let mut duplicate = None;
@@ -585,12 +569,12 @@ impl<'a> Cursor<'a> {
     ///
     /// [`ParseError`] for structural faults only.
     pub fn edge_list(&mut self, depth: usize) -> Result<Result<EdgeList, ParseError>, ParseError> {
-        let start = self.p.pos;
-        match edge_pairs(&mut self.p) {
+        let start = self.pos;
+        match edge_pairs(self) {
             Ok(list) => Ok(Ok(list)),
             Err(e) => {
-                self.p.pos = start;
-                skip_value(&mut self.p, depth)?;
+                self.pos = start;
+                skip_value(self, depth)?;
                 Ok(Err(e))
             }
         }
@@ -602,9 +586,9 @@ impl<'a> Cursor<'a> {
     ///
     /// [`ParseError`] on trailing characters.
     pub fn finish(mut self) -> Result<(), ParseError> {
-        self.p.skip_ws();
-        if self.p.pos != self.p.bytes.len() {
-            return self.p.err("trailing characters after the object");
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return self.err("trailing characters after the object");
         }
         Ok(())
     }
@@ -621,20 +605,20 @@ impl<'a> Cursor<'a> {
     ) -> Result<Vec<(Span, Span)>, ParseError> {
         let input = self.input;
         let mut fields: Vec<(Span, Span)> = Vec::new();
-        self.p.skip_ws();
-        if self.p.peek() == Some(b'}') {
-            self.p.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
             return Ok(fields);
         }
         loop {
-            self.p.skip_ws();
-            let key_start = self.p.pos + 1;
-            skip_string(&mut self.p)?;
-            let key_span = key_start..self.p.pos - 1;
+            self.skip_ws();
+            let key_start = self.pos + 1;
+            skip_string(self)?;
+            let key_span = key_start..self.pos - 1;
             let key = &input[key_span.clone()];
             if fields.iter().any(|(k, _)| &input[k.clone()] == key) {
                 let e = ParseError {
-                    offset: self.p.pos,
+                    offset: self.pos,
                     reason: format!("duplicate key \"{key}\""),
                 };
                 match duplicate.as_deref_mut() {
@@ -644,27 +628,22 @@ impl<'a> Cursor<'a> {
                     }
                 }
             }
-            self.p.skip_ws();
-            self.p.expect(b':')?;
-            self.p.skip_ws();
-            let value_start = self.p.pos;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value_start = self.pos;
             if !value(self, key)? {
-                skip_value(&mut self.p, depth)?;
+                skip_value(self, depth)?;
             }
-            fields.push((key_span, value_start..self.p.pos));
-            self.p.skip_ws();
-            match self.p.peek() {
-                Some(b',') => self.p.pos += 1,
+            fields.push((key_span, value_start..self.pos));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.p.pos += 1;
+                    self.pos += 1;
                     return Ok(fields);
                 }
-                _ => {
-                    return self.p.err(format!(
-                        "expected ',' or '}}', found {}",
-                        self.p.found_desc()
-                    ))
-                }
+                _ => return self.err(format!("expected ',' or '}}', found {}", self.found_desc())),
             }
         }
     }
@@ -687,7 +666,7 @@ pub fn scan_top_level(input: &str) -> Result<Vec<(&str, &str)>, ParseError> {
         .collect())
 }
 
-fn skip_string(p: &mut Parser<'_>) -> Result<(), ParseError> {
+fn skip_string(p: &mut Cursor<'_>) -> Result<(), ParseError> {
     p.expect(b'"')?;
     loop {
         match p.peek() {
@@ -708,65 +687,39 @@ fn skip_string(p: &mut Parser<'_>) -> Result<(), ParseError> {
     }
 }
 
-/// Byte classes for the numeric-array skip: 0 = body byte (digit,
-/// separator, sign, exponent marker, dot, JSON whitespace), 1 = `[`,
-/// 2 = `]`, 3 = anything else (string, object, literal — bail).
-static NUMERIC_CLASS: [u8; 256] = {
-    let mut table = [3u8; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        table[b] = match b as u8 {
-            b'[' => 1,
-            b']' => 2,
-            b'0'..=b'9'
-            | b','
-            | b'-'
-            | b'+'
-            | b'.'
-            | b'e'
-            | b'E'
-            | b' '
-            | b'\t'
-            | b'\n'
-            | b'\r' => 0,
-            _ => 3,
-        };
-        b += 1;
-    }
-    table
-};
-
 /// Attempts to skip an array whose bytes are all numbers, separators,
-/// nested brackets, or whitespace, in one tight byte-class loop (a
-/// single table lookup per byte, no bounds checks). Returns `false`
-/// (with `p.pos` clobbered — the caller rewinds) on any other byte, on
-/// nesting past [`MAX_DEPTH`], or on end of input, so exotic or
-/// malformed content falls back to [`skip_value`]'s general loop.
-fn skip_numeric_array(p: &mut Parser<'_>, depth: usize) -> bool {
+/// nested brackets, or whitespace, checking bracket balance alone.
+/// Returns `false` (with `p.pos` untouched) on any other byte, on
+/// nesting past [`MAX_DEPTH`], or on end of input, so other content
+/// takes [`skip_value`]'s general loop. This leniency is part of the
+/// frame grammar: a number-only array is judged structurally here and
+/// only by whoever decodes it.
+fn skip_numeric_array(p: &mut Cursor<'_>, depth: usize) -> bool {
     let mut open = 1usize;
     for (i, &b) in p.bytes[p.pos + 1..].iter().enumerate() {
-        match NUMERIC_CLASS[b as usize] {
-            0 => {}
-            1 => {
+        match b {
+            b'[' => {
                 open += 1;
                 if depth + open > MAX_DEPTH {
                     return false;
                 }
             }
-            2 => {
+            b']' => {
                 open -= 1;
                 if open == 0 {
                     p.pos += i + 2;
                     return true;
                 }
             }
+            b'0'..=b'9' | b',' | b'-' | b'+' | b'.' | b'e' | b'E' => {}
+            b' ' | b'\t' | b'\n' | b'\r' => {}
             _ => return false,
         }
     }
     false
 }
 
-fn skip_value(p: &mut Parser<'_>, depth: usize) -> Result<(), ParseError> {
+fn skip_value(p: &mut Cursor<'_>, depth: usize) -> Result<(), ParseError> {
     if depth > MAX_DEPTH {
         return p.err(format!("nesting deeper than {MAX_DEPTH}"));
     }
@@ -798,17 +751,9 @@ fn skip_value(p: &mut Parser<'_>, depth: usize) -> Result<(), ParseError> {
             }
         }
         Some(b'[') => {
-            // fast path for number-only arrays — the shape of most
-            // arrays in request frames. A byte-class loop tracks only
-            // bracket depth; anything that is not a number/separator/
-            // whitespace byte (strings, objects, literals) rewinds and
-            // takes the general loop. Grammar inside either skip stays
-            // unvalidated, per the cursor's contract.
-            let start = p.pos;
             if skip_numeric_array(p, depth) {
                 return Ok(());
             }
-            p.pos = start;
             p.pos += 1;
             p.skip_ws();
             if p.peek() == Some(b']') {
@@ -848,7 +793,7 @@ fn skip_value(p: &mut Parser<'_>, depth: usize) -> Result<(), ParseError> {
 
 /// The strict pair grammar behind [`Cursor::edge_list`]. Stops at the
 /// list's closing `]`; whatever follows is the walk's business.
-fn edge_pairs(p: &mut Parser<'_>) -> Result<EdgeList, ParseError> {
+fn edge_pairs(p: &mut Cursor<'_>) -> Result<EdgeList, ParseError> {
     p.expect(b'[')?;
     let mut list = EdgeList {
         pairs: Vec::new(),
@@ -890,10 +835,10 @@ fn edge_pairs(p: &mut Parser<'_>) -> Result<EdgeList, ParseError> {
 /// zero ends the token after the `0`, exactly as the number grammar
 /// does. Anything else — a sign, a fraction, an exponent, a value past
 /// `usize::MAX`, or no digit at all — is re-read at this token by
-/// [`Parser::number`], which accepts exact non-negative integers in any
+/// [`Cursor::number`], which accepts exact non-negative integers in any
 /// spelling (clearing `canonical`) and names every other fault.
 #[inline]
-fn endpoint(p: &mut Parser<'_>, canonical: &mut bool) -> Result<usize, ParseError> {
+fn endpoint(p: &mut Cursor<'_>, canonical: &mut bool) -> Result<usize, ParseError> {
     let bytes = p.bytes;
     let mut i = p.pos;
     let mut value = 0usize;
@@ -926,7 +871,7 @@ fn endpoint(p: &mut Parser<'_>, canonical: &mut bool) -> Result<usize, ParseErro
 }
 
 #[cold]
-fn spelled_endpoint(p: &mut Parser<'_>, canonical: &mut bool) -> Result<usize, ParseError> {
+fn spelled_endpoint(p: &mut Cursor<'_>, canonical: &mut bool) -> Result<usize, ParseError> {
     match p.number()?.as_usize() {
         Some(v) => {
             *canonical = false;
@@ -1110,7 +1055,7 @@ mod tests {
         // the decoder stops at the list's end; the walk judges the rest
         let mut cursor = Cursor::new("[[0,1]] x");
         assert!(cursor.edge_list(0).unwrap().is_ok());
-        assert_eq!(cursor.peek(), Some(b' '));
+        assert_eq!(cursor.finish().unwrap_err().offset, 8);
         for (bad, offset, reason) in [
             ("[[0]]", 3, "expected ',', found ']'"),
             ("[[0,1,2]]", 5, "expected ']', found ','"),
@@ -1141,7 +1086,7 @@ mod tests {
         // verdict is the walk's, the grammar verdict is deferred
         let mut cursor = Cursor::new("[[0,,1]]");
         assert!(cursor.edge_list(0).unwrap().is_err());
-        assert_eq!(cursor.peek(), None);
+        assert!(cursor.finish().is_ok());
         assert!(Cursor::new("[[0,1]").edge_list(0).is_err());
     }
 }

@@ -273,8 +273,8 @@ struct Shared {
     /// Requests carrying a handle resolve here at ingest and share the
     /// `Arc` — a handle solve never re-parses or copies the graph.
     handles: Mutex<HashMap<crate::journal::PayloadHash, Arc<splitting_api::Instance>>>,
-    /// Instance edge parses that fell off the zero-copy fast scanner
-    /// onto the strict fallback (canonical encodings never do).
+    /// Instance edge lists that spelled some endpoint non-canonically
+    /// (`2.0`, `2e0`); canonical encodings never count.
     parse_fallbacks: AtomicU64,
     /// Held solutions for handle-form weak-splitting requests, keyed by
     /// `(instance fingerprint, policy fingerprint)`. `mutate` re-keys
@@ -339,11 +339,16 @@ impl Shared {
             let _ = journal.mark_completed(record_id);
         }
         if let Some(key) = &job.idempotency_key {
-            self.idempotency
-                .lock()
-                .unwrap()
-                .insert(key.clone(), CachedReply { kind, payload });
+            self.cache_reply(key.clone(), kind, payload);
         }
+    }
+
+    /// Remembers a delivered reply under its client idempotency key.
+    fn cache_reply(&self, key: String, kind: ReplyKind, payload: String) {
+        self.idempotency
+            .lock()
+            .unwrap()
+            .insert(key, CachedReply { kind, payload });
     }
 
     /// (Re)inserts a held solution, enforcing the cache discipline in
@@ -501,8 +506,8 @@ impl Shared {
         }
     }
 
-    /// Applies a validated `mutate` frame to the interned-instance
-    /// table: validate the edits against the addressed bipartite
+    /// Applies a scanned `mutate` frame to the interned-instance table:
+    /// validate its edit lists against the addressed bipartite
     /// instance, patch it copy-on-write, re-derive its content hash, move
     /// the table entry to the new hash, and re-key any held solutions
     /// (recording the delta as pending repair work). Shared verbatim by
@@ -518,9 +523,10 @@ impl Shared {
     fn apply_mutation(
         &self,
         handle: &str,
-        inserts: &[(usize, usize)],
-        deletes: &[(usize, usize)],
+        line: &str,
+        body: wire::Body,
     ) -> Result<String, ApiError> {
+        let (inserts, deletes) = body.edits(line)?;
         let mut handles = self.handles.lock().unwrap();
         let Some((hash, existing)) =
             wire::parse_handle(handle).and_then(|hash| Some((hash, handles.get(&hash)?)))
@@ -539,10 +545,11 @@ impl Shared {
                 ),
             });
         };
-        let delta = EdgeDelta::new(b, inserts, deletes).map_err(|e| ApiError::InvalidRequest {
-            field: "delta",
-            reason: e.to_string(),
-        })?;
+        let delta =
+            EdgeDelta::new(b, &inserts, &deletes).map_err(|e| ApiError::InvalidRequest {
+                field: "delta",
+                reason: e.to_string(),
+            })?;
         let mut instance = handles.remove(&hash).expect("looked up above");
         let Instance::Bipartite(graph) = Arc::make_mut(&mut instance) else {
             unreachable!("checked bipartite above");
@@ -579,24 +586,33 @@ impl Shared {
     /// Journal-replay half of `upload`: re-parse and re-intern the
     /// instance, silently. Idempotent — repeated uploads of the same
     /// content land on the same table entry.
-    fn replay_upload(&self, line: &str, body: wire::Body) {
-        if let Ok(instance) = wire::build_instance(line, body) {
-            let hash = wire::instance_fingerprint(&instance);
-            self.handles
-                .lock()
-                .unwrap()
-                .entry(hash)
-                .or_insert_with(|| Arc::new(instance));
+    fn replay_upload(&self, line: &str, mut body: wire::Body) {
+        if let Ok(instance) = wire::build_instance(line, &mut body) {
+            self.intern(instance);
         }
     }
 
-    /// Journal-replay half of `release`: drop the interned instance if
-    /// it is still present, along with any held solutions keyed by it.
-    fn replay_release(&self, handle: &str) {
-        if let Some(hash) = wire::parse_handle(handle) {
-            self.handles.lock().unwrap().remove(&hash);
-            self.purge_held(hash);
-        }
+    /// Interns an instance under its content hash — re-uploading the
+    /// same content lands on the same entry — and returns the hash, the
+    /// shared entry, and the table size.
+    fn intern(&self, instance: Instance) -> (PayloadHash, Arc<Instance>, usize) {
+        let hash = wire::instance_fingerprint(&instance);
+        let mut handles = self.handles.lock().unwrap();
+        let entry = Arc::clone(handles.entry(hash).or_insert_with(|| Arc::new(instance)));
+        (hash, entry, handles.len())
+    }
+
+    /// Drops the instance interned under `handle`, along with the held
+    /// solutions keyed by it, and returns the table size after the
+    /// drop; `None` when no instance is held under `handle`.
+    fn release(&self, handle: &str) -> Option<usize> {
+        let mut handles = self.handles.lock().unwrap();
+        let hash = wire::parse_handle(handle).filter(|hash| handles.remove(hash).is_some())?;
+        let held = handles.len();
+        drop(handles);
+        // a released instance must not pin held-solution capacity
+        self.purge_held(hash);
+        Some(held)
     }
 }
 
@@ -892,26 +908,18 @@ impl Server {
                     continue;
                 }
                 Ok((ClientFrame::Release { handle, .. }, _)) => {
-                    self.shared.replay_release(&handle);
+                    self.shared.release(&handle);
                     self.shared.track_state_record(Some(rec.record.record_id));
                     continue;
                 }
                 Ok((ClientFrame::Mutate { handle, .. }, body)) => {
-                    if let Ok((inserts, deletes)) = body.edits(&rec.line) {
-                        let outcome = self.shared.apply_mutation(&handle, &inserts, &deletes);
-                        // a keyed mutation that applied (live or here)
-                        // must keep replaying its reply after the crash —
-                        // the payload is deterministic, so the recovered
-                        // bytes match the originals
-                        if let (Ok(payload), Some(key)) = (outcome, &rec.record.idempotency_key) {
-                            self.shared.idempotency.lock().unwrap().insert(
-                                key.clone(),
-                                CachedReply {
-                                    kind: ReplyKind::Mutated,
-                                    payload,
-                                },
-                            );
-                        }
+                    let outcome = self.shared.apply_mutation(&handle, &rec.line, body);
+                    // a keyed mutation that applied (live or here) must
+                    // keep replaying its reply after the crash — the
+                    // payload is deterministic, so the recovered bytes
+                    // match the originals
+                    if let (Ok(payload), Some(key)) = (outcome, rec.record.idempotency_key) {
+                        self.shared.cache_reply(key, ReplyKind::Mutated, payload);
                     }
                     self.shared.track_state_record(Some(rec.record.record_id));
                     continue;
@@ -1116,34 +1124,49 @@ impl Submitter {
         self.send_now(seq, wire::error_frame(id, seq, None, &payload));
     }
 
+    /// Idempotent retry: a key whose reply was already delivered is
+    /// answered from the cache, as the frame type it was first delivered
+    /// in — no admission, no journal append, no second solve. Returns
+    /// `false` when there is nothing to replay.
+    fn replay(&self, idempotency_key: Option<&str>, id: &str, seq: u64) -> bool {
+        let Some(hit) =
+            idempotency_key.and_then(|key| self.shared.idempotency.lock().unwrap().get(key))
+        else {
+            return false;
+        };
+        self.shared.replayed.fetch_add(1, Ordering::Relaxed);
+        let frame = match hit.kind {
+            ReplyKind::Solution => wire::replayed_frame(true, id, seq, &hit.payload),
+            ReplyKind::Error => wire::replayed_frame(false, id, seq, &hit.payload),
+            // a request reusing a key last answered by a mutate replays
+            // the mutated frame — the key identifies the delivered reply,
+            // not the frame type of the retry
+            ReplyKind::Mutated => wire::replayed_mutated_frame(id, seq, &hit.payload),
+        };
+        self.send_now(seq, frame);
+        true
+    }
+
+    /// Journals a state frame (upload, mutate, release) as an admitted
+    /// record left incomplete until compaction folds it into a snapshot,
+    /// so every restart replays it.
+    fn journal_state(&self, id: &str, idempotency_key: Option<&str>, line: &str) {
+        if let Some(journal) = &self.shared.config.journal {
+            let record = journal
+                .append_admitted(id, Priority::Normal, None, idempotency_key, line)
+                .ok();
+            self.shared.track_state_record(record);
+            self.shared.maybe_compact_journal();
+        }
+    }
+
     fn enqueue(&self, envelope: Envelope, seq: u64, payload: Payload) -> Submitted {
         if self.shared.is_killed() {
             // a dead process answers nothing
             return Submitted::Skipped;
         }
-        // idempotent retry: a key whose reply was already delivered is
-        // answered from the cache — no admission, no journal append, no
-        // second solve
-        if let Some(key) = envelope.idempotency_key.as_deref() {
-            if let Some(hit) = self.shared.idempotency.lock().unwrap().get(key) {
-                self.shared.replayed.fetch_add(1, Ordering::Relaxed);
-                let frame = match hit.kind {
-                    ReplyKind::Solution => {
-                        wire::replayed_frame(true, &envelope.id, seq, &hit.payload)
-                    }
-                    ReplyKind::Error => {
-                        wire::replayed_frame(false, &envelope.id, seq, &hit.payload)
-                    }
-                    // a request reusing a key last answered by a mutate
-                    // replays the mutated frame — the key identifies the
-                    // delivered reply, not the frame type of the retry
-                    ReplyKind::Mutated => {
-                        wire::replayed_mutated_frame(&envelope.id, seq, &hit.payload)
-                    }
-                };
-                self.send_now(seq, frame);
-                return Submitted::Replied;
-            }
+        if self.replay(envelope.idempotency_key.as_deref(), &envelope.id, seq) {
+            return Submitted::Replied;
         }
         // write-ahead: the admission is journaled before the job can
         // reach a worker. An append failure degrades durability (this
@@ -1224,7 +1247,7 @@ impl Submitter {
     }
 
     /// Submits one raw input line, driving the full ingest path:
-    /// envelope scan, admission control, immediate replies for pings and
+    /// frame scan, admission control, immediate replies for pings and
     /// malformed frames. Blank lines are skipped; every other line
     /// consumes exactly one sequence number.
     pub fn submit_line(&mut self, line: &str) -> Submitted {
@@ -1335,35 +1358,21 @@ impl Submitter {
     /// same handle. Processed inline on the ingest thread (like pings),
     /// so a request referencing a just-uploaded handle can never race a
     /// queued upload job.
-    fn upload(&self, id: &str, seq: u64, line: &str, body: wire::Body) -> Submitted {
+    fn upload(&self, id: &str, seq: u64, line: &str, mut body: wire::Body) -> Submitted {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
         let canonical = body.canonical();
-        match wire::build_instance(line, body) {
+        match wire::build_instance(line, &mut body) {
             Ok(instance) => {
                 if !canonical {
                     self.shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
                 }
-                let hash = wire::instance_fingerprint(&instance);
-                let handle = wire::render_handle(hash);
-                let mut handles = self.shared.handles.lock().unwrap();
-                let entry = handles.entry(hash).or_insert_with(|| Arc::new(instance));
-                let shared_instance = Arc::clone(entry);
-                let held = handles.len();
-                drop(handles);
-                // journaled as a state record — appended at admission,
-                // left incomplete until compaction folds it into a
-                // snapshot — so every restart replays the upload and
+                let (hash, shared_instance, held) = self.shared.intern(instance);
                 // the handle survives a crash
-                if let Some(journal) = &self.shared.config.journal {
-                    let record = journal
-                        .append_admitted(id, Priority::Normal, None, None, line)
-                        .ok();
-                    self.shared.track_state_record(record);
-                    self.shared.maybe_compact_journal();
-                }
-                let payload = wire::uploaded_payload(&handle, &shared_instance, held);
+                self.journal_state(id, None, line);
+                let payload =
+                    wire::uploaded_payload(&wire::render_handle(hash), &shared_instance, held);
                 self.send_now(seq, wire::uploaded_frame(id, seq, &payload));
                 Submitted::Replied
             }
@@ -1381,23 +1390,9 @@ impl Submitter {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        let (removed, held) = {
-            let mut handles = self.shared.handles.lock().unwrap();
-            let removed = wire::parse_handle(handle).filter(|hash| handles.remove(hash).is_some());
-            (removed, handles.len())
-        };
-        if let Some(hash) = removed {
-            // a released instance must not pin held-solution capacity
-            self.shared.purge_held(hash);
-            // state record (see `upload`): replayed on restart so a
-            // released handle stays released across recovery
-            if let Some(journal) = &self.shared.config.journal {
-                let record = journal
-                    .append_admitted(id, Priority::Normal, None, None, line)
-                    .ok();
-                self.shared.track_state_record(record);
-                self.shared.maybe_compact_journal();
-            }
+        if let Some(held) = self.shared.release(handle) {
+            // a released handle stays released across recovery
+            self.journal_state(id, None, line);
             let payload = wire::released_payload(handle, held);
             self.send_now(seq, wire::released_frame(id, seq, &payload));
         } else {
@@ -1437,48 +1432,15 @@ impl Submitter {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        if let Some(key) = idempotency_key.as_deref() {
-            if let Some(hit) = self.shared.idempotency.lock().unwrap().get(key) {
-                self.shared.replayed.fetch_add(1, Ordering::Relaxed);
-                let frame = match hit.kind {
-                    ReplyKind::Mutated => wire::replayed_mutated_frame(id, seq, &hit.payload),
-                    ReplyKind::Solution => wire::replayed_frame(true, id, seq, &hit.payload),
-                    ReplyKind::Error => wire::replayed_frame(false, id, seq, &hit.payload),
-                };
-                self.send_now(seq, frame);
-                return Submitted::Replied;
-            }
+        if self.replay(idempotency_key.as_deref(), id, seq) {
+            return Submitted::Replied;
         }
-        let (inserts, deletes) = match body.edits(line) {
-            Ok(edits) => edits,
-            Err(e) => {
-                self.send_now(seq, wire::error_frame(id, seq, None, &e.to_json_line()));
-                return Submitted::Replied;
-            }
-        };
-        match self.shared.apply_mutation(handle, &inserts, &deletes) {
+        match self.shared.apply_mutation(handle, line, body) {
             Ok(payload) => {
-                if let Some(journal) = &self.shared.config.journal {
-                    let record = journal
-                        .append_admitted(
-                            id,
-                            Priority::Normal,
-                            None,
-                            idempotency_key.as_deref(),
-                            line,
-                        )
-                        .ok();
-                    self.shared.track_state_record(record);
-                    self.shared.maybe_compact_journal();
-                }
+                self.journal_state(id, idempotency_key.as_deref(), line);
                 if let Some(key) = idempotency_key {
-                    self.shared.idempotency.lock().unwrap().insert(
-                        key,
-                        CachedReply {
-                            kind: ReplyKind::Mutated,
-                            payload: payload.clone(),
-                        },
-                    );
+                    self.shared
+                        .cache_reply(key, ReplyKind::Mutated, payload.clone());
                 }
                 self.send_now(seq, wire::mutated_frame(id, seq, &payload));
             }
@@ -1502,24 +1464,20 @@ impl Submitter {
         body: wire::Body,
     ) -> Submitted {
         let handle = envelope.handle.as_deref().unwrap_or_default();
-        let instance = wire::parse_handle(handle).and_then(|hash| {
-            self.shared
-                .handles
-                .lock()
-                .unwrap()
-                .get(&hash)
-                .map(Arc::clone)
-        });
-        let Some(instance) = instance else {
-            let payload = ApiError::InvalidRequest {
+        let instance = wire::parse_handle(handle)
+            .and_then(|hash| {
+                self.shared
+                    .handles
+                    .lock()
+                    .unwrap()
+                    .get(&hash)
+                    .map(Arc::clone)
+            })
+            .ok_or_else(|| ApiError::InvalidRequest {
                 field: "handle",
                 reason: format!("unknown instance handle \"{handle}\"; upload it first"),
-            }
-            .to_json_line();
-            self.send_now(seq, wire::error_frame(&envelope.id, seq, None, &payload));
-            return Submitted::Replied;
-        };
-        match wire::build_request(line, body, Some(instance)) {
+            });
+        match instance.and_then(|instance| wire::build_request(line, body, Some(instance))) {
             Ok(request) => self.enqueue(envelope, seq, Payload::Parsed(Box::new(request))),
             Err(e) => {
                 self.send_now(
@@ -3099,7 +3057,7 @@ mod tests {
         let server = Server::start(quiet_config());
         let (mut tx, mut rx) = server.connect().split();
         // float-typed integral endpoints are valid under the strict
-        // grammar but off the fast scanner's canonical subset
+        // grammar but not canonical spellings
         let line = r#"{"v":1,"type":"request","id":"x1","problem":{"name":"mis","base_degree":8},"instance":{"kind":"host","nodes":4,"edges":[[0,1],[1,2],[2,3],[3,0.0]]}}"#;
         assert_eq!(tx.submit_line(line), Submitted::Queued);
         let frame = rx.recv().unwrap();

@@ -1,5 +1,6 @@
-//! The JSON-line wire codec: frame schemas, the request parser, the
-//! client-side request renderer, and the reply-frame assemblers.
+//! The JSON-line wire codec: frame schemas, the frame scan and build
+//! steps, the client-side request renderer, and the reply-frame
+//! assemblers.
 //!
 //! The protocol is specified in `docs/PROTOCOL.md`; a doc-sync test
 //! (`tests/protocol_doc.rs`) pins every worked example there to the real
@@ -74,8 +75,7 @@ impl Priority {
 }
 
 /// The envelope of a request frame: everything admission control needs,
-/// extracted without parsing the (potentially large) problem/instance
-/// payload.
+/// validated before the problem or the instance is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Client-chosen request id, echoed on the reply frame.
@@ -83,8 +83,8 @@ pub struct Envelope {
     /// Scheduling priority.
     pub priority: Priority,
     /// Optional wall-clock budget (ms, counted from admission). The
-    /// envelope scan surfaces it so the queue can expire jobs without
-    /// parsing their payloads.
+    /// frame scan surfaces it so the queue can expire jobs without
+    /// building their requests.
     pub deadline_ms: Option<u64>,
     /// Optional client-supplied idempotency key. A request whose key
     /// matches an already-completed one is answered from the reply
@@ -95,18 +95,19 @@ pub struct Envelope {
     /// Optional instance handle (32-hex, see [`render_handle`]). When
     /// set, the frame carries no inline `instance`; the server resolves
     /// the handle against its interned-instance table at admission.
-    /// Exactly one of handle / inline instance is present — the
-    /// envelope scan enforces the exclusion.
+    /// Exactly one of handle / inline instance is present — the frame
+    /// scan enforces the exclusion.
     pub handle: Option<String>,
 }
 
 /// One scanned client frame, classified by `type`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientFrame {
-    /// A `request` frame (body not yet parsed — workers do that).
+    /// A `request` frame (built by [`build_request`] — in a worker for
+    /// an inline instance, at ingest for a handle).
     Request(Envelope),
     /// An `upload` frame: intern the carried instance server-side and
-    /// reply with its handle (body not yet parsed — ingest does that).
+    /// reply with its handle (built by [`build_instance`]).
     Upload {
         /// Echoed id.
         id: String,
@@ -120,7 +121,7 @@ pub enum ClientFrame {
     },
     /// A `mutate` frame: apply an edge-delta batch to an interned
     /// bipartite instance and reply with its re-derived handle (edit
-    /// lists not yet parsed — ingest does that).
+    /// lists read by [`Body::edits`]).
     Mutate {
         /// Echoed id.
         id: String,
@@ -178,13 +179,20 @@ const MUTATE_KEYS: &[&str] = &[
 const PING_KEYS: &[&str] = &["v", "type", "id"];
 const SHUTDOWN_KEYS: &[&str] = &["v", "type"];
 
+/// A raw field value as a JSON string, if it is one.
+fn raw_str(raw: &str) -> Option<String> {
+    json::parse(raw).ok()?.as_str().map(str::to_owned)
+}
+
+/// A raw field value as a JSON number, if it is one.
+fn raw_number(raw: &str) -> Option<Number> {
+    json::parse(raw).ok()?.as_number()
+}
+
 fn check_version(raw: Option<&str>) -> Result<(), ApiError> {
     match raw {
         Some(raw) => {
-            let v = json::parse(raw)
-                .ok()
-                .and_then(|j| j.as_number())
-                .and_then(Number::as_u64);
+            let v = raw_number(raw).and_then(Number::as_u64);
             if v == Some(PROTOCOL_VERSION) {
                 Ok(())
             } else {
@@ -208,10 +216,7 @@ fn parse_id(raw: Option<&str>) -> Result<String, ApiError> {
             "request frames must carry a client-chosen id",
         ));
     };
-    let id = json::parse(raw)
-        .ok()
-        .and_then(|j| j.as_str().map(str::to_owned))
-        .ok_or_else(|| invalid("id", "id must be a JSON string"))?;
+    let id = raw_str(raw).ok_or_else(|| invalid("id", "id must be a JSON string"))?;
     if id.is_empty() {
         return Err(invalid("id", "id must be non-empty"));
     }
@@ -228,9 +233,7 @@ fn parse_priority(raw: Option<&str>) -> Result<Priority, ApiError> {
     match raw {
         None => Ok(Priority::Normal),
         Some(raw) => {
-            let s = json::parse(raw)
-                .ok()
-                .and_then(|j| j.as_str().map(str::to_owned))
+            let s = raw_str(raw)
                 .ok_or_else(|| invalid("priority", "priority must be a JSON string"))?;
             Priority::parse(&s).ok_or_else(|| {
                 invalid(
@@ -246,10 +249,7 @@ fn parse_priority(raw: Option<&str>) -> Result<Priority, ApiError> {
 /// frames): a non-empty JSON string of at most [`MAX_ID_BYTES`] bytes.
 fn parse_idempotency_key(raw: Option<&str>) -> Result<Option<String>, ApiError> {
     let Some(raw) = raw else { return Ok(None) };
-    let key = json::parse(raw)
-        .ok()
-        .and_then(|j| j.as_str().map(str::to_owned))
-        .ok_or_else(|| invalid("idempotency_key", "must be a JSON string"))?;
+    let key = raw_str(raw).ok_or_else(|| invalid("idempotency_key", "must be a JSON string"))?;
     if key.is_empty() {
         return Err(invalid(
             "idempotency_key",
@@ -390,10 +390,7 @@ pub fn scan(line: &str) -> Result<(ClientFrame, Body), ApiError> {
 /// Parses a raw `"handle"` value: a JSON string of exactly 32 lowercase
 /// hex digits (the rendering of [`instance_fingerprint`]).
 fn parse_handle_field(raw: &str) -> Result<String, ApiError> {
-    let handle = json::parse(raw)
-        .ok()
-        .and_then(|j| j.as_str().map(str::to_owned))
-        .ok_or_else(|| invalid("handle", "must be a JSON string"))?;
+    let handle = raw_str(raw).ok_or_else(|| invalid("handle", "must be a JSON string"))?;
     if parse_handle(&handle).is_none() {
         return Err(invalid(
             "handle",
@@ -407,9 +404,7 @@ fn parse_handle_field(raw: &str) -> Result<String, ApiError> {
 /// milliseconds.
 fn parse_deadline(raw: Option<&str>) -> Result<Option<u64>, ApiError> {
     let Some(raw) = raw else { return Ok(None) };
-    json::parse(raw)
-        .ok()
-        .and_then(|j| j.as_number())
+    raw_number(raw)
         .and_then(Number::as_u64)
         .map(Some)
         .ok_or_else(|| invalid("deadline_ms", "must be an unsigned integer (milliseconds)"))
@@ -420,10 +415,7 @@ fn classify_frame(line: &str, fields: &[(Span, Span)]) -> Result<ClientFrame, Ap
     let get = |key: &str| get(line, fields, key);
     check_version(get("v"))?;
     let ty = match get("type") {
-        Some(raw) => json::parse(raw)
-            .ok()
-            .and_then(|j| j.as_str().map(str::to_owned))
-            .ok_or_else(|| invalid("type", "type must be a JSON string"))?,
+        Some(raw) => raw_str(raw).ok_or_else(|| invalid("type", "type must be a JSON string"))?,
         None => return Err(invalid("type", "missing frame type")),
     };
     let allowed: &[&str] = match ty.as_str() {
@@ -549,9 +541,7 @@ fn field_str(
 ) -> Result<Option<String>, ApiError> {
     match get(line, fields, key) {
         None => Ok(None),
-        Some(raw) => json::parse(raw)
-            .ok()
-            .and_then(|j| j.as_str().map(str::to_owned))
+        Some(raw) => raw_str(raw)
             .map(Some)
             .ok_or_else(|| invalid(key, "must be a JSON string")),
     }
@@ -564,9 +554,7 @@ fn field_number(
 ) -> Result<Option<Number>, ApiError> {
     match get(line, fields, key) {
         None => Ok(None),
-        Some(raw) => json::parse(raw)
-            .ok()
-            .and_then(|j| j.as_number())
+        Some(raw) => raw_number(raw)
             .map(Some)
             .ok_or_else(|| invalid(key, "must be a JSON number")),
     }
@@ -709,26 +697,17 @@ fn parse_problem(raw: &str) -> Result<Problem, ApiError> {
 }
 
 /// Builds the inline instance of a scanned `upload` (or inline
-/// `request`) frame from the edge list [`scan`] decoded.
+/// `request`) frame, taking the edge list [`scan`] decoded out of
+/// `body`.
 ///
 /// # Errors
 ///
 /// [`ApiError::InvalidRequest`] on the `instance` field. Byte offsets,
 /// edge-list ones included, count from the instance object's first
 /// byte.
-pub fn build_instance(line: &str, body: Body) -> Result<Instance, ApiError> {
-    instance_from(line, &body.fields, body.instance, body.edges)
-}
-
-#[allow(clippy::type_complexity)]
-fn instance_from(
-    line: &str,
-    top: &[(Span, Span)],
-    instance: Option<Result<Vec<(Span, Span)>, json::ParseError>>,
-    edges: Option<Result<json::EdgeList, json::ParseError>>,
-) -> Result<Instance, ApiError> {
-    let base = field(line, top, "instance").map_or(0, |v| v.start);
-    let fields = match instance {
+pub fn build_instance(line: &str, body: &mut Body) -> Result<Instance, ApiError> {
+    let base = field(line, &body.fields, "instance").map_or(0, |v| v.start);
+    let fields = match body.instance.take() {
         Some(Ok(fields)) => fields,
         Some(Err(e)) => {
             return Err(invalid(
@@ -740,18 +719,15 @@ fn instance_from(
     };
     let get = |key: &str| get(line, &fields, key);
     let kind = match get("kind") {
-        Some(raw) => json::parse(raw)
-            .ok()
-            .and_then(|j| j.as_str().map(str::to_owned))
-            .ok_or_else(|| invalid("instance", "kind must be a JSON string"))?,
+        Some(raw) => {
+            raw_str(raw).ok_or_else(|| invalid("instance", "kind must be a JSON string"))?
+        }
         None => return Err(invalid("instance", "missing instance kind")),
     };
     let small_usize = |key: &'static str| -> Result<Option<usize>, ApiError> {
         match get(key) {
             None => Ok(None),
-            Some(raw) => json::parse(raw)
-                .ok()
-                .and_then(|j| j.as_number())
+            Some(raw) => raw_number(raw)
                 .and_then(Number::as_usize)
                 .map(Some)
                 .ok_or_else(|| {
@@ -759,6 +735,7 @@ fn instance_from(
                 }),
         }
     };
+    let edges = body.edges.take();
     let edges = || match edges {
         Some(Ok(list)) => Ok(list.pairs),
         Some(Err(e)) => Err(invalid("instance", format!("edges: {}", relative(e, base)))),
@@ -819,12 +796,12 @@ fn instance_from(
     }
 }
 
-/// Builds the typed [`Request`] of a scanned `request` frame. An inline
-/// frame's instance is built from `body`; a handle-form frame takes
-/// `shared`, the instance its handle resolved to in the server's table
-/// (structurally shared, no per-request graph allocation). Strict:
-/// unknown fields in the problem or instance object are typed errors
-/// (typos must not silently become defaults).
+/// Builds the typed [`Request`] of a scanned `request` frame. A
+/// handle-form frame takes `shared`, the instance its handle resolved to
+/// in the server's table (structurally shared, no per-request graph
+/// allocation); with `None`, the frame's inline instance is built.
+/// Strict: unknown fields in the problem or instance object are typed
+/// errors (typos must not silently become defaults).
 ///
 /// # Errors
 ///
@@ -832,36 +809,22 @@ fn instance_from(
 /// the problem, then the instance, then the policy fields.
 pub fn build_request(
     line: &str,
-    body: Body,
+    mut body: Body,
     shared: Option<Arc<Instance>>,
 ) -> Result<Request, ApiError> {
-    let Body {
-        fields,
-        instance,
-        edges,
-        ..
-    } = body;
-    match (field(line, &fields, "handle"), &shared) {
-        (Some(_), None) => {
-            return Err(invalid(
-                "handle",
-                "instance handles are resolved by the server at admission; \
-                 this parser needs an inline instance",
-            ))
-        }
-        (None, Some(_)) => {
-            return Err(invalid(
-                "handle",
-                "this frame carries an inline instance; build it without a shared one",
-            ))
-        }
-        _ => {}
+    if shared.is_none() && field(line, &body.fields, "handle").is_some() {
+        return Err(invalid(
+            "handle",
+            "instance handles are resolved by the server at admission; \
+             this parser needs an inline instance",
+        ));
     }
-    let problem = parse_problem(get(line, &fields, "problem").unwrap_or_default())?;
+    let problem = parse_problem(get(line, &body.fields, "problem").unwrap_or_default())?;
     let mut request = match shared {
         Some(shared) => Request::from_shared(problem, shared),
-        None => Request::new(problem, instance_from(line, &fields, instance, edges)?),
+        None => Request::new(problem, build_instance(line, &mut body)?),
     };
+    let fields = body.fields;
     // the policy tail: determinism, seed, pipeline override, budget
     match field_str(line, &fields, "determinism")?.as_deref() {
         None => {}
@@ -1541,10 +1504,10 @@ pub struct StatsSnapshot {
     pub journal_bytes: u64,
     /// Incomplete jobs recovered from the journal at startup.
     pub journal_recovered: u64,
-    /// Instance edge lists that fell off the zero-copy fast scanner
-    /// onto the strict fallback parser. Canonical encodings never fall
-    /// back, so a non-zero value means a client is sending exotic (but
-    /// valid) edge spellings — the bench smoke job fails on it.
+    /// Instance edge lists that used a non-canonical endpoint spelling
+    /// (`2.0`, `2e0`). Canonical encodings never count, so a non-zero
+    /// value means a client is sending exotic (but valid) edge
+    /// spellings — the bench smoke job fails on it.
     pub parse_fallbacks: u64,
     /// Instances currently interned in the upload-handle table.
     pub handles_held: u64,
@@ -1676,7 +1639,7 @@ mod tests {
     use splitgraph::generators;
 
     /// Classifies a frame, discarding its body.
-    fn scan_envelope(line: &str) -> Result<ClientFrame, ApiError> {
+    fn classify(line: &str) -> Result<ClientFrame, ApiError> {
         scan(line).map(|(frame, _)| frame)
     }
 
@@ -1684,16 +1647,16 @@ mod tests {
     /// reporting whether its edge list was spelled canonically.
     fn build_upload(raw: &str) -> (Result<Instance, ApiError>, bool) {
         let line = format!(r#"{{"v":1,"type":"upload","id":"u","instance":{raw}}}"#);
-        let (_, body) = scan(&line).unwrap();
+        let (_, mut body) = scan(&line).unwrap();
         let canonical = body.canonical();
-        (build_instance(&line, body), canonical)
+        (build_instance(&line, &mut body), canonical)
     }
 
     #[test]
     fn envelope_scan_classifies_frames() {
         let line = r#"{"v":1,"type":"request","id":"r1","priority":"high","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#;
         assert_eq!(
-            scan_envelope(line).unwrap(),
+            classify(line).unwrap(),
             ClientFrame::Request(Envelope {
                 id: "r1".into(),
                 priority: Priority::High,
@@ -1703,11 +1666,11 @@ mod tests {
             })
         );
         assert_eq!(
-            scan_envelope(r#"{"v":1,"type":"ping"}"#).unwrap(),
+            classify(r#"{"v":1,"type":"ping"}"#).unwrap(),
             ClientFrame::Ping { id: String::new() }
         );
         assert_eq!(
-            scan_envelope(r#"{"v":1,"type":"shutdown"}"#).unwrap(),
+            classify(r#"{"v":1,"type":"shutdown"}"#).unwrap(),
             ClientFrame::Shutdown
         );
     }
@@ -1747,7 +1710,7 @@ mod tests {
             ),
             (r#"{"v":1,"type":"shutdown","id":"x"}"#, "frame"),
         ] {
-            match scan_envelope(line) {
+            match classify(line) {
                 Err(ApiError::InvalidRequest { field: f, .. }) => {
                     assert_eq!(f, field, "line {line}")
                 }
@@ -1976,7 +1939,7 @@ mod tests {
         let handle = "0123456789abcdef0123456789abcdef";
         let keyed = render_mutate("m1", handle, Some("retry-m"), &[(0, 1)], &[]);
         assert!(keyed.contains(r#""idempotency_key":"retry-m""#), "{keyed}");
-        match scan_envelope(&keyed).unwrap() {
+        match classify(&keyed).unwrap() {
             ClientFrame::Mutate {
                 id,
                 handle: h,
@@ -1990,7 +1953,7 @@ mod tests {
         }
         // keyless renderings scan to a None key
         let plain = render_mutate("m1", handle, None, &[(0, 1)], &[]);
-        match scan_envelope(&plain).unwrap() {
+        match classify(&plain).unwrap() {
             ClientFrame::Mutate {
                 idempotency_key, ..
             } => assert_eq!(idempotency_key, None),
@@ -2000,20 +1963,17 @@ mod tests {
         let empty = format!(
             r#"{{"v":1,"type":"mutate","id":"m","handle":"{handle}","idempotency_key":"","inserts":[[0,1]]}}"#
         );
-        assert_eq!(scan_envelope(&empty).unwrap_err().kind(), "invalid-request");
+        assert_eq!(classify(&empty).unwrap_err().kind(), "invalid-request");
         let non_string = format!(
             r#"{{"v":1,"type":"mutate","id":"m","handle":"{handle}","idempotency_key":7,"inserts":[[0,1]]}}"#
         );
-        assert_eq!(
-            scan_envelope(&non_string).unwrap_err().kind(),
-            "invalid-request"
-        );
+        assert_eq!(classify(&non_string).unwrap_err().kind(), "invalid-request");
     }
 
     #[test]
     fn envelope_scan_surfaces_the_deadline_budget() {
         let line = r#"{"v":1,"type":"request","id":"d1","deadline_ms":250,"problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#;
-        match scan_envelope(line).unwrap() {
+        match classify(line).unwrap() {
             ClientFrame::Request(envelope) => assert_eq!(envelope.deadline_ms, Some(250)),
             other => panic!("expected a request frame, got {other:?}"),
         }
@@ -2156,7 +2116,7 @@ mod tests {
             InstanceRef::Handle(&handle),
             &request,
         );
-        match scan_envelope(&line).unwrap() {
+        match classify(&line).unwrap() {
             ClientFrame::Request(envelope) => {
                 assert_eq!(envelope.id, "h1");
                 assert_eq!(envelope.handle.as_deref(), Some(handle.as_str()));
@@ -2171,12 +2131,6 @@ mod tests {
         let shared = Arc::new(request.instance().clone());
         let (_, body) = scan(&line).unwrap();
         assert_eq!(build_request(&line, body, Some(shared)).unwrap(), request);
-        // and an inline frame refuses a resolved instance
-        let inline = render_request("h1", Priority::Normal, &request);
-        let shared = Arc::new(request.instance().clone());
-        let (_, body) = scan(&inline).unwrap();
-        let err = build_request(&inline, body, Some(shared)).unwrap_err();
-        assert!(err.to_string().contains("inline"), "{err}");
     }
 
     #[test]
@@ -2185,13 +2139,13 @@ mod tests {
         let instance = Instance::from(g);
         let upload = render_upload("u1", &instance);
         assert_eq!(
-            scan_envelope(&upload).unwrap(),
+            classify(&upload).unwrap(),
             ClientFrame::Upload { id: "u1".into() }
         );
         let handle = render_handle(instance_fingerprint(&instance));
         let release = render_release("u2", &handle);
         assert_eq!(
-            scan_envelope(&release).unwrap(),
+            classify(&release).unwrap(),
             ClientFrame::Release {
                 id: "u2".into(),
                 handle: handle.clone(),
@@ -2227,7 +2181,7 @@ mod tests {
                 "frame",
             ),
         ] {
-            match scan_envelope(&line) {
+            match classify(&line) {
                 Err(ApiError::InvalidRequest { field: f, .. }) => {
                     assert_eq!(f, field, "line {line}")
                 }
