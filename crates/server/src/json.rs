@@ -791,63 +791,96 @@ fn skip_value(p: &mut Cursor<'_>, depth: usize) -> Result<(), ParseError> {
     }
 }
 
-/// The strict pair grammar behind [`Cursor::edge_list`]. Stops at the
+/// The strict pair grammar behind [`Cursor::edge_list`], read with a
+/// local index: edge lists are most of a frame's bytes. Stops at the
 /// list's closing `]`; whatever follows is the walk's business.
 fn edge_pairs(p: &mut Cursor<'_>) -> Result<EdgeList, ParseError> {
-    p.expect(b'[')?;
-    let mut list = EdgeList {
-        pairs: Vec::new(),
-        canonical: true,
-    };
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.pos += 1;
-        return Ok(list);
-    }
-    // canonical renderings spend ≥ 6 bytes per pair (`[a,b],`), so this
-    // preallocation never reallocates on the hot path
-    list.pairs.reserve((p.bytes.len() - p.pos) / 6 + 1);
-    loop {
-        p.skip_ws();
-        p.expect(b'[')?;
-        p.skip_ws();
-        let u = endpoint(p, &mut list.canonical)?;
-        p.skip_ws();
-        p.expect(b',')?;
-        p.skip_ws();
-        let v = endpoint(p, &mut list.canonical)?;
-        p.skip_ws();
-        p.expect(b']')?;
-        list.pairs.push((u, v));
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.pos += 1,
-            Some(b']') => {
-                p.pos += 1;
-                return Ok(list);
-            }
-            _ => return p.err(format!("expected ',' or ']', found {}", p.found_desc())),
+    let bytes = p.bytes;
+    let mut i = p.pos;
+    let mut pairs = Vec::new();
+    let mut canonical = true;
+    // where the grammar stops, the byte it wanted there (`None`: a
+    // separator or the end, after a pair)
+    let want = 'grammar: {
+        if bytes.get(i) != Some(&b'[') {
+            break 'grammar Some(b'[');
         }
+        i += 1;
+        skip_ws_at(bytes, &mut i);
+        if bytes.get(i) == Some(&b']') {
+            p.pos = i + 1;
+            return Ok(EdgeList { pairs, canonical });
+        }
+        // canonical renderings spend ≥ 6 bytes per pair (`[a,b],`), so
+        // this preallocation never reallocates on the hot path
+        pairs.reserve((bytes.len() - i) / 6 + 1);
+        loop {
+            skip_ws_at(bytes, &mut i);
+            if bytes.get(i) != Some(&b'[') {
+                break 'grammar Some(b'[');
+            }
+            i += 1;
+            skip_ws_at(bytes, &mut i);
+            let (u, next, plain) = endpoint(p, i)?;
+            (i, canonical) = (next, canonical && plain);
+            skip_ws_at(bytes, &mut i);
+            if bytes.get(i) != Some(&b',') {
+                break 'grammar Some(b',');
+            }
+            i += 1;
+            skip_ws_at(bytes, &mut i);
+            let (v, next, plain) = endpoint(p, i)?;
+            (i, canonical) = (next, canonical && plain);
+            skip_ws_at(bytes, &mut i);
+            if bytes.get(i) != Some(&b']') {
+                break 'grammar Some(b']');
+            }
+            i += 1;
+            pairs.push((u, v));
+            skip_ws_at(bytes, &mut i);
+            match bytes.get(i) {
+                Some(b',') => i += 1,
+                Some(b']') => {
+                    p.pos = i + 1;
+                    return Ok(EdgeList { pairs, canonical });
+                }
+                _ => break 'grammar None,
+            }
+        }
+    };
+    p.pos = i;
+    let want = match want {
+        Some(b) => format!("'{}'", b as char),
+        None => "',' or ']'".to_owned(),
+    };
+    p.err(format!("expected {want}, found {}", p.found_desc()))
+}
+
+#[inline]
+fn skip_ws_at(bytes: &[u8], i: &mut usize) {
+    while matches!(bytes.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        *i += 1;
     }
 }
 
-/// One edge endpoint. Plain decimal digits are read inline; a leading
-/// zero ends the token after the `0`, exactly as the number grammar
-/// does. Anything else — a sign, a fraction, an exponent, a value past
-/// `usize::MAX`, or no digit at all — is re-read at this token by
-/// [`Cursor::number`], which accepts exact non-negative integers in any
-/// spelling (clearing `canonical`) and names every other fault.
+/// One edge endpoint at `i`: its value, the index past it, and whether
+/// it was spelled canonically. Plain decimal digits are read inline; a
+/// leading zero ends the token after the `0`, exactly as the number
+/// grammar does. Anything else — a sign, a fraction, an exponent, a
+/// value past `usize::MAX`, or no digit at all — is re-read at this
+/// token by [`Cursor::number`], which accepts exact non-negative
+/// integers in any spelling and names every other fault.
 #[inline]
-fn endpoint(p: &mut Cursor<'_>, canonical: &mut bool) -> Result<usize, ParseError> {
+fn endpoint(p: &mut Cursor<'_>, i: usize) -> Result<(usize, usize, bool), ParseError> {
     let bytes = p.bytes;
-    let mut i = p.pos;
+    let mut j = i;
     let mut value = 0usize;
-    match bytes.get(i) {
-        Some(b'0') => i += 1,
+    match bytes.get(j) {
+        Some(b'0') => j += 1,
         Some(&d @ b'1'..=b'9') => {
             value = usize::from(d - b'0');
-            i += 1;
-            while let Some(&d) = bytes.get(i) {
+            j += 1;
+            while let Some(&d) = bytes.get(j) {
                 if !d.is_ascii_digit() {
                     break;
                 }
@@ -856,29 +889,26 @@ fn endpoint(p: &mut Cursor<'_>, canonical: &mut bool) -> Result<usize, ParseErro
                     .and_then(|v| v.checked_add(usize::from(d - b'0')))
                 {
                     Some(v) => value = v,
-                    None => return spelled_endpoint(p, canonical),
+                    None => return spelled_endpoint(p, i),
                 }
-                i += 1;
+                j += 1;
             }
         }
-        _ => return spelled_endpoint(p, canonical),
+        _ => return spelled_endpoint(p, i),
     }
-    if matches!(bytes.get(i), Some(b'.' | b'e' | b'E')) {
-        return spelled_endpoint(p, canonical);
+    if matches!(bytes.get(j), Some(b'.' | b'e' | b'E')) {
+        return spelled_endpoint(p, i);
     }
-    p.pos = i;
-    Ok(value)
+    Ok((value, j, true))
 }
 
 #[cold]
-fn spelled_endpoint(p: &mut Cursor<'_>, canonical: &mut bool) -> Result<usize, ParseError> {
-    match p.number()?.as_usize() {
-        Some(v) => {
-            *canonical = false;
-            Ok(v)
-        }
-        None => p.err("edge endpoints must be non-negative integers"),
-    }
+fn spelled_endpoint(p: &mut Cursor<'_>, i: usize) -> Result<(usize, usize, bool), ParseError> {
+    p.pos = i;
+    let Some(value) = p.number()?.as_usize() else {
+        return p.err("edge endpoints must be non-negative integers");
+    };
+    Ok((value, p.pos, false))
 }
 
 #[cfg(test)]
