@@ -507,25 +507,31 @@ pub struct EdgeList {
 }
 
 impl<'a> Cursor<'a> {
-    /// Walks the object at the cursor and returns its `(key, value)`
+    /// Walks the input as one object and returns its `(key, value)`
     /// spans in source order. Keys are raw (escapes unresolved):
     /// protocol keys are plain ASCII identifiers, so an escaped key
     /// simply fails exact-match lookups downstream. `value(cursor, key)`
     /// runs with the cursor on each value's first byte and returns
     /// `true` if it consumed exactly that value, `false` to have it
-    /// skipped. A repeated key is an error.
+    /// skipped. A repeated key, or anything but whitespace after the
+    /// object, is an error.
     ///
     /// # Errors
     ///
-    /// [`ParseError`] when the input at the cursor is not a structurally
-    /// valid object, or from `value`.
+    /// [`ParseError`] when the input is not a single structurally valid
+    /// object, or from `value`.
     pub fn object(
         &mut self,
         value: impl FnMut(&mut Self, &'a str) -> Result<bool, ParseError>,
     ) -> Result<Vec<(Span, Span)>, ParseError> {
         self.skip_ws();
         self.expect(b'{')?;
-        self.walk(0, None, value)
+        let fields = self.walk(0, None, value)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return self.err("trailing characters after the object");
+        }
+        Ok(fields)
     }
 
     /// [`Cursor::object`] for a value nested at `depth` that should be
@@ -555,15 +561,10 @@ impl<'a> Cursor<'a> {
 
     /// Decodes the `[[u,v],...]` edge list at the cursor (a value nested
     /// at `depth`) with the strict pair grammar: every element is a
-    /// two-element array of non-negative integers. Canonical endpoints
-    /// (plain decimal digits) are read by an inlined digit loop; any
-    /// other spelling is re-read at that token by the full number
-    /// grammar and, when it is still an exact non-negative integer,
-    /// accepted with [`EdgeList::canonical`] cleared.
-    ///
-    /// The outer `Err` is a structural fault of the value, judged
-    /// exactly as a skip of it would be. The inner `Err` is the first
-    /// violation of the pair grammar, with the value consumed.
+    /// two-element array of non-negative integers, in any valid
+    /// spelling. The outer `Err` is a structural fault of the value,
+    /// judged exactly as a skip of it would be; the inner `Err` is the
+    /// first violation of the pair grammar, with the value consumed.
     ///
     /// # Errors
     ///
@@ -578,19 +579,6 @@ impl<'a> Cursor<'a> {
                 Ok(Err(e))
             }
         }
-    }
-
-    /// Checks that nothing but whitespace follows the walked object.
-    ///
-    /// # Errors
-    ///
-    /// [`ParseError`] on trailing characters.
-    pub fn finish(mut self) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return self.err("trailing characters after the object");
-        }
-        Ok(())
     }
 
     /// The object walk shared by [`Cursor::object`] and
@@ -657,9 +645,7 @@ impl<'a> Cursor<'a> {
 ///
 /// [`ParseError`] when the input is not a single top-level object.
 pub fn scan_top_level(input: &str) -> Result<Vec<(&str, &str)>, ParseError> {
-    let mut cursor = Cursor::new(input);
-    let fields = cursor.object(|_, _| Ok(false))?;
-    cursor.finish()?;
+    let fields = Cursor::new(input).object(|_, _| Ok(false))?;
     Ok(fields
         .into_iter()
         .map(|(k, v)| (&input[k], &input[v]))
@@ -1082,10 +1068,17 @@ mod tests {
         let spelled = edge_list("[[0,1],[2,3.0],[2e1,-0.0]]").unwrap();
         assert_eq!(spelled.pairs, vec![(0, 1), (2, 3), (20, 0)]);
         assert!(!spelled.canonical);
-        // the decoder stops at the list's end; the walk judges the rest
-        let mut cursor = Cursor::new("[[0,1]] x");
-        assert!(cursor.edge_list(0).unwrap().is_ok());
-        assert_eq!(cursor.finish().unwrap_err().offset, 8);
+        // the decoder stops at the list's end, and a malformed list is
+        // skipped like any value: the walk goes on past both
+        let mut decoded = Vec::new();
+        let fields = Cursor::new(r#"{"a":[[0,1]] ,"b":[[0,,1]]}"#)
+            .object(|c, _| {
+                decoded.push(c.edge_list(0)?);
+                Ok(true)
+            })
+            .unwrap();
+        assert_eq!(fields.len(), 2);
+        assert!(decoded[0].is_ok() && decoded[1].is_err());
         for (bad, offset, reason) in [
             ("[[0]]", 3, "expected ',', found ']'"),
             ("[[0,1,2]]", 5, "expected ']', found ','"),
@@ -1112,11 +1105,7 @@ mod tests {
             let err = edge_list(bad).unwrap_err();
             assert_eq!((err.offset, err.reason.as_str()), (offset, reason), "{bad}");
         }
-        // a malformed list is skipped like any value: the structural
-        // verdict is the walk's, the grammar verdict is deferred
-        let mut cursor = Cursor::new("[[0,,1]]");
-        assert!(cursor.edge_list(0).unwrap().is_err());
-        assert!(cursor.finish().is_ok());
+        // while a structural fault of the list is the walk's
         assert!(Cursor::new("[[0,1]").edge_list(0).is_err());
     }
 }

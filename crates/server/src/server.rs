@@ -1113,6 +1113,12 @@ impl Submitter {
         self.shared.deliver(self.conn, seq, line);
     }
 
+    /// Answers a frame with a typed error frame under `id`.
+    fn reply_error(&self, id: &str, seq: u64, error: &ApiError) -> Submitted {
+        self.send_now(seq, wire::error_frame(id, seq, None, &error.to_json_line()));
+        Submitted::Replied
+    }
+
     fn reject(&self, id: &str, seq: u64, depth: usize) {
         self.shared.rejected.fetch_add(1, Ordering::Relaxed);
         let payload = ApiError::Overloaded {
@@ -1258,17 +1264,15 @@ impl Submitter {
         let seq = self.next_seq;
         self.next_seq += 1;
         if trimmed.len() > self.shared.config.max_frame_bytes {
-            let payload = ApiError::InvalidRequest {
+            let error = ApiError::InvalidRequest {
                 field: "frame",
                 reason: format!(
                     "frame of {} bytes exceeds the {}-byte limit",
                     trimmed.len(),
                     self.shared.config.max_frame_bytes
                 ),
-            }
-            .to_json_line();
-            self.send_now(seq, wire::error_frame("", seq, None, &payload));
-            return Submitted::Replied;
+            };
+            return self.reply_error("", seq, &error);
         }
         match wire::scan(trimmed) {
             Ok((ClientFrame::Request(envelope), body)) => {
@@ -1301,10 +1305,7 @@ impl Submitter {
                 self.next_seq = seq;
                 Submitted::Shutdown
             }
-            Err(e) => {
-                self.send_now(seq, wire::error_frame("", seq, None, &e.to_json_line()));
-                Submitted::Replied
-            }
+            Err(e) => self.reply_error("", seq, &e),
         }
     }
 
@@ -1317,13 +1318,11 @@ impl Submitter {
             Err(e) => {
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                let payload = ApiError::InvalidRequest {
+                let error = ApiError::InvalidRequest {
                     field: "frame",
                     reason: format!("frame is not valid UTF-8: {e}"),
-                }
-                .to_json_line();
-                self.send_now(seq, wire::error_frame("", seq, None, &payload));
-                Submitted::Replied
+                };
+                self.reply_error("", seq, &error)
             }
         }
     }
@@ -1376,10 +1375,7 @@ impl Submitter {
                 self.send_now(seq, wire::uploaded_frame(id, seq, &payload));
                 Submitted::Replied
             }
-            Err(e) => {
-                self.send_now(seq, wire::error_frame(id, seq, None, &e.to_json_line()));
-                Submitted::Replied
-            }
+            Err(e) => self.reply_error(id, seq, &e),
         }
     }
 
@@ -1390,19 +1386,17 @@ impl Submitter {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        if let Some(held) = self.shared.release(handle) {
-            // a released handle stays released across recovery
-            self.journal_state(id, None, line);
-            let payload = wire::released_payload(handle, held);
-            self.send_now(seq, wire::released_frame(id, seq, &payload));
-        } else {
-            let payload = ApiError::InvalidRequest {
+        let Some(held) = self.shared.release(handle) else {
+            let error = ApiError::InvalidRequest {
                 field: "handle",
                 reason: format!("unknown instance handle \"{handle}\""),
-            }
-            .to_json_line();
-            self.send_now(seq, wire::error_frame(id, seq, None, &payload));
-        }
+            };
+            return self.reply_error(id, seq, &error);
+        };
+        // a released handle stays released across recovery
+        self.journal_state(id, None, line);
+        let payload = wire::released_payload(handle, held);
+        self.send_now(seq, wire::released_frame(id, seq, &payload));
         Submitted::Replied
     }
 
@@ -1435,19 +1429,16 @@ impl Submitter {
         if self.replay(idempotency_key.as_deref(), id, seq) {
             return Submitted::Replied;
         }
-        match self.shared.apply_mutation(handle, line, body) {
-            Ok(payload) => {
-                self.journal_state(id, idempotency_key.as_deref(), line);
-                if let Some(key) = idempotency_key {
-                    self.shared
-                        .cache_reply(key, ReplyKind::Mutated, payload.clone());
-                }
-                self.send_now(seq, wire::mutated_frame(id, seq, &payload));
-            }
-            Err(e) => {
-                self.send_now(seq, wire::error_frame(id, seq, None, &e.to_json_line()));
-            }
+        let payload = match self.shared.apply_mutation(handle, line, body) {
+            Ok(payload) => payload,
+            Err(e) => return self.reply_error(id, seq, &e),
+        };
+        self.journal_state(id, idempotency_key.as_deref(), line);
+        if let Some(key) = idempotency_key {
+            self.shared
+                .cache_reply(key, ReplyKind::Mutated, payload.clone());
         }
+        self.send_now(seq, wire::mutated_frame(id, seq, &payload));
         Submitted::Replied
     }
 
@@ -1479,13 +1470,7 @@ impl Submitter {
             });
         match instance.and_then(|instance| wire::build_request(line, body, Some(instance))) {
             Ok(request) => self.enqueue(envelope, seq, Payload::Parsed(Box::new(request))),
-            Err(e) => {
-                self.send_now(
-                    seq,
-                    wire::error_frame(&envelope.id, seq, None, &e.to_json_line()),
-                );
-                Submitted::Replied
-            }
+            Err(e) => self.reply_error(&envelope.id, seq, &e),
         }
     }
 

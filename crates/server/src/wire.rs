@@ -358,8 +358,7 @@ impl Body {
 /// valid v1 client frame.
 pub fn scan(line: &str) -> Result<(ClientFrame, Body), ApiError> {
     let mut body = Body::default();
-    let mut cursor = json::Cursor::new(line);
-    let fields = cursor
+    let fields = json::Cursor::new(line)
         .object(|c, key| {
             let list = match key {
                 "instance" => {
@@ -380,7 +379,6 @@ pub fn scan(line: &str) -> Result<(ClientFrame, Body), ApiError> {
             *list = Some(c.edge_list(0)?);
             Ok(true)
         })
-        .and_then(|fields| cursor.finish().map(|()| fields))
         .map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
     let frame = classify_frame(line, &fields)?;
     body.fields = fields;

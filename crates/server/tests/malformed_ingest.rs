@@ -474,15 +474,13 @@ mod edge_decoder_matches_the_tree_parser {
     /// The decoder, on the list where a frame carries it.
     fn decoded(input: &str) -> Option<json::EdgeList> {
         let line = format!("{{\"edges\":{input}}}");
-        let mut cursor = json::Cursor::new(&line);
         let mut list = None;
-        cursor
+        json::Cursor::new(&line)
             .object(|c, _| {
                 list = Some(c.edge_list(0)?);
                 Ok(true)
             })
             .ok()?;
-        cursor.finish().ok()?;
         list?.ok()
     }
 
