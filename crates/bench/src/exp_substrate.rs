@@ -4,7 +4,7 @@
 use crate::table::{fnum, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use splitgraph::{checks, generators, right_square};
+use splitgraph::{checks, generators};
 use splitting_reductions as red;
 
 /// `edge_split` — the introduction's edge-coloring pipeline: recursive
@@ -102,9 +102,7 @@ pub fn exp_runtime(quick: bool) -> Vec<Table> {
     );
     let mut rng = StdRng::seed_from_u64(3200);
     let b = generators::random_left_regular(60, 120, 16, &mut rng).expect("feasible");
-    let sq = right_square(&b);
-    let order: Vec<usize> = (0..sq.node_count()).collect();
-    let sched = local_coloring::greedy_sequential(&sq, &order);
+    let (sched, _) = local_coloring::greedy_right_square(&b);
     let palette = sched.iter().copied().max().map_or(1, |c| c + 1);
     let central = derand::phased_fix(
         &b,

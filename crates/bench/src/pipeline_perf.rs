@@ -19,10 +19,10 @@
 use crate::json::esc;
 use crate::table::{fnum, Table};
 use derand::{phased_fix, ColoringEstimator, FixOutcome};
-use local_coloring::greedy_sequential;
+use local_coloring::greedy_right_square;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use splitgraph::{checks, generators, right_square, BipartiteGraph, MultiColor};
+use splitgraph::{checks, generators, BipartiteGraph, MultiColor};
 use splitting_core::{
     multicolor_splitting_deterministic, weak_multicolor_deterministic, Pipeline,
     WeakSplittingSolver,
@@ -396,9 +396,7 @@ fn run_sized(scale: &Scale) -> (Vec<Table>, PipelineReport) {
         let (nc, nv, deg) = scale.fix_phased;
         let mut rng = StdRng::seed_from_u64(73);
         let b = generators::random_left_regular(nc, nv, deg, &mut rng).expect("feasible");
-        let sq = right_square(&b);
-        let order: Vec<usize> = (0..sq.node_count()).collect();
-        let sched = greedy_sequential(&sq, &order);
+        let (sched, _) = greedy_right_square(&b);
         let palette = sched.iter().copied().max().map_or(1, |c| c + 1);
         let est = ColoringEstimator::monochromatic(&b);
         let (live, wall_after) = time(|| phased_fix(&b, est.clone(), &sched, palette));
@@ -656,9 +654,7 @@ mod tests {
     fn seed_phased_fix_matches_live_on_reference_schedule() {
         let mut rng = StdRng::seed_from_u64(5);
         let b = generators::random_left_regular(30, 60, 12, &mut rng).unwrap();
-        let sq = right_square(&b);
-        let order: Vec<usize> = (0..sq.node_count()).collect();
-        let sched = greedy_sequential(&sq, &order);
+        let (sched, _) = greedy_right_square(&b);
         let palette = sched.iter().copied().max().map_or(1, |c| c + 1);
         let est = ColoringEstimator::monochromatic(&b);
         let seed = seed_phased_fix(&b, est.clone(), &sched, palette);

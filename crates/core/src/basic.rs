@@ -15,7 +15,7 @@
 
 use crate::outcome::{to_two_coloring, SplitError, SplitOutcome};
 use derand::{phased_fix, ColoringEstimator};
-use local_coloring::{color_power, greedy_sequential};
+use local_coloring::{color_power, greedy_right_square};
 use local_runtime::RoundLedger;
 use splitgraph::math::{log_star, weak_splitting_degree_threshold};
 use splitgraph::{right_square, BipartiteGraph};
@@ -25,7 +25,9 @@ use splitgraph::{right_square, BipartiteGraph};
 pub enum SchedulingMode {
     /// Reference engine for the cited \[BEK14a\] black box: a sequential
     /// greedy coloring with `Δ(B²|_V)+1 = O(Δr)` colors, rounds **charged**
-    /// as `Δr + log* n` (the cited complexity, constants 1).
+    /// as `Δr + log* n` (the cited complexity, constants 1). Computed on `B`
+    /// directly by [`local_coloring::greedy_right_square`] without building
+    /// the square: `Σ_v Σ_{u ∈ N(v)} deg(u)` steps in `O(|V|)` memory.
     #[default]
     Reference,
     /// Genuinely distributed engine: Linial + Kuhn–Wattenhofer on the
@@ -87,19 +89,17 @@ pub fn basic_deterministic_unchecked(
     let mut ledger = RoundLedger::new();
 
     // distance-2 scheduling coloring of the variable square (palette O(Δ·r))
-    let sq = right_square(b);
     let (scheduling_colors, palette) = match mode {
         SchedulingMode::Reference => {
-            let order: Vec<usize> = (0..sq.node_count()).collect();
-            let colors = greedy_sequential(&sq, &order);
-            let palette = sq.max_degree() as u32 + 1;
+            let (colors, max_degree) = greedy_right_square(b);
             ledger.add_charged(
                 "B² coloring (BEK14a: Δr + log* n)",
-                (sq.max_degree() + 1) as f64 + log_star(b.node_count().max(2)) as f64,
+                (max_degree + 1) as f64 + log_star(b.node_count().max(2)) as f64,
             );
-            (colors, palette)
+            (colors, max_degree as u32 + 1)
         }
         SchedulingMode::Distributed => {
+            let sq = right_square(b);
             let ids: Vec<u64> = (0..sq.node_count() as u64).collect();
             let out = color_power(&sq, 1, &ids, sq.node_count().max(1) as u64);
             // coloring the square of B costs a factor-2 simulation on B

@@ -137,8 +137,9 @@ pub(crate) fn verify_schedule(b: &BipartiteGraph, square_coloring: &[u32]) {
 /// Runs the LOCAL-compiled fixer: variables decide in phases given by
 /// `square_coloring`, a proper coloring (palette size `palette`) of the
 /// variable square of `b` (variables sharing a constraint must have
-/// different colors — e.g. from [`splitgraph::right_square`] +
-/// `local_coloring::color_power`).
+/// different colors — e.g. from `local_coloring::greedy_right_square`,
+/// which colors the square without building it, or from
+/// [`splitgraph::right_square`] + `local_coloring::color_power`).
 ///
 /// Measured rounds are `2 × palette` (each phase: constraints publish
 /// counts, the class announces choices).
@@ -215,7 +216,7 @@ pub fn phased_fix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use local_coloring::{color_power, greedy_sequential};
+    use local_coloring::{color_power, greedy_right_square};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use splitgraph::checks::is_weak_splitting;
@@ -291,9 +292,7 @@ mod tests {
     fn phased_fix_with_sequential_reference_coloring() {
         let mut rng = StdRng::seed_from_u64(5);
         let b = generators::random_left_regular(30, 60, 12, &mut rng).unwrap();
-        let sq = right_square(&b);
-        let order: Vec<usize> = (0..sq.node_count()).collect();
-        let colors = greedy_sequential(&sq, &order);
+        let (colors, _) = greedy_right_square(&b);
         let palette = colors.iter().max().unwrap() + 1;
         let out = phased_fix(&b, ColoringEstimator::monochromatic(&b), &colors, palette);
         assert!(is_weak_splitting(&b, &to_colors(&out.colors), 0));

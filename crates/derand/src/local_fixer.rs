@@ -230,16 +230,14 @@ pub fn distributed_phased_fix(
 mod tests {
     use super::*;
     use crate::fixer::phased_fix;
-    use local_coloring::greedy_sequential;
+    use local_coloring::greedy_right_square;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use splitgraph::checks::is_weak_splitting;
-    use splitgraph::{generators, right_square, Color};
+    use splitgraph::{generators, Color};
 
     fn schedule(b: &BipartiteGraph) -> (Vec<u32>, u32) {
-        let sq = right_square(b);
-        let order: Vec<usize> = (0..sq.node_count()).collect();
-        let colors = greedy_sequential(&sq, &order);
+        let (colors, _) = greedy_right_square(b);
         let palette = colors.iter().copied().max().map_or(1, |c| c + 1);
         (colors, palette)
     }

@@ -12,6 +12,9 @@
 //! * [`color_power`] — distance-`k` colorings of `G^k` with the factor-`k`
 //!   simulation overhead accounted, as consumed by the SLOCAL→LOCAL
 //!   compiler;
+//! * [`greedy_right_square`] — the sequential greedy coloring of a
+//!   bipartite graph's variable square, computed on the bipartite graph
+//!   without building the square (Lemma 2.1's reference scheduling);
 //! * [`cole_vishkin_3color`] / [`spaced_ruling_set`] — 3-coloring and
 //!   spaced cut-point selection on [`Chains`] (walk decompositions), used by
 //!   the distributed degree-splitting engine;
@@ -32,5 +35,5 @@ pub use chains::{cole_vishkin_3color, spaced_ruling_set, ChainColoring, Chains, 
 pub use gf::{is_prime, next_prime, PrimeField};
 pub use linial::{linial_color, linial_schedule, ColoringOutcome, LinialStep};
 pub use mis::{luby_mis, LubyOutcome};
-pub use power_color::{color_power, greedy_sequential};
+pub use power_color::{color_power, greedy_right_square, greedy_sequential};
 pub use reduce::{greedy_reduce, kw_reduce};

@@ -9,7 +9,7 @@
 
 use crate::linial::{linial_color, ColoringOutcome};
 use crate::reduce::kw_reduce;
-use splitgraph::{power_graph, Graph};
+use splitgraph::{power_graph, BipartiteGraph, Graph};
 
 /// Properly colors `G^k` (nodes at distance ≤ `k` receive distinct colors)
 /// with `Δ(G^k) + 1` colors via Linial + Kuhn–Wattenhofer reduction.
@@ -57,30 +57,84 @@ pub fn greedy_sequential(g: &Graph, order: &[usize]) -> Vec<u32> {
     let n = g.node_count();
     assert_eq!(order.len(), n, "order must cover every node");
     let mut colors = vec![u32::MAX; n];
-    for &v in order {
+    // used[c] == i + 1 iff color c is taken by a neighbor of order[i]; the
+    // stamp is new for every node, so the array is never cleared
+    let mut used: Vec<usize> = Vec::new();
+    for (i, &v) in order.iter().enumerate() {
         assert!(
             v < n && colors[v] == u32::MAX,
             "order must be a permutation"
         );
-        let mut used: Vec<u32> = g
-            .neighbors(v)
-            .iter()
-            .map(|&w| colors[w])
-            .filter(|&c| c != u32::MAX)
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        let mut c = 0u32;
-        for &u in &used {
-            if u == c {
-                c += 1;
-            } else if u > c {
-                break;
+        let stamp = i + 1;
+        for &w in g.neighbors(v) {
+            if colors[w] != u32::MAX {
+                used[colors[w] as usize] = stamp;
             }
         }
-        colors[v] = c;
+        let c = used.iter().position(|&s| s != stamp).unwrap_or(used.len());
+        if c == used.len() {
+            used.push(0);
+        }
+        colors[v] = c as u32;
     }
     colors
+}
+
+/// [`greedy_sequential`] on [`splitgraph::right_square`]`(b)` in identity
+/// order, computed on `b` itself without materializing the square.
+///
+/// Returns the coloring and the square's maximum degree `Δ(B²|_V)`, so the
+/// palette `Δ(B²|_V) + 1` is exactly the one the materialized path reports.
+/// Variable `v` walks its constraints `u ∈ N(v)` and their variables
+/// `w ∈ N(u)`: a per-variable stamp counts each co-variable once (the
+/// square degree of `v`), and a per-color stamp marks the colors already
+/// taken, so `v` gets the smallest free one. Both stamps are reused across
+/// variables; the work is `Σ_v Σ_{u ∈ N(v)} deg(u)` branch-free steps in
+/// `O(|V|)` memory, with no sort and no square graph.
+///
+/// # Examples
+///
+/// ```
+/// use local_coloring::{greedy_right_square, greedy_sequential};
+/// use splitgraph::{right_square, BipartiteGraph};
+///
+/// let b = BipartiteGraph::from_edges(2, 3, &[(0, 0), (0, 1), (1, 1), (1, 2)]).unwrap();
+/// let sq = right_square(&b);
+/// let (colors, max_degree) = greedy_right_square(&b);
+/// assert_eq!(colors, greedy_sequential(&sq, &[0, 1, 2]));
+/// assert_eq!(max_degree, sq.max_degree());
+/// ```
+pub fn greedy_right_square(b: &BipartiteGraph) -> (Vec<u32>, usize) {
+    let nv = b.right_count();
+    // an uncolored variable reads as color `nv`, a scratch slot no real
+    // color reaches (a variable's color is at most its square degree < nv),
+    // so the inner loop marks colors without branching on the state
+    let uncolored = u32::try_from(nv).expect("variable count fits in u32");
+    let mut colors = vec![uncolored; nv];
+    // seen[w] == v + 1 iff w was already met as a co-variable of v
+    let mut seen = vec![0usize; nv];
+    let mut used = vec![0usize; nv + 1];
+    let mut max_degree = 0;
+    for v in 0..nv {
+        let stamp = v + 1;
+        // v is in every one of its constraints' lists; never count it
+        seen[v] = stamp;
+        let mut degree = 0;
+        for &u in b.right_neighbors(v) {
+            for &w in b.left_neighbors(u) {
+                degree += usize::from(seen[w] != stamp);
+                seen[w] = stamp;
+                used[colors[w] as usize] = stamp;
+            }
+        }
+        max_degree = max_degree.max(degree);
+        let c = used[..nv]
+            .iter()
+            .position(|&s| s != stamp)
+            .expect("at most nv - 1 co-variables leave a color below nv free");
+        colors[v] = c as u32;
+    }
+    (colors, max_degree)
 }
 
 #[cfg(test)]

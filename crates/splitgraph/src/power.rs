@@ -9,7 +9,9 @@
 //! reused scratch buffers and the output rows are appended directly to one
 //! flat CSR buffer pair ([`crate::Graph`] flat form), instead of paying an
 //! `O(log Δ)` sorted insert per discovered pair. This is the hottest path of
-//! every SLOCAL compilation (`thm52`, `lem21`, `thm32`).
+//! the SLOCAL compilations that materialize a power (`thm52`, `thm32`);
+//! Lemma 2.1's reference scheduling colors the variable square without
+//! building it (`local_coloring::greedy_right_square`).
 
 use crate::bipartite::BipartiteGraph;
 use crate::graph::Graph;
