@@ -1,7 +1,7 @@
 //! End-to-end pipeline benchmarks: whole-solver scenarios and before/after
 //! measurements of the derandomization engine.
 //!
-//! Two record kinds feed `BENCH_pipeline.json`:
+//! Three record kinds feed `BENCH_pipeline.json`:
 //!
 //! * **fixer** records measure the conditional-expectation fixers against a
 //!   faithful private replica of the pre-incremental engine (per-constraint
@@ -14,18 +14,22 @@
 //!   [`splitting_core::WeakSplittingSolver`] dispatch paths (Theorem 2.5 /
 //!   zero-round / Theorem 1.2 / Theorem 2.7), multicolor splitting, and
 //!   uniform splitting — across sparse, dense, and left-regular instances,
-//!   with the outputs validity-checked.
+//!   with the outputs validity-checked;
+//! * **layer** records time one library layer alone over repeated samples
+//!   (median, p10, p90): Degree–Rank Reduction I at the shapes Theorem 2.5
+//!   feeds it.
 
 use crate::json::esc;
 use crate::table::{fnum, Table};
+use degree_split::{DegreeSplitter, Engine, Flavor};
 use derand::{phased_fix, ColoringEstimator, FixOutcome};
 use local_coloring::greedy_right_square;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splitgraph::{checks, generators, BipartiteGraph, MultiColor};
 use splitting_core::{
-    multicolor_splitting_deterministic, weak_multicolor_deterministic, Pipeline,
-    WeakSplittingSolver,
+    degree_rank_reduction_i, multicolor_splitting_deterministic, weak_multicolor_deterministic,
+    Pipeline, WeakSplittingSolver,
 };
 use splitting_reductions::{feasible_eps, uniform_splitting_deterministic};
 use std::time::Instant;
@@ -56,6 +60,31 @@ impl PipelineRecord {
     }
 }
 
+/// Samples per layer record.
+const LAYER_SAMPLES: usize = 11;
+
+/// One layer timed alone over [`LAYER_SAMPLES`] runs.
+#[derive(Debug, Clone)]
+pub struct LayerRecord {
+    /// The timed layer, e.g. `core.drr1`.
+    pub layer: &'static str,
+    /// Record name, e.g. `drr1_left_regular_80x640x560`.
+    pub name: String,
+    /// Free-form parameters (iterations, ε, edge count).
+    pub params: String,
+    /// Wall time of every run, nanoseconds, in run order.
+    pub samples_ns: Vec<u128>,
+}
+
+impl LayerRecord {
+    /// The nearest-rank `q`-quantile of the samples.
+    pub fn quantile_ns(&self, q: f64) -> u128 {
+        let mut sorted = self.samples_ns.clone();
+        sorted.sort_unstable();
+        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+    }
+}
+
 /// A full pipeline benchmark run.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
@@ -63,8 +92,10 @@ pub struct PipelineReport {
     pub mode: &'static str,
     /// `std::thread::available_parallelism()` of the measuring host.
     pub host_parallelism: usize,
-    /// All measurements.
+    /// Single-shot fixer and scenario measurements.
     pub records: Vec<PipelineRecord>,
+    /// Repeated per-layer measurements.
+    pub layers: Vec<LayerRecord>,
 }
 
 impl PipelineReport {
@@ -101,6 +132,22 @@ impl PipelineReport {
             } else {
                 out.push_str(&format!(", \"wall_ns\": {}}}", r.wall_ns));
             }
+        }
+        for (i, r) in self.layers.iter().enumerate() {
+            if i > 0 || !self.records.is_empty() {
+                out.push(',');
+            }
+            let samples: Vec<String> = r.samples_ns.iter().map(u128::to_string).collect();
+            out.push_str(&format!(
+                "\n    {{\"layer\": \"{}\", \"name\": \"{}\", \"params\": \"{}\", \"samples_ns\": [{}], \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}}}",
+                esc(r.layer),
+                esc(&r.name),
+                esc(&r.params),
+                samples.join(", "),
+                r.quantile_ns(0.5),
+                r.quantile_ns(0.1),
+                r.quantile_ns(0.9)
+            ));
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -276,6 +323,9 @@ struct Scale {
     multicolor_cl: (usize, usize, usize),
     /// Uniform-splitting regular graph `(n, deg)`.
     uniform: (usize, usize),
+    /// DRR-I layer instances `(nc, nv, deg, k)`, left-regular; the full and
+    /// quick shapes use the iteration count `k` Theorem 2.5 picks for them.
+    drr1: [(usize, usize, usize, usize); 2],
 }
 
 const FULL: Scale = Scale {
@@ -290,6 +340,7 @@ const FULL: Scale = Scale {
     multicolor_weak: (256, 4_096, 1_024),
     multicolor_cl: (2_048, 4_096, 64),
     uniform: (20_000, 192),
+    drr1: [(80, 640, 560, 2), (400, 3_200, 2_800, 4)],
 };
 
 const QUICK: Scale = Scale {
@@ -304,6 +355,7 @@ const QUICK: Scale = Scale {
     multicolor_weak: (128, 2_048, 512),
     multicolor_cl: (512, 1_024, 64),
     uniform: (2_000, 128),
+    drr1: [(80, 640, 560, 2), (200, 1_600, 1_400, 3)],
 };
 
 #[cfg(test)]
@@ -319,6 +371,7 @@ const TINY: Scale = Scale {
     multicolor_weak: (24, 384, 256),
     multicolor_cl: (96, 192, 64),
     uniform: (256, 64),
+    drr1: [(16, 128, 112, 1), (24, 192, 168, 1)],
 };
 
 fn time<T>(f: impl FnOnce() -> T) -> (T, u128) {
@@ -343,7 +396,31 @@ fn assert_fix_parity(name: &str, seed: &FixOutcome, live: &FixOutcome) {
     assert_eq!(seed.rounds, live.rounds, "{name}: rounds diverged");
 }
 
+/// Times Degree–Rank Reduction I alone on a left-regular instance, with
+/// the ε Theorem 2.5 pairs with `k`.
+fn drr1_layer((nc, nv, deg, k): (usize, usize, usize, usize)) -> LayerRecord {
+    let mut rng = StdRng::seed_from_u64(7);
+    let b = generators::random_left_regular(nc, nv, deg, &mut rng).expect("feasible");
+    let eps = (1.0 / k as f64).min(1.0 / 3.0);
+    let splitter = DegreeSplitter::new(eps, Engine::EulerianOracle, Flavor::Deterministic);
+    let samples_ns = (0..LAYER_SAMPLES)
+        .map(|_| {
+            let (red, wall) = time(|| degree_rank_reduction_i(&b, &splitter, k));
+            assert_eq!(red.trace.len(), k);
+            wall
+        })
+        .collect();
+    LayerRecord {
+        layer: "core.drr1",
+        name: format!("drr1_left_regular_{nc}x{nv}x{deg}"),
+        params: format!("k={k} eps={eps:.2} m={}", b.edge_count()),
+        samples_ns,
+    }
+}
+
 fn run_sized(scale: &Scale) -> (Vec<Table>, PipelineReport) {
+    // layer rows first, on a heap no earlier row has grown
+    let layers: Vec<LayerRecord> = scale.drr1.iter().map(|&shape| drr1_layer(shape)).collect();
     let mut records = Vec::new();
 
     // -- fixer before/after records --------------------------------------
@@ -603,12 +680,27 @@ fn run_sized(scale: &Scale) -> (Vec<Table>, PipelineReport) {
             r.detail.clone(),
         ]);
     }
+    let mut lt = Table::new(
+        "pipeline — per-layer samples",
+        &["layer", "record", "median ms", "p10 ms", "p90 ms", "params"],
+    );
+    for r in &layers {
+        lt.row(vec![
+            r.layer.into(),
+            r.name.clone(),
+            fnum(r.quantile_ns(0.5) as f64 / 1e6),
+            fnum(r.quantile_ns(0.1) as f64 / 1e6),
+            fnum(r.quantile_ns(0.9) as f64 / 1e6),
+            r.params.clone(),
+        ]);
+    }
     (
-        vec![t],
+        vec![t, lt],
         PipelineReport {
             mode: scale.mode,
             host_parallelism,
             records,
+            layers,
         },
     )
 }
@@ -630,6 +722,13 @@ mod tests {
         let (tables, report) = run_sized(&TINY);
         assert_eq!(report.records.len(), 11);
         assert_eq!(tables[0].row_count(), 11);
+        assert_eq!(report.layers.len(), 2);
+        assert_eq!(tables[1].row_count(), 2);
+        for r in &report.layers {
+            assert_eq!(r.samples_ns.len(), LAYER_SAMPLES, "{}", r.name);
+            assert!(r.quantile_ns(0.1) <= r.quantile_ns(0.5));
+            assert!(r.quantile_ns(0.5) <= r.quantile_ns(0.9));
+        }
         let fixer = report
             .records
             .iter()
@@ -646,6 +745,8 @@ mod tests {
         assert!(json.contains("\"kind\": \"scenario\""));
         assert!(json.contains("sequential_fix_overload_left_regular"));
         assert!(json.contains("\"host_parallelism\""));
+        assert!(json.contains("\"layer\": \"core.drr1\""));
+        assert!(json.contains("\"samples_ns\": ["));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

@@ -1,7 +1,8 @@
 //! Degree–Rank Reduction I (Section 2.2) and the Lemma 2.4 bounds.
 //!
 //! Each iteration computes a directed degree splitting of the bipartite
-//! graph (viewed as a multigraph over `U ∪ V`) and deletes every edge
+//! graph (viewed as a multigraph over `U ∪ V`, oriented straight from its
+//! rows by [`DegreeSplitter::split_bipartite`]) and deletes every edge
 //! oriented from the variable side toward the constraint side. Constraint
 //! degrees shrink by roughly half per iteration while the rank shrinks at
 //! the same rate, so after `k = ⌊log(δ / (12·log n))⌋` iterations the rank
@@ -14,7 +15,7 @@
 
 use degree_split::DegreeSplitter;
 use local_runtime::RoundLedger;
-use splitgraph::{BipartiteGraph, MultiGraph};
+use splitgraph::BipartiteGraph;
 
 /// Parameters and measurements of one DRR-I iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,16 +43,6 @@ pub struct DrrReduction {
     pub ledger: RoundLedger,
 }
 
-/// Views the bipartite graph as a multigraph over `U ∪ V` (left node `u` at
-/// index `u`, right node `v` at `left_count + v`), returning the multigraph
-/// and, aligned with its edge ids, the original bipartite edges.
-fn as_multigraph(b: &BipartiteGraph) -> (MultiGraph, Vec<(usize, usize)>) {
-    let edges: Vec<(usize, usize)> = b.edges().collect();
-    let endpoints: Vec<(usize, usize)> =
-        edges.iter().map(|&(u, v)| (u, b.right_index(v))).collect();
-    (MultiGraph::from_endpoints(b.node_count(), endpoints), edges)
-}
-
 /// Runs `k` iterations of Degree–Rank Reduction I with accuracy `eps`.
 ///
 /// # Panics
@@ -66,35 +57,29 @@ pub fn degree_rank_reduction_i(
     let rank0 = b.rank() as f64;
     let eps = splitter.eps();
     let n = b.node_count();
-    let mut current = b.clone();
+    // `b` is only read until the first residual exists
+    let mut residual: Option<BipartiteGraph> = None;
     let mut trace = Vec::with_capacity(k);
     let mut ledger = RoundLedger::new();
     for it in 1..=k {
-        let (g, edges) = as_multigraph(&current);
-        let result = splitter.split(&g, n);
-        ledger.merge_prefixed(&format!("DRR-I iteration {it}"), result.ledger);
+        let current = residual.as_ref().unwrap_or(b);
+        let split = splitter.split_bipartite(current, n);
+        ledger.merge_prefixed(&format!("DRR-I iteration {it}"), split.ledger);
         // keep exactly the edges oriented toward the variable side
-        let kept: Vec<(usize, usize)> = edges
-            .iter()
-            .enumerate()
-            .filter(|&(e, &(_, v))| result.orientation.head(&g, e) == current.right_index(v))
-            .map(|(_, &edge)| edge)
-            .collect();
-        current =
-            BipartiteGraph::from_edges_bulk(current.left_count(), current.right_count(), &kept)
-                .expect("kept edges stay simple");
+        let next = current.filter_edge_ids(&split.kept);
         let factor_lo = ((1.0 - eps) / 2.0).powi(it as i32);
         let factor_hi = ((1.0 + eps) / 2.0).powi(it as i32);
         trace.push(DrrIterationStats {
             iteration: it,
-            min_left_degree: current.min_left_degree(),
-            rank: current.rank(),
+            min_left_degree: next.min_left_degree(),
+            rank: next.rank(),
             delta_lower_bound: factor_lo * delta0 - 2.0,
             rank_upper_bound: factor_hi * rank0 + 3.0,
         });
+        residual = Some(next);
     }
     DrrReduction {
-        graph: current,
+        graph: residual.unwrap_or_else(|| b.clone()),
         trace,
         ledger,
     }

@@ -8,9 +8,194 @@
 //! discrepancy 0 at even nodes, 1 at odd nodes — is strictly stronger than
 //! the `ε·d(v) + 2` contract of Theorem 2.3, which is why this engine serves
 //! as the reference implementation of the cited black box.
+//!
+//! One traversal kernel serves every caller. It runs over a packed
+//! incidence (one flat `offsets` array, one `(edge, other end)` pair of
+//! `u32`s per edge end, virtual pairing edges appended), which is built
+//! either from a [`MultiGraph`] or straight from a [`BipartiteGraph`]'s
+//! rows; both builders lay rows out exactly as an augmented endpoint list
+//! would, so the orientation does not depend on which one ran.
 
-use splitgraph::csr::Csr;
-use splitgraph::{MultiGraph, Orientation};
+use splitgraph::{BipartiteGraph, MultiGraph, Orientation};
+
+/// One edge end in a packed incidence row: `tagged` is the edge id shifted
+/// left by one, with the low bit set when this end is the edge's *first*
+/// endpoint; `other` is the node at the far end (the row's own node for a
+/// self-loop, which is listed twice).
+#[derive(Debug, Clone, Copy, Default)]
+struct End {
+    tagged: u32,
+    other: u32,
+}
+
+/// Packed incidence of the virtually augmented graph: row `v` is
+/// `ends[offsets[v]..offsets[v + 1]]`, real edges in ascending id order,
+/// then (at odd-degree nodes only) the one virtual pairing edge.
+struct Incidence {
+    offsets: Vec<u32>,
+    ends: Vec<End>,
+    /// Number of real edges; virtual pairing edges take ids from here on.
+    real: usize,
+    /// Number of edges including the virtual ones.
+    total: usize,
+    /// Next free slot of every row while real edges are being placed;
+    /// reused as the traversal's row pointers.
+    cursor: Vec<u32>,
+}
+
+impl Incidence {
+    /// Lays out rows for nodes of the given real degrees. Odd-degree nodes
+    /// are paired in index order, and pair `i` becomes virtual edge
+    /// `real + i`, placed in the last slot of both its rows (first endpoint
+    /// = the smaller index), exactly as if it were appended to the edge list.
+    fn with_degrees(degrees: &[usize], real: usize) -> Incidence {
+        let n = degrees.len();
+        let odd: Vec<usize> = (0..n).filter(|&v| degrees[v] % 2 == 1).collect();
+        debug_assert_eq!(odd.len() % 2, 0, "handshake lemma");
+        let total_edges = real + odd.len() / 2;
+        // ids carry a tag bit and nodes are stored as u32
+        assert!(
+            total_edges < 1 << 31 && u32::try_from(n).is_ok(),
+            "packed incidence holds fewer than 2^31 edges and 2^32 nodes"
+        );
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut acc = 0u32;
+        offsets.push(0);
+        for &d in degrees {
+            acc += (d + d % 2) as u32;
+            offsets.push(acc);
+        }
+        let mut ends = vec![End::default(); acc as usize];
+        for (i, pair) in odd.chunks_exact(2).enumerate() {
+            let id = ((real + i) as u32) << 1;
+            let (a, b) = (pair[0], pair[1]);
+            ends[offsets[a + 1] as usize - 1] = End {
+                tagged: id | 1,
+                other: b as u32,
+            };
+            ends[offsets[b + 1] as usize - 1] = End {
+                tagged: id,
+                other: a as u32,
+            };
+        }
+        let cursor = offsets[..n].to_vec();
+        Incidence {
+            offsets,
+            ends,
+            real,
+            total: total_edges,
+            cursor,
+        }
+    }
+
+    /// Appends real edge `e = (a, b)` to the rows of `a` and `b`.
+    fn place(&mut self, e: usize, a: usize, b: usize) {
+        let id = (e as u32) << 1;
+        let slot = self.cursor[a];
+        self.ends[slot as usize] = End {
+            tagged: id | 1,
+            other: b as u32,
+        };
+        self.cursor[a] = slot + 1;
+        let slot = self.cursor[b];
+        self.ends[slot as usize] = End {
+            // both ends of a self-loop are its first endpoint
+            tagged: id | u32::from(a == b),
+            other: a as u32,
+        };
+        self.cursor[b] = slot + 1;
+    }
+
+    /// The augmented incidence of a multigraph.
+    fn from_multigraph(g: &MultiGraph) -> Incidence {
+        let degrees: Vec<usize> = (0..g.node_count()).map(|v| g.degree(v)).collect();
+        let mut inc = Incidence::with_degrees(&degrees, g.edge_count());
+        for e in 0..g.edge_count() {
+            let (a, b) = g.endpoints(e);
+            inc.place(e, a, b);
+        }
+        inc
+    }
+
+    /// The augmented incidence of the multigraph view of `b` over `U ∪ V`
+    /// (left `u` at index `u`, right `v` at `left_count + v`), with edge id
+    /// = position in [`BipartiteGraph::edges`] and the left end first.
+    fn from_bipartite(b: &BipartiteGraph) -> Incidence {
+        let shift = b.left_count();
+        let degrees: Vec<usize> = (0..shift)
+            .map(|u| b.left_degree(u))
+            .chain((0..b.right_count()).map(|v| b.right_degree(v)))
+            .collect();
+        let mut inc = Incidence::with_degrees(&degrees, b.edge_count());
+        let mut e = 0;
+        for u in 0..shift {
+            for &v in b.left_neighbors(u) {
+                inc.place(e, u, shift + v);
+                e += 1;
+            }
+        }
+        inc
+    }
+
+    /// The edge-marking traversal. Starting at every node in index order,
+    /// it follows unused edges, scanning each row once, and backtracks
+    /// when a row is exhausted; each excursion is a closed circuit (all
+    /// augmented degrees are even) and every edge is oriented in traversal
+    /// direction. Returns, per real edge, whether it runs from its first
+    /// endpoint to its second.
+    fn traverse(self) -> Vec<bool> {
+        const UNUSED: u8 = 0;
+        const FORWARD: u8 = 1;
+        const BACKWARD: u8 = 2;
+        let Incidence {
+            offsets,
+            ends,
+            real,
+            total,
+            cursor: mut next,
+        } = self;
+        let n = offsets.len() - 1;
+        next.copy_from_slice(&offsets[..n]);
+        let mut state = vec![UNUSED; total];
+        let mut stack: Vec<u32> = Vec::new();
+        for start in 0..n {
+            stack.push(start as u32);
+            while let Some(&v) = stack.last() {
+                let v = v as usize;
+                let stop = offsets[v + 1];
+                let mut slot = next[v];
+                let mut step = None;
+                while slot < stop {
+                    let end = ends[slot as usize];
+                    slot += 1;
+                    if state[(end.tagged >> 1) as usize] == UNUSED {
+                        step = Some(end);
+                        break;
+                    }
+                }
+                next[v] = slot;
+                match step {
+                    Some(end) => {
+                        state[(end.tagged >> 1) as usize] = if end.tagged & 1 == 1 {
+                            FORWARD
+                        } else {
+                            BACKWARD
+                        };
+                        stack.push(end.other);
+                    }
+                    None => {
+                        stack.pop();
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            state.iter().all(|&s| s != UNUSED),
+            "every augmented edge must be traversed"
+        );
+        state[..real].iter().map(|&s| s == FORWARD).collect()
+    }
+}
 
 /// Computes an orientation of `g` with discrepancy 0 at even-degree nodes
 /// and 1 at odd-degree nodes (an Eulerian orientation after virtual
@@ -30,63 +215,15 @@ use splitgraph::{MultiGraph, Orientation};
 /// assert_eq!(o.max_discrepancy(&g), 0); // all degrees even
 /// ```
 pub fn eulerian_orientation(g: &MultiGraph) -> Orientation {
-    let n = g.node_count();
-    let m = g.edge_count();
+    Orientation::new(Incidence::from_multigraph(g).traverse())
+}
 
-    // augmented edge list: real edges 0..m, then virtual pairing edges
-    let mut endpoints: Vec<(usize, usize)> = (0..m).map(|e| g.endpoints(e)).collect();
-    let odd: Vec<usize> = (0..n).filter(|&v| g.degree(v) % 2 == 1).collect();
-    debug_assert_eq!(odd.len() % 2, 0, "handshake lemma");
-    for pair in odd.chunks_exact(2) {
-        endpoints.push((pair[0], pair[1]));
-    }
-    let total = endpoints.len();
-
-    // flat incidence over the augmented graph (one contiguous buffer)
-    let incident = Csr::from_incidence(n, &endpoints);
-
-    // iterative edge-marking traversal: each excursion is a closed circuit
-    // (all augmented degrees are even), oriented in traversal direction
-    let mut used = vec![false; total];
-    let mut ptr = vec![0usize; n];
-    let mut towards_second = vec![false; total];
-    let mut stack: Vec<usize> = Vec::new();
-    for start in 0..n {
-        stack.push(start);
-        while let Some(&v) = stack.last() {
-            // advance past used edges
-            let row = incident.row(v);
-            let mut advanced = None;
-            while ptr[v] < row.len() {
-                let e = row[ptr[v]];
-                ptr[v] += 1;
-                if !used[e] {
-                    advanced = Some(e);
-                    break;
-                }
-            }
-            match advanced {
-                Some(e) => {
-                    used[e] = true;
-                    let (a, b) = endpoints[e];
-                    let w = if a == v { b } else { a };
-                    // orient in traversal direction v → w
-                    towards_second[e] = a == v;
-                    stack.push(w);
-                }
-                None => {
-                    stack.pop();
-                }
-            }
-        }
-    }
-    debug_assert!(
-        used.iter().all(|&u| u),
-        "every augmented edge must be traversed"
-    );
-
-    towards_second.truncate(m);
-    Orientation::new(towards_second)
+/// The same orientation for the multigraph view of a bipartite graph (left
+/// `u` at `u`, right `v` at `left_count + v`, edge ids in left-major
+/// [`BipartiteGraph::edges`] order), built straight from its rows: entry
+/// `e` is `true` when edge `e` is oriented toward its variable (right) end.
+pub(crate) fn bipartite_orientation(b: &BipartiteGraph) -> Vec<bool> {
+    Incidence::from_bipartite(b).traverse()
 }
 
 #[cfg(test)]

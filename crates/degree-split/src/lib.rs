@@ -8,7 +8,9 @@
 //!
 //! * [`eulerian_orientation`] — the reference engine (discrepancy 0/1),
 //!   rounds charged by the cited formula ([`splitting_rounds_deterministic`]
-//!   / [`splitting_rounds_randomized`]);
+//!   / [`splitting_rounds_randomized`]); one traversal kernel over a packed
+//!   incidence, which [`DegreeSplitter::split_bipartite`] also builds
+//!   straight from a bipartite graph's rows;
 //! * [`walk_splitting`] — a genuinely distributed engine built on walk
 //!   decompositions ([`WalkDecomposition`]), Cole–Vishkin coloring and
 //!   spaced ruling sets, with measured rounds;
@@ -28,6 +30,6 @@ mod walks;
 pub use charge::{splitting_rounds_deterministic, splitting_rounds_randomized};
 pub use distributed::{walk_splitting, WalkSplitting};
 pub use eulerian::eulerian_orientation;
-pub use splitter::{DegreeSplitter, Engine, Flavor, SplitResult};
+pub use splitter::{BipartiteSplit, DegreeSplitter, Engine, Flavor, SplitResult};
 pub use undirected::{edge_splitting_eulerian, edge_splitting_walk, EdgeSplitting};
 pub use walks::WalkDecomposition;

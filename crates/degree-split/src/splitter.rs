@@ -12,9 +12,9 @@
 
 use crate::charge::{splitting_rounds_deterministic, splitting_rounds_randomized};
 use crate::distributed::walk_splitting;
-use crate::eulerian::eulerian_orientation;
+use crate::eulerian::{bipartite_orientation, eulerian_orientation};
 use local_runtime::RoundLedger;
-use splitgraph::{MultiGraph, Orientation};
+use splitgraph::{BipartiteGraph, MultiGraph, Orientation};
 
 /// Which implementation performs the splitting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,6 +73,17 @@ pub struct SplitResult {
     pub ledger: RoundLedger,
 }
 
+/// A splitting of a bipartite graph's multigraph view over `U ∪ V`,
+/// reported as the edges oriented toward the variable side.
+#[derive(Debug, Clone)]
+pub struct BipartiteSplit {
+    /// Per edge, in [`BipartiteGraph::edges`] order: whether it is oriented
+    /// from its constraint (left) end toward its variable (right) end.
+    pub kept: Vec<bool>,
+    /// Round accounting, as for [`DegreeSplitter::split`].
+    pub ledger: RoundLedger,
+}
+
 impl DegreeSplitter {
     /// Creates a splitter with accuracy `eps`.
     ///
@@ -98,19 +109,10 @@ impl DegreeSplitter {
     /// `g.node_count()` when `g` is a derived multigraph).
     pub fn split(&self, g: &MultiGraph, n_for_charge: usize) -> SplitResult {
         match self.engine {
-            Engine::EulerianOracle => {
-                let orientation = eulerian_orientation(g);
-                let mut ledger = RoundLedger::new();
-                let rounds = match self.flavor {
-                    Flavor::Deterministic => splitting_rounds_deterministic(self.eps, n_for_charge),
-                    Flavor::Randomized => splitting_rounds_randomized(self.eps, n_for_charge),
-                };
-                ledger.add_charged("directed degree splitting (Thm 2.3)", rounds);
-                SplitResult {
-                    orientation,
-                    ledger,
-                }
-            }
+            Engine::EulerianOracle => SplitResult {
+                orientation: eulerian_orientation(g),
+                ledger: self.charged(n_for_charge),
+            },
             Engine::Walk => {
                 let out = walk_splitting(g, self.eps);
                 SplitResult {
@@ -119,6 +121,57 @@ impl DegreeSplitter {
                 }
             }
         }
+    }
+
+    /// Splits the multigraph view of `b` (left `u` at index `u`, right `v`
+    /// at `left_count + v`, edge ids in left-major [`BipartiteGraph::edges`]
+    /// order, left end first) and returns which edges point toward the
+    /// variable side. The oracle engine orients straight from `b`'s rows,
+    /// bit-identical to [`DegreeSplitter::split`] on that view; the ledger
+    /// is the same as `split`'s.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use degree_split::{DegreeSplitter, Engine, Flavor};
+    /// use splitgraph::generators;
+    ///
+    /// let b = generators::complete_bipartite(4, 6);
+    /// let splitter = DegreeSplitter::new(0.25, Engine::EulerianOracle, Flavor::Deterministic);
+    /// let split = splitter.split_bipartite(&b, b.node_count());
+    /// // every constraint (degree 6, even) keeps exactly half its edges
+    /// assert_eq!(split.kept.iter().filter(|&&k| k).count(), 4 * 3);
+    /// ```
+    pub fn split_bipartite(&self, b: &BipartiteGraph, n_for_charge: usize) -> BipartiteSplit {
+        match self.engine {
+            Engine::EulerianOracle => BipartiteSplit {
+                kept: bipartite_orientation(b),
+                ledger: self.charged(n_for_charge),
+            },
+            Engine::Walk => {
+                let shift = b.left_count();
+                let endpoints = b.edges().map(|(u, v)| (u, shift + v)).collect();
+                let view = MultiGraph::from_endpoints(b.node_count(), endpoints);
+                let out = walk_splitting(&view, self.eps);
+                BipartiteSplit {
+                    kept: (0..view.edge_count())
+                        .map(|e| out.orientation.is_towards_second(e))
+                        .collect(),
+                    ledger: out.ledger,
+                }
+            }
+        }
+    }
+
+    /// The oracle's ledger: one charged Theorem 2.3 call on `n` nodes.
+    fn charged(&self, n: usize) -> RoundLedger {
+        let rounds = match self.flavor {
+            Flavor::Deterministic => splitting_rounds_deterministic(self.eps, n),
+            Flavor::Randomized => splitting_rounds_randomized(self.eps, n),
+        };
+        let mut ledger = RoundLedger::new();
+        ledger.add_charged("directed degree splitting (Thm 2.3)", rounds);
+        ledger
     }
 
     /// Verifies the Theorem 2.3 contract `|out(v) − in(v)| ≤ ε·d(v) + 2`

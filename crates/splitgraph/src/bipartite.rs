@@ -276,6 +276,59 @@ impl BipartiteGraph {
         b
     }
 
+    /// Bipartite subgraph keeping edge `e` exactly when `keep[e]`, where
+    /// `e` is the edge's position in [`Self::edges`]. Rows are allocated
+    /// once at their exact kept degree and filled in order, so both sides
+    /// stay sorted with no sort or duplicate scan: one pass over the edges
+    /// builds the left rows, one over the kept edges the right rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep.len()` differs from the edge count.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use splitgraph::BipartiteGraph;
+    ///
+    /// let b = BipartiteGraph::from_edges(2, 2, &[(0, 0), (0, 1), (1, 1)]).unwrap();
+    /// let kept = b.filter_edge_ids(&[true, false, true]);
+    /// assert_eq!(kept.edges().collect::<Vec<_>>(), vec![(0, 0), (1, 1)]);
+    /// ```
+    pub fn filter_edge_ids(&self, keep: &[bool]) -> BipartiteGraph {
+        assert_eq!(keep.len(), self.edge_count, "one flag per edge");
+        let mut right_deg = vec![0usize; self.right_count()];
+        let mut edge_count = 0;
+        let mut start = 0;
+        let adj_left: Vec<Vec<usize>> = self
+            .adj_left
+            .iter()
+            .map(|row| {
+                let flags = &keep[start..start + row.len()];
+                start += row.len();
+                let mut kept = Vec::with_capacity(flags.iter().filter(|&&k| k).count());
+                for (&v, _) in row.iter().zip(flags).filter(|&(_, &k)| k) {
+                    kept.push(v);
+                    right_deg[v] += 1;
+                }
+                edge_count += kept.len();
+                kept
+            })
+            .collect();
+        let mut adj_right: Vec<Vec<usize>> =
+            right_deg.iter().map(|&d| Vec::with_capacity(d)).collect();
+        for (u, row) in adj_left.iter().enumerate() {
+            for &v in row {
+                adj_right[v].push(u);
+            }
+        }
+        BipartiteGraph {
+            adj_left,
+            adj_right,
+            edge_count,
+        }
+    }
+
     /// Subgraph induced by node masks on both sides (indices are preserved;
     /// dropped nodes become isolated).
     ///

@@ -68,8 +68,7 @@ impl MultiGraph {
     }
 
     /// Flat incidence structure: row `v` lists the edge ids incident to `v`
-    /// (self-loops twice) in one contiguous buffer, for cache-linear
-    /// traversals such as the Eulerian split engines.
+    /// (self-loops twice) in one contiguous buffer.
     pub fn incidence_csr(&self) -> Csr {
         Csr::from_incidence(self.node_count, &self.endpoints)
     }
