@@ -66,7 +66,8 @@ pub fn degree_rank_reduction_i(
         let split = splitter.split_bipartite(current, n);
         ledger.merge_prefixed(&format!("DRR-I iteration {it}"), split.ledger);
         // keep exactly the edges oriented toward the variable side
-        let next = current.filter_edge_ids(&split.kept);
+        let mut kept = split.kept.iter();
+        let next = current.filter_edges(|_, _| *kept.next().unwrap());
         let factor_lo = ((1.0 - eps) / 2.0).powi(it as i32);
         let factor_hi = ((1.0 + eps) / 2.0).powi(it as i32);
         trace.push(DrrIterationStats {

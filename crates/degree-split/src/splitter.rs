@@ -152,12 +152,12 @@ impl DegreeSplitter {
                 let shift = b.left_count();
                 let endpoints = b.edges().map(|(u, v)| (u, shift + v)).collect();
                 let view = MultiGraph::from_endpoints(b.node_count(), endpoints);
-                let out = walk_splitting(&view, self.eps);
+                let r = self.split(&view, n_for_charge);
                 BipartiteSplit {
                     kept: (0..view.edge_count())
-                        .map(|e| out.orientation.is_towards_second(e))
+                        .map(|e| r.orientation.is_towards_second(e))
                         .collect(),
-                    ledger: out.ledger,
+                    ledger: r.ledger,
                 }
             }
         }

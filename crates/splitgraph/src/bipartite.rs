@@ -262,57 +262,28 @@ impl BipartiteGraph {
     }
 
     /// Bipartite subgraph keeping exactly the edges for which `pred(u, v)` is true.
+    ///
+    /// `pred` is called once per edge, in [`Self::edges`] order. Rows are
+    /// allocated at their exact kept degree and filled in order, so both
+    /// sides stay sorted with no sort or duplicate scan.
     pub fn filter_edges<F: FnMut(usize, usize) -> bool>(&self, mut pred: F) -> BipartiteGraph {
-        let mut b = BipartiteGraph::new(self.left_count(), self.right_count());
-        // edges() yields left-major order with sorted rows, so plain appends
-        // keep both sides sorted — no per-edge sorted insertion needed
-        for (u, v) in self.edges() {
-            if pred(u, v) {
-                b.adj_left[u].push(v);
-                b.adj_right[v].push(u);
-                b.edge_count += 1;
-            }
-        }
-        b
-    }
-
-    /// Bipartite subgraph keeping edge `e` exactly when `keep[e]`, where
-    /// `e` is the edge's position in [`Self::edges`]. Rows are allocated
-    /// once at their exact kept degree and filled in order, so both sides
-    /// stay sorted with no sort or duplicate scan: one pass over the edges
-    /// builds the left rows, one over the kept edges the right rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len()` differs from the edge count.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use splitgraph::BipartiteGraph;
-    ///
-    /// let b = BipartiteGraph::from_edges(2, 2, &[(0, 0), (0, 1), (1, 1)]).unwrap();
-    /// let kept = b.filter_edge_ids(&[true, false, true]);
-    /// assert_eq!(kept.edges().collect::<Vec<_>>(), vec![(0, 0), (1, 1)]);
-    /// ```
-    pub fn filter_edge_ids(&self, keep: &[bool]) -> BipartiteGraph {
-        assert_eq!(keep.len(), self.edge_count, "one flag per edge");
         let mut right_deg = vec![0usize; self.right_count()];
         let mut edge_count = 0;
-        let mut start = 0;
+        let mut row_buf = Vec::new();
         let adj_left: Vec<Vec<usize>> = self
             .adj_left
             .iter()
-            .map(|row| {
-                let flags = &keep[start..start + row.len()];
-                start += row.len();
-                let mut kept = Vec::with_capacity(flags.iter().filter(|&&k| k).count());
-                for (&v, _) in row.iter().zip(flags).filter(|&(_, &k)| k) {
-                    kept.push(v);
-                    right_deg[v] += 1;
+            .enumerate()
+            .map(|(u, row)| {
+                row_buf.clear();
+                for &v in row {
+                    if pred(u, v) {
+                        row_buf.push(v);
+                        right_deg[v] += 1;
+                    }
                 }
-                edge_count += kept.len();
-                kept
+                edge_count += row_buf.len();
+                row_buf.to_vec()
             })
             .collect();
         let mut adj_right: Vec<Vec<usize>> =
