@@ -72,6 +72,7 @@ pub mod journal;
 pub mod json;
 pub mod queue;
 pub mod server;
+mod store;
 pub mod transport;
 pub mod wire;
 

@@ -20,10 +20,10 @@
 use crate::chaos::{self, ChaosConfig};
 use crate::journal::{Journal, PayloadHash};
 use crate::queue::{JobQueue, PushError};
+use crate::store::{HeldEntry, InstanceStore, Origin};
 use crate::wire::{self, ClientFrame, Envelope, Priority, StatsSnapshot, Timing};
-use splitgraph::delta::EdgeDelta;
-use splitting_api::{ApiError, CancelToken, HeldSolution, Instance, Request, Session};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use splitting_api::{ApiError, CancelToken, HeldSolution, Request, Session};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -223,6 +223,14 @@ impl IdempotencyCache {
         Some(hit)
     }
 
+    /// Keys whose cached reply is a `mutated` frame.
+    fn mutated_keys(&self) -> HashSet<String> {
+        let mutated = |(key, reply): (&String, &CachedReply)| {
+            matches!(reply.kind, ReplyKind::Mutated).then(|| key.clone())
+        };
+        self.replies.iter().filter_map(mutated).collect()
+    }
+
     fn insert(&mut self, key: String, reply: CachedReply) {
         if self.capacity == 0 {
             return;
@@ -238,19 +246,6 @@ impl IdempotencyCache {
             }
         }
     }
-}
-
-/// A held solution waiting for churn: the live [`HeldSolution`] plus
-/// the edge deltas applied to its instance (by `mutate` frames) since
-/// the last solve. The next handle-solve with the same policy drains
-/// `pending` through the incremental repair path instead of solving
-/// from scratch.
-struct HeldEntry {
-    held: HeldSolution,
-    pending: Vec<EdgeDelta>,
-    /// Recency stamp from [`Shared::held_tick`]; the entry with the
-    /// smallest stamp is the LRU eviction victim at capacity.
-    last_used: u64,
 }
 
 struct Shared {
@@ -269,29 +264,14 @@ struct Shared {
     /// behaves.
     killed: AtomicBool,
     idempotency: Mutex<IdempotencyCache>,
-    /// Interned instances, keyed by content hash (`upload` frames).
-    /// Requests carrying a handle resolve here at ingest and share the
-    /// `Arc` — a handle solve never re-parses or copies the graph.
-    handles: Mutex<HashMap<crate::journal::PayloadHash, Arc<splitting_api::Instance>>>,
+    /// Interned instances (`upload` frames) with their held solutions
+    /// and outstanding journal state records. Requests carrying a handle
+    /// resolve here at ingest and share the `Arc` — a handle solve never
+    /// re-parses or copies the graph.
+    store: Mutex<InstanceStore>,
     /// Instance edge lists that spelled some endpoint non-canonically
     /// (`2.0`, `2e0`); canonical encodings never count.
     parse_fallbacks: AtomicU64,
-    /// Held solutions for handle-form weak-splitting requests, keyed by
-    /// `(instance fingerprint, policy fingerprint)`. `mutate` re-keys
-    /// entries to the patched instance's hash and records the delta;
-    /// the next matching solve repairs incrementally.
-    held: Mutex<HashMap<(PayloadHash, PayloadHash), HeldEntry>>,
-    /// Monotonic recency clock for held-entry LRU eviction; bumped on
-    /// every (re)insert through [`Shared::store_held`].
-    held_tick: AtomicU64,
-    /// Journal record ids of outstanding state records (upload / mutate
-    /// / release) — the replay prefix a restart would execute. Once the
-    /// list outgrows [`ServerConfig::journal_compact_threshold`],
-    /// [`Shared::maybe_compact_journal`] snapshots the interned-handle
-    /// table and marks the superseded history completed.
-    state_records: Mutex<Vec<u64>>,
-    /// `mutate` frames successfully applied (including journal replays).
-    mutations_applied: AtomicU64,
     /// Held-solution updates served by the incremental repair path.
     repairs: AtomicU64,
     /// Held-solution updates that fell back to a from-scratch solve.
@@ -351,98 +331,16 @@ impl Shared {
             .insert(key, CachedReply { kind, payload });
     }
 
-    /// (Re)inserts a held solution, enforcing the cache discipline in
-    /// one place: entries whose instance hash no longer resolves in the
-    /// handles table are dropped (the instance was released — or mutated
-    /// while this entry was checked out by a worker, losing that delta,
-    /// so the retained solution can never be trusted again); at
-    /// capacity the least-recently-used entry is evicted so adoption is
-    /// never refused. Holding the `held` lock across the liveness check
-    /// keeps a racing `release` from slipping between check and insert:
-    /// release removes the handle *before* purging held entries, so
-    /// whichever side wins the lock, the dead entry goes.
-    fn store_held(&self, key: (PayloadHash, PayloadHash), mut entry: HeldEntry) {
-        if self.config.held_capacity == 0 {
+    /// Compacts the journal's state records once the store reports
+    /// them due (see [`InstanceStore::compact`]). The idempotency
+    /// cache's `mutated` keys are read first, under their own lock, so
+    /// compaction keeps every keyed mutate reply the cache still holds.
+    fn maybe_compact(&self) {
+        if !self.store.lock().unwrap().compact_due() {
             return;
         }
-        let mut held = self.held.lock().unwrap();
-        if !self.handles.lock().unwrap().contains_key(&key.0) {
-            return;
-        }
-        entry.last_used = self.held_tick.fetch_add(1, Ordering::Relaxed);
-        if held.len() >= self.config.held_capacity && !held.contains_key(&key) {
-            let victim = held
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                held.remove(&victim);
-            }
-        }
-        held.insert(key, entry);
-    }
-
-    /// Drops every held solution keyed by the given instance hash —
-    /// `release` and its journal replay call this so released instances
-    /// do not pin cache capacity.
-    fn purge_held(&self, hash: PayloadHash) {
-        self.held.lock().unwrap().retain(|(h, _), _| *h != hash);
-    }
-
-    /// Remembers a state record's journal id for later compaction.
-    fn track_state_record(&self, record_id: Option<u64>) {
-        if let Some(id) = record_id {
-            self.state_records.lock().unwrap().push(id);
-        }
-    }
-
-    /// Compacts the journal's state-record history once it outgrows the
-    /// configured threshold: every live interned instance is re-journaled
-    /// as a synthetic `upload` (a snapshot of the table), then the
-    /// superseded upload/mutate/release records are marked completed.
-    /// Recovery replays the snapshot instead of the full mutation
-    /// history, so restart cost is O(live instances + tail), not
-    /// O(mutations ever applied). Crash-safe at every step: until the
-    /// completions land, replay applies both the history and the
-    /// snapshot, which converge (upload replay is an idempotent
-    /// `or_insert`, and a replayed mutate addressing an already-moved
-    /// hash fails silently).
-    fn maybe_compact_journal(&self) {
-        let threshold = self.config.journal_compact_threshold;
-        if threshold == 0 {
-            return;
-        }
-        let Some(journal) = &self.config.journal else {
-            return;
-        };
-        let mut tracked = self.state_records.lock().unwrap();
-        // the handles lock is held across snapshot + completions so a
-        // concurrent mutate cannot journal a record against a table
-        // state the snapshot does not contain
-        let handles = self.handles.lock().unwrap();
-        // 2× the live-table size keeps a workload with many handles and
-        // few mutations from re-snapshotting on every state record
-        if tracked.len() < threshold || tracked.len() < 2 * handles.len() {
-            return;
-        }
-        let mut snapshot_ids = Vec::with_capacity(handles.len());
-        for instance in handles.values() {
-            let line = wire::render_upload("snapshot", instance);
-            match journal.append_admitted("snapshot", Priority::Normal, None, None, &line) {
-                Ok(id) => snapshot_ids.push(id),
-                Err(_) => {
-                    // partial snapshot: keep the full history *and* the
-                    // uploads already appended (harmless duplicates on
-                    // replay) and retry at the next threshold crossing
-                    tracked.extend(snapshot_ids);
-                    return;
-                }
-            }
-        }
-        for id in tracked.drain(..) {
-            let _ = journal.mark_completed(id);
-        }
-        *tracked = snapshot_ids;
+        let cached = self.idempotency.lock().unwrap().mutated_keys();
+        self.store.lock().unwrap().compact(&cached);
     }
 
     fn deliver(&self, conn: u64, seq: u64, line: String) {
@@ -484,6 +382,7 @@ impl Shared {
             .map(|j| j.stats())
             .unwrap_or_default();
         let repairs = self.repairs.load(Ordering::Relaxed);
+        let store = self.store.lock().unwrap();
         StatsSnapshot {
             served: self.served.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -498,121 +397,12 @@ impl Shared {
             journal_bytes: journal.bytes,
             journal_recovered: journal.recovered,
             parse_fallbacks: self.parse_fallbacks.load(Ordering::Relaxed),
-            handles_held: self.handles.lock().unwrap().len() as u64,
-            mutations_applied: self.mutations_applied.load(Ordering::Relaxed),
+            handles_held: store.len() as u64,
+            mutations_applied: store.mutations,
             repairs,
             full_resolves: self.full_resolves.load(Ordering::Relaxed),
             refix_mean_permille: self.refix_sum_permille.load(Ordering::Relaxed) / repairs.max(1),
         }
-    }
-
-    /// Applies a scanned `mutate` frame to the interned-instance table:
-    /// validate its edit lists against the addressed bipartite
-    /// instance, patch it copy-on-write, re-derive its content hash, move
-    /// the table entry to the new hash, and re-key any held solutions
-    /// (recording the delta as pending repair work). Shared verbatim by
-    /// live ingest and journal replay, so a recovered mutation stream
-    /// rebuilds the exact same table.
-    ///
-    /// The patch goes through [`Arc::make_mut`]: the instance is
-    /// deep-copied only while some other owner — an admitted solve, a
-    /// held solution's request — still shares it, so those owners keep
-    /// the pre-patch graph, and an unshared entry is patched in place in
-    /// `O(edits)`. The content hash stays `O(m)`. A batch that fails
-    /// validation leaves the entry and its hash untouched.
-    fn apply_mutation(
-        &self,
-        handle: &str,
-        line: &str,
-        body: wire::Body,
-    ) -> Result<String, ApiError> {
-        let (inserts, deletes) = body.edits(line)?;
-        let mut handles = self.handles.lock().unwrap();
-        let Some((hash, existing)) =
-            wire::parse_handle(handle).and_then(|hash| Some((hash, handles.get(&hash)?)))
-        else {
-            return Err(ApiError::InvalidRequest {
-                field: "handle",
-                reason: format!("unknown instance handle \"{handle}\"; upload it first"),
-            });
-        };
-        let Instance::Bipartite(b) = &**existing else {
-            return Err(ApiError::InvalidRequest {
-                field: "handle",
-                reason: format!(
-                    "mutate targets a bipartite instance; \"{handle}\" holds a {}",
-                    existing.kind()
-                ),
-            });
-        };
-        let delta =
-            EdgeDelta::new(b, &inserts, &deletes).map_err(|e| ApiError::InvalidRequest {
-                field: "delta",
-                reason: e.to_string(),
-            })?;
-        let mut instance = handles.remove(&hash).expect("looked up above");
-        let Instance::Bipartite(graph) = Arc::make_mut(&mut instance) else {
-            unreachable!("checked bipartite above");
-        };
-        delta
-            .apply(graph)
-            .expect("validated against this graph under the same lock");
-        let edges = graph.edge_count();
-        let new_hash = wire::instance_fingerprint(&instance);
-        handles.entry(new_hash).or_insert(instance);
-        let held_count = handles.len();
-        drop(handles);
-        // move held solutions along with the instance, carrying the
-        // delta as pending repair work for the next matching solve
-        let mut held = self.held.lock().unwrap();
-        let moved: Vec<_> = held.keys().filter(|(h, _)| *h == hash).cloned().collect();
-        for key in moved {
-            let mut entry = held.remove(&key).expect("key just listed");
-            entry.pending.push(delta.clone());
-            held.insert((new_hash, key.1), entry);
-        }
-        drop(held);
-        self.mutations_applied.fetch_add(1, Ordering::Relaxed);
-        Ok(wire::mutated_payload(
-            handle,
-            &wire::render_handle(new_hash),
-            delta.inserts().len(),
-            delta.deletes().len(),
-            edges,
-            held_count,
-        ))
-    }
-
-    /// Journal-replay half of `upload`: re-parse and re-intern the
-    /// instance, silently. Idempotent — repeated uploads of the same
-    /// content land on the same table entry.
-    fn replay_upload(&self, line: &str, mut body: wire::Body) {
-        if let Ok(instance) = wire::build_instance(line, &mut body) {
-            self.intern(instance);
-        }
-    }
-
-    /// Interns an instance under its content hash — re-uploading the
-    /// same content lands on the same entry — and returns the hash, the
-    /// shared entry, and the table size.
-    fn intern(&self, instance: Instance) -> (PayloadHash, Arc<Instance>, usize) {
-        let hash = wire::instance_fingerprint(&instance);
-        let mut handles = self.handles.lock().unwrap();
-        let entry = Arc::clone(handles.entry(hash).or_insert_with(|| Arc::new(instance)));
-        (hash, entry, handles.len())
-    }
-
-    /// Drops the instance interned under `handle`, along with the held
-    /// solutions keyed by it, and returns the table size after the
-    /// drop; `None` when no instance is held under `handle`.
-    fn release(&self, handle: &str) -> Option<usize> {
-        let mut handles = self.handles.lock().unwrap();
-        let hash = wire::parse_handle(handle).filter(|hash| handles.remove(hash).is_some())?;
-        let held = handles.len();
-        drop(handles);
-        // a released instance must not pin held-solution capacity
-        self.purge_held(hash);
-        Some(held)
     }
 }
 
@@ -622,7 +412,7 @@ impl Shared {
 /// answers from the retained, already-certified solution; a miss solves
 /// from scratch and — capacity permitting — adopts the result so the
 /// next mutation of this handle repairs instead of re-solving. Entries
-/// are removed from the map while in use, so two workers can never
+/// are checked out of the store while in use, so two workers can never
 /// repair the same held solution concurrently.
 fn solve_held(
     shared: &Shared,
@@ -632,70 +422,47 @@ fn solve_held(
     hash: PayloadHash,
 ) -> String {
     let key = (hash, wire::policy_fingerprint(request));
-    let entry = shared.held.lock().unwrap().remove(&key);
-    match entry {
-        Some(mut entry) if !entry.pending.is_empty() => {
-            let before = *entry.held.stats();
-            let mut payload = String::new();
-            let mut stale = false;
-            for delta in std::mem::take(&mut entry.pending) {
-                payload = match entry.held.apply(&delta) {
-                    Ok(s) => {
-                        stale = false;
-                        s.to_json_line()
-                    }
-                    Err(e) => {
-                        stale = true;
-                        e.to_json_line()
-                    }
-                };
-            }
-            let after = *entry.held.stats();
-            shared
-                .repairs
-                .fetch_add(after.repairs - before.repairs, Ordering::Relaxed);
-            shared.full_resolves.fetch_add(
-                after.full_resolves - before.full_resolves,
-                Ordering::Relaxed,
-            );
-            let refix_sum = after.mean_refix_fraction() * after.repairs as f64
-                - before.mean_refix_fraction() * before.repairs as f64;
-            shared
-                .refix_sum_permille
-                .fetch_add((refix_sum * 1000.0).round() as u64, Ordering::Relaxed);
-            // a failed final apply leaves the entry's graph patched but
-            // its retained solution certified for the PRE-delta
-            // instance; re-inserting it would let the next identical
-            // solve take the clean-hit branch and serve that stale
-            // answer. Drop it instead — the next solve of this handle
-            // falls through to a from-scratch solve of the live graph.
-            if !stale {
-                shared.store_held(key, entry);
-            }
-            payload
-        }
-        Some(entry) => {
-            let payload = entry.held.solution().to_json_line();
-            shared.store_held(key, entry);
-            payload
-        }
-        None => match session.solve_with_cancel(request, token) {
+    let Some(mut entry) = shared.store.lock().unwrap().checkout(key) else {
+        return match session.solve_with_cancel(request, token) {
             Ok(solution) => {
                 let line = solution.to_json_line();
-                if let Ok(h) = HeldSolution::adopt(session, request, solution) {
-                    shared.store_held(
-                        key,
-                        HeldEntry {
-                            held: h,
-                            pending: Vec::new(),
-                            last_used: 0,
-                        },
-                    );
+                if let Ok(held) = HeldSolution::adopt(session, request, solution) {
+                    let entry = HeldEntry::new(held);
+                    shared.store.lock().unwrap().checkin(key, entry);
                 }
                 line
             }
             Err(e) => e.to_json_line(),
-        },
+        };
+    };
+    let before = *entry.held.stats();
+    let mut repaired = None;
+    for delta in std::mem::take(&mut entry.pending) {
+        repaired = Some(entry.held.apply(&delta).map(|s| s.to_json_line()));
+    }
+    let after = *entry.held.stats();
+    let add = |total: &AtomicU64, n: u64| total.fetch_add(n, Ordering::Relaxed);
+    add(&shared.repairs, after.repairs - before.repairs);
+    add(
+        &shared.full_resolves,
+        after.full_resolves - before.full_resolves,
+    );
+    let refix_sum = after.mean_refix_fraction() * after.repairs as f64
+        - before.mean_refix_fraction() * before.repairs as f64;
+    add(
+        &shared.refix_sum_permille,
+        (refix_sum * 1000.0).round() as u64,
+    );
+    match repaired.unwrap_or_else(|| Ok(entry.held.solution().to_json_line())) {
+        Ok(line) => {
+            shared.store.lock().unwrap().checkin(key, entry);
+            line
+        }
+        // a failed final apply leaves the entry's graph patched but its
+        // retained solution certified for the PRE-delta instance; served
+        // again, it would be stale. Drop it instead: the next solve of
+        // this handle re-solves the live graph from scratch.
+        Err(e) => e.to_json_line(),
     }
 }
 
@@ -806,16 +573,12 @@ fn worker_loop(shared: &Shared, slot: usize) {
             };
             wire::internal_panic_payload(detail)
         });
-        let solution = payload.starts_with("{\"event\":\"solution\"");
-        let frame = if solution {
-            wire::solution_frame(&job.id, job.seq, timing(started), &payload)
+        let (kind, frame) = if payload.starts_with("{\"event\":\"solution\"") {
+            let frame = wire::solution_frame(&job.id, job.seq, timing(started), &payload);
+            (ReplyKind::Solution, frame)
         } else {
-            wire::error_frame(&job.id, job.seq, timing(started), &payload)
-        };
-        let kind = if solution {
-            ReplyKind::Solution
-        } else {
-            ReplyKind::Error
+            let frame = wire::error_frame(&job.id, job.seq, timing(started), &payload);
+            (ReplyKind::Error, frame)
         };
         shared.finish_job(&job, kind, payload);
         shared.deliver(job.conn, job.seq, frame);
@@ -852,12 +615,8 @@ impl Server {
             next_conn: AtomicU64::new(0),
             killed: AtomicBool::new(false),
             idempotency: Mutex::new(idempotency),
-            handles: Mutex::new(HashMap::new()),
-            held: Mutex::new(HashMap::new()),
-            held_tick: AtomicU64::new(0),
-            state_records: Mutex::new(Vec::new()),
+            store: Mutex::new(InstanceStore::new(&config)),
             parse_fallbacks: AtomicU64::new(0),
-            mutations_applied: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
             full_resolves: AtomicU64::new(0),
             refix_sum_permille: AtomicU64::new(0),
@@ -893,42 +652,26 @@ impl Server {
         };
         let mut seq = 0u64;
         for rec in journal.take_recovered() {
-            // state records (upload / mutate / release) were journaled
-            // at admission and deliberately never marked completed, so
-            // every restart sees them here. Replaying them inline — in
-            // admission order, before any recovered solve is pushed —
-            // rebuilds the interned-handle table exactly as the old
-            // process held it. Replays answer nobody and swallow
-            // errors: a mutate that failed live fails identically here.
             let body = match wire::scan(&rec.line) {
                 Ok((ClientFrame::Request(_), body)) => body,
-                Ok((ClientFrame::Upload { .. }, body)) => {
-                    self.shared.replay_upload(&rec.line, body);
-                    self.shared.track_state_record(Some(rec.record.record_id));
-                    continue;
-                }
-                Ok((ClientFrame::Release { handle, .. }, _)) => {
-                    self.shared.release(&handle);
-                    self.shared.track_state_record(Some(rec.record.record_id));
-                    continue;
-                }
-                Ok((ClientFrame::Mutate { handle, .. }, body)) => {
-                    let outcome = self.shared.apply_mutation(&handle, &rec.line, body);
-                    // a keyed mutation that applied (live or here) must
-                    // keep replaying its reply after the crash — the
-                    // payload is deterministic, so the recovered bytes
-                    // match the originals
-                    if let (Ok(payload), Some(key)) = (outcome, rec.record.idempotency_key) {
+                // state records were journaled at admission and never
+                // marked completed, so every restart replays them here:
+                // inline, in admission order, before any recovered solve
+                // is pushed, rebuilding the table the old process held
+                scanned => {
+                    let (frame, body) =
+                        scanned.map_or((None, wire::Body::default()), |(f, b)| (Some(f), b));
+                    let key = rec.record.idempotency_key;
+                    let origin = Origin::Replay(rec.record.record_id);
+                    let mut store = self.shared.store.lock().unwrap();
+                    let applied =
+                        store.apply(frame.as_ref(), body, &rec.line, key.as_deref(), origin);
+                    drop(store);
+                    // a keyed mutate's reply goes back in the cache,
+                    // byte-identical: mutation is deterministic
+                    if let (Ok(payload), Some(key)) = (applied, key) {
                         self.shared.cache_reply(key, ReplyKind::Mutated, payload);
                     }
-                    self.shared.track_state_record(Some(rec.record.record_id));
-                    continue;
-                }
-                // only lines that passed this scan at admission are
-                // journaled, and never pings or shutdowns; anything else
-                // is not work to resume
-                _ => {
-                    let _ = journal.mark_completed(rec.record.record_id);
                     continue;
                 }
             };
@@ -957,7 +700,7 @@ impl Server {
         }
         // a crash can leave an arbitrarily long replayed history; fold
         // it into a fresh snapshot now rather than carrying it forward
-        self.shared.maybe_compact_journal();
+        self.shared.maybe_compact();
     }
 
     /// Starts a default-configured server.
@@ -1008,15 +751,22 @@ impl Server {
     /// Returns `true` when the server fully quiesced.
     pub fn drain(&self) -> bool {
         self.shared.queue.close();
-        let deadline = Instant::now() + self.shared.config.drain_deadline;
-        loop {
-            if self.shared.queue.depth() == 0 && self.shared.inflight.load(Ordering::Relaxed) == 0 {
-                return true;
+        let quiesced_within = |bound: Duration| {
+            let deadline = Instant::now() + bound;
+            loop {
+                if self.shared.queue.depth() == 0
+                    && self.shared.inflight.load(Ordering::Relaxed) == 0
+                {
+                    return true;
+                }
+                if Instant::now() >= deadline {
+                    return false;
+                }
+                thread::sleep(DELIVER_POLL);
             }
-            if Instant::now() >= deadline {
-                break;
-            }
-            thread::sleep(DELIVER_POLL);
+        };
+        if quiesced_within(self.shared.config.drain_deadline) {
+            return true;
         }
         // over the drain deadline: abandon in-flight work cooperatively
         for slot in &self.shared.active {
@@ -1024,14 +774,7 @@ impl Server {
                 token.cancel();
             }
         }
-        let grace = Instant::now() + self.shared.config.write_timeout;
-        while Instant::now() < grace {
-            if self.shared.queue.depth() == 0 && self.shared.inflight.load(Ordering::Relaxed) == 0 {
-                return true;
-            }
-            thread::sleep(DELIVER_POLL);
-        }
-        false
+        quiesced_within(self.shared.config.write_timeout)
     }
 
     /// Drains (see [`drain`](Self::drain)) and joins the workers. If the
@@ -1153,19 +896,6 @@ impl Submitter {
         true
     }
 
-    /// Journals a state frame (upload, mutate, release) as an admitted
-    /// record left incomplete until compaction folds it into a snapshot,
-    /// so every restart replays it.
-    fn journal_state(&self, id: &str, idempotency_key: Option<&str>, line: &str) {
-        if let Some(journal) = &self.shared.config.journal {
-            let record = journal
-                .append_admitted(id, Priority::Normal, None, idempotency_key, line)
-                .ok();
-            self.shared.track_state_record(record);
-            self.shared.maybe_compact_journal();
-        }
-    }
-
     fn enqueue(&self, envelope: Envelope, seq: u64, payload: Payload) -> Submitted {
         if self.shared.is_killed() {
             // a dead process answers nothing
@@ -1182,27 +912,21 @@ impl Submitter {
         // journal has not interned yet; the envelope embedded in that
         // rendering is a placeholder because recovery takes id,
         // priority, and key from the admitted record, never the line.
-        let mut journal_id = None;
-        if let Some(journal) = &self.shared.config.journal {
-            journal_id = match &payload {
-                Payload::Wire(line, _) => journal.append_admitted(
-                    &envelope.id,
-                    envelope.priority,
-                    envelope.deadline_ms,
-                    envelope.idempotency_key.as_deref(),
-                    line,
-                ),
-                Payload::Parsed(request) => journal.append_admitted_interned(
-                    &envelope.id,
-                    envelope.priority,
-                    envelope.deadline_ms,
-                    envelope.idempotency_key.as_deref(),
-                    wire::request_fingerprint(request),
-                    || wire::render_request("interned", Priority::Normal, request),
-                ),
+        let (id, priority, deadline_ms) = (&envelope.id, envelope.priority, envelope.deadline_ms);
+        let key = envelope.idempotency_key.as_deref();
+        let journal_id = self.shared.config.journal.as_ref().and_then(|journal| {
+            match &payload {
+                Payload::Wire(line, _) => {
+                    journal.append_admitted(id, priority, deadline_ms, key, line)
+                }
+                Payload::Parsed(request) => {
+                    let hash = wire::request_fingerprint(request);
+                    let render = || wire::render_request("interned", Priority::Normal, request);
+                    journal.append_admitted_interned(id, priority, deadline_ms, key, hash, render)
+                }
             }
-            .ok();
-        }
+            .ok()
+        });
         let job = Job {
             conn: self.conn,
             seq,
@@ -1220,18 +944,12 @@ impl Submitter {
             Admission::Reject => match self.shared.queue.try_push(envelope.priority, job) {
                 Ok(()) => None,
                 Err(PushError::Full { job, depth }) => Some((job, depth)),
-                Err(PushError::Closed(job)) => {
-                    let depth = self.shared.queue.depth();
-                    Some((job, depth))
-                }
+                Err(PushError::Closed(job)) => Some((job, self.shared.queue.depth())),
             },
             Admission::Block => match self.shared.queue.push_blocking(envelope.priority, job) {
                 Ok(()) => None,
                 // queue closed mid-shutdown: report as a reject
-                Err(job) => {
-                    let depth = self.shared.queue.depth();
-                    Some((job, depth))
-                }
+                Err(job) => Some((job, self.shared.queue.depth())),
             },
         };
         let Some((job, depth)) = refused else {
@@ -1282,18 +1000,12 @@ impl Submitter {
                     self.enqueue(envelope, seq, Payload::Wire(trimmed.to_owned(), body))
                 }
             }
-            Ok((ClientFrame::Upload { id }, body)) => self.upload(&id, seq, trimmed, body),
-            Ok((ClientFrame::Release { id, handle }, _)) => {
-                self.release(&id, seq, trimmed, &handle)
-            }
             Ok((
-                ClientFrame::Mutate {
-                    id,
-                    handle,
-                    idempotency_key,
-                },
+                frame @ (ClientFrame::Upload { .. }
+                | ClientFrame::Release { .. }
+                | ClientFrame::Mutate { .. }),
                 body,
-            )) => self.mutate(&id, seq, trimmed, &handle, idempotency_key, body),
+            )) => self.apply_state(seq, trimmed, frame, body),
             Ok((ClientFrame::Ping { id }, _)) => {
                 let frame = wire::heartbeat_frame(&id, seq, self.shared.stats());
                 self.send_now(seq, frame);
@@ -1350,95 +1062,56 @@ impl Submitter {
         )
     }
 
-    /// Handles an `upload` frame: parse the inline instance, intern it
-    /// keyed by its content hash, and answer with an `uploaded` frame
-    /// carrying the handle. Idempotent by construction — re-uploading
-    /// the same content lands on the same table entry and returns the
-    /// same handle. Processed inline on the ingest thread (like pings),
-    /// so a request referencing a just-uploaded handle can never race a
-    /// queued upload job.
-    fn upload(&self, id: &str, seq: u64, line: &str, mut body: wire::Body) -> Submitted {
-        if self.shared.is_killed() {
-            return Submitted::Skipped;
-        }
-        let canonical = body.canonical();
-        match wire::build_instance(line, &mut body) {
-            Ok(instance) => {
-                if !canonical {
-                    self.shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
-                }
-                let (hash, shared_instance, held) = self.shared.intern(instance);
-                // the handle survives a crash
-                self.journal_state(id, None, line);
-                let payload =
-                    wire::uploaded_payload(&wire::render_handle(hash), &shared_instance, held);
-                self.send_now(seq, wire::uploaded_frame(id, seq, &payload));
-                Submitted::Replied
-            }
-            Err(e) => self.reply_error(id, seq, &e),
-        }
-    }
-
-    /// Handles a `release` frame: drop the interned instance. In-flight
-    /// requests that already resolved the handle keep their `Arc` — the
-    /// graph is freed once the last of them finishes.
-    fn release(&self, id: &str, seq: u64, line: &str, handle: &str) -> Submitted {
-        if self.shared.is_killed() {
-            return Submitted::Skipped;
-        }
-        let Some(held) = self.shared.release(handle) else {
-            let error = ApiError::InvalidRequest {
-                field: "handle",
-                reason: format!("unknown instance handle \"{handle}\""),
-            };
-            return self.reply_error(id, seq, &error);
-        };
-        // a released handle stays released across recovery
-        self.journal_state(id, None, line);
-        let payload = wire::released_payload(handle, held);
-        self.send_now(seq, wire::released_frame(id, seq, &payload));
-        Submitted::Replied
-    }
-
-    /// Handles a `mutate` frame: patch the addressed interned instance
-    /// (edge inserts/deletes), re-derive its content hash, and answer
-    /// with a `mutated` frame naming the new handle. Processed inline
-    /// on the ingest thread like `upload`, so a solve submitted after
-    /// the mutation can never race it. Applied mutations are journaled
-    /// as state records (left incomplete until compaction) so recovery
-    /// replays the mutation stream in admission order.
+    /// Handles a state frame (upload, release, mutate) inline on the
+    /// ingest thread, like pings, so a request submitted after it can
+    /// never race it. The store applies it and journals it as a state
+    /// record, left incomplete until compaction, so recovery replays the
+    /// stream in admission order.
     ///
-    /// A mutation moves the handle, so a client whose `mutated` reply
-    /// was lost cannot blindly retry — the old handle is gone. A keyed
-    /// mutate closes that gap: the applied reply is cached under the
-    /// key (and under the journal record across crashes), and a retry
-    /// replays it byte-for-byte instead of failing `unknown instance
-    /// handle`.
-    fn mutate(
-        &self,
-        id: &str,
-        seq: u64,
-        line: &str,
-        handle: &str,
-        idempotency_key: Option<String>,
-        body: wire::Body,
-    ) -> Submitted {
+    /// Upload interns the instance under its content hash, so
+    /// re-uploading lands on the same handle. Release drops it; requests
+    /// that already resolved it keep their `Arc`. Mutate patches it and
+    /// moves it to a new handle, so a client whose `mutated` reply was
+    /// lost cannot blindly retry: a keyed mutate caches its reply (across
+    /// crashes too) and a retry replays it byte for byte.
+    fn apply_state(&self, seq: u64, line: &str, frame: ClientFrame, body: wire::Body) -> Submitted {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        if self.replay(idempotency_key.as_deref(), id, seq) {
+        let (id, key, render): (_, _, fn(&str, u64, &str) -> String) = match &frame {
+            ClientFrame::Upload { id } => (id, None, wire::uploaded_frame),
+            ClientFrame::Release { id, .. } => (id, None, wire::released_frame),
+            ClientFrame::Mutate {
+                id,
+                idempotency_key: key,
+                ..
+            } => (id, key.as_deref(), wire::mutated_frame),
+            _ => unreachable!("only state frames reach here"),
+        };
+        if self.replay(key, id, seq) {
             return Submitted::Replied;
         }
-        let payload = match self.shared.apply_mutation(handle, line, body) {
+        let canonical = body.canonical();
+        let origin = Origin::Live { id, line };
+        let applied =
+            self.shared
+                .store
+                .lock()
+                .unwrap()
+                .apply(Some(&frame), body, line, key, origin);
+        let payload = match applied {
             Ok(payload) => payload,
             Err(e) => return self.reply_error(id, seq, &e),
         };
-        self.journal_state(id, idempotency_key.as_deref(), line);
-        if let Some(key) = idempotency_key {
-            self.shared
-                .cache_reply(key, ReplyKind::Mutated, payload.clone());
+        if !canonical {
+            self.shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-        self.send_now(seq, wire::mutated_frame(id, seq, &payload));
+        if let Some(key) = key {
+            self.shared
+                .cache_reply(key.to_owned(), ReplyKind::Mutated, payload.clone());
+        }
+        self.shared.maybe_compact();
+        self.send_now(seq, render(id, seq, &payload));
         Submitted::Replied
     }
 
@@ -1456,14 +1129,7 @@ impl Submitter {
     ) -> Submitted {
         let handle = envelope.handle.as_deref().unwrap_or_default();
         let instance = wire::parse_handle(handle)
-            .and_then(|hash| {
-                self.shared
-                    .handles
-                    .lock()
-                    .unwrap()
-                    .get(&hash)
-                    .map(Arc::clone)
-            })
+            .and_then(|hash| self.shared.store.lock().unwrap().resolve(&hash))
             .ok_or_else(|| ApiError::InvalidRequest {
                 field: "handle",
                 reason: format!("unknown instance handle \"{handle}\"; upload it first"),
@@ -1517,23 +1183,9 @@ impl FrameReceiver {
     /// [`Submitter::finish`] **and** every admitted line's reply has
     /// been delivered.
     pub fn recv(&mut self) -> Option<String> {
-        loop {
-            if let Some(frame) = self.buffer.remove(&self.next_emit) {
-                self.next_emit += 1;
-                return Some(frame);
-            }
-            if self.total == Some(self.next_emit) {
-                return None;
-            }
-            match self.rx.recv() {
-                Ok(Report::Frame { seq, line }) => {
-                    self.buffer.insert(seq, line);
-                }
-                Ok(Report::Finished { total }) => self.total = Some(total),
-                // every sender gone without a Finished marker: give up
-                // rather than hang
-                Err(_) => return None,
-            }
+        match self.poll(true) {
+            Polled::Frame(frame) => Some(frame),
+            Polled::Pending | Polled::Finished => None,
         }
     }
 
@@ -1545,6 +1197,10 @@ impl FrameReceiver {
     /// thread wakeup per reply — under saturation this is the cheap way
     /// to consume the stream.
     pub fn try_recv(&mut self) -> Polled {
+        self.poll(false)
+    }
+
+    fn poll(&mut self, block: bool) -> Polled {
         loop {
             if let Some(frame) = self.buffer.remove(&self.next_emit) {
                 self.next_emit += 1;
@@ -1553,12 +1209,19 @@ impl FrameReceiver {
             if self.total == Some(self.next_emit) {
                 return Polled::Finished;
             }
-            match self.rx.try_recv() {
+            let report = if block {
+                self.rx.recv().map_err(|_| mpsc::TryRecvError::Disconnected)
+            } else {
+                self.rx.try_recv()
+            };
+            match report {
                 Ok(Report::Frame { seq, line }) => {
                     self.buffer.insert(seq, line);
                 }
                 Ok(Report::Finished { total }) => self.total = Some(total),
                 Err(mpsc::TryRecvError::Empty) => return Polled::Pending,
+                // every sender gone without a Finished marker: give up
+                // rather than hang
                 Err(mpsc::TryRecvError::Disconnected) => return Polled::Finished,
             }
         }
@@ -1584,7 +1247,7 @@ mod tests {
     use super::*;
     use crate::wire::split_reply;
     use splitgraph::generators;
-    use splitting_api::Problem;
+    use splitting_api::{Instance, Problem};
 
     fn quiet_config() -> ServerConfig {
         ServerConfig {
@@ -2450,7 +2113,7 @@ mod tests {
 
     /// The interned table entry under `hash`, if any.
     fn interned(server: &Server, hash: PayloadHash) -> Option<Arc<Instance>> {
-        server.shared.handles.lock().unwrap().get(&hash).cloned()
+        server.shared.store.lock().unwrap().resolve(&hash)
     }
 
     #[test]
@@ -2734,7 +2397,11 @@ mod tests {
         assert_eq!(tx.submit_line(&solve1), Submitted::Queued);
         let frame = rx.recv().unwrap();
         assert!(frame.contains("\"type\":\"solution\""), "{frame}");
-        assert_eq!(server.shared.held.lock().unwrap().len(), 1, "adopted");
+        assert_eq!(
+            server.shared.store.lock().unwrap().held_keys().len(),
+            1,
+            "adopted"
+        );
 
         let deletes: Vec<(usize, usize)> = (0..6).map(|j| (0, j)).collect();
         let mutate = wire::render_mutate("m1", &handle, None, &[], &deletes);
@@ -2755,7 +2422,7 @@ mod tests {
         let frame = rx.recv().unwrap();
         assert!(frame.contains("unsupported-regime"), "{frame}");
         assert_eq!(
-            server.shared.held.lock().unwrap().len(),
+            server.shared.store.lock().unwrap().held_keys().len(),
             0,
             "the stale entry must not survive a failed final repair"
         );
@@ -2813,9 +2480,9 @@ mod tests {
         assert_eq!(tx.submit_line(&solve_a), Submitted::Queued);
         assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
         {
-            let held = server.shared.held.lock().unwrap();
+            let held = server.shared.store.lock().unwrap().held_keys();
             assert_eq!(held.len(), 1);
-            assert!(held.keys().all(|(h, _)| *h == hash_a));
+            assert!(held.iter().all(|(h, _)| *h == hash_a));
         }
         // at capacity, adopting B's solution evicts A (the LRU entry)
         // instead of refusing the adoption
@@ -2829,10 +2496,10 @@ mod tests {
         assert_eq!(tx.submit_line(&solve_b), Submitted::Queued);
         assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
         {
-            let held = server.shared.held.lock().unwrap();
+            let held = server.shared.store.lock().unwrap().held_keys();
             assert_eq!(held.len(), 1, "eviction keeps the cache at capacity");
             assert!(
-                held.keys().all(|(h, _)| *h == hash_b),
+                held.iter().all(|(h, _)| *h == hash_b),
                 "the LRU entry (A) was the victim"
             );
         }
@@ -2843,7 +2510,7 @@ mod tests {
         );
         assert!(rx.recv().unwrap().contains("\"type\":\"released\""));
         assert_eq!(
-            server.shared.held.lock().unwrap().len(),
+            server.shared.store.lock().unwrap().held_keys().len(),
             0,
             "released instances must not pin held-cache capacity"
         );
@@ -2851,16 +2518,12 @@ mod tests {
         // reinsert (the mutate-during-checkout orphan), never stored
         let session = Session::with_threads(1);
         let orphan = session.hold(&req_b).unwrap();
-        server.shared.store_held(
+        server.shared.store.lock().unwrap().checkin(
             (hash_b, wire::policy_fingerprint(&req_b)),
-            HeldEntry {
-                held: orphan,
-                pending: Vec::new(),
-                last_used: 0,
-            },
+            HeldEntry::new(orphan),
         );
         assert_eq!(
-            server.shared.held.lock().unwrap().len(),
+            server.shared.store.lock().unwrap().held_keys().len(),
             0,
             "dead-hash entries are dropped at reinsert"
         );
@@ -3030,6 +2693,72 @@ mod tests {
                 rx.recv().unwrap().contains("\"held\":0"),
                 "the live handle survived compaction"
             );
+            tx.finish();
+            assert!(rx.recv().is_none());
+            server.shutdown();
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn keyed_mutate_replays_after_compaction_and_restart() {
+        use crate::journal::{FsyncPolicy, Journal};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use splitgraph::delta::{random_delta, ChurnStyle};
+
+        let path = temp_journal_path("compact-key");
+        let _ = std::fs::remove_file(&path);
+        let config = |journal| ServerConfig {
+            journal: Some(journal),
+            journal_compact_threshold: 4,
+            ..quiet_config()
+        };
+        let mut rng = StdRng::seed_from_u64(93);
+        let mut g = generators::random_biregular(64, 64, 6, &mut rng).unwrap();
+        let mut mutate_next = |key: Option<&str>, g: &mut splitgraph::BipartiteGraph| {
+            let handle =
+                wire::render_handle(wire::instance_fingerprint(&Instance::Bipartite(g.clone())));
+            let delta = random_delta(g, ChurnStyle::Rewire, 1, &mut rng);
+            delta.apply(g).unwrap();
+            wire::render_mutate("m", &handle, key, delta.inserts(), delta.deletes())
+        };
+        let keyed;
+        let first_payload;
+        {
+            let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+            let server = Server::start(config(journal));
+            let (mut tx, mut rx) = server.connect().split();
+            let upload = wire::render_upload("u1", &Instance::Bipartite(g.clone()));
+            assert_eq!(tx.submit_line(&upload), Submitted::Replied);
+            rx.recv().unwrap();
+            keyed = mutate_next(Some("key-k"), &mut g);
+            assert_eq!(tx.submit_line(&keyed), Submitted::Replied);
+            let frame = rx.recv().unwrap();
+            first_payload = split_reply(&frame).unwrap().payload.unwrap().to_owned();
+            // enough keyless churn that compaction folds the keyed
+            // mutate's own record into a snapshot
+            for _ in 0..6 {
+                let line = mutate_next(None, &mut g);
+                assert_eq!(tx.submit_line(&line), Submitted::Replied);
+                assert!(rx.recv().unwrap().contains("\"type\":\"mutated\""));
+            }
+            tx.finish();
+            assert!(rx.recv().is_none());
+            server.shutdown();
+        }
+        // restart, twice: the keyed reply survives compaction on the
+        // way in and the recovery compaction on the way out
+        for _ in 0..2 {
+            let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+            let server = Server::start(config(journal));
+            let (mut tx, mut rx) = server.connect().split();
+            assert_eq!(tx.submit_line(&keyed), Submitted::Replied);
+            let frame = rx.recv().unwrap();
+            let reply = split_reply(&frame).expect(&frame);
+            assert_eq!(reply.frame_type, "mutated", "{frame}");
+            assert!(reply.replayed, "{frame}");
+            assert_eq!(reply.payload, Some(first_payload.as_str()), "byte parity");
             tx.finish();
             assert!(rx.recv().is_none());
             server.shutdown();
