@@ -72,11 +72,21 @@ pub enum Group {
     /// bit-for-bit, and the server's `mutate` path answers
     /// byte-identically to the direct hold → apply path.
     Churn,
+    /// The server's instance store against a reference model: seeded
+    /// upload / solve / mutate / keyed-retry / release sequences, with
+    /// clean and `process_kill` restarts anywhere in them, driven
+    /// through a journaled server whose held cache and compaction
+    /// threshold are small enough to evict and compact within a few
+    /// operations. Every state reply must equal the model's rendering,
+    /// keyed retries replay byte-identically across restarts, solves
+    /// certify on the model's edge set, and the handles that resolve
+    /// after a restart are exactly the model's live ones.
+    Store,
 }
 
 impl Group {
     /// Every group, in matrix-column order.
-    pub const ALL: [Group; 11] = [
+    pub const ALL: [Group; 12] = [
         Group::Solver,
         Group::Theorems,
         Group::Multicolor,
@@ -88,6 +98,7 @@ impl Group {
         Group::Chaos,
         Group::Recovery,
         Group::Churn,
+        Group::Store,
     ];
 
     /// Stable display/selector name.
@@ -104,6 +115,7 @@ impl Group {
             Group::Chaos => "chaos",
             Group::Recovery => "recovery",
             Group::Churn => "churn",
+            Group::Store => "store",
         }
     }
 
@@ -274,6 +286,7 @@ pub fn run_cell(s: &Scenario, group: Group) -> CellReport {
         Group::Chaos => check_chaos(&mut ctx),
         Group::Recovery => check_recovery(&mut ctx),
         Group::Churn => check_churn(&mut ctx),
+        Group::Store => check_store(&mut ctx),
     }
     ctx.into_cell()
 }
@@ -2349,6 +2362,370 @@ fn check_churn(ctx: &mut Ctx<'_>) {
         tx.finish();
         server.shutdown();
     }
+}
+
+// ----------------------------------------------------------------- store
+
+/// What the store model expects a frame to be answered with.
+enum Expect {
+    /// A fresh reply of this type with exactly this payload.
+    Reply(&'static str, String),
+    /// A keyed mutate's cached reply, replayed byte for byte.
+    Replayed(String),
+    /// A typed `invalid-request` error.
+    Invalid,
+}
+
+/// Reference model of the server's instance store: the live handles
+/// with their edge sets, and the reply each keyed mutate was answered
+/// with. Handles are content hashes, so a handle the model derives from
+/// its edge set names exactly the instance the server solves.
+#[derive(Default)]
+struct StoreModel {
+    live: std::collections::BTreeMap<String, BipartiteGraph>,
+    keyed: std::collections::HashMap<String, String>,
+}
+
+impl StoreModel {
+    fn handle(g: &BipartiteGraph) -> String {
+        use splitting_server::wire;
+        let instance = splitting_api::Instance::Bipartite(g.clone());
+        wire::render_handle(wire::instance_fingerprint(&instance))
+    }
+
+    fn upload(&mut self, g: &BipartiteGraph) -> Expect {
+        let handle = Self::handle(g);
+        self.live.entry(handle.clone()).or_insert_with(|| g.clone());
+        let instance = splitting_api::Instance::Bipartite(g.clone());
+        let payload = splitting_server::wire::uploaded_payload(&handle, &instance, self.live.len());
+        Expect::Reply("uploaded", payload)
+    }
+
+    fn mutate(&mut self, m: &StoreMutate) -> Expect {
+        // the frame scan refuses an empty edit batch, keyed or not
+        if m.inserts.is_empty() && m.deletes.is_empty() {
+            return Expect::Invalid;
+        }
+        if let Some(payload) = m.key.as_ref().and_then(|key| self.keyed.get(key)) {
+            return Expect::Replayed(payload.clone());
+        }
+        let Some(g) = self.live.get(&m.handle) else {
+            return Expect::Invalid;
+        };
+        let Ok(delta) = splitgraph::delta::EdgeDelta::new(g, &m.inserts, &m.deletes) else {
+            return Expect::Invalid;
+        };
+        let mut patched = self.live.remove(&m.handle).expect("looked up above");
+        delta.apply(&mut patched).expect("validated above");
+        let (edges, to) = (patched.edge_count(), Self::handle(&patched));
+        // content already interned: the entry merges into it
+        self.live.entry(to.clone()).or_insert(patched);
+        let (ins, del) = (delta.inserts().len(), delta.deletes().len());
+        let payload = splitting_server::wire::mutated_payload(
+            &m.handle,
+            &to,
+            ins,
+            del,
+            edges,
+            self.live.len(),
+        );
+        if let Some(key) = &m.key {
+            self.keyed.insert(key.clone(), payload.clone());
+        }
+        Expect::Reply("mutated", payload)
+    }
+
+    fn release(&mut self, handle: &str) -> Expect {
+        match self.live.remove(handle) {
+            Some(_) => {
+                let payload = splitting_server::wire::released_payload(handle, self.live.len());
+                Expect::Reply("released", payload)
+            }
+            None => Expect::Invalid,
+        }
+    }
+}
+
+/// One generated `mutate` frame, kept so a keyed one can be retried.
+#[derive(Clone)]
+struct StoreMutate {
+    line: String,
+    handle: String,
+    inserts: Vec<(usize, usize)>,
+    deletes: Vec<(usize, usize)>,
+    key: Option<String>,
+}
+
+/// Model-based test of the server's instance store: seeded operation
+/// sequences — uploads (including content a later mutate reaches, so
+/// the mutate merges into it), handle solves, keyed and keyless
+/// mutates, keyed retries, releases — are driven through a journaled
+/// server with a two-entry held cache and compaction every four state
+/// records, restarted between epochs by a clean shutdown or a
+/// `process_kill` chaos kill. Every reply is checked against
+/// [`StoreModel`]: state payloads byte for byte, keyed retries replay
+/// byte-identically across restarts, solves certify (and accept or
+/// decline as a from-scratch solve does) on the model's edge set, and
+/// after each restart exactly the model's live handles resolve.
+fn check_store(ctx: &mut Ctx<'_>) {
+    use rand::Rng;
+    use splitgraph::delta::{random_delta, ChurnStyle};
+    use splitting_api::{Problem, Request, Session};
+    use splitting_server::{wire, FsyncPolicy, Journal, Priority, Server, ServerConfig};
+    use std::sync::Arc;
+
+    let s = ctx.scenario;
+    let b = &s.bipartite;
+    if b.left_count() == 0 || b.right_count() == 0 || b.edge_count() == 0 {
+        return;
+    }
+    // CI sweeps extra operation sequences by exporting
+    // CONFORMANCE_STORE_SEED; unset, the sequence is keyed from the
+    // scenario seed so a failing cell replays bit-identically
+    let sweep = std::env::var("CONFORMANCE_STORE_SEED")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(s.seed);
+    let mut rng = StdRng::seed_from_u64(sweep ^ 0x5_70_4E);
+    let session = Session::with_threads(1);
+    let request = |g: &BipartiteGraph| {
+        let problem = Problem::WeakSplitting {
+            thm12_constant: s.thm12_constant,
+        };
+        Request::new(problem, g.clone())
+            .deterministic()
+            .seed(s.seed)
+    };
+    let path = std::env::temp_dir().join(format!(
+        "splitd-store-{}-{}-{}-{sweep}.journal",
+        std::process::id(),
+        s.family.replace(['/', '#'], "-"),
+        s.seed
+    ));
+    let _ = std::fs::remove_file(&path);
+
+    let mut model = StoreModel::default();
+    let mut keyed: Vec<StoreMutate> = Vec::new();
+    // an upload that a later mutate of `handle` by these edits reaches
+    let mut ahead: Vec<(String, splitgraph::delta::EdgeDelta)> = Vec::new();
+    let mut gone: Vec<String> = Vec::new();
+    let mut next_id = 0u64;
+    let mut recovered_jobs = 0u64;
+    const EPOCHS: usize = 5;
+    for epoch in 0..=EPOCHS {
+        // the last epoch only probes what the previous restart recovered
+        let ops = if epoch == EPOCHS {
+            0
+        } else {
+            rng.random_range(3usize..=9)
+        };
+        let kill = epoch < EPOCHS && rng.random_bool(0.5);
+        // every line takes one sequence number: one probe per live
+        // handle and a ping, then one per op; a kill fires on the last
+        let kill_seq = model.live.len() as u64 + ops as u64;
+        let chaos = kill.then(|| kill_schedule(kill_seq, recovered_jobs));
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).expect("journal opens"));
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            record_timings: false,
+            held_capacity: 2,
+            journal_compact_threshold: 4,
+            journal: Some(journal),
+            chaos,
+            ..ServerConfig::default()
+        });
+        let (mut tx, mut rx) = server.connect().split();
+        let mut send = |line: &str| {
+            tx.submit_line(line);
+            rx.recv()
+        };
+
+        // ---- after a restart, exactly the model's handles resolve ----
+        // (a mutate deleting an absent edge is refused on its delta when
+        // the handle resolves and on the handle otherwise: no state moves)
+        for (handle, g) in &model.live {
+            let absent = [(0, g.right_count())];
+            let frame =
+                send(&wire::render_mutate("probe", handle, None, &[], &absent)).unwrap_or_default();
+            ctx.check(
+                "store.live-handles-resolve",
+                frame.contains("delta"),
+                || format!("epoch {epoch}: live handle {handle} does not resolve: {frame}"),
+            );
+        }
+        let beat = send(&wire::render_ping("ping")).unwrap_or_default();
+        let held = format!("\"handles_held\":{},", model.live.len());
+        ctx.check("store.table-size-matches", beat.contains(&held), || {
+            format!("epoch {epoch}: expected {held} in {beat}")
+        });
+
+        for op in 0..ops {
+            next_id += 1;
+            let id = format!("op{next_id}");
+            let live: Vec<String> = model.live.keys().cloned().collect();
+            let handle = live.choose(&mut rng).cloned();
+            let solve_line = |handle: &Option<String>| {
+                let (g, target) = match handle {
+                    Some(h) => (&model.live[h], wire::InstanceRef::Handle(h)),
+                    None => (b, wire::InstanceRef::Inline),
+                };
+                let req = request(g);
+                (
+                    wire::render_request_with(&id, Priority::Normal, None, target, &req),
+                    req,
+                )
+            };
+            if kill && op + 1 == ops {
+                // the planned kill: a queued solve the process dies on
+                let frame = send(&solve_line(&handle).0);
+                ctx.check(
+                    "store.kill-fires",
+                    frame.is_none() && server.killed(),
+                    || format!("epoch {epoch}: the planned kill did not fire: {frame:?}"),
+                );
+                break;
+            }
+            let roll = rng.random_range(0usize..12);
+            let (line, expect) = match (roll, handle) {
+                (2 | 3, Some(handle)) => {
+                    let (line, req) = solve_line(&Some(handle.clone()));
+                    let frame = send(&line).unwrap_or_default();
+                    let reply = wire::split_reply(&frame);
+                    let payload = reply.as_ref().and_then(|r| r.payload).unwrap_or_default();
+                    let ok = match session.solve(&req) {
+                        Ok(_) => {
+                            reply.as_ref().is_some_and(|r| r.frame_type == "solution")
+                                && payload.contains("\"holds\":true,\"violations\":0")
+                        }
+                        Err(e) => payload.contains(&format!("\"kind\":\"{}\"", e.kind())),
+                    };
+                    ctx.check("store.solve-certifies-on-model", ok, || {
+                        format!("epoch {epoch}: solving {handle} disagrees with scratch: {frame}")
+                    });
+                    continue;
+                }
+                // upload the content a later mutate of a live handle
+                // reaches, so that mutate merges into it
+                (4, Some(handle)) => {
+                    let mut g = model.live[&handle].clone();
+                    let delta = random_delta(&g, ChurnStyle::Rewire, 2, &mut rng);
+                    let _ = delta.apply(&mut g);
+                    ahead.push((handle, delta));
+                    let instance = splitting_api::Instance::Bipartite(g.clone());
+                    (wire::render_upload(&id, &instance), model.upload(&g))
+                }
+                (5..=8, Some(handle)) => {
+                    let planned = ahead.iter().position(|(h, _)| model.live.contains_key(h));
+                    let (handle, delta) = match planned {
+                        Some(i) => ahead.swap_remove(i),
+                        None => {
+                            let style = ChurnStyle::ALL[roll % 3];
+                            let delta = random_delta(&model.live[&handle], style, 2, &mut rng);
+                            (handle, delta)
+                        }
+                    };
+                    let (inserts, deletes) = (delta.inserts().to_vec(), delta.deletes().to_vec());
+                    let key = rng.random_bool(0.5).then(|| format!("key-{next_id}"));
+                    let line =
+                        wire::render_mutate(&id, &handle, key.as_deref(), &inserts, &deletes);
+                    let m = StoreMutate {
+                        line: line.clone(),
+                        handle,
+                        inserts,
+                        deletes,
+                        key,
+                    };
+                    let expect = model.mutate(&m);
+                    if m.key.is_some() {
+                        keyed.push(m);
+                    }
+                    (line, expect)
+                }
+                // a keyed retry, verbatim
+                (9, _) if !keyed.is_empty() => {
+                    let m = keyed.choose(&mut rng).expect("non-empty").clone();
+                    (m.line.clone(), model.mutate(&m))
+                }
+                (10, Some(handle)) => {
+                    gone.push(handle.clone());
+                    (wire::render_release(&id, &handle), model.release(&handle))
+                }
+                // releasing a handle that may no longer resolve
+                (11, _) if !gone.is_empty() => {
+                    let handle = gone.choose(&mut rng).expect("non-empty").clone();
+                    (wire::render_release(&id, &handle), model.release(&handle))
+                }
+                // upload the base content, or content one edit from it
+                _ => {
+                    let mut g = b.clone();
+                    if roll % 2 == 1 {
+                        let delta = random_delta(&g, ChurnStyle::Rewire, 1, &mut rng);
+                        let _ = delta.apply(&mut g);
+                    }
+                    let instance = splitting_api::Instance::Bipartite(g.clone());
+                    (wire::render_upload(&id, &instance), model.upload(&g))
+                }
+            };
+            let frame = send(&line).unwrap_or_default();
+            let reply = wire::split_reply(&frame);
+            let ok = match (&expect, &reply) {
+                (Expect::Reply(kind, payload), Some(r)) => {
+                    r.frame_type == *kind && !r.replayed && r.payload == Some(payload.as_str())
+                }
+                (Expect::Replayed(payload), Some(r)) => {
+                    r.frame_type == "mutated" && r.replayed && r.payload == Some(payload.as_str())
+                }
+                (Expect::Invalid, Some(r)) => {
+                    r.frame_type == "error" && frame.contains("invalid-request")
+                }
+                (_, None) => false,
+            };
+            ctx.check("store.reply-matches-model", ok, || {
+                let want = match &expect {
+                    Expect::Reply(kind, payload) => format!("{kind} {payload}"),
+                    Expect::Replayed(payload) => format!("replayed {payload}"),
+                    Expect::Invalid => "invalid-request".to_owned(),
+                };
+                format!("epoch {epoch}: {line}\n  expected {want}\n  got {frame}")
+            });
+        }
+        if kill {
+            server.halt();
+            recovered_jobs = 1;
+        } else {
+            tx.finish();
+            server.shutdown();
+            recovered_jobs = 0;
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A `process_kill` schedule that fires on job `seq` of connection 0
+/// and on no earlier job — nor on the `recovered` jobs the restart
+/// re-runs first on the reserved recovery connection (id `u64::MAX`).
+/// Every draw is a pure function of (seed, conn, seq), so scanning seeds
+/// finds one whose draw at `seq` is the smallest.
+fn kill_schedule(seq: u64, recovered: u64) -> splitting_server::ChaosConfig {
+    use splitting_server::ChaosConfig;
+    (0u64..)
+        .find_map(|seed| {
+            let probe = ChaosConfig {
+                seed,
+                ..ChaosConfig::default()
+            };
+            let target = probe.process_kill_roll(0, seq);
+            let others = (0..seq)
+                .map(|i| probe.process_kill_roll(0, i))
+                .chain((0..recovered).map(|i| probe.process_kill_roll(u64::MAX, i)))
+                .fold(1.0f64, f64::min);
+            (target < others).then(|| ChaosConfig {
+                seed,
+                process_kill: (target + others) / 2.0,
+                ..ChaosConfig::default()
+            })
+        })
+        .expect("some seed puts the smallest draw on the target job")
 }
 
 // ----------------------------------------------------------- metamorphic
