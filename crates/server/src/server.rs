@@ -383,6 +383,8 @@ impl Shared {
             .unwrap_or_default();
         let repairs = self.repairs.load(Ordering::Relaxed);
         let store = self.store.lock().unwrap();
+        let (handles_held, mutations_applied) = (store.len() as u64, store.mutations);
+        drop(store);
         StatsSnapshot {
             served: self.served.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -397,8 +399,8 @@ impl Shared {
             journal_bytes: journal.bytes,
             journal_recovered: journal.recovered,
             parse_fallbacks: self.parse_fallbacks.load(Ordering::Relaxed),
-            handles_held: store.len() as u64,
-            mutations_applied: store.mutations,
+            handles_held,
+            mutations_applied,
             repairs,
             full_resolves: self.full_resolves.load(Ordering::Relaxed),
             refix_mean_permille: self.refix_sum_permille.load(Ordering::Relaxed) / repairs.max(1),
@@ -1064,16 +1066,10 @@ impl Submitter {
 
     /// Handles a state frame (upload, release, mutate) inline on the
     /// ingest thread, like pings, so a request submitted after it can
-    /// never race it. The store applies it and journals it as a state
-    /// record, left incomplete until compaction, so recovery replays the
-    /// stream in admission order.
-    ///
-    /// Upload interns the instance under its content hash, so
-    /// re-uploading lands on the same handle. Release drops it; requests
-    /// that already resolved it keep their `Arc`. Mutate patches it and
-    /// moves it to a new handle, so a client whose `mutated` reply was
-    /// lost cannot blindly retry: a keyed mutate caches its reply (across
-    /// crashes too) and a retry replays it byte for byte.
+    /// never race it; the store applies and journals it. A mutate moves
+    /// its instance to a new handle, so a client whose `mutated` reply
+    /// was lost cannot blindly retry: a keyed mutate caches its reply
+    /// (across crashes too) and a retry replays it byte for byte.
     fn apply_state(&self, seq: u64, line: &str, frame: ClientFrame, body: wire::Body) -> Submitted {
         if self.shared.is_killed() {
             return Submitted::Skipped;
@@ -1128,12 +1124,7 @@ impl Submitter {
         body: wire::Body,
     ) -> Submitted {
         let handle = envelope.handle.as_deref().unwrap_or_default();
-        let instance = wire::parse_handle(handle)
-            .and_then(|hash| self.shared.store.lock().unwrap().resolve(&hash))
-            .ok_or_else(|| ApiError::InvalidRequest {
-                field: "handle",
-                reason: format!("unknown instance handle \"{handle}\"; upload it first"),
-            });
+        let instance = self.shared.store.lock().unwrap().resolve(handle);
         match instance.and_then(|instance| wire::build_request(line, body, Some(instance))) {
             Ok(request) => self.enqueue(envelope, seq, Payload::Parsed(Box::new(request))),
             Err(e) => self.reply_error(&envelope.id, seq, &e),
@@ -2113,7 +2104,8 @@ mod tests {
 
     /// The interned table entry under `hash`, if any.
     fn interned(server: &Server, hash: PayloadHash) -> Option<Arc<Instance>> {
-        server.shared.store.lock().unwrap().resolve(&hash)
+        let handle = wire::render_handle(hash);
+        server.shared.store.lock().unwrap().resolve(&handle).ok()
     }
 
     #[test]

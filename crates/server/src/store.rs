@@ -27,11 +27,10 @@ pub(crate) struct HeldEntry {
 
 impl HeldEntry {
     pub(crate) fn new(held: HeldSolution) -> Self {
-        let (pending, last_used) = (Vec::new(), 0);
         HeldEntry {
             held,
-            pending,
-            last_used,
+            pending: Vec::new(),
+            last_used: 0,
         }
     }
 }
@@ -125,8 +124,9 @@ impl InstanceStore {
     /// Applies a state frame and returns its reply payload: `upload`,
     /// `release`, `mutate`, or (`frame` = `None`, on replay) a keyed
     /// `mutated` reply a compaction re-journaled. A live frame is
-    /// journaled when it applies; a replayed one stays outstanding either
-    /// way, and a mutate that failed live fails identically on replay.
+    /// journaled when it applies; a replayed record stays outstanding
+    /// until compaction folds it, whether it applies or not (a mutate
+    /// that failed live fails identically on replay).
     pub(crate) fn apply(
         &mut self,
         frame: Option<&ClientFrame>,
@@ -165,8 +165,18 @@ impl InstanceStore {
         wire::uploaded_payload(&wire::render_handle(hash), &instance, self.len())
     }
 
-    pub(crate) fn resolve(&self, hash: &PayloadHash) -> Option<Arc<Instance>> {
-        self.entries.get(hash).map(|e| Arc::clone(&e.instance))
+    /// The entry `handle` names, or the typed unknown-handle error.
+    fn lookup(&self, handle: &str) -> Result<(PayloadHash, &Entry), ApiError> {
+        let entry = |hash| Some((hash, self.entries.get(&hash)?));
+        wire::parse_handle(handle).and_then(entry).ok_or_else(|| {
+            let reason = format!("unknown instance handle \"{handle}\"; upload it first");
+            invalid("handle", reason)
+        })
+    }
+
+    /// The instance `handle` names, shared.
+    pub(crate) fn resolve(&self, handle: &str) -> Result<Arc<Instance>, ApiError> {
+        self.lookup(handle).map(|(_, e)| Arc::clone(&e.instance))
     }
 
     /// Validates a mutate's edits against the instance under `handle`,
@@ -186,12 +196,7 @@ impl InstanceStore {
         inserts: &[(usize, usize)],
         deletes: &[(usize, usize)],
     ) -> Result<String, ApiError> {
-        let Some((hash, existing)) =
-            wire::parse_handle(handle).and_then(|hash| Some((hash, self.entries.get(&hash)?)))
-        else {
-            let reason = format!("unknown instance handle \"{handle}\"; upload it first");
-            return Err(invalid("handle", reason));
-        };
+        let (hash, existing) = self.lookup(handle)?;
         let Instance::Bipartite(b) = &*existing.instance else {
             let kind = existing.instance.kind();
             let reason =
@@ -306,26 +311,26 @@ impl InstanceStore {
             return;
         };
         let replies = self.records.iter().filter_map(|(_, reply)| reply.clone());
-        let kept = replies
+        let replies: Vec<_> = replies
             .filter(|r| !r.carried || cached.contains(&r.key))
             .map(|r| {
                 let line = wire::mutated_frame("snapshot", 0, &r.payload);
                 (line, Some(KeyedReply { carried: true, ..r }))
-            });
-        let replies: Vec<_> = kept.collect();
+            })
+            .collect();
         let upload = |e: &Entry| (wire::render_upload("snapshot", &e.instance), None);
-        let mut kept = Vec::new();
+        let mut snapshot = Vec::new();
         for (line, reply) in self.entries.values().map(upload).chain(replies) {
             let key = reply.as_ref().map(|r: &KeyedReply| r.key.as_str());
             let Ok(id) = journal.append_admitted("snapshot", Priority::Normal, None, key, &line)
             else {
                 // partial snapshot: keep the full history *and* what was
                 // appended (harmless duplicates on replay), retry later
-                return self.records.extend(kept);
+                return self.records.extend(snapshot);
             };
-            kept.push((id, reply));
+            snapshot.push((id, reply));
         }
-        for (id, _) in std::mem::replace(&mut self.records, kept) {
+        for (id, _) in std::mem::replace(&mut self.records, snapshot) {
             let _ = journal.mark_completed(id);
         }
     }
