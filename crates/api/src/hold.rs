@@ -14,8 +14,9 @@
 //!
 //! Cost model per update: the fixer is `O(Σ_{u ∈ halo} deg u)`; the
 //! regime re-check and the copy of the coloring are `O(n)`; the
-//! whole-instance certificate check is `O(m)` (and so is the content hash
-//! a `splitd` `mutate` re-derives).
+//! whole-instance certificate check is `O(m)`. (The content handle a
+//! `splitd` `mutate` moves the instance to is updated from the edits
+//! alone, in `O(edits)`.)
 //!
 //! Repair is an optimization, never a correctness shortcut:
 //!

@@ -21,7 +21,7 @@
 //! ## File format
 //!
 //! ```text
-//! header:  8-byte magic "SPLTJRNL" ++ u32-LE format version (1)
+//! header:  8-byte magic "SPLTJRNL" ++ u32-LE format version (2)
 //! record:  u32-LE body length ++ u64-LE FNV-1a checksum of body ++ body
 //! body:    kind u8 (1 = admitted, 2 = completed, 3 = payload)
 //!          ++ kind-specific fields
@@ -56,8 +56,11 @@ use std::sync::Mutex;
 
 /// File magic, first 8 bytes of every journal.
 pub const MAGIC: [u8; 8] = *b"SPLTJRNL";
-/// On-disk format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version this build reads and writes. Version 2 came
+/// with the edge-sum bipartite instance handles
+/// (`wire::instance_fingerprint`): the `mutate` and `release` lines of a
+/// version 1 journal cite handles this build no longer derives.
+pub const FORMAT_VERSION: u32 = 2;
 /// Header length in bytes (magic + version).
 pub const HEADER_LEN: usize = 12;
 
@@ -1025,16 +1028,19 @@ mod tests {
             Err(JournalError::BadMagic(_))
         ));
         assert!(matches!(scan(&MAGIC[..6]), Err(JournalError::BadMagic(_))));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            scan(&bytes),
-            Err(JournalError::VersionMismatch {
-                found: 99,
-                expected: FORMAT_VERSION
-            })
-        ));
+        // a version 1 journal (pre edge-sum handles) is refused too
+        for version in [1, 99] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&u32::to_le_bytes(version));
+            assert!(matches!(
+                scan(&bytes),
+                Err(JournalError::VersionMismatch {
+                    found,
+                    expected: FORMAT_VERSION
+                }) if found == version
+            ));
+        }
     }
 
     #[test]

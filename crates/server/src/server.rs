@@ -916,13 +916,19 @@ impl Submitter {
         // priority, and key from the admitted record, never the line.
         let (id, priority, deadline_ms) = (&envelope.id, envelope.priority, envelope.deadline_ms);
         let key = envelope.idempotency_key.as_deref();
+        let handle_hash = envelope.handle.as_deref().and_then(wire::parse_handle);
         let journal_id = self.shared.config.journal.as_ref().and_then(|journal| {
             match &payload {
                 Payload::Wire(line, _) => {
                     journal.append_admitted(id, priority, deadline_ms, key, line)
                 }
                 Payload::Parsed(request) => {
-                    let hash = wire::request_fingerprint(request);
+                    // a handle is its instance's fingerprint, so a
+                    // handle-form solve never rehashes the instance
+                    let hash = match handle_hash {
+                        Some(instance) => wire::request_fingerprint_from(instance, request),
+                        None => wire::request_fingerprint(request),
+                    };
                     let render = || wire::render_request("interned", Priority::Normal, request);
                     journal.append_admitted_interned(id, priority, deadline_ms, key, hash, render)
                 }
@@ -940,7 +946,7 @@ impl Submitter {
                 .map(|ms| (Instant::now() + Duration::from_millis(ms), ms)),
             journal_id,
             idempotency_key: envelope.idempotency_key,
-            handle_hash: envelope.handle.as_deref().and_then(wire::parse_handle),
+            handle_hash,
         };
         let refused = match self.shared.config.admission {
             Admission::Reject => match self.shared.queue.try_push(envelope.priority, job) {

@@ -182,7 +182,9 @@ impl InstanceStore {
     /// Validates a mutate's edits against the instance under `handle`,
     /// patches it copy-on-write, and moves the entry to the new content
     /// hash with the delta pending on each held solution. A batch that
-    /// fails validation leaves the entry untouched.
+    /// fails validation leaves the entry untouched. The new hash comes
+    /// from the old one and the edits ([`wire::patched_fingerprint`]),
+    /// so nothing here scans the graph.
     ///
     /// [`Arc::make_mut`] deep-copies the instance only while another
     /// owner (an admitted solve) shares it, so that owner keeps the
@@ -211,7 +213,8 @@ impl InstanceStore {
         };
         delta.apply(graph).expect("validated against this graph");
         let edges = graph.edge_count();
-        let new_hash = wire::instance_fingerprint(&entry.instance);
+        let new_hash = wire::patched_fingerprint(hash, &delta);
+        debug_assert_eq!(new_hash, wire::instance_fingerprint(&entry.instance));
         self.mutations += 1;
         for held in entry.held.values_mut() {
             held.pending.push(delta.clone());

@@ -15,6 +15,8 @@
 
 use crate::json::{self, Json, Number};
 use degree_split::Engine;
+use local_runtime::splitmix64;
+use splitgraph::delta::EdgeDelta;
 use splitgraph::{BipartiteGraph, Graph, MultiGraph};
 use splitting_api::render::JsonObject;
 use splitting_api::{ApiError, Instance, Pipeline, Problem, Request};
@@ -1131,34 +1133,26 @@ pub fn render_mutate(
 /// One edit list of a `mutate` frame: `(left, right)` edge endpoints.
 pub type EditList = Vec<(usize, usize)>;
 
-/// Feeds an instance's structural content into a hasher: a kind/shape
-/// tag word followed by the packed edge list. Shared by
-/// [`request_fingerprint`] (journal payload interning) and
-/// [`instance_fingerprint`] (instance handles), which differ only in
-/// their domain tags.
-fn hash_instance(h: &mut crate::journal::PayloadHasher, instance: &Instance) {
-    // an edge fits one word in any graph that fits in memory; the
-    // packing cannot alias across edges because positions line up
-    let mut edge = |(u, v): (usize, usize)| {
-        debug_assert!(u >> 32 == 0 && v >> 32 == 0, "node id exceeds 32 bits");
-        h.word(((u as u64) << 32) | (v as u64 & 0xFFFF_FFFF));
-    };
-    match instance {
-        Instance::Bipartite(b) => {
-            edge((b.left_count(), b.right_count()));
-            b.edges().for_each(&mut edge);
-        }
-        Instance::Host(g) => {
-            edge((1, g.node_count()));
-            g.edges().for_each(&mut edge);
-        }
-        Instance::Multi(g) => {
-            edge((2, g.node_count()));
-            (0..g.edge_count())
-                .map(|e| g.endpoints(e))
-                .for_each(&mut edge);
-        }
-    }
+/// Packs an edge (or a shape pair) into one hash word. An edge fits
+/// one word in any graph that fits in memory, and the packing cannot
+/// alias across edges because positions line up.
+#[inline]
+fn pack_edge((u, v): (usize, usize)) -> u64 {
+    debug_assert!(u >> 32 == 0 && v >> 32 == 0, "node id exceeds 32 bits");
+    ((u as u64) << 32) | (v as u64 & 0xFFFF_FFFF)
+}
+
+/// Keys of the two 64-bit halves of a bipartite edge's term.
+const EDGE_KEY: [u64; 2] = [0x5350_4C54_4544_4745, 0xA3B1_9535_4A39_B70D];
+
+/// A bipartite edge's term in its instance's fingerprint: two keyed
+/// SplitMix64 halves of the packed edge, read as one 128-bit word.
+#[inline]
+fn edge_term(edge: (usize, usize)) -> u128 {
+    let e = pack_edge(edge);
+    let lo = splitmix64(e ^ EDGE_KEY[0]);
+    let hi = splitmix64(e ^ EDGE_KEY[1]);
+    (u128::from(hi) << 64) | u128::from(lo)
 }
 
 /// 128-bit structural fingerprint of an instance's *content* — exactly
@@ -1169,11 +1163,52 @@ fn hash_instance(h: &mut crate::journal::PayloadHasher, instance: &Instance) {
 /// idempotent by construction. Hashed in its own domain
 /// ([`crate::journal::DOMAIN_INSTANCE`]) so handles can never alias
 /// journal payload fingerprints.
+///
+/// A bipartite instance hashes as a shape term plus the wrapping
+/// 128-bit sum of one term per edge, so its fingerprint depends on the
+/// edge *set* only, and [`patched_fingerprint`] moves it through an edge
+/// delta in `O(edits)`. Host and multigraph instances hash as one stream
+/// over a kind/shape word and the packed edge list, in edge order (a
+/// multigraph's edge order is significant).
 pub fn instance_fingerprint(instance: &Instance) -> crate::journal::PayloadHash {
     use crate::journal;
     let mut h = journal::PayloadHasher::new(journal::DOMAIN_INSTANCE);
-    hash_instance(&mut h, instance);
+    match instance {
+        Instance::Bipartite(b) => {
+            // a tag word no host or multigraph stream starts with
+            h.word(u64::MAX);
+            h.word(pack_edge((b.left_count(), b.right_count())));
+            let shape = u128::from_le_bytes(h.finish());
+            let sum = b
+                .edges()
+                .fold(shape, |sum, e| sum.wrapping_add(edge_term(e)));
+            return sum.to_le_bytes();
+        }
+        Instance::Host(g) => {
+            h.word(pack_edge((1, g.node_count())));
+            g.edges().for_each(|e| h.word(pack_edge(e)));
+        }
+        Instance::Multi(g) => {
+            h.word(pack_edge((2, g.node_count())));
+            (0..g.edge_count()).for_each(|e| h.word(pack_edge(g.endpoints(e))));
+        }
+    }
     h.finish()
+}
+
+/// The [`instance_fingerprint`] of a bipartite instance after `delta`,
+/// computed from the fingerprint `hash` before it in `O(edits)`: each
+/// insert adds its edge term and each delete subtracts it. Exact when
+/// `delta` was validated against the instance `hash` names.
+pub fn patched_fingerprint(
+    hash: crate::journal::PayloadHash,
+    delta: &EdgeDelta,
+) -> crate::journal::PayloadHash {
+    let sum = u128::from_le_bytes(hash);
+    let add = |sum: u128, &e: &(usize, usize)| sum.wrapping_add(edge_term(e));
+    let sub = |sum: u128, &e: &(usize, usize)| sum.wrapping_sub(edge_term(e));
+    let sum = delta.inserts().iter().fold(sum, add);
+    delta.deletes().iter().fold(sum, sub).to_le_bytes()
 }
 
 /// Encodes an instance fingerprint as the 32-digit lowercase-hex wire
@@ -1212,16 +1247,28 @@ pub fn parse_handle(s: &str) -> Option<crate::journal::PayloadHash> {
 /// render byte-identical canonical payloads, which is what lets the
 /// write-ahead journal intern one payload blob for many admissions
 /// without paying for a JSON rendering per admission (see
-/// [`crate::journal`]).
+/// [`crate::journal`]). It hashes the request's [`instance_fingerprint`]
+/// together with its policy (see [`request_fingerprint_from`]).
 ///
 /// The hash is a fast non-cryptographic content address in its own
 /// domain ([`crate::journal::DOMAIN_REQUEST`]); the journal trusts its
 /// in-process writers, so the bar is accidental collisions, not
 /// adversarial ones.
 pub fn request_fingerprint(request: &Request) -> crate::journal::PayloadHash {
+    request_fingerprint_from(instance_fingerprint(request.instance()), request)
+}
+
+/// [`request_fingerprint`] from the request's instance fingerprint,
+/// hashed with its policy. A handle-form request's instance fingerprint
+/// is its handle, so this fingerprints it in time independent of the
+/// instance's size.
+pub fn request_fingerprint_from(
+    instance: crate::journal::PayloadHash,
+    request: &Request,
+) -> crate::journal::PayloadHash {
     use crate::journal;
     let mut h = journal::PayloadHasher::new(journal::DOMAIN_REQUEST);
-    hash_instance(&mut h, request.instance());
+    h.bytes(&instance);
     hash_policy(&mut h, request);
     h.finish()
 }
@@ -1430,8 +1477,8 @@ pub fn released_payload(handle: &str, held: usize) -> String {
 }
 
 /// Renders the payload of a `mutated` reply: the patched handle moves
-/// from `handle` to `new_handle` (handles are content hashes, so the
-/// hash is re-derived after the patch), with the edit counts applied,
+/// from `handle` to `new_handle` (handles are content hashes; the new
+/// one comes from [`patched_fingerprint`]), with the edit counts applied,
 /// the patched instance's edge count, and the table size.
 pub fn mutated_payload(
     handle: &str,
@@ -2100,6 +2147,14 @@ mod tests {
         // over the same underlying graph content
         let request = Request::new(Problem::Mis { base_degree: None }, g);
         assert_ne!(a, request_fingerprint(&request));
+        // bipartite handles separate shapes, and the packed edges of a
+        // 1×n star do not alias a host graph listing the same pairs
+        let star = BipartiteGraph::from_edges(1, 3, &[(0, 1), (0, 2)]).unwrap();
+        let wider = BipartiteGraph::from_edges(1, 4, &[(0, 1), (0, 2)]).unwrap();
+        let path = Graph::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
+        let star = instance_fingerprint(&Instance::from(star));
+        assert_ne!(star, instance_fingerprint(&Instance::from(wider)));
+        assert_ne!(star, instance_fingerprint(&Instance::from(path)));
     }
 
     #[test]
@@ -2240,5 +2295,71 @@ mod tests {
         let (built, canonical) =
             build_upload(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2.0]]}"#);
         assert!(built.is_ok() && !canonical);
+    }
+}
+
+/// The O(edits) handle update against a full rehash. CI runs this
+/// module with `PROPTEST_CASES=2048`.
+#[cfg(test)]
+mod fingerprint_props {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngExt, SeedableRng};
+    use splitgraph::delta::{random_delta, ChurnStyle};
+    use splitgraph::generators;
+
+    fn fingerprint(b: &BipartiteGraph) -> crate::journal::PayloadHash {
+        instance_fingerprint(&Instance::Bipartite(b.clone()))
+    }
+
+    proptest! {
+        // Chains `patched_fingerprint` through a random delta sequence:
+        // after every step it equals a full rehash of the patched graph,
+        // applying the batch one edit at a time in a shuffled order lands
+        // on the same handle, and walking the inverses back returns the
+        // original handle.
+        #[test]
+        fn patched_fingerprint_tracks_a_full_rehash(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (left, degree) = (rng.random_range(2usize..16), rng.random_range(1usize..8));
+            // right sides that divide the stubs, at most half dense (the
+            // generator's swap repair crawls near a complete graph)
+            let stubs = left * degree;
+            let rights: Vec<usize> = (2 * degree..=stubs).filter(|r| stubs % r == 0).collect();
+            let right = rights[rng.random_range(0..rights.len())];
+            let Ok(mut b) = generators::random_biregular(left, right, degree, &mut rng) else {
+                return;
+            };
+            let style = ChurnStyle::ALL[rng.random_range(0usize..3)];
+            let (original, graph) = (fingerprint(&b), b.clone());
+            let mut hash = original;
+            let mut walk = Vec::new();
+            for _ in 0..rng.random_range(1..8) {
+                let edits = rng.random_range(1usize..6);
+                let delta = random_delta(&b, style, edits, &mut rng);
+                let mut singles: Vec<EdgeDelta> = delta
+                    .inserts()
+                    .iter()
+                    .map(|&e| EdgeDelta::new(&b, &[e], &[]).unwrap())
+                    .chain(delta.deletes().iter().map(|&e| EdgeDelta::new(&b, &[], &[e]).unwrap()))
+                    .collect();
+                singles.shuffle(&mut rng);
+                let one_by_one = singles.iter().fold(hash, patched_fingerprint);
+                delta.apply(&mut b).unwrap();
+                hash = patched_fingerprint(hash, &delta);
+                prop_assert_eq!(hash, fingerprint(&b), "{:?} step diverged", style);
+                prop_assert_eq!(one_by_one, hash, "edit order moved the handle");
+                walk.push(delta);
+            }
+            for delta in walk.iter().rev() {
+                let inverse = delta.inverse();
+                inverse.apply(&mut b).unwrap();
+                hash = patched_fingerprint(hash, &inverse);
+            }
+            prop_assert_eq!(&b, &graph);
+            prop_assert_eq!(hash, original, "the walk back did not return the handle");
+        }
     }
 }

@@ -55,9 +55,17 @@ pub fn weak_splitting_violations(
         b.right_count(),
         "color vector length mismatch"
     );
-    let partial: Vec<Option<Color>> = colors.iter().map(|&c| Some(c)).collect();
+    // a row sees both colors iff some neighbor differs from its first;
+    // an empty row sees neither
+    let monochrome = |row: &[usize]| match row.split_first() {
+        Some((&first, rest)) => rest.iter().all(|&v| colors[v] == colors[first]),
+        None => true,
+    };
     (0..b.left_count())
-        .filter(|&u| b.left_degree(u) >= min_degree && !sees_both_colors(b, u, &partial))
+        .filter(|&u| {
+            let row = b.left_neighbors(u);
+            row.len() >= min_degree && monochrome(row)
+        })
         .collect()
 }
 
@@ -408,6 +416,29 @@ mod checker_checks {
                 let mut got = weak_splitting_violations(&bp, &cp, min_degree);
                 got.sort_unstable();
                 prop_assert_eq!(got, expected);
+            }
+        }
+
+        // The row scan agrees with `sees_both_colors` constraint by
+        // constraint, degree-0 rows (violations at min_degree = 0) included.
+        #[test]
+        fn weak_splitting_checker_matches_sees_both_colors(seed in 0u64..10_000) {
+            let (b, colors, _, _) = setup(seed);
+            // mostly Red, so monochrome rows of every degree show up
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EE5);
+            let skewed: Vec<Color> = colors
+                .iter()
+                .map(|&c| if rng.random_bool(0.8) { Color::Red } else { c })
+                .collect();
+            for colors in [&colors, &skewed] {
+                let partial: Vec<Option<Color>> = colors.iter().map(|&c| Some(c)).collect();
+                for min_degree in 0..4 {
+                    let expected: Vec<usize> = (0..b.left_count())
+                        .filter(|&u| b.left_degree(u) >= min_degree)
+                        .filter(|&u| !sees_both_colors(&b, u, &partial))
+                        .collect();
+                    prop_assert_eq!(weak_splitting_violations(&b, colors, min_degree), expected);
+                }
             }
         }
 
