@@ -33,15 +33,14 @@ use std::fmt;
 /// | [`Mis`](Problem::Mis) | host graph | heavy-node elimination (Lemma 4.2; randomized-only — a det request is a typed error) | `is_mis` |
 ///
 /// The regime decision for `WeakSplitting` is the single shared
-/// `splitting_core::decide_pipeline` function — `WeakSplittingSolver::plan`,
-/// `::solve`, and this API all route through it, so plan-vs-solve can
-/// never disagree (pinned by a proptest in
-/// `crates/core/tests/dispatch_consistency.rs`).
+/// [`splitting_core::decide_pipeline`] function, so the pipeline a
+/// solution's provenance announces is always the one it decides (pinned
+/// by a proptest in `crates/api/tests/dispatch_consistency.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Problem {
     /// Weak splitting (Definition 1.1) over a bipartite instance,
-    /// dispatched by `(n, δ, r)` regime exactly like
-    /// [`splitting_core::WeakSplittingSolver`].
+    /// dispatched by `(n, δ, r)` regime with
+    /// [`splitting_core::decide_pipeline`].
     WeakSplitting {
         /// The Theorem 1.2 constant `c` in `δ ≥ c·log(r·log n)`.
         thm12_constant: f64,
@@ -100,8 +99,7 @@ pub enum Problem {
 }
 
 impl Problem {
-    /// Weak splitting with the default Theorem 1.2 constant (`c = 3`,
-    /// matching [`splitting_core::WeakSplittingSolver::default`]).
+    /// Weak splitting with the default Theorem 1.2 constant, `c = 3`.
     pub fn weak_splitting() -> Self {
         Problem::WeakSplitting {
             thm12_constant: 3.0,

@@ -15,8 +15,7 @@ use std::sync::Arc;
 pub enum Determinism {
     /// Deterministic pipelines only.
     Deterministic,
-    /// Randomized pipelines allowed (the default, matching
-    /// [`splitting_core::WeakSplittingSolver::default`]).
+    /// Randomized pipelines allowed (the default).
     #[default]
     Randomized,
 }
@@ -92,9 +91,9 @@ pub struct Request {
     budget: Budget,
 }
 
-/// The default master seed, shared with
-/// [`splitting_core::WeakSplittingSolver::default`] so unseeded requests
-/// reproduce the legacy façade bit for bit.
+/// The default master seed of an unseeded request. Its value predates
+/// the request layer and is kept, so unseeded solves stay bit-identical
+/// across releases.
 pub const DEFAULT_SEED: u64 = 0xD15C0;
 
 impl Request {
@@ -284,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn defaults_mirror_the_legacy_facade() {
+    fn defaults_are_randomized_under_the_default_seed() {
         let r = Request::new(Problem::weak_splitting(), Graph::new(1));
         assert_eq!(r.master_seed(), DEFAULT_SEED);
         assert_eq!(r.determinism(), Determinism::Randomized);

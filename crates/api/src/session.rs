@@ -15,8 +15,8 @@ use splitting_core as core;
 use splitting_core::{decide_pipeline, Pipeline, RegimeParams, DISPATCH_REQUIREMENT};
 use splitting_reductions as red;
 
-/// Legacy retry budget of the zero-round Las Vegas wrapper
-/// (`WeakSplittingSolver::solve` hardcodes 32).
+/// Default retry budget of the zero-round Las Vegas wrapper, when the
+/// request sets no `attempts` budget.
 const ZERO_ROUND_ATTEMPTS: usize = 32;
 /// Legacy retry budget of the uniform-splitting Las Vegas loop.
 const UNIFORM_ATTEMPTS: usize = 16;
@@ -269,8 +269,8 @@ fn weak_splitting(request: &Request, thm12_constant: f64) -> Result<Solution, Ap
             (p, dispatch_reason(p, params, thm12_constant))
         }
     };
-    // exactly the legacy WeakSplittingSolver::solve arm for each pipeline,
-    // so same-seed outputs stay bit-identical to the façade
+    // the one per-pipeline arm: each pipeline's theorem entrypoint,
+    // seeded with the request's master seed
     let out = match pipeline {
         Pipeline::Theorem27 => {
             let variant = if allow_randomized {

@@ -286,8 +286,7 @@ fn count_violations(
 
 /// Why the session solved the request the way it did: the chosen route,
 /// the regime parameters that drove the choice, and the policy inputs —
-/// subsuming the old `WeakSplittingSolver::plan` as a record attached to
-/// every solution.
+/// a record attached to every solution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// The problem's stable name.
@@ -296,7 +295,8 @@ pub struct Provenance {
     /// `uniform/las-vegas`, `degree-split/walk`).
     pub route: &'static str,
     /// The weak-splitting pipeline, when the route is one (what
-    /// `WeakSplittingSolver::plan` used to return).
+    /// [`splitting_core::decide_pipeline`] chose, or the request's
+    /// override).
     pub pipeline: Option<Pipeline>,
     /// The determinism policy in force.
     pub determinism: Determinism,

@@ -5,8 +5,8 @@
 //!
 //! 1. the returned [`Certificate`] holds and re-verifies against the
 //!    instance (`Solution::reverify`);
-//! 2. the output is **bit-identical** to the legacy entrypoint the API
-//!    shims, under the same seed.
+//! 2. the output is **bit-identical** to the entrypoint the API
+//!    dispatches to, called directly under the same seed.
 //!
 //! The scenarios mirror the conformance corpus families at quick-tier
 //! sizes (biregular density regimes, a skewed Theorem 2.7 instance, a
@@ -78,31 +78,28 @@ fn solve_ok(request: &Request) -> Solution {
 }
 
 #[test]
-fn weak_splitting_matches_legacy_solver_randomized() {
+fn weak_splitting_matches_its_entrypoint_randomized() {
     let b = dense_bipartite();
     let solution = solve_ok(&Request::new(Problem::weak_splitting(), b.clone()).seed(SEED));
-    let legacy = core::WeakSplittingSolver {
-        allow_randomized: true,
-        seed: SEED,
-        thm12_constant: 3.0,
-    };
-    let (out, pipeline) = legacy.solve(&b).unwrap();
-    assert_eq!(solution.provenance.pipeline, Some(pipeline));
-    assert_eq!(solution.output.two_coloring().unwrap(), &out.colors[..]);
+    assert_eq!(
+        solution.provenance.pipeline,
+        Some(core::Pipeline::ZeroRound)
+    );
+    // the zero-round entrypoint with its default retry budget
+    let direct = core::zero_round_whp(&b, SEED, 32).unwrap();
+    assert_eq!(solution.output.two_coloring().unwrap(), &direct.colors[..]);
 }
 
 #[test]
-fn weak_splitting_matches_legacy_solver_deterministic() {
+fn weak_splitting_matches_its_entrypoint_deterministic() {
     let b = dense_bipartite();
     let solution = solve_ok(&Request::new(Problem::weak_splitting(), b.clone()).deterministic());
-    let legacy = core::WeakSplittingSolver {
-        allow_randomized: false,
-        ..Default::default()
-    };
-    let (out, pipeline) = legacy.solve(&b).unwrap();
-    assert_eq!(pipeline, core::Pipeline::Theorem25);
-    assert_eq!(solution.provenance.pipeline, Some(pipeline));
-    assert_eq!(solution.output.two_coloring().unwrap(), &out.colors[..]);
+    assert_eq!(
+        solution.provenance.pipeline,
+        Some(core::Pipeline::Theorem25)
+    );
+    let (direct, _) = core::theorem25(&b, Flavor::Deterministic).unwrap();
+    assert_eq!(solution.output.two_coloring().unwrap(), &direct.colors[..]);
 }
 
 #[test]

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splitgraph::generators;
 use splitting_api::{Problem, Request, Session};
-use splitting_core::WeakSplittingSolver;
+use splitting_core as core;
 use splitting_reductions as red;
 use std::time::Instant;
 
@@ -150,15 +150,27 @@ fn weak_batch(name: &'static str, count: usize, nu: usize, d: usize, randomized:
             }
         })
         .collect();
+    // the entrypoint the dispatch picks for these dense instances,
+    // called directly with the request's seed
+    let pipeline = if randomized {
+        core::Pipeline::ZeroRound
+    } else {
+        core::Pipeline::Theorem25
+    };
+    assert!(
+        instances.iter().all(
+            |b| core::decide_pipeline(randomized, 3.0, core::RegimeParams::of(b)) == Some(pipeline)
+        ),
+        "the legacy loop calls the dispatched entrypoint"
+    );
     let legacy = Box::new(move || {
         for (i, b) in instances.iter().enumerate() {
-            let solver = WeakSplittingSolver {
-                allow_randomized: randomized,
-                seed: i as u64,
-                thm12_constant: 3.0,
+            let out = if randomized {
+                core::zero_round_whp(b, i as u64, 32)
+            } else {
+                core::theorem25(b, degree_split::Flavor::Deterministic).map(|(out, _)| out)
             };
-            let (out, _) = solver.solve(b).expect("covered regime");
-            std::hint::black_box(out.colors.len());
+            std::hint::black_box(out.expect("covered regime").colors.len());
         }
     });
     Workload {

@@ -11,10 +11,12 @@
 //!   moved on, and every run cross-checks that the live engine produces
 //!   bit-identical colors and `Φ` values;
 //! * **scenario** records measure whole-solver wall times — the
-//!   [`splitting_core::WeakSplittingSolver`] dispatch paths (Theorem 2.5 /
-//!   zero-round / Theorem 1.2 / Theorem 2.7), multicolor splitting, and
-//!   uniform splitting — across sparse, dense, and left-regular instances,
-//!   with the outputs validity-checked;
+//!   weak-splitting pipelines (`solver_*` rows: the theorem entrypoint
+//!   [`splitting_core::decide_pipeline`] picks for the instance —
+//!   Theorem 2.5 / zero-round / Theorem 1.2 / Theorem 2.7 — called
+//!   directly, with the default seed and constant), multicolor splitting,
+//!   and uniform splitting — across sparse, dense, and left-regular
+//!   instances, with the outputs validity-checked;
 //! * **layer** records time one library layer alone over repeated samples
 //!   (median, p10, p90): Degree–Rank Reduction I at the shapes Theorem 2.5
 //!   feeds it.
@@ -29,7 +31,7 @@ use rand::SeedableRng;
 use splitgraph::{checks, generators, BipartiteGraph, MultiColor};
 use splitting_core::{
     degree_rank_reduction_i, multicolor_splitting_deterministic, weak_multicolor_deterministic,
-    Pipeline, WeakSplittingSolver,
+    Pipeline,
 };
 use splitting_reductions::{feasible_eps, uniform_splitting_deterministic};
 use std::time::Instant;
@@ -374,6 +376,16 @@ const TINY: Scale = Scale {
     drr1: [(16, 128, 112, 1), (24, 192, 168, 1)],
 };
 
+/// The weak-splitting pipeline the regime dispatch picks for `b`.
+fn dispatch(b: &BipartiteGraph, allow_randomized: bool, thm12_constant: f64) -> Pipeline {
+    splitting_core::decide_pipeline(
+        allow_randomized,
+        thm12_constant,
+        splitting_core::RegimeParams::of(b),
+    )
+    .expect("the instance lies in a covered regime")
+}
+
 fn time<T>(f: impl FnOnce() -> T) -> (T, u128) {
     let start = Instant::now();
     let out = f();
@@ -491,17 +503,17 @@ fn run_sized(scale: &Scale) -> (Vec<Table>, PipelineReport) {
 
     // -- whole-solver scenario records ------------------------------------
 
-    // WeakSplittingSolver dispatch: Theorem 2.7 on a skewed sparse instance
+    // dispatched pipeline: Theorem 2.7 on a skewed sparse instance
     {
         let (nu, nv, dl) = scale.thm27;
         let mut rng = StdRng::seed_from_u64(74);
         let b = generators::random_biregular(nu, nv, dl, &mut rng).expect("feasible");
-        let solver = WeakSplittingSolver {
-            allow_randomized: false,
-            ..Default::default()
-        };
-        let ((out, plan), wall) = time(|| solver.solve(&b).expect("in regime"));
+        let plan = dispatch(&b, false, 3.0);
         assert_eq!(plan, Pipeline::Theorem27);
+        let (out, wall) = time(|| {
+            splitting_core::theorem27(&b, splitting_core::Variant::Deterministic)
+                .expect("in regime")
+        });
         assert!(checks::is_weak_splitting(&b, &out.colors, 0));
         records.push(PipelineRecord {
             name: "solver_thm27_sparse_biregular",
@@ -513,18 +525,17 @@ fn run_sized(scale: &Scale) -> (Vec<Table>, PipelineReport) {
         });
     }
 
-    // WeakSplittingSolver dispatch: Theorem 2.5 (deterministic) and the
+    // dispatched pipelines: Theorem 2.5 (deterministic) and the
     // zero-round randomized path on the same balanced instance
     {
         let (nu, nv, dl) = scale.thm25;
         let mut rng = StdRng::seed_from_u64(75);
         let b = generators::random_biregular(nu, nv, dl, &mut rng).expect("feasible");
-        let det = WeakSplittingSolver {
-            allow_randomized: false,
-            ..Default::default()
-        };
-        let ((out, plan), wall) = time(|| det.solve(&b).expect("in regime"));
+        let plan = dispatch(&b, false, 3.0);
         assert_eq!(plan, Pipeline::Theorem25);
+        let ((out, _), wall) = time(|| {
+            splitting_core::theorem25(&b, degree_split::Flavor::Deterministic).expect("in regime")
+        });
         assert!(checks::is_weak_splitting(&b, &out.colors, 0));
         records.push(PipelineRecord {
             name: "solver_thm25_biregular",
@@ -535,9 +546,11 @@ fn run_sized(scale: &Scale) -> (Vec<Table>, PipelineReport) {
             wall_ns: wall,
         });
 
-        let ran = WeakSplittingSolver::default();
-        let ((out, plan), wall) = time(|| ran.solve(&b).expect("in regime"));
+        let plan = dispatch(&b, true, 3.0);
         assert_eq!(plan, Pipeline::ZeroRound);
+        let (out, wall) = time(|| {
+            splitting_core::zero_round_whp(&b, splitting_api::DEFAULT_SEED, 32).expect("in regime")
+        });
         assert!(checks::is_weak_splitting(&b, &out.colors, 0));
         records.push(PipelineRecord {
             name: "solver_zero_round_biregular",
@@ -574,17 +587,19 @@ fn run_sized(scale: &Scale) -> (Vec<Table>, PipelineReport) {
         });
     }
 
-    // WeakSplittingSolver dispatch: Theorem 1.2 in the shattering window
+    // dispatched pipeline: Theorem 1.2 in the shattering window
     {
         let (nu, nv, dl) = scale.thm12;
         let mut rng = StdRng::seed_from_u64(76);
         let b = generators::random_biregular(nu, nv, dl, &mut rng).expect("feasible");
-        let solver = WeakSplittingSolver {
-            thm12_constant: 1.5,
-            ..Default::default()
-        };
-        let ((out, plan), wall) = time(|| solver.solve(&b).expect("in regime"));
+        let plan = dispatch(&b, true, 1.5);
         assert_eq!(plan, Pipeline::Theorem12);
+        let cfg = splitting_core::Theorem12Config {
+            seed: splitting_api::DEFAULT_SEED,
+            c_constant: 1.5,
+            ..splitting_core::Theorem12Config::default()
+        };
+        let (out, wall) = time(|| splitting_core::theorem12(&b, &cfg).expect("in regime"));
         assert!(checks::is_weak_splitting(&b, &out.colors, 0));
         records.push(PipelineRecord {
             name: "solver_thm12_shattering_window",

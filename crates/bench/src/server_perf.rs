@@ -40,9 +40,11 @@
 //!   `Arc<Instance>`. The run asserts `parse_fallbacks == 0`.
 //! * **`wire_fast_parse`** — a codec microbench over the exact edge
 //!   array bytes the wire rows carry: `wall_ns` times the frame scan's
-//!   in-place edge-list decoder, `wall_ns_direct` the strict `Json`
-//!   tree parser read back into pairs, so on this one row `vs_direct`
-//!   reads as the decoder's speedup over the tree (> 1.0).
+//!   in-place edge-list decoder. `wall_ns_direct` is not measured: it
+//!   is the strict `Json` tree parser's committed time on the same
+//!   lists (see [`TREE_PARSE_NS`]), from before the tree left the
+//!   shipped codec, so on this one row `vs_direct` reads as the
+//!   decoder's speedup over that figure.
 //!
 //! Results feed `BENCH_server.json`.
 
@@ -164,6 +166,15 @@ impl ServerReport {
         out
     }
 }
+
+/// The strict `Json` tree parser's time on the `wire_fast_parse` lists
+/// (parse, then read back into pairs), as committed in
+/// `BENCH_server.json` before the tree left the shipped codec:
+/// [`TREE_PARSE_NS`] over [`TREE_PARSE_LISTS`] lists, full mode, on a
+/// 2-vCPU host. The row scales it to its own list count.
+const TREE_PARSE_NS: u128 = 1_924_967_240;
+/// The list count [`TREE_PARSE_NS`] was measured over.
+const TREE_PARSE_LISTS: u128 = 10_000;
 
 /// Nearest-rank percentile over an already-sorted sample.
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -498,11 +509,10 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
         server.shutdown();
     }
 
-    // Codec microbench: the frame scan's edge-list decoder against the
-    // strict `Json` tree parser over the exact edge-array bytes the wire
-    // rows carry. No server in the loop — this row isolates ingest
-    // decoding, so its `vs_direct` is the decoder's speedup over the
-    // tree.
+    // Codec microbench: the frame scan's edge-list decoder over the
+    // exact edge-array bytes the wire rows carry. No server in the loop
+    // — this row isolates ingest decoding; its `vs_direct` compares it
+    // with the tree parser's committed time.
     {
         let (pool, _) = &pools[0];
         let lines: Vec<String> = pool
@@ -513,41 +523,19 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
         let edges: Vec<&str> = lines
             .iter()
             .map(|line| {
-                let fields = json::scan_top_level(line).expect("canonical frame");
-                let instance = fields
-                    .iter()
-                    .find(|(k, _)| *k == "instance")
-                    .expect("frame carries an instance")
-                    .1;
-                json::scan_top_level(instance)
-                    .expect("canonical instance")
-                    .iter()
-                    .find(|(k, _)| *k == "edges")
-                    .expect("instance carries edges")
-                    .1
+                let field = |text: &str, key| {
+                    let spans = json::Cursor::new(text)
+                        .object(|_, _| Ok(false))
+                        .expect("canonical object");
+                    json::Fields::new(text, &spans)
+                        .span(key)
+                        .expect("field present")
+                };
+                let instance = &line[field(line, "instance")];
+                &instance[field(instance, "edges")]
             })
             .collect();
         let iters = if quick { 2_000 } else { 10_000 };
-        // the strict reference: a full tree, then read back into pairs
-        let tree_pairs = |e: &str| -> Vec<(usize, usize)> {
-            json::parse(e)
-                .expect("valid")
-                .as_array()
-                .expect("an edge array")
-                .iter()
-                .map(|pair| match pair.as_array() {
-                    Some([u, v]) => (
-                        u.as_number()
-                            .and_then(json::Number::as_usize)
-                            .expect("endpoint"),
-                        v.as_number()
-                            .and_then(json::Number::as_usize)
-                            .expect("endpoint"),
-                    ),
-                    _ => panic!("edges are pairs"),
-                })
-                .collect()
-        };
         let decode = |e: &str| {
             let list = json::Cursor::new(e)
                 .edge_list(0)
@@ -556,17 +544,10 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
             assert!(list.canonical, "canonical edges decode canonically");
             list.pairs
         };
-        // warm both paths once (checking they agree), then time the
-        // tree (baseline) and the decoder
         for e in &edges {
-            assert_eq!(tree_pairs(e), decode(e));
+            decode(e);
         }
-        let t0 = Instant::now();
-        for i in 0..iters {
-            let e = edges[i % edges.len()];
-            std::hint::black_box(tree_pairs(e).len());
-        }
-        let wall_ns_direct = t0.elapsed().as_nanos();
+        let wall_ns_direct = TREE_PARSE_NS * iters as u128 / TREE_PARSE_LISTS;
         let t0 = Instant::now();
         for i in 0..iters {
             let e = edges[i % edges.len()];

@@ -14,14 +14,18 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use splitgraph::math::{weak_multicolor_degree_threshold, weak_multicolor_required_colors};
 use splitgraph::{checks, BipartiteGraph, Color};
+use splitting_api::{ApiError, Determinism, Problem, Request, Session};
 use splitting_core as core;
-use splitting_core::{SplitError, Theorem12Config, Variant, WeakSplittingSolver};
+use splitting_core::{
+    decide_pipeline, Pipeline, RegimeParams, SplitError, SplitOutcome, Theorem12Config, Variant,
+};
 use splitting_reductions as red;
 
 /// The entrypoint groups the harness drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Group {
-    /// The [`WeakSplittingSolver`] parameter-dispatching façade.
+    /// The weak-splitting regime dispatch: [`decide_pipeline`] against
+    /// what [`Session`] runs and announces.
     Solver,
     /// Direct theorem pipelines: 2.5, 2.7, 1.2, and the zero-round
     /// algorithm, plus their round-ledger bounds.
@@ -293,27 +297,79 @@ pub fn run_cell(s: &Scenario, group: Group) -> CellReport {
 
 // ---------------------------------------------------------------- solver
 
+/// A weak-splitting request for the scenario's instance `b`, under its
+/// seed and Theorem 1.2 constant.
+fn weak_request(s: &Scenario, b: &BipartiteGraph, determinism: Determinism) -> Request {
+    Request::new(
+        Problem::WeakSplitting {
+            thm12_constant: s.thm12_constant,
+        },
+        b.clone(),
+    )
+    .determinism_policy(determinism)
+    .seed(s.seed)
+}
+
+/// The pipeline the dispatch picks for `b` under the scenario's constant.
+fn weak_plan(s: &Scenario, b: &BipartiteGraph, determinism: Determinism) -> Option<Pipeline> {
+    decide_pipeline(
+        determinism == Determinism::Randomized,
+        s.thm12_constant,
+        RegimeParams::of(b),
+    )
+}
+
+/// The theorem entrypoint behind `pipeline`, called directly with the
+/// policy, seed and constant of [`weak_request`] — the reference the
+/// api group holds `Session`'s weak-splitting arm to.
+fn weak_entrypoint(
+    s: &Scenario,
+    b: &BipartiteGraph,
+    determinism: Determinism,
+    pipeline: Pipeline,
+) -> Result<SplitOutcome, SplitError> {
+    match pipeline {
+        Pipeline::Theorem27 => core::theorem27(
+            b,
+            match determinism {
+                Determinism::Randomized => Variant::Randomized(s.seed),
+                Determinism::Deterministic => Variant::Deterministic,
+            },
+        ),
+        Pipeline::Theorem25 => core::theorem25(b, Flavor::Deterministic).map(|(out, _)| out),
+        Pipeline::ZeroRound => core::zero_round_whp(b, s.seed, 32),
+        Pipeline::Theorem12 => core::theorem12(
+            b,
+            &Theorem12Config {
+                seed: s.seed,
+                c_constant: s.thm12_constant,
+                ..Theorem12Config::default()
+            },
+        ),
+    }
+}
+
 fn check_solver(ctx: &mut Ctx<'_>) {
     let s = ctx.scenario;
     let b = &s.bipartite;
-    for allow_randomized in [false, true] {
-        let solver = WeakSplittingSolver {
-            allow_randomized,
-            seed: s.seed,
-            thm12_constant: s.thm12_constant,
-        };
-        let mode = if allow_randomized { "rand" } else { "det" };
-        ctx.check("solver.plan-pure", solver.plan(b) == solver.plan(b), || {
-            format!("{mode}: plan() is not a pure function of the instance")
-        });
-        match solver.solve(b) {
-            Ok((out, pipeline)) => {
-                ctx.check(
-                    "solver.plan-announced",
-                    solver.plan(b) == Some(pipeline),
-                    || format!("{mode}: solve() took {pipeline:?} but plan() disagrees"),
-                );
-                let violations = checks::weak_splitting_violations(b, &out.colors, 0);
+    let session = Session::with_threads(1);
+    for determinism in [Determinism::Deterministic, Determinism::Randomized] {
+        let mode = determinism.name();
+        let plan = weak_plan(s, b, determinism);
+        ctx.check(
+            "solver.plan-pure",
+            plan == weak_plan(s, b, determinism),
+            || format!("{mode}: the dispatch is not a pure function of the instance"),
+        );
+        let request = weak_request(s, b, determinism);
+        match session.solve(&request) {
+            Ok(solution) => {
+                let pipeline = solution.provenance.pipeline;
+                ctx.check("solver.plan-announced", plan == pipeline, || {
+                    format!("{mode}: the session took {pipeline:?} but the dispatch chose {plan:?}")
+                });
+                let colors = solution.output.two_coloring().unwrap_or_default();
+                let violations = checks::weak_splitting_violations(b, colors, 0);
                 ctx.check("solver.output-valid", violations.is_empty(), || {
                     format!(
                         "{mode}: {pipeline:?} output violates {} constraints: {:?}",
@@ -321,47 +377,47 @@ fn check_solver(ctx: &mut Ctx<'_>) {
                         &violations[..violations.len().min(5)]
                     )
                 });
+                let total = solution.ledger.total();
                 ctx.check(
                     "solver.ledger-sane",
-                    out.ledger.total().is_finite() && out.ledger.total() >= 0.0,
-                    || format!("{mode}: ledger total {}", out.ledger.total()),
+                    total.is_finite() && total >= 0.0,
+                    || format!("{mode}: ledger total {total}"),
                 );
-                // replay: same solver, same instance, identical output
-                // (a replay that *errors* is itself a stability failure —
-                // record it, never panic the corpus run)
-                let replay = solver.solve(b);
+                // replay: same request, identical output (a replay that
+                // *errors* is itself a stability failure — record it,
+                // never panic the corpus run)
+                let replay = session.solve(&request);
                 ctx.check(
                     "solver.replay-stable",
-                    matches!(&replay, Ok((out2, _)) if out.colors == out2.colors),
+                    matches!(&replay, Ok(again) if again.output == solution.output),
                     || format!("{mode}: identical solve replay diverged: {replay:?}"),
                 );
             }
             Err(err) => {
-                ctx.check("solver.negative-honest", solver.plan(b).is_none(), || {
-                    format!("{mode}: plan() promised a pipeline but solve() failed: {err}")
+                ctx.check("solver.negative-honest", plan.is_none(), || {
+                    format!("{mode}: the dispatch chose {plan:?} but the session failed: {err}")
                 });
                 ctx.check(
                     "solver.error-kind",
-                    matches!(err, SplitError::Precondition { .. }),
-                    || format!("{mode}: uncovered instance must report Precondition, got {err}"),
+                    matches!(err, ApiError::UnsupportedRegime { .. }),
+                    || {
+                        format!(
+                            "{mode}: uncovered instance must report unsupported-regime, got {err}"
+                        )
+                    },
                 );
             }
         }
     }
     // the dispatcher must find a pipeline iff the instance carries a
     // positive regime tag (randomized mode sees every regime)
-    let rand_solver = WeakSplittingSolver {
-        allow_randomized: true,
-        seed: s.seed,
-        thm12_constant: s.thm12_constant,
-    };
+    let plan = weak_plan(s, b, Determinism::Randomized);
     ctx.check(
         "solver.matches-regimes",
-        rand_solver.plan(b).is_some() == s.weak_pipeline_expected(),
+        plan.is_some() == s.weak_pipeline_expected(),
         || {
             format!(
-                "plan = {:?} but regime tags say expected = {}",
-                rand_solver.plan(b),
+                "plan = {plan:?} but regime tags say expected = {}",
                 s.weak_pipeline_expected()
             )
         },
@@ -854,43 +910,32 @@ fn check_reductions(ctx: &mut Ctx<'_>) {
 /// Drives the `splitting-api` request/solution layer over the scenario
 /// and bit-compares every route against the legacy entrypoint it shims.
 fn check_api(ctx: &mut Ctx<'_>) {
-    use splitting_api::{Determinism, Problem, Request, Session};
-
     let s = ctx.scenario;
     let b = &s.bipartite;
     let session = Session::with_threads(1);
 
-    // weak splitting: the api must agree with the legacy façade verbatim
-    // in both determinism policies — same dispatch, same bits, same
-    // honesty about uncovered regimes
+    // weak splitting: the session must run the pipeline the dispatch
+    // picks and agree bit for bit with its theorem entrypoint called
+    // directly, in both determinism policies — same bits, same ledger,
+    // same honesty about uncovered regimes
     for determinism in [Determinism::Deterministic, Determinism::Randomized] {
-        let request = Request::new(
-            Problem::WeakSplitting {
-                thm12_constant: s.thm12_constant,
-            },
-            b.clone(),
-        )
-        .determinism_policy(determinism)
-        .seed(s.seed);
-        let legacy = WeakSplittingSolver {
-            allow_randomized: determinism == Determinism::Randomized,
-            seed: s.seed,
-            thm12_constant: s.thm12_constant,
-        };
+        let request = weak_request(s, b, determinism);
+        let plan = weak_plan(s, b, determinism);
         let mode = determinism.name();
-        match (session.solve(&request), legacy.solve(b)) {
-            (Ok(solution), Ok((out, pipeline))) => {
+        let direct = plan.map(|p| weak_entrypoint(s, b, determinism, p));
+        match (session.solve(&request), direct) {
+            (Ok(solution), Some(Ok(out))) => {
                 ctx.check(
                     "api.weak-bit-identical",
                     solution.output.two_coloring() == Some(&out.colors[..]),
-                    || format!("{mode}: api output diverges from the legacy façade"),
+                    || format!("{mode}: api output diverges from the theorem entrypoint"),
                 );
                 ctx.check(
                     "api.weak-provenance-pipeline",
-                    solution.provenance.pipeline == Some(pipeline),
+                    solution.provenance.pipeline == plan,
                     || {
                         format!(
-                            "{mode}: provenance says {:?}, façade took {pipeline:?}",
+                            "{mode}: provenance says {:?}, the dispatch chose {plan:?}",
                             solution.provenance.pipeline
                         )
                     },
@@ -908,30 +953,33 @@ fn check_api(ctx: &mut Ctx<'_>) {
                     solution.ledger.total() == out.ledger.total(),
                     || {
                         format!(
-                            "{mode}: api ledger {} vs legacy {}",
+                            "{mode}: api ledger {} vs entrypoint {}",
                             solution.ledger.total(),
                             out.ledger.total()
                         )
                     },
                 );
             }
-            (Err(api_err), Err(legacy_err)) => {
+            (Err(api_err), direct @ (None | Some(Err(_)))) => {
                 // both sides failed: the api error must be the typed
-                // mapping of the façade's error (uncovered regime →
+                // mapping of the reference's failure (uncovered regime →
                 // unsupported-regime, exhausted retries →
                 // randomized-failure, …), not merely any failure
-                let expected = splitting_api::ApiError::from(legacy_err).kind();
+                let expected = match direct {
+                    Some(Err(e)) => ApiError::from(e).kind(),
+                    _ => "unsupported-regime",
+                };
                 ctx.check(
                     "api.weak-negative-typed",
                     api_err.kind() == expected,
                     || format!("{mode}: expected {expected}, got {api_err}"),
                 );
             }
-            (Ok(_), Err(e)) => ctx.check("api.weak-agreement", false, || {
-                format!("{mode}: api solved where the façade failed with {e}")
+            (Ok(_), _) => ctx.check("api.weak-agreement", false, || {
+                format!("{mode}: api solved where the entrypoint failed or no pipeline applies")
             }),
-            (Err(e), Ok(_)) => ctx.check("api.weak-agreement", false, || {
-                format!("{mode}: api failed with {e} where the façade solved")
+            (Err(e), _) => ctx.check("api.weak-agreement", false, || {
+                format!("{mode}: api failed with {e} where the entrypoint solved")
             }),
         }
     }
@@ -2746,25 +2794,22 @@ fn check_metamorphic(ctx: &mut Ctx<'_>) {
         let mut perm: Vec<usize> = (0..b.right_count()).collect();
         perm.shuffle(&mut rng);
         let relabeled = relabel_right(b, &perm);
-        let solver = WeakSplittingSolver {
-            seed: s.seed,
-            thm12_constant: s.thm12_constant,
-            ..Default::default()
-        };
         ctx.check(
             "metamorphic.negative-relabel",
-            solver.plan(&relabeled).is_none(),
+            weak_plan(s, &relabeled, Determinism::Randomized).is_none(),
             || "relabeling changed an uncovered instance into a covered one".into(),
         );
         return;
     }
 
-    let solver = WeakSplittingSolver {
-        seed: s.seed,
-        thm12_constant: s.thm12_constant,
-        ..Default::default()
+    // randomized solves through the session, each instance's colors
+    let session = Session::with_threads(1);
+    let solve = |instance: &BipartiteGraph| {
+        session
+            .solve(&weak_request(s, instance, Determinism::Randomized))
+            .map(|solution| solution.output.two_coloring().unwrap_or_default().to_vec())
     };
-    let Ok((out, _)) = solver.solve(b) else {
+    let Ok(colors) = solve(b) else {
         ctx.check("metamorphic.base-solve", false, || {
             "positive instance failed to solve".into()
         });
@@ -2772,7 +2817,7 @@ fn check_metamorphic(ctx: &mut Ctx<'_>) {
     };
 
     // Red ↔ Blue swap symmetry: weak splitting is color-symmetric
-    let flipped: Vec<Color> = out.colors.iter().map(|c| c.flipped()).collect();
+    let flipped: Vec<Color> = colors.iter().map(|c| c.flipped()).collect();
     ctx.check(
         "metamorphic.color-swap",
         checks::is_weak_splitting(b, &flipped, 0),
@@ -2786,18 +2831,18 @@ fn check_metamorphic(ctx: &mut Ctx<'_>) {
     let mut perm: Vec<usize> = (0..b.right_count()).collect();
     perm.shuffle(&mut rng);
     let relabeled = relabel_right(b, &perm);
-    match solver.solve(&relabeled) {
-        Ok((rout, _)) => ctx.check(
+    match solve(&relabeled) {
+        Ok(rcolors) => ctx.check(
             "metamorphic.relabel-solvable",
-            checks::is_weak_splitting(&relabeled, &rout.colors, 0),
+            checks::is_weak_splitting(&relabeled, &rcolors, 0),
             || "solver output on the relabeled instance is invalid".into(),
         ),
         Err(err) => ctx.check("metamorphic.relabel-solvable", false, || {
             format!("relabeled instance rejected: {err}")
         }),
     }
-    let mut transported = out.colors.clone();
-    for (v, &c) in out.colors.iter().enumerate() {
+    let mut transported = colors.clone();
+    for (v, &c) in colors.iter().enumerate() {
         transported[perm[v]] = c;
     }
     ctx.check(
@@ -2811,11 +2856,11 @@ fn check_metamorphic(ctx: &mut Ctx<'_>) {
     // solves the union
     if b.edge_count() <= 10_000 {
         let union = splitgraph::generators::bipartite_disjoint_union(&[b, b]);
-        if solver.plan(&union).is_some() {
-            match solver.solve(&union) {
-                Ok((uout, _)) => {
-                    let first: Vec<Color> = uout.colors[..b.right_count()].to_vec();
-                    let second: Vec<Color> = uout.colors[b.right_count()..].to_vec();
+        if weak_plan(s, &union, Determinism::Randomized).is_some() {
+            match solve(&union) {
+                Ok(ucolors) => {
+                    let first: Vec<Color> = ucolors[..b.right_count()].to_vec();
+                    let second: Vec<Color> = ucolors[b.right_count()..].to_vec();
                     ctx.check(
                         "metamorphic.union-restricts",
                         checks::is_weak_splitting(b, &first, 0)
@@ -2827,8 +2872,8 @@ fn check_metamorphic(ctx: &mut Ctx<'_>) {
                     format!("self-union of a covered instance rejected: {err}")
                 }),
             }
-            let mut glued = out.colors.clone();
-            glued.extend(out.colors.iter().copied());
+            let mut glued = colors.clone();
+            glued.extend(colors.iter().copied());
             ctx.check(
                 "metamorphic.parts-compose",
                 checks::is_weak_splitting(&union, &glued, 0),

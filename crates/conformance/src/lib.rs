@@ -6,7 +6,9 @@
 //! tagged with the theorem regimes they exercise, and the [`harness`]
 //! drives **every solver entrypoint** of the workspace over that corpus —
 //!
-//! * the [`splitting_core::WeakSplittingSolver`] dispatch façade,
+//! * the weak-splitting regime dispatch
+//!   ([`splitting_core::decide_pipeline`]) against what
+//!   [`splitting_api::Session`] runs and announces,
 //! * the direct theorem pipelines (2.5, 2.7, 1.2, zero-round),
 //! * the multicolor variants (Definitions 1.2/1.3) across all engines,
 //! * [`degree_split::DegreeSplitter`] over every `Engine` × `Flavor`,

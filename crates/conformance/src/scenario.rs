@@ -23,7 +23,7 @@ pub enum Tier {
 
 /// The theorem regimes of the paper a scenario exercises. Tags are
 /// *computed from the instance parameters* (not hand-asserted), so they are
-/// always consistent with what the dispatching façade would do.
+/// always consistent with what the regime dispatch would do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Regime {
     /// `δ ≥ 2·log n`: the zero-round randomized algorithm applies.
@@ -151,7 +151,7 @@ impl Scenario {
     }
 
     /// Whether any weak-splitting pipeline is expected to solve this
-    /// instance (otherwise the solver façade must report `Precondition`).
+    /// instance (otherwise the session must report `unsupported-regime`).
     pub fn weak_pipeline_expected(&self) -> bool {
         self.has(Regime::ZeroRound)
             || self.has(Regime::Thm25)

@@ -22,7 +22,8 @@
 //! * [`theorem52`] / [`theorem53`] — Section 5 high-girth results;
 //! * [`slocal_weak_splitting`] — Lemma 3.1's SLOCAL(2) algorithm with the
 //!   read radius enforced by the executor;
-//! * [`WeakSplittingSolver`] — the parameter-dispatching façade.
+//! * [`decide_pipeline`] — the regime dispatch: which theorem's
+//!   pipeline an instance's `(n, δ, r)` parameters admit.
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -67,9 +68,7 @@ pub use multicolor::{
 pub use outcome::{to_two_coloring, SplitError, SplitOutcome};
 pub use shatter::{shatter, shatter_with_probability, ShatterOutcome};
 pub use slocal_alg::slocal_weak_splitting;
-pub use solver::{
-    decide_pipeline, Pipeline, RegimeParams, WeakSplittingSolver, DISPATCH_REQUIREMENT,
-};
+pub use solver::{decide_pipeline, Pipeline, RegimeParams, DISPATCH_REQUIREMENT};
 pub use thm12::{theorem12, theorem12_with_report, Theorem12Config, Theorem12Report};
 pub use thm25::{theorem25, theorem25_round_bound, Theorem25Report};
 pub use thm27::{theorem27, Variant};

@@ -1,43 +1,16 @@
-//! Parameter-dispatching weak-splitting façade.
+//! The weak-splitting regime dispatch.
 //!
-//! Picks the right theorem's pipeline for an instance's `(n, δ, r)`
-//! parameters, mirroring the case analysis running through the paper:
-//! `δ ≥ 6r` → Theorem 2.7; `δ ≥ 2·log n` → Theorem 2.5 (deterministic) or
-//! the zero-round algorithm (randomized); `δ ≥ c·log(r·log n)` →
-//! Theorem 1.2 (randomized only). Anything below those regimes is exactly
-//! the open territory the paper maps out, and the solver says so.
+//! Picks the theorem whose precondition an instance's `(n, δ, r)`
+//! parameters meet, mirroring the case analysis running through the
+//! paper: `δ ≥ 6r` → Theorem 2.7; `δ ≥ 2·log n` → Theorem 2.5
+//! (deterministic) or the zero-round algorithm (randomized);
+//! `δ ≥ c·log(r·log n)` → Theorem 1.2 (randomized only). Anything below
+//! those regimes is exactly the open territory the paper maps out. The
+//! `splitting-api` session runs the chosen pipeline.
 
-use crate::outcome::{SplitError, SplitOutcome};
-use crate::thm12::{theorem12, Theorem12Config};
-use crate::thm25::theorem25;
-use crate::thm27::{theorem27, Variant};
-use crate::zero_round::zero_round_whp;
-use degree_split::Flavor;
 use splitgraph::math::weak_splitting_degree_threshold;
 use splitgraph::BipartiteGraph;
 use std::fmt;
-
-/// Solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeakSplittingSolver {
-    /// Allow randomized pipelines (deterministic-only mode reproduces the
-    /// paper's deterministic track).
-    pub allow_randomized: bool,
-    /// Master seed for randomized pipelines.
-    pub seed: u64,
-    /// The Theorem 1.2 constant `c`.
-    pub thm12_constant: f64,
-}
-
-impl Default for WeakSplittingSolver {
-    fn default() -> Self {
-        WeakSplittingSolver {
-            allow_randomized: true,
-            seed: 0xD15C0,
-            thm12_constant: 3.0,
-        }
-    }
-}
 
 /// Which pipeline the dispatcher chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,9 +75,9 @@ impl fmt::Display for RegimeParams {
 /// Theorem 2.5 (deterministic) or the zero-round algorithm (randomized);
 /// `δ ≥ c·log(r·log n)` → Theorem 1.2 (randomized only).
 ///
-/// Both [`WeakSplittingSolver::plan`] and [`WeakSplittingSolver::solve`]
-/// (and the `splitting-api` request layer) route through this function, so
-/// plan-vs-solve can never disagree about the chosen pipeline.
+/// The `splitting-api` session routes every weak-splitting request
+/// through this function, so the pipeline a solution's provenance
+/// announces is the one this function chose.
 pub fn decide_pipeline(
     allow_randomized: bool,
     thm12_constant: f64,
@@ -133,94 +106,31 @@ pub fn decide_pipeline(
     None
 }
 
-impl WeakSplittingSolver {
-    /// The pipeline the dispatcher would choose for `b`, if any.
-    pub fn plan(&self, b: &BipartiteGraph) -> Option<Pipeline> {
-        decide_pipeline(
-            self.allow_randomized,
-            self.thm12_constant,
-            RegimeParams::of(b),
-        )
-    }
-
-    /// Solves `b` with the dispatched pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SplitError::Precondition`] when the instance lies outside
-    /// every regime the paper covers, or propagates pipeline errors.
-    pub fn solve(&self, b: &BipartiteGraph) -> Result<(SplitOutcome, Pipeline), SplitError> {
-        let plan = self.plan(b).ok_or_else(|| SplitError::Precondition {
-            requirement: DISPATCH_REQUIREMENT.into(),
-            actual: RegimeParams::of(b).to_string(),
-        })?;
-        let out = match plan {
-            Pipeline::Theorem27 => {
-                let variant = if self.allow_randomized {
-                    Variant::Randomized(self.seed)
-                } else {
-                    Variant::Deterministic
-                };
-                theorem27(b, variant)?
-            }
-            Pipeline::Theorem25 => theorem25(b, Flavor::Deterministic).map(|(o, _)| o)?,
-            Pipeline::ZeroRound => zero_round_whp(b, self.seed, 32)?,
-            Pipeline::Theorem12 => {
-                let cfg = Theorem12Config {
-                    seed: self.seed,
-                    c_constant: self.thm12_constant,
-                    ..Theorem12Config::default()
-                };
-                theorem12(b, &cfg)?
-            }
-        };
-        Ok((out, plan))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use splitgraph::checks::is_weak_splitting;
     use splitgraph::generators;
+
+    fn plan(b: &BipartiteGraph, allow_randomized: bool, c: f64) -> Option<Pipeline> {
+        decide_pipeline(allow_randomized, c, RegimeParams::of(b))
+    }
 
     #[test]
     fn dispatches_theorem27_for_skewed_instances() {
         let mut rng = StdRng::seed_from_u64(1);
         let b = generators::random_biregular(12, 72, 12, &mut rng).unwrap();
-        let solver = WeakSplittingSolver {
-            allow_randomized: false,
-            ..Default::default()
-        };
-        assert_eq!(solver.plan(&b), Some(Pipeline::Theorem27));
-        let (out, plan) = solver.solve(&b).unwrap();
-        assert_eq!(plan, Pipeline::Theorem27);
-        assert!(is_weak_splitting(&b, &out.colors, 0));
+        assert_eq!(plan(&b, false, 3.0), Some(Pipeline::Theorem27));
+        assert_eq!(plan(&b, true, 3.0), Some(Pipeline::Theorem27));
     }
 
     #[test]
-    fn dispatches_theorem25_deterministically() {
+    fn dispatches_theorem25_or_zero_round_above_two_log_n() {
         let mut rng = StdRng::seed_from_u64(2);
         let b = generators::random_biregular(100, 100, 20, &mut rng).unwrap();
-        let solver = WeakSplittingSolver {
-            allow_randomized: false,
-            ..Default::default()
-        };
-        assert_eq!(solver.plan(&b), Some(Pipeline::Theorem25));
-        let (out, _) = solver.solve(&b).unwrap();
-        assert!(is_weak_splitting(&b, &out.colors, 0));
-    }
-
-    #[test]
-    fn dispatches_zero_round_when_randomized_allowed() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let b = generators::random_biregular(100, 100, 20, &mut rng).unwrap();
-        let solver = WeakSplittingSolver::default();
-        assert_eq!(solver.plan(&b), Some(Pipeline::ZeroRound));
-        let (out, _) = solver.solve(&b).unwrap();
-        assert!(is_weak_splitting(&b, &out.colors, 0));
+        assert_eq!(plan(&b, false, 3.0), Some(Pipeline::Theorem25));
+        assert_eq!(plan(&b, true, 3.0), Some(Pipeline::ZeroRound));
     }
 
     #[test]
@@ -228,20 +138,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         // δ = 24 < 2·log n ≈ 27 but ≥ c·log(r·log n): the Theorem 1.2 window
         let b = generators::random_biregular(1024, 4096, 24, &mut rng).unwrap();
-        let solver = WeakSplittingSolver {
-            thm12_constant: 1.5,
-            ..Default::default()
-        };
-        assert_eq!(solver.plan(&b), Some(Pipeline::Theorem12));
-        let (out, plan) = solver.solve(&b).unwrap();
-        assert_eq!(plan, Pipeline::Theorem12);
-        assert!(is_weak_splitting(&b, &out.colors, 0));
+        assert_eq!(plan(&b, true, 1.5), Some(Pipeline::Theorem12));
         // deterministic-only mode has no pipeline for this window
-        let det = WeakSplittingSolver {
-            allow_randomized: false,
-            ..Default::default()
-        };
-        assert_eq!(det.plan(&b), None);
+        assert_eq!(plan(&b, false, 1.5), None);
     }
 
     #[test]
@@ -249,11 +148,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         // δ = 4: below every regime
         let b = generators::random_biregular(128, 256, 4, &mut rng).unwrap();
-        let solver = WeakSplittingSolver::default();
-        assert_eq!(solver.plan(&b), None);
-        assert!(matches!(
-            solver.solve(&b),
-            Err(SplitError::Precondition { .. })
-        ));
+        assert_eq!(plan(&b, true, 3.0), None);
+        assert_eq!(plan(&b, false, 3.0), None);
     }
 }

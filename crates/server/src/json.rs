@@ -1,4 +1,4 @@
-//! A minimal, strict, serde-free JSON parser for the wire protocol.
+//! A minimal, strict, serde-free JSON reader for the wire protocol.
 //!
 //! The repo renders JSON lines without serde (`splitting_api`'s
 //! `to_json_line` family); this module is the matching ingest half. It is
@@ -6,40 +6,29 @@
 //! `Infinity` tokens, a hard nesting-depth cap — because every accepted
 //! frame must round-trip through the renderer byte-for-byte.
 //!
-//! One [`Cursor`] reads everything, two ways:
+//! One [`Cursor`] reads everything, and builds no tree:
 //!
-//! * [`parse`] — full recursive parse into a [`Json`] tree, for the
-//!   small values of a frame (envelope fields, the problem object);
 //! * [`Cursor::object`] — one pass over an object that skips each value
-//!   or decodes it in place, the way ingest reads a whole frame: the
-//!   edge lists that dominate a frame's bytes are decoded by
-//!   [`Cursor::edge_list`] in the same traversal that finds their end.
-//!   [`scan_top_level`] is the walk that skips every value.
+//!   or decodes it in place, the way ingest reads a whole frame into
+//!   `(key, value)` spans: the edge lists that dominate a frame's bytes
+//!   are decoded by [`Cursor::edge_list`] in the same traversal that
+//!   finds their end;
+//! * [`Fields`] — the one field reader over those spans, with the typed
+//!   scalar readers [`Cursor::string_at`], [`Cursor::number_at`] and
+//!   [`Cursor::bool_at`];
+//! * [`Cursor::check`] — the full strict grammar over one small value,
+//!   keeping nothing (the frame's `problem` object).
+//!
+//! Keys match byte for byte, escapes unresolved, everywhere: protocol
+//! keys are plain ASCII identifiers, so an escaped spelling of one is a
+//! different key.
 
 use std::fmt;
 
-/// Maximum nesting depth accepted by the parser and the scanner. Frames
+/// Maximum nesting depth accepted by every walk and check. Frames
 /// in this protocol nest at most ~4 levels; the cap only guards stack
 /// safety against adversarial input.
 pub const MAX_DEPTH: usize = 64;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number (see [`Number`] for integer-exactness guarantees).
-    Number(Number),
-    /// A string, with escapes resolved.
-    String(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object, in source field order (duplicate keys are rejected at
-    /// parse time).
-    Object(Vec<(String, Json)>),
-}
 
 /// A JSON number. Unsigned and signed integers that fit in 64 bits are
 /// kept exact (the protocol's `seed` field spans all of `u64`); anything
@@ -92,68 +81,6 @@ impl Number {
     }
 }
 
-impl Json {
-    /// The string contents, when this value is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number, when this value is one.
-    pub fn as_number(&self) -> Option<Number> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The bool, when this value is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, when this value is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(xs) => Some(xs),
-            _ => None,
-        }
-    }
-
-    /// The fields, when this value is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// Looks up a field by key, when this value is an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_object()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
-
-    /// A short name for the value's type (for error messages).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Number(_) => "number",
-            Json::String(_) => "string",
-            Json::Array(_) => "array",
-            Json::Object(_) => "object",
-        }
-    }
-}
-
 /// A parse failure, with the byte offset it was detected at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -175,13 +102,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A cursor over one input: the module's only reader. [`parse`] builds
-/// a [`Json`] tree with it; ingest walks one object value by value with
-/// it, without a tree. Walked values are skipped by default — structure
-/// is validated (string escapes, balanced nesting, comma placement,
-/// depth), grammar inside skipped values is not — or decoded in place
-/// by the caller's callback, in the same pass that finds each value's
-/// end.
+/// A cursor over one input: the module's only reader. Ingest walks one
+/// object value by value with it. Walked values are skipped by default —
+/// structure is validated (string escapes, balanced nesting, comma
+/// placement, depth), grammar inside skipped values is not — or decoded
+/// in place by the caller's callback, in the same pass that finds each
+/// value's end; a field's scalar value is read later, at its span.
 ///
 /// Decoding never changes which inputs a walk accepts: a value that
 /// fails to decode is skipped like any other, and its decode error is
@@ -220,7 +146,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The byte at the cursor, if any.
+    pub fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
@@ -245,80 +172,114 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
-        if depth > MAX_DEPTH {
-            return self.err(format!("nesting deeper than {MAX_DEPTH}"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.tree_object(depth),
-            Some(b'[') => self.tree_array(depth),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => Ok(Json::Number(self.number()?)),
-            _ => self.err(format!("expected a value, found {}", self.found_desc())),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, ParseError> {
+    fn literal(&mut self, text: &str) -> Result<(), ParseError> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(())
         } else {
             self.err(format!("expected '{text}'"))
         }
     }
 
-    fn tree_object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return self.err(format!("duplicate key \"{key}\""));
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return self.err(format!("expected ',' or '}}', found {}", self.found_desc())),
-            }
-        }
+    fn boolean(&mut self) -> Result<bool, ParseError> {
+        let value = self.peek() == Some(b't');
+        self.literal(if value { "true" } else { "false" })?;
+        Ok(value)
     }
 
-    fn tree_array(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Reads the one value that fills `span`, whitespace around it
+    /// allowed.
+    fn read_at<T>(
+        &mut self,
+        span: Span,
+        read: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.pos = span.start;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
+        let value = read(self)?;
+        self.skip_ws();
+        if self.pos != span.end {
+            return self.err("trailing characters after the value");
         }
+        Ok(value)
+    }
+
+    /// The string that fills `span`, escapes resolved.
+    pub fn string_at(&mut self, span: Span) -> Result<String, ParseError> {
+        self.read_at(span, Self::string)
+    }
+
+    /// The number that fills `span`.
+    pub fn number_at(&mut self, span: Span) -> Result<Number, ParseError> {
+        self.read_at(span, Self::number)
+    }
+
+    /// The `true` or `false` that fills `span`.
+    pub fn bool_at(&mut self, span: Span) -> Result<bool, ParseError> {
+        self.read_at(span, Self::boolean)
+    }
+
+    /// Checks that the input is one value in the full strict grammar —
+    /// every string decoded, every literal and number exact, no repeated
+    /// key — keeping nothing. A walk judges structure only; a small value
+    /// gets this check before its fields are read, so its first
+    /// malformed byte is the one reported.
+    pub fn check(mut self) -> Result<(), ParseError> {
+        self.read_at(0..self.bytes.len(), |c| c.check_value(0))
+    }
+
+    fn check_value(&mut self, depth: usize) -> Result<(), ParseError> {
+        if depth > MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.skip_ws();
+        let close = match self.peek() {
+            Some(b'{') => b'}',
+            Some(b'[') => b']',
+            Some(b'"') => return self.string().map(drop),
+            Some(b't' | b'f') => return self.boolean().map(drop),
+            Some(b'n') => return self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => return self.number().map(drop),
+            _ => return self.err(format!("expected a value, found {}", self.found_desc())),
+        };
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        let mut keys: Vec<Span> = Vec::new();
         loop {
-            items.push(self.value(depth + 1)?);
+            if close == b'}' {
+                self.skip_ws();
+                let start = self.pos + 1;
+                self.string()?;
+                let key = start..self.pos - 1;
+                if keys
+                    .iter()
+                    .any(|k| self.input[k.clone()] == self.input[key.clone()])
+                {
+                    return self.err(format!("duplicate key \"{}\"", &self.input[key]));
+                }
+                keys.push(key);
+                self.skip_ws();
+                self.expect(b':')?;
+            }
+            self.check_value(depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(Json::Array(items));
+                    return Ok(());
                 }
-                _ => return self.err(format!("expected ',' or ']', found {}", self.found_desc())),
+                _ => {
+                    return self.err(format!(
+                        "expected ',' or '{}', found {}",
+                        close as char,
+                        self.found_desc()
+                    ))
+                }
             }
         }
     }
@@ -475,21 +436,6 @@ fn utf8_len(lead: u8) -> usize {
     }
 }
 
-/// Parses one complete JSON value; trailing non-whitespace is an error.
-///
-/// # Errors
-///
-/// [`ParseError`] with the byte offset of the first problem.
-pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Cursor::new(input);
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing characters after the value");
-    }
-    Ok(v)
-}
-
 // ------------------------------------------------------------- cursor scan
 
 /// Byte range of a key's contents or of a value's text in the scanned
@@ -637,19 +583,91 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Splits one top-level JSON object into `(key, raw-value)` pairs without
-/// building any values: a [`Cursor`] walk that skips every value. Reply
-/// decoding and tests use it to extract embedded payloads byte-exactly.
-///
-/// # Errors
-///
-/// [`ParseError`] when the input is not a single top-level object.
-pub fn scan_top_level(input: &str) -> Result<Vec<(&str, &str)>, ParseError> {
-    let fields = Cursor::new(input).object(|_, _| Ok(false))?;
-    Ok(fields
-        .into_iter()
-        .map(|(k, v)| (&input[k], &input[v]))
-        .collect())
+/// The JSON type of a value that starts with byte `first`.
+fn type_name(first: u8) -> &'static str {
+    match first {
+        b'"' => "string",
+        b'{' => "object",
+        b'[' => "array",
+        b't' | b'f' => "bool",
+        b'n' => "null",
+        _ => "number",
+    }
+}
+
+/// The one field reader over a walked object's `(key, value)` spans, for
+/// every wire object. Keys match byte for byte, escapes unresolved. A
+/// typed read of an absent key is `Ok(None)`; of a value that does not
+/// read as the asked type, `Err` with the JSON type its first byte
+/// starts (`"string"`, `"number"`, `"bool"`, `"null"`, `"array"`,
+/// `"object"`).
+#[derive(Debug, Clone, Copy)]
+pub struct Fields<'a> {
+    input: &'a str,
+    spans: &'a [(Span, Span)],
+}
+
+impl<'a> Fields<'a> {
+    /// The fields `spans` of a walk over `input`.
+    pub fn new(input: &'a str, spans: &'a [(Span, Span)]) -> Self {
+        Fields { input, spans }
+    }
+
+    /// The value span of `key`.
+    pub fn span(&self, key: &str) -> Option<Span> {
+        self.spans
+            .iter()
+            .find(|(k, _)| &self.input[k.clone()] == key)
+            .map(|(_, v)| v.clone())
+    }
+
+    /// The raw value text of `key`.
+    pub fn raw(&self, key: &str) -> Option<&'a str> {
+        self.span(key).map(|v| &self.input[v])
+    }
+
+    fn read<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&mut Cursor<'a>, Span) -> Result<T, ParseError>,
+    ) -> Result<Option<T>, &'static str> {
+        let Some(span) = self.span(key) else {
+            return Ok(None);
+        };
+        let first = self.input.as_bytes()[span.start];
+        read(&mut Cursor::new(self.input), span)
+            .map(Some)
+            .map_err(|_| type_name(first))
+    }
+
+    /// The string value of `key`, escapes resolved.
+    pub fn str(&self, key: &str) -> Result<Option<String>, &'static str> {
+        self.read(key, Cursor::string_at)
+    }
+
+    /// The number value of `key`.
+    pub fn number(&self, key: &str) -> Result<Option<Number>, &'static str> {
+        self.read(key, Cursor::number_at)
+    }
+
+    /// The bool value of `key`.
+    pub fn bool(&self, key: &str) -> Result<Option<bool>, &'static str> {
+        self.read(key, Cursor::bool_at)
+    }
+
+    /// The value of `key` as a non-negative integer in range; a number
+    /// that is not one fails as `"number"`.
+    pub fn usize(&self, key: &str) -> Result<Option<usize>, &'static str> {
+        self.number(key)?
+            .map(|n| n.as_usize().ok_or("number"))
+            .transpose()
+    }
+
+    /// Checks the key set: `Err` with the first key not in `allowed`.
+    pub fn only(&self, allowed: &[&str]) -> Result<(), &'a str> {
+        let mut keys = self.spans.iter().map(|(k, _)| &self.input[k.clone()]);
+        keys.find(|key| !allowed.contains(key)).map_or(Ok(()), Err)
+    }
 }
 
 fn skip_string(p: &mut Cursor<'_>) -> Result<(), ParseError> {
@@ -898,7 +916,12 @@ fn spelled_endpoint(p: &mut Cursor<'_>, i: usize) -> Result<(usize, usize, bool)
 }
 
 #[cfg(test)]
+#[path = "../tests/support/json_tree.rs"]
+mod json_tree;
+
+#[cfg(test)]
 mod tests {
+    use super::json_tree::{parse, Json};
     use super::*;
 
     /// Decodes a standalone edge list the way the frame scan does.
@@ -906,90 +929,149 @@ mod tests {
         Cursor::new(input).edge_list(0).and_then(|decoded| decoded)
     }
 
+    fn string(input: &str) -> Result<String, ParseError> {
+        Cursor::new(input).string_at(0..input.len())
+    }
+
+    fn number(input: &str) -> Result<Number, ParseError> {
+        Cursor::new(input).number_at(0..input.len())
+    }
+
+    fn check(input: &str) -> Result<(), ParseError> {
+        Cursor::new(input).check()
+    }
+
+    /// Walks `input` as one object, skipping every value.
+    fn walk(input: &str) -> Result<Vec<(Span, Span)>, ParseError> {
+        Cursor::new(input).object(|_, _| Ok(false))
+    }
+
     #[test]
-    fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), Json::Null);
-        assert_eq!(parse("true").unwrap(), Json::Bool(true));
-        assert_eq!(parse("42").unwrap(), Json::Number(Number::Unsigned(42)));
-        assert_eq!(parse("-7").unwrap(), Json::Number(Number::Signed(-7)));
-        assert_eq!(parse("1.5e3").unwrap(), Json::Number(Number::Float(1500.0)));
-        assert_eq!(parse("\"a\\nb\"").unwrap(), Json::String("a\nb".into()));
+    fn reads_scalars() {
+        assert_eq!(Cursor::new("true").bool_at(0..4), Ok(true));
+        assert_eq!(Cursor::new(" false ").bool_at(0..7), Ok(false));
+        assert!(Cursor::new("null").bool_at(0..4).is_err());
+        assert_eq!(number("42"), Ok(Number::Unsigned(42)));
+        assert_eq!(number("-7"), Ok(Number::Signed(-7)));
+        assert_eq!(number("1.5e3"), Ok(Number::Float(1500.0)));
+        assert_eq!(string("\"a\\nb\""), Ok("a\nb".into()));
+        // a span holds exactly one value
+        let err = number("1 2").unwrap_err();
+        assert_eq!(
+            (err.offset, err.reason.as_str()),
+            (2, "trailing characters after the value")
+        );
+        assert!(string("\"a\" ,").is_err());
     }
 
     #[test]
     fn u64_seeds_stay_exact() {
-        let v = parse(&u64::MAX.to_string()).unwrap();
-        assert_eq!(v.as_number().unwrap().as_u64(), Some(u64::MAX));
+        let n = number(&u64::MAX.to_string()).unwrap();
+        assert_eq!(n.as_u64(), Some(u64::MAX));
     }
 
     #[test]
-    fn objects_keep_order_and_reject_duplicates() {
-        let v = parse(r#"{"b":1,"a":[2,3],"c":{"d":null}}"#).unwrap();
-        let fields = v.as_object().unwrap();
-        assert_eq!(fields[0].0, "b");
-        assert_eq!(fields[1].0, "a");
-        assert_eq!(v.get("c").unwrap().get("d"), Some(&Json::Null));
-        assert!(parse(r#"{"a":1,"a":2}"#).is_err());
+    fn fields_read_by_exact_key() {
+        let line = r#"{"b":1,"a":[2,3],"c":{"d":null},"s":"x\u0041","t":true}"#;
+        let spans = walk(line).unwrap();
+        let fields = Fields::new(line, &spans);
+        assert_eq!(fields.raw("a"), Some("[2,3]"));
+        assert_eq!(fields.raw("c"), Some(r#"{"d":null}"#));
+        assert_eq!(fields.usize("b"), Ok(Some(1)));
+        assert_eq!(fields.str("s"), Ok(Some("xA".into())));
+        assert_eq!(fields.bool("t"), Ok(Some(true)));
+        assert_eq!(fields.str("missing"), Ok(None));
+        // a wrong-typed read names the type the value starts with
+        assert_eq!(fields.str("b"), Err("number"));
+        assert_eq!(fields.number("a"), Err("array"));
+        assert_eq!(fields.bool("c"), Err("object"));
+        assert_eq!(fields.usize("s"), Err("string"));
+        assert_eq!(fields.only(&["a", "b", "c", "s", "t"]), Ok(()));
+        assert_eq!(fields.only(&["a", "b"]), Err("c"));
+        // keys match byte for byte: an escaped key is a different key
+        let line = r#"{"\u0061":1}"#;
+        let spans = walk(line).unwrap();
+        let fields = Fields::new(line, &spans);
+        assert_eq!(fields.raw("a"), None);
+        assert_eq!(fields.only(&["a"]), Err("\\u0061"));
+        let negative = r#"{"n":-1}"#;
+        let spans = walk(negative).unwrap();
+        assert_eq!(Fields::new(negative, &spans).usize("n"), Err("number"));
     }
 
     #[test]
-    fn rejects_malformed_input() {
+    fn check_rejects_what_the_tree_rejects() {
         for bad in [
             "",
             "{",
             "[1,]",
             "{\"a\":}",
             "{\"a\":1,}",
+            "{\"a\":1,\"a\":2}",
+            "{\"a\":[{\"b\":1,\"b\":2}]}",
             "nul",
             "NaN",
             "Infinity",
             "01",
             "1.",
             "+1",
+            "[1 2]",
+            "{\"a\":truex}",
             "\"unterminated",
             "\"bad\\q\"",
             "{\"a\":1}x",
             "\u{1}",
         ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
+            let tree = parse(bad).unwrap_err();
+            assert_eq!(check(bad), Err(tree), "{bad:?}");
+        }
+        for good in [
+            "{}",
+            "[]",
+            r#"{"a":[1,{"b":"\u00e9"}],"c":-0.5e3}"#,
+            " true ",
+        ] {
+            assert!(parse(good).is_ok() && check(good).is_ok(), "{good:?}");
         }
     }
 
     #[test]
     fn depth_cap_holds() {
         let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
-        assert!(parse(&deep).is_err());
-        assert!(scan_top_level(&format!("{{\"a\":{deep}}}")).is_err());
+        assert!(check(&deep).is_err());
+        assert!(walk(&format!("{{\"a\":{deep}}}")).is_err());
     }
 
     #[test]
     fn unicode_and_surrogates() {
-        assert_eq!(parse("\"\\u00e9\"").unwrap(), Json::String("é".into()));
-        assert_eq!(
-            parse("\"\\ud83d\\ude00\"").unwrap(),
-            Json::String("😀".into())
-        );
-        assert!(parse("\"\\ud83d\"").is_err());
-        assert_eq!(parse("\"héllo\"").unwrap(), Json::String("héllo".into()));
+        assert_eq!(string("\"\\u00e9\""), Ok("é".into()));
+        assert_eq!(string("\"\\ud83d\\ude00\""), Ok("😀".into()));
+        assert!(string("\"\\ud83d\"").is_err());
+        assert_eq!(string("\"héllo\""), Ok("héllo".into()));
     }
 
     #[test]
-    fn scanner_returns_raw_slices() {
+    fn walk_returns_raw_spans() {
         let line = r#"{"v":1,"type":"request","instance":{"kind":"host","edges":[[0,1]]}}"#;
-        let fields = scan_top_level(line).unwrap();
-        assert_eq!(fields.len(), 3);
-        assert_eq!(fields[0], ("v", "1"));
-        assert_eq!(fields[1], ("type", "\"request\""));
+        let spans = walk(line).unwrap();
+        let text: Vec<(&str, &str)> = spans
+            .iter()
+            .map(|(k, v)| (&line[k.clone()], &line[v.clone()]))
+            .collect();
         assert_eq!(
-            fields[2],
-            ("instance", r#"{"kind":"host","edges":[[0,1]]}"#)
+            text,
+            [
+                ("v", "1"),
+                ("type", "\"request\""),
+                ("instance", r#"{"kind":"host","edges":[[0,1]]}"#),
+            ]
         );
     }
 
     #[test]
-    fn scanner_rejects_garbage() {
+    fn walk_rejects_garbage() {
         for bad in ["", "[]", "{\"a\" 1}", "{\"a\":1} trailing", "{\"a\":{}"] {
-            assert!(scan_top_level(bad).is_err(), "accepted {bad:?}");
+            assert!(walk(bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -1000,21 +1082,17 @@ mod tests {
         let two64 = u64::MAX as f64;
         assert_eq!(Number::Float(two64).as_u64(), None);
         assert_eq!(Number::Float(two64).as_usize(), None);
-        let n = parse("1.8446744073709552e19").unwrap().as_number().unwrap();
-        assert_eq!(n.as_u64(), None);
+        assert_eq!(number("1.8446744073709552e19").unwrap().as_u64(), None);
         // u64::MAX itself is not f64-representable: its float spelling
         // also rounds to 2^64 and must be rejected on the float path
-        let n = parse("18446744073709551615.0")
-            .unwrap()
-            .as_number()
-            .unwrap();
-        assert_eq!(n.as_u64(), None);
+        assert_eq!(number("18446744073709551615.0").unwrap().as_u64(), None);
         // ...while the integer spelling stays exact
-        let n = parse("18446744073709551615").unwrap().as_number().unwrap();
-        assert_eq!(n.as_u64(), Some(u64::MAX));
+        assert_eq!(
+            number("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
         // MAX+1 overflows u64 and lands in the float branch → rejected
-        let n = parse("18446744073709551616").unwrap().as_number().unwrap();
-        assert_eq!(n.as_u64(), None);
+        assert_eq!(number("18446744073709551616").unwrap().as_u64(), None);
         // nearest representable float below 2^64 is 2^64 - 2048: in range
         let below = 18_446_744_073_709_549_568.0_f64;
         assert!(below < two64);
@@ -1023,8 +1101,10 @@ mod tests {
             Some(18_446_744_073_709_549_568)
         );
         // MAX-1 as integer stays exact
-        let n = parse("18446744073709551614").unwrap().as_number().unwrap();
-        assert_eq!(n.as_u64(), Some(u64::MAX - 1));
+        assert_eq!(
+            number("18446744073709551614").unwrap().as_u64(),
+            Some(u64::MAX - 1)
+        );
         // non-integers and negatives never pass
         assert_eq!(Number::Float(1.5).as_u64(), None);
         assert_eq!(Number::Float(-1.0).as_u64(), None);
@@ -1042,20 +1122,22 @@ mod tests {
     fn exponent_extremes_are_pinned() {
         // overflow to ±inf violates the strict contract: typed rejection
         for bad in ["1e999", "-1e999", "2e308", "123e100000"] {
-            let err = parse(bad).unwrap_err();
+            let err = number(bad).unwrap_err();
             assert_eq!(err.reason, "number out of range", "{bad}");
         }
         // underflow rounds to 0.0 and is accepted
-        assert_eq!(parse("1e-999").unwrap(), Json::Number(Number::Float(0.0)));
+        assert_eq!(number("1e-999"), Ok(Number::Float(0.0)));
         // `-0` stays an exact signed integer, and signed numbers are
         // never valid edge endpoints
-        assert_eq!(parse("-0").unwrap(), Json::Number(Number::Signed(0)));
+        assert_eq!(number("-0"), Ok(Number::Signed(0)));
         assert_eq!(Number::Signed(0).as_u64(), None);
         assert!(edge_list("[[-0,1]]").is_err());
         // `-0.0` is a float equal to zero (IEEE) and converts to 0
-        let n = parse("-0.0").unwrap().as_number().unwrap();
+        let n = number("-0.0").unwrap();
         assert_eq!(n, Number::Float(-0.0));
         assert_eq!(n.as_u64(), Some(0));
+        // the reference tree reads the same numbers
+        assert_eq!(parse("-0.0"), Ok(Json::Number(n)));
     }
 
     #[test]
@@ -1107,5 +1189,180 @@ mod tests {
         }
         // while a structural fault of the list is the walk's
         assert!(Cursor::new("[[0,1]").edge_list(0).is_err());
+    }
+}
+
+/// The typed scalar readers and the strict check against the reference
+/// tree parser, over scalar soup. CI runs this module with
+/// `PROPTEST_CASES=2048`.
+#[cfg(test)]
+mod scalar_props {
+    use super::json_tree::{parse, Json};
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Scalar soup: string pieces (escapes, surrogate halves and pairs,
+    /// multi-byte and control characters), number pieces (the u64 and
+    /// i64 boundaries, exponent extremes), the literals and their near
+    /// misses, and whitespace.
+    const FRAGMENTS: &[&str] = &[
+        "\"",
+        "\\",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\n",
+        "\\t",
+        "\\u",
+        "\\u00e9",
+        "\\ud83d",
+        "\\ude00",
+        "\\uD800",
+        "\\uDC00",
+        "\\u12",
+        "\\x",
+        "a",
+        "é",
+        "😀",
+        "\u{1}",
+        " ",
+        "\n",
+        "0",
+        "1",
+        "9",
+        "-",
+        "+",
+        ".",
+        "e",
+        "E",
+        "-0",
+        "18446744073709551615",
+        "18446744073709551616",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "1e308",
+        "1e309",
+        "e-400",
+        "e+",
+        "1.7976931348623157e308",
+        "true",
+        "false",
+        "null",
+        "tru",
+        "fals",
+        "nul",
+        "True",
+        "NaN",
+        ",",
+        "]",
+        "}",
+    ];
+
+    /// Whole, valid scalars for the mutation property.
+    const SCALARS: &[&str] = &[
+        "\"plain\"",
+        "\"esc \\\" \\\\ \\/ \\b \\f \\n \\r \\t\"",
+        "\"\\u00e9\\ud83d\\ude00é\"",
+        "18446744073709551615",
+        "-9223372036854775808",
+        "-0.0",
+        "1.5e-300",
+        "1.7976931348623157e308",
+        "true",
+        "false",
+        "null",
+    ];
+
+    /// A byte of each class the soup can stray into.
+    const BYTES: &[u8] = b"\"\\u0123456789abcdefxABCDEF-+.eE tfnrl,";
+
+    fn agree(input: &str) {
+        let tree = parse(input);
+        let first = input
+            .trim_start_matches([' ', '\t', '\n', '\r'])
+            .bytes()
+            .next();
+        let whole = 0..input.len();
+        let string = Cursor::new(input).string_at(whole.clone());
+        let number = Cursor::new(input).number_at(whole.clone());
+        let boolean = Cursor::new(input).bool_at(whole);
+        match first {
+            Some(b'"') => assert_eq!(
+                string,
+                tree.clone()
+                    .map(|j| j.as_str().expect("a string").to_owned()),
+                "string reader vs tree on {input:?}"
+            ),
+            _ => assert!(string.is_err(), "string reader accepted {input:?}"),
+        }
+        match first {
+            Some(b'-' | b'0'..=b'9') => assert_eq!(
+                number,
+                tree.clone().map(|j| j.as_number().expect("a number")),
+                "number reader vs tree on {input:?}"
+            ),
+            _ => assert!(number.is_err(), "number reader accepted {input:?}"),
+        }
+        match first {
+            Some(b't' | b'f') => assert_eq!(
+                boolean,
+                tree.clone().map(|j| j.as_bool().expect("a bool")),
+                "bool reader vs tree on {input:?}"
+            ),
+            _ => assert!(boolean.is_err(), "bool reader accepted {input:?}"),
+        }
+        assert_eq!(
+            Cursor::new(input).check(),
+            tree.clone().map(drop),
+            "check vs tree on {input:?}"
+        );
+        // whatever the tree reads, exactly one reader reads the same
+        if let Ok(value) = tree {
+            let read = match value {
+                Json::String(_) => string.is_ok(),
+                Json::Number(_) => number.is_ok(),
+                Json::Bool(_) => boolean.is_ok(),
+                _ => true,
+            };
+            assert!(read, "no reader accepted {input:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn scalar_soup_agrees(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..8)
+        ) {
+            let input: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            agree(&input);
+        }
+
+        // a valid scalar with one character replaced, dropped, or
+        // followed by a stray byte
+        #[test]
+        fn mutated_scalars_agree(
+            (which, at, byte, how) in (0usize..SCALARS.len(), 0usize..64, 0usize..BYTES.len(), 0usize..3)
+        ) {
+            let scalar = SCALARS[which];
+            agree(scalar);
+            let at = at % scalar.chars().count();
+            let stray = BYTES[byte] as char;
+            let mutated: String = match how {
+                0 => scalar
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| if i == at { stray } else { c })
+                    .collect(),
+                1 => scalar
+                    .chars()
+                    .enumerate()
+                    .filter(|&(i, _)| i != at)
+                    .map(|(_, c)| c)
+                    .collect(),
+                _ => format!("{scalar}{stray}"),
+            };
+            agree(&mutated);
+        }
     }
 }

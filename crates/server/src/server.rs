@@ -127,7 +127,7 @@ impl Default for ServerConfig {
 
 enum Payload {
     /// A raw wire line; the worker runs the strict body parse.
-    Wire(String, wire::Body),
+    Wire(String, Box<wire::Body>),
     /// An already-typed request (the in-process fast path used by the
     /// benchmark harness to measure queue/worker machinery without
     /// codec cost).
@@ -535,7 +535,7 @@ fn worker_loop(shared: &Shared, slot: usize) {
             };
             match &mut job.payload {
                 Payload::Wire(line, body) => {
-                    let body = std::mem::take(body);
+                    let body = *std::mem::take(body);
                     let canonical = body.canonical();
                     match wire::build_request(line, body, None) {
                         Ok(request) => {
@@ -681,7 +681,7 @@ impl Server {
                 conn: RECOVERY_CONN,
                 seq,
                 id: rec.record.id,
-                payload: Payload::Wire(rec.line, body),
+                payload: Payload::Wire(rec.line, Box::new(body)),
                 enqueued: self.shared.config.record_timings.then(Instant::now),
                 deadline: None,
                 journal_id: Some(rec.record.record_id),
@@ -1005,7 +1005,11 @@ impl Submitter {
                 if envelope.handle.is_some() {
                     self.enqueue_handle(envelope, seq, trimmed, body)
                 } else {
-                    self.enqueue(envelope, seq, Payload::Wire(trimmed.to_owned(), body))
+                    self.enqueue(
+                        envelope,
+                        seq,
+                        Payload::Wire(trimmed.to_owned(), Box::new(body)),
+                    )
                 }
             }
             Ok((

@@ -13,7 +13,7 @@
 //! [`Solution::to_json_line`](splitting_api::Solution::to_json_line) —
 //! the server adds an envelope, never re-renders.
 
-use crate::json::{self, Json, Number};
+use crate::json::{self, Fields, Number};
 use degree_split::Engine;
 use local_runtime::splitmix64;
 use splitgraph::delta::EdgeDelta;
@@ -181,44 +181,27 @@ const MUTATE_KEYS: &[&str] = &[
 const PING_KEYS: &[&str] = &["v", "type", "id"];
 const SHUTDOWN_KEYS: &[&str] = &["v", "type"];
 
-/// A raw field value as a JSON string, if it is one.
-fn raw_str(raw: &str) -> Option<String> {
-    json::parse(raw).ok()?.as_str().map(str::to_owned)
-}
-
-/// A raw field value as a JSON number, if it is one.
-fn raw_number(raw: &str) -> Option<Number> {
-    json::parse(raw).ok()?.as_number()
-}
-
-fn check_version(raw: Option<&str>) -> Result<(), ApiError> {
-    match raw {
-        Some(raw) => {
-            let v = raw_number(raw).and_then(Number::as_u64);
-            if v == Some(PROTOCOL_VERSION) {
-                Ok(())
-            } else {
-                Err(invalid(
-                    "v",
-                    format!("unsupported protocol version {raw}; this server speaks v{PROTOCOL_VERSION}"),
-                ))
-            }
-        }
-        None => Err(invalid(
+fn check_version(f: Fields<'_>) -> Result<(), ApiError> {
+    let Some(raw) = f.raw("v") else {
+        return Err(invalid(
             "v",
             format!("missing protocol version; send \"v\":{PROTOCOL_VERSION}"),
+        ));
+    };
+    match f.number("v") {
+        Ok(Some(v)) if v.as_u64() == Some(PROTOCOL_VERSION) => Ok(()),
+        _ => Err(invalid(
+            "v",
+            format!("unsupported protocol version {raw}; this server speaks v{PROTOCOL_VERSION}"),
         )),
     }
 }
 
-fn parse_id(raw: Option<&str>) -> Result<String, ApiError> {
-    let Some(raw) = raw else {
-        return Err(invalid(
-            "id",
-            "request frames must carry a client-chosen id",
-        ));
-    };
-    let id = raw_str(raw).ok_or_else(|| invalid("id", "id must be a JSON string"))?;
+fn parse_id(f: Fields<'_>) -> Result<String, ApiError> {
+    let id = f
+        .str("id")
+        .map_err(|_| invalid("id", "id must be a JSON string"))?
+        .ok_or_else(|| invalid("id", "request frames must carry a client-chosen id"))?;
     if id.is_empty() {
         return Err(invalid("id", "id must be non-empty"));
     }
@@ -231,27 +214,30 @@ fn parse_id(raw: Option<&str>) -> Result<String, ApiError> {
     Ok(id)
 }
 
-fn parse_priority(raw: Option<&str>) -> Result<Priority, ApiError> {
-    match raw {
-        None => Ok(Priority::Normal),
-        Some(raw) => {
-            let s = raw_str(raw)
-                .ok_or_else(|| invalid("priority", "priority must be a JSON string"))?;
-            Priority::parse(&s).ok_or_else(|| {
-                invalid(
-                    "priority",
-                    format!("unknown priority \"{s}\"; use high, normal, or low"),
-                )
-            })
-        }
-    }
+fn parse_priority(f: Fields<'_>) -> Result<Priority, ApiError> {
+    let Some(s) = f
+        .str("priority")
+        .map_err(|_| invalid("priority", "priority must be a JSON string"))?
+    else {
+        return Ok(Priority::Normal);
+    };
+    Priority::parse(&s).ok_or_else(|| {
+        invalid(
+            "priority",
+            format!("unknown priority \"{s}\"; use high, normal, or low"),
+        )
+    })
 }
 
-/// Parses a raw `"idempotency_key"` value (shared by request and mutate
+/// Parses the `"idempotency_key"` field (shared by request and mutate
 /// frames): a non-empty JSON string of at most [`MAX_ID_BYTES`] bytes.
-fn parse_idempotency_key(raw: Option<&str>) -> Result<Option<String>, ApiError> {
-    let Some(raw) = raw else { return Ok(None) };
-    let key = raw_str(raw).ok_or_else(|| invalid("idempotency_key", "must be a JSON string"))?;
+fn parse_idempotency_key(f: Fields<'_>) -> Result<Option<String>, ApiError> {
+    let Some(key) = f
+        .str("idempotency_key")
+        .map_err(|_| invalid("idempotency_key", "must be a JSON string"))?
+    else {
+        return Ok(None);
+    };
     if key.is_empty() {
         return Err(invalid(
             "idempotency_key",
@@ -270,19 +256,6 @@ fn parse_idempotency_key(raw: Option<&str>) -> Result<Option<String>, ApiError> 
 /// Byte range of a key or value within a scanned frame line.
 type Span = json::Span;
 
-/// The raw value span of `key` among scanned `fields`.
-fn field<'f>(line: &str, fields: &'f [(Span, Span)], key: &str) -> Option<&'f Span> {
-    fields
-        .iter()
-        .find(|(k, _)| &line[k.clone()] == key)
-        .map(|(_, v)| v)
-}
-
-/// The raw value text of `key` among scanned `fields`.
-fn get<'l>(line: &'l str, fields: &[(Span, Span)], key: &str) -> Option<&'l str> {
-    field(line, fields, key).map(|v| &line[v.clone()])
-}
-
 /// Moves a decode error's offset from the line into the text that
 /// starts at `base` (the instance object, or an edit list).
 fn relative(mut e: json::ParseError, base: usize) -> json::ParseError {
@@ -300,6 +273,9 @@ fn relative(mut e: json::ParseError, base: usize) -> json::ParseError {
 #[derive(Debug, Default)]
 pub struct Body {
     fields: Vec<(Span, Span)>,
+    /// The `problem` object's own fields, when the value is an object
+    /// that repeats no key.
+    problem: Option<Vec<(Span, Span)>>,
     /// The `instance` object's own fields; `Err` when the value is not
     /// an object or repeats a key.
     instance: Option<Result<Vec<(Span, Span)>, json::ParseError>>,
@@ -312,6 +288,11 @@ pub struct Body {
 }
 
 impl Body {
+    /// The frame's top-level fields.
+    fn fields<'a>(&'a self, line: &'a str) -> Fields<'a> {
+        Fields::new(line, &self.fields)
+    }
+
     /// `false` when the inline instance's edge list spelled some
     /// endpoint non-canonically (`2.0`, `2e0`); the server counts those
     /// on its [`StatsSnapshot::parse_fallbacks`] gauge.
@@ -331,7 +312,9 @@ impl Body {
             None => Ok(Vec::new()),
             Some(Ok(list)) => Ok(list.pairs),
             Some(Err(e)) => {
-                let base = field(line, &self.fields, key).map_or(0, |v| v.start);
+                let base = Fields::new(line, &self.fields)
+                    .span(key)
+                    .map_or(0, |v| v.start);
                 Err(invalid(
                     key,
                     format!("malformed edit list: {}", relative(e, base)),
@@ -346,13 +329,14 @@ impl Body {
 }
 
 /// Reads one client frame — the only way a frame is read, live and on
-/// journal recovery. One cursor pass splits the top-level object into
-/// field spans and decodes in place the edge lists the protocol carries
-/// (an inline instance's `edges`, a mutate's `inserts` and `deletes`);
-/// then the frame is classified and its envelope validated (`v`,
-/// `type`, `id`, `priority`, key-set strictness). The problem and the
-/// rest of the instance wait for a build step, so a body error comes
-/// back as a typed error frame under the envelope's id.
+/// journal recovery. One cursor pass splits the top-level object, the
+/// `problem` object and the `instance` object into field spans, and
+/// decodes in place the edge lists the protocol carries (an inline
+/// instance's `edges`, a mutate's `inserts` and `deletes`); then the
+/// frame is classified and its envelope validated (`v`, `type`, `id`,
+/// `priority`, key-set strictness). The problem and the instance wait
+/// for a build step, so a body error comes back as a typed error frame
+/// under the envelope's id.
 ///
 /// # Errors
 ///
@@ -363,6 +347,12 @@ pub fn scan(line: &str) -> Result<(ClientFrame, Body), ApiError> {
     let fields = json::Cursor::new(line)
         .object(|c, key| {
             let list = match key {
+                // a problem that is not an object is skipped like any
+                // value; the build step reports it
+                "problem" if c.peek() == Some(b'{') => {
+                    body.problem = c.nested_object(1, |_, _| Ok(false))?.ok();
+                    return Ok(true);
+                }
                 "instance" => {
                     let edges = &mut body.edges;
                     body.instance = Some(c.nested_object(1, |c, key| {
@@ -382,42 +372,46 @@ pub fn scan(line: &str) -> Result<(ClientFrame, Body), ApiError> {
             Ok(true)
         })
         .map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
-    let frame = classify_frame(line, &fields)?;
+    let frame = classify_frame(Fields::new(line, &fields))?;
     body.fields = fields;
     Ok((frame, body))
 }
 
-/// Parses a raw `"handle"` value: a JSON string of exactly 32 lowercase
+/// Parses the `"handle"` field: a JSON string of exactly 32 lowercase
 /// hex digits (the rendering of [`instance_fingerprint`]).
-fn parse_handle_field(raw: &str) -> Result<String, ApiError> {
-    let handle = raw_str(raw).ok_or_else(|| invalid("handle", "must be a JSON string"))?;
+fn parse_handle_field(f: Fields<'_>) -> Result<Option<String>, ApiError> {
+    let Some(handle) = f
+        .str("handle")
+        .map_err(|_| invalid("handle", "must be a JSON string"))?
+    else {
+        return Ok(None);
+    };
     if parse_handle(&handle).is_none() {
         return Err(invalid(
             "handle",
             format!("\"{handle}\" is not a 32-digit lowercase-hex instance handle"),
         ));
     }
-    Ok(handle)
+    Ok(Some(handle))
 }
 
-/// Parses a raw `"deadline_ms"` value: an unsigned integer of
+/// Parses the `"deadline_ms"` field: an unsigned integer of
 /// milliseconds.
-fn parse_deadline(raw: Option<&str>) -> Result<Option<u64>, ApiError> {
-    let Some(raw) = raw else { return Ok(None) };
-    raw_number(raw)
-        .and_then(Number::as_u64)
-        .map(Some)
-        .ok_or_else(|| invalid("deadline_ms", "must be an unsigned integer (milliseconds)"))
+fn parse_deadline(f: Fields<'_>) -> Result<Option<u64>, ApiError> {
+    let bad = || invalid("deadline_ms", "must be an unsigned integer (milliseconds)");
+    f.number("deadline_ms")
+        .map_err(|_| bad())?
+        .map(|n| n.as_u64().ok_or_else(bad))
+        .transpose()
 }
 
 /// Classifies a scanned frame and validates its envelope.
-fn classify_frame(line: &str, fields: &[(Span, Span)]) -> Result<ClientFrame, ApiError> {
-    let get = |key: &str| get(line, fields, key);
-    check_version(get("v"))?;
-    let ty = match get("type") {
-        Some(raw) => raw_str(raw).ok_or_else(|| invalid("type", "type must be a JSON string"))?,
-        None => return Err(invalid("type", "missing frame type")),
-    };
+fn classify_frame(f: Fields<'_>) -> Result<ClientFrame, ApiError> {
+    check_version(f)?;
+    let ty = f
+        .str("type")
+        .map_err(|_| invalid("type", "type must be a JSON string"))?
+        .ok_or_else(|| invalid("type", "missing frame type"))?;
     let allowed: &[&str] = match ty.as_str() {
         "request" => REQUEST_KEYS,
         "upload" => UPLOAD_KEYS,
@@ -432,29 +426,20 @@ fn classify_frame(line: &str, fields: &[(Span, Span)]) -> Result<ClientFrame, Ap
             ),
         )),
     };
-    for (key, _) in fields {
-        let key = &line[key.clone()];
-        if !allowed.contains(&key) {
-            return Err(invalid(
-                "frame",
-                format!("unknown field \"{key}\" on a {ty} frame"),
-            ));
-        }
-    }
+    f.only(allowed)
+        .map_err(|key| invalid("frame", format!("unknown field \"{key}\" on a {ty} frame")))?;
+    let has = |key: &str| f.span(key).is_some();
     match ty.as_str() {
         "request" => {
-            let id = parse_id(get("id"))?;
-            let priority = parse_priority(get("priority"))?;
-            let deadline_ms = parse_deadline(get("deadline_ms"))?;
-            let idempotency_key = parse_idempotency_key(get("idempotency_key"))?;
-            let handle = match get("handle") {
-                None => None,
-                Some(raw) => Some(parse_handle_field(raw)?),
-            };
-            if get("problem").is_none() {
+            let id = parse_id(f)?;
+            let priority = parse_priority(f)?;
+            let deadline_ms = parse_deadline(f)?;
+            let idempotency_key = parse_idempotency_key(f)?;
+            let handle = parse_handle_field(f)?;
+            if !has("problem") {
                 return Err(invalid("problem", "request frames must carry a problem"));
             }
-            match (get("instance").is_some(), handle.is_some()) {
+            match (has("instance"), handle.is_some()) {
                 (true, true) => {
                     return Err(invalid(
                         "instance",
@@ -478,43 +463,29 @@ fn classify_frame(line: &str, fields: &[(Span, Span)]) -> Result<ClientFrame, Ap
             }))
         }
         "upload" => {
-            let id = parse_id(get("id"))?;
-            if get("instance").is_none() {
+            let id = parse_id(f)?;
+            if !has("instance") {
                 return Err(invalid("instance", "upload frames must carry an instance"));
             }
             Ok(ClientFrame::Upload { id })
         }
         "release" => {
-            let id = parse_id(get("id"))?;
-            let handle = match get("handle") {
-                Some(raw) => parse_handle_field(raw)?,
-                None => {
-                    return Err(invalid(
-                        "handle",
-                        "release frames must name the handle to drop",
-                    ))
-                }
-            };
+            let id = parse_id(f)?;
+            let handle = parse_handle_field(f)?
+                .ok_or_else(|| invalid("handle", "release frames must name the handle to drop"))?;
             Ok(ClientFrame::Release { id, handle })
         }
         "mutate" => {
-            let id = parse_id(get("id"))?;
-            let handle = match get("handle") {
-                Some(raw) => parse_handle_field(raw)?,
-                None => {
-                    return Err(invalid(
-                        "handle",
-                        "mutate frames must name the handle to patch",
-                    ))
-                }
-            };
-            if get("inserts").is_none() && get("deletes").is_none() {
+            let id = parse_id(f)?;
+            let handle = parse_handle_field(f)?
+                .ok_or_else(|| invalid("handle", "mutate frames must name the handle to patch"))?;
+            if !has("inserts") && !has("deletes") {
                 return Err(invalid(
                     "frame",
                     "mutate frames must carry inserts and/or deletes",
                 ));
             }
-            let idempotency_key = parse_idempotency_key(get("idempotency_key"))?;
+            let idempotency_key = parse_idempotency_key(f)?;
             Ok(ClientFrame::Mutate {
                 id,
                 handle,
@@ -522,9 +493,10 @@ fn classify_frame(line: &str, fields: &[(Span, Span)]) -> Result<ClientFrame, Ap
             })
         }
         "ping" => {
-            let id = match get("id") {
-                Some(_) => parse_id(get("id"))?,
-                None => String::new(),
+            let id = if has("id") {
+                parse_id(f)?
+            } else {
+                String::new()
             };
             Ok(ClientFrame::Ping { id })
         }
@@ -534,119 +506,71 @@ fn classify_frame(line: &str, fields: &[(Span, Span)]) -> Result<ClientFrame, Ap
 
 // ------------------------------------------------------- request parsing
 
-fn field_str(
-    line: &str,
-    fields: &[(Span, Span)],
-    key: &'static str,
-) -> Result<Option<String>, ApiError> {
-    match get(line, fields, key) {
-        None => Ok(None),
-        Some(raw) => raw_str(raw)
-            .map(Some)
-            .ok_or_else(|| invalid(key, "must be a JSON string")),
-    }
-}
-
-fn field_number(
-    line: &str,
-    fields: &[(Span, Span)],
-    key: &'static str,
-) -> Result<Option<Number>, ApiError> {
-    match get(line, fields, key) {
-        None => Ok(None),
-        Some(raw) => raw_number(raw)
-            .map(Some)
-            .ok_or_else(|| invalid(key, "must be a JSON number")),
-    }
-}
-
-fn obj_str(obj: &Json, key: &'static str, ctx: &'static str) -> Result<Option<String>, ApiError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_str().map(|s| Some(s.to_owned())).ok_or_else(|| {
-            invalid(
-                ctx,
-                format!("{key} must be a string, got {}", v.type_name()),
-            )
-        }),
-    }
-}
-
-fn obj_number(
-    obj: &Json,
-    key: &'static str,
-    ctx: &'static str,
-) -> Result<Option<Number>, ApiError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_number().map(Some).ok_or_else(|| {
-            invalid(
-                ctx,
-                format!("{key} must be a number, got {}", v.type_name()),
-            )
-        }),
-    }
-}
-
-fn obj_usize(obj: &Json, key: &'static str, ctx: &'static str) -> Result<Option<usize>, ApiError> {
-    match obj_number(obj, key, ctx)? {
-        None => Ok(None),
-        Some(n) => n
-            .as_usize()
-            .map(Some)
-            .ok_or_else(|| invalid(ctx, format!("{key} must be a non-negative integer"))),
-    }
-}
-
-fn check_keys(obj: &Json, allowed: &[&str], ctx: &'static str) -> Result<(), ApiError> {
-    for (key, _) in obj.as_object().expect("checked object") {
-        if !allowed.iter().any(|a| a == key) {
-            return Err(invalid(ctx, format!("unknown field \"{key}\"")));
-        }
-    }
-    Ok(())
-}
-
-fn parse_problem(raw: &str) -> Result<Problem, ApiError> {
-    let obj = json::parse(raw).map_err(|e| invalid("problem", e.to_string()))?;
-    if obj.as_object().is_none() {
+/// Builds the `problem` of a scanned `request` frame. The problem object
+/// gets the full strict grammar first, so a malformed byte anywhere in
+/// it is reported before its fields are read, at an offset into the
+/// problem text.
+fn build_problem(line: &str, body: &Body) -> Result<Problem, ApiError> {
+    let text = body.fields(line).raw("problem").unwrap_or_default();
+    json::Cursor::new(text)
+        .check()
+        .map_err(|e| invalid("problem", e.to_string()))?;
+    let Some(fields) = &body.problem else {
         return Err(invalid("problem", "must be a JSON object"));
-    }
-    let name = obj_str(&obj, "name", "problem")?
-        .ok_or_else(|| invalid("problem", "missing problem name"))?;
+    };
+    let f = Fields::new(line, fields);
+    let str = |key: &'static str| {
+        f.str(key)
+            .map_err(|t| invalid("problem", format!("{key} must be a string, got {t}")))
+    };
+    let number = |key: &'static str| {
+        f.number(key)
+            .map_err(|t| invalid("problem", format!("{key} must be a number, got {t}")))
+    };
+    let usize = |key: &'static str| {
+        f.usize(key).map_err(|t| match t {
+            "number" => invalid("problem", format!("{key} must be a non-negative integer")),
+            t => invalid("problem", format!("{key} must be a number, got {t}")),
+        })
+    };
+    let only = |allowed: &[&str]| {
+        f.only(allowed)
+            .map_err(|key| invalid("problem", format!("unknown field \"{key}\"")))
+    };
+    let name = str("name")?.ok_or_else(|| invalid("problem", "missing problem name"))?;
     match name.as_str() {
         "weak-splitting" => {
-            check_keys(&obj, &["name", "thm12_constant"], "problem")?;
-            let c = obj_number(&obj, "thm12_constant", "problem")?.map_or(3.0, Number::as_f64);
+            only(&["name", "thm12_constant"])?;
+            let c = number("thm12_constant")?.map_or(3.0, Number::as_f64);
             Ok(Problem::WeakSplitting { thm12_constant: c })
         }
         "weak-multicolor" => {
-            check_keys(&obj, &["name"], "problem")?;
+            only(&["name"])?;
             Ok(Problem::WeakMulticolor)
         }
         "multicolor-splitting" => {
-            check_keys(&obj, &["name", "colors", "lambda"], "problem")?;
-            let colors = obj_number(&obj, "colors", "problem")?
+            only(&["name", "colors", "lambda"])?;
+            let colors = number("colors")?
                 .and_then(Number::as_u32)
                 .ok_or_else(|| invalid("problem", "colors must be an integer palette bound"))?;
-            let lambda = obj_number(&obj, "lambda", "problem")?
+            let lambda = number("lambda")?
                 .ok_or_else(|| invalid("problem", "missing per-color load cap lambda"))?
                 .as_f64();
             Ok(Problem::MulticolorSplitting { colors, lambda })
         }
         "uniform-splitting" => {
-            check_keys(&obj, &["name", "eps", "min_degree"], "problem")?;
+            only(&["name", "eps", "min_degree"])?;
             Ok(Problem::UniformSplitting {
-                eps: obj_number(&obj, "eps", "problem")?.map(Number::as_f64),
-                min_degree: obj_usize(&obj, "min_degree", "problem")?,
+                eps: number("eps")?.map(Number::as_f64),
+                min_degree: usize("min_degree")?,
             })
         }
         "degree-splitting" => {
-            check_keys(&obj, &["name", "eps", "engine"], "problem")?;
-            let eps = obj_number(&obj, "eps", "problem")?
+            only(&["name", "eps", "engine"])?;
+            let eps = number("eps")?
                 .ok_or_else(|| invalid("problem", "missing contract accuracy eps"))?
                 .as_f64();
-            let engine = match obj_str(&obj, "engine", "problem")?.as_deref() {
+            let engine = match str("engine")?.as_deref() {
                 None | Some("eulerian-oracle") => Engine::EulerianOracle,
                 Some("walk") => Engine::Walk,
                 Some(other) => {
@@ -659,19 +583,19 @@ fn parse_problem(raw: &str) -> Result<Problem, ApiError> {
             Ok(Problem::DegreeSplitting { eps, engine })
         }
         "sinkless-orientation" => {
-            check_keys(&obj, &["name"], "problem")?;
+            only(&["name"])?;
             Ok(Problem::SinklessOrientation)
         }
         "delta-coloring" => {
-            check_keys(&obj, &["name", "base_degree", "max_eps"], "problem")?;
+            only(&["name", "base_degree", "max_eps"])?;
             Ok(Problem::DeltaColoring {
-                base_degree: obj_usize(&obj, "base_degree", "problem")?,
-                max_eps: obj_number(&obj, "max_eps", "problem")?.map(Number::as_f64),
+                base_degree: usize("base_degree")?,
+                max_eps: number("max_eps")?.map(Number::as_f64),
             })
         }
         "edge-coloring" => {
-            check_keys(&obj, &["name", "base_degree", "engine"], "problem")?;
-            let engine = match obj_str(&obj, "engine", "problem")?.as_deref() {
+            only(&["name", "base_degree", "engine"])?;
+            let engine = match str("engine")?.as_deref() {
                 None | Some("eulerian") => EdgeSplitEngine::Eulerian,
                 Some("walk") => EdgeSplitEngine::Walk,
                 Some(other) => {
@@ -682,14 +606,14 @@ fn parse_problem(raw: &str) -> Result<Problem, ApiError> {
                 }
             };
             Ok(Problem::EdgeColoring {
-                base_degree: obj_usize(&obj, "base_degree", "problem")?,
+                base_degree: usize("base_degree")?,
                 engine,
             })
         }
         "mis" => {
-            check_keys(&obj, &["name", "base_degree"], "problem")?;
+            only(&["name", "base_degree"])?;
             Ok(Problem::Mis {
-                base_degree: obj_usize(&obj, "base_degree", "problem")?,
+                base_degree: usize("base_degree")?,
             })
         }
         other => Err(invalid("problem", format!("unknown problem \"{other}\""))),
@@ -706,7 +630,7 @@ fn parse_problem(raw: &str) -> Result<Problem, ApiError> {
 /// edge-list ones included, count from the instance object's first
 /// byte.
 pub fn build_instance(line: &str, body: &mut Body) -> Result<Instance, ApiError> {
-    let base = field(line, &body.fields, "instance").map_or(0, |v| v.start);
+    let base = body.fields(line).span("instance").map_or(0, |v| v.start);
     let fields = match body.instance.take() {
         Some(Ok(fields)) => fields,
         Some(Err(e)) => {
@@ -717,23 +641,15 @@ pub fn build_instance(line: &str, body: &mut Body) -> Result<Instance, ApiError>
         }
         None => return Err(invalid("instance", "missing instance")),
     };
-    let get = |key: &str| get(line, &fields, key);
-    let kind = match get("kind") {
-        Some(raw) => {
-            raw_str(raw).ok_or_else(|| invalid("instance", "kind must be a JSON string"))?
-        }
-        None => return Err(invalid("instance", "missing instance kind")),
-    };
-    let small_usize = |key: &'static str| -> Result<Option<usize>, ApiError> {
-        match get(key) {
-            None => Ok(None),
-            Some(raw) => raw_number(raw)
-                .and_then(Number::as_usize)
-                .map(Some)
-                .ok_or_else(|| {
-                    invalid("instance", format!("{key} must be a non-negative integer"))
-                }),
-        }
+    let f = Fields::new(line, &fields);
+    let kind = f
+        .str("kind")
+        .map_err(|_| invalid("instance", "kind must be a JSON string"))?
+        .ok_or_else(|| invalid("instance", "missing instance kind"))?;
+    let size = |key: &'static str, missing: &'static str| {
+        f.usize(key)
+            .map_err(|_| invalid("instance", format!("{key} must be a non-negative integer")))?
+            .ok_or_else(|| invalid("instance", missing))
     };
     let edges = body.edges.take();
     let edges = || match edges {
@@ -741,41 +657,33 @@ pub fn build_instance(line: &str, body: &mut Body) -> Result<Instance, ApiError>
         Some(Err(e)) => Err(invalid("instance", format!("edges: {}", relative(e, base)))),
         None => Err(invalid("instance", "missing edges array")),
     };
-    let check_keys = |allowed: &[&str]| -> Result<(), ApiError> {
-        for (key, _) in &fields {
-            let key = &line[key.clone()];
-            if !allowed.contains(&key) {
-                return Err(invalid(
-                    "instance",
-                    format!("unknown field \"{key}\" on a {kind} instance"),
-                ));
-            }
-        }
-        Ok(())
+    let only = |allowed: &[&str]| {
+        f.only(allowed).map_err(|key| {
+            invalid(
+                "instance",
+                format!("unknown field \"{key}\" on a {kind} instance"),
+            )
+        })
     };
     match kind.as_str() {
         "bipartite" => {
-            check_keys(&["kind", "left", "right", "edges"])?;
-            let left = small_usize("left")?
-                .ok_or_else(|| invalid("instance", "missing left (constraint count)"))?;
-            let right = small_usize("right")?
-                .ok_or_else(|| invalid("instance", "missing right (variable count)"))?;
+            only(&["kind", "left", "right", "edges"])?;
+            let left = size("left", "missing left (constraint count)")?;
+            let right = size("right", "missing right (variable count)")?;
             let b = BipartiteGraph::from_edges_bulk(left, right, &edges()?)
                 .map_err(|e| invalid("instance", e.to_string()))?;
             Ok(Instance::Bipartite(b))
         }
         "host" => {
-            check_keys(&["kind", "nodes", "edges"])?;
-            let n =
-                small_usize("nodes")?.ok_or_else(|| invalid("instance", "missing node count"))?;
+            only(&["kind", "nodes", "edges"])?;
+            let n = size("nodes", "missing node count")?;
             let g = Graph::from_edges_bulk(n, &edges()?)
                 .map_err(|e| invalid("instance", e.to_string()))?;
             Ok(Instance::Host(g))
         }
         "multigraph" => {
-            check_keys(&["kind", "nodes", "edges"])?;
-            let n =
-                small_usize("nodes")?.ok_or_else(|| invalid("instance", "missing node count"))?;
+            only(&["kind", "nodes", "edges"])?;
+            let n = size("nodes", "missing node count")?;
             let endpoints = edges()?;
             // from_endpoints panics on out-of-range ids; validate first so
             // malformed frames stay typed errors
@@ -812,21 +720,29 @@ pub fn build_request(
     mut body: Body,
     shared: Option<Arc<Instance>>,
 ) -> Result<Request, ApiError> {
-    if shared.is_none() && field(line, &body.fields, "handle").is_some() {
+    if shared.is_none() && body.fields(line).span("handle").is_some() {
         return Err(invalid(
             "handle",
             "instance handles are resolved by the server at admission; \
              this parser needs an inline instance",
         ));
     }
-    let problem = parse_problem(get(line, &body.fields, "problem").unwrap_or_default())?;
+    let problem = build_problem(line, &body)?;
     let mut request = match shared {
         Some(shared) => Request::from_shared(problem, shared),
         None => Request::new(problem, build_instance(line, &mut body)?),
     };
-    let fields = body.fields;
     // the policy tail: determinism, seed, pipeline override, budget
-    match field_str(line, &fields, "determinism")?.as_deref() {
+    let f = body.fields(line);
+    let str = |key: &'static str| {
+        f.str(key)
+            .map_err(|_| invalid(key, "must be a JSON string"))
+    };
+    let number = |key: &'static str| {
+        f.number(key)
+            .map_err(|_| invalid(key, "must be a JSON number"))
+    };
+    match str("determinism")?.as_deref() {
         None => {}
         Some("deterministic") => request = request.deterministic(),
         Some("randomized") => request = request.randomized(),
@@ -837,13 +753,13 @@ pub fn build_request(
             ))
         }
     }
-    if let Some(n) = field_number(line, &fields, "seed")? {
+    if let Some(n) = number("seed")? {
         let seed = n
             .as_u64()
             .ok_or_else(|| invalid("seed", "must be an unsigned 64-bit integer"))?;
         request = request.seed(seed);
     }
-    if let Some(name) = field_str(line, &fields, "force_pipeline")? {
+    if let Some(name) = str("force_pipeline")? {
         let pipeline = [
             Pipeline::Theorem27,
             Pipeline::Theorem25,
@@ -862,16 +778,16 @@ pub fn build_request(
         })?;
         request = request.force_pipeline(pipeline);
     }
-    if let Some(n) = field_number(line, &fields, "max_rounds")? {
+    if let Some(n) = number("max_rounds")? {
         request = request.max_rounds(n.as_f64());
     }
-    if let Some(n) = field_number(line, &fields, "attempts")? {
+    if let Some(n) = number("attempts")? {
         let attempts = n
             .as_usize()
             .ok_or_else(|| invalid("attempts", "must be a non-negative integer"))?;
         request = request.attempts(attempts);
     }
-    if let Some(ms) = parse_deadline(get(line, &fields, "deadline_ms"))? {
+    if let Some(ms) = parse_deadline(f)? {
         request = request.deadline_ms(ms);
     }
     Ok(request)
@@ -1632,18 +1548,16 @@ pub struct Reply<'a> {
 /// Splits a reply frame into its envelope and embedded payload slice.
 /// Returns `None` when `frame` is not a well-formed v1 reply frame.
 pub fn split_reply(frame: &str) -> Option<Reply<'_>> {
-    let fields = json::scan_top_level(frame).ok()?;
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-    let v = json::parse(get("v")?).ok()?.as_number()?.as_u64()?;
-    if v != PROTOCOL_VERSION {
+    let spans = json::Cursor::new(frame).object(|_, _| Ok(false)).ok()?;
+    let f = Fields::new(frame, &spans);
+    let u64_of = |key: &str| f.number(key).ok().flatten()?.as_u64();
+    if u64_of("v")? != PROTOCOL_VERSION {
         return None;
     }
-    let frame_type = json::parse(get("type")?).ok()?.as_str()?.to_owned();
-    let id = json::parse(get("id")?).ok()?.as_str()?.to_owned();
-    let seq = json::parse(get("seq")?).ok()?.as_number()?.as_u64()?;
-    let field_u64 =
-        |key: &str| -> Option<u64> { json::parse(get(key)?).ok()?.as_number()?.as_u64() };
-    let timing = match (field_u64("queued_ns"), field_u64("solve_ns")) {
+    let frame_type = f.str("type").ok()??;
+    let id = f.str("id").ok()??;
+    let seq = u64_of("seq")?;
+    let timing = match (u64_of("queued_ns"), u64_of("solve_ns")) {
         (Some(queued_ns), Some(solve_ns)) => Some(Timing {
             queued_ns,
             solve_ns,
@@ -1652,17 +1566,11 @@ pub fn split_reply(frame: &str) -> Option<Reply<'_>> {
     };
     // heartbeats reuse `replayed` as a counter (total cache hits served),
     // so the boolean reading applies only to solution/error frames
-    let replayed = frame_type != "heartbeat"
-        && match get("replayed") {
-            None => false,
-            Some(raw) => json::parse(raw).ok()?.as_bool()?,
-        };
+    let replayed = frame_type != "heartbeat" && f.bool("replayed").ok()?.unwrap_or(false);
     let payload = match frame_type.as_str() {
-        "solution" => Some(get("solution")?),
-        "error" => Some(get("error")?),
-        "uploaded" => Some(get("uploaded")?),
-        "released" => Some(get("released")?),
-        "mutated" => Some(get("mutated")?),
+        "solution" | "error" | "uploaded" | "released" | "mutated" => {
+            Some(&frame[f.span(&frame_type)?])
+        }
         "heartbeat" => None,
         _ => return None,
     };

@@ -319,7 +319,61 @@ fn hostile_lines() -> Vec<(&'static str, String, &'static str)> {
             expected,
         ));
     }
+    table.extend(problem_object_rows());
+    table.extend(escaped_key_rows());
     table
+}
+
+/// The `problem` object's own errors: its type, a wrong-typed field, a
+/// repeated key (offset into the problem text), and a fractional
+/// palette bound.
+fn problem_object_rows() -> Vec<(&'static str, String, &'static str)> {
+    vec![
+        (
+            "problem that is a string",
+            r#"{"v":1,"type":"request","id":"x","problem":"mis","instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":68,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: must be a JSON object"}}"#,
+        ),
+        (
+            "problem field of the wrong type",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"weak-splitting","thm12_constant":"3"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":69,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: thm12_constant must be a number, got string"}}"#,
+        ),
+        (
+            "duplicate key inside the problem",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis","name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":70,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: JSON parse error at byte 20: duplicate key \"name\""}}"#,
+        ),
+        (
+            "fractional palette bound",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"multicolor-splitting","colors":2.5,"lambda":0.5},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":71,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: colors must be an integer palette bound"}}"#,
+        ),
+    ]
+}
+
+/// One key rule for every object: keys match byte for byte, escapes
+/// unresolved, so an escaped spelling of a protocol key is a different
+/// key — unknown on the frame, and missing where the instance or the
+/// problem requires it.
+fn escaped_key_rows() -> Vec<(&'static str, String, &'static str)> {
+    vec![
+        (
+            "escaped frame key",
+            r#"{"v":1,"type":"request","\u0069d":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"","seq":72,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: frame: unknown field \"\\u0069d\" on a request frame"}}"#,
+        ),
+        (
+            "escaped instance key",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"k\u0069nd":"host","nodes":1,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":73,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: missing instance kind"}}"#,
+        ),
+        (
+            "escaped problem key",
+            r#"{"v":1,"type":"request","id":"x","problem":{"n\u0061me":"weak-multicolor"},"instance":{"kind":"bipartite","left":1,"right":1,"edges":[[0,0]]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":74,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: problem: missing problem name"}}"#,
+        ),
+    ]
 }
 
 #[test]
@@ -448,19 +502,25 @@ fn hostile_client_does_not_disturb_other_connections() {
     }
 }
 
+use splitting_server::json::{Number, ParseError, MAX_DEPTH};
+
+#[path = "support/json_tree.rs"]
+mod json_tree;
+
 /// Fuzzing of the frame scan's in-place edge-list decoder against the
 /// strict `Json` tree parser: whatever bytes arrive as an edge list, the
 /// decoder must accept exactly what the tree reads as an array of
 /// two-element arrays of non-negative integers, with the same pairs,
 /// and flag exactly the non-canonical spellings.
 mod edge_decoder_matches_the_tree_parser {
+    use super::json_tree::{self, Json};
     use proptest::prelude::*;
     use splitting_server::json;
 
     /// The reference: a full tree, read back into pairs.
     fn tree(input: &str) -> Option<Vec<(usize, usize)>> {
-        let endpoint = |v: &json::Json| v.as_number()?.as_usize();
-        json::parse(input)
+        let endpoint = |v: &Json| v.as_number()?.as_usize();
+        json_tree::parse(input)
             .ok()?
             .as_array()?
             .iter()

@@ -85,9 +85,17 @@ fn ledgers_separate_cost_kinds_in_every_pipeline() {
 
 #[test]
 fn solver_plan_is_pure() {
+    use distributed_splitting::api::{Problem, Request, Session};
     let b = instance(5);
-    let solver = core::WeakSplittingSolver::default();
-    assert_eq!(solver.plan(&b), solver.plan(&b));
+    let plan = || core::decide_pipeline(true, 3.0, core::RegimeParams::of(&b));
+    assert_eq!(plan(), plan());
+    // the session announces that plan, and replays its solve bit for bit
+    let request = Request::new(Problem::weak_splitting(), b.clone());
+    let session = Session::with_threads(1);
+    let first = session.solve(&request).unwrap();
+    let again = session.solve(&request).unwrap();
+    assert_eq!(first.provenance.pipeline, plan());
+    assert_eq!(first.output, again.output);
 }
 
 #[test]

@@ -88,24 +88,29 @@ fn section4_track_coloring_and_mis() {
 }
 
 #[test]
-fn solver_facade_covers_all_paper_regimes() {
+fn session_covers_all_paper_regimes() {
+    use distributed_splitting::api::{Problem, Request, Session};
     let mut rng = StdRng::seed_from_u64(6);
     // Theorem 2.7 regime
     let skewed = generators::random_biregular(12, 72, 12, &mut rng).unwrap();
     // zero-round / Theorem 2.5 regime
     let balanced = generators::random_biregular(100, 100, 20, &mut rng).unwrap();
+    let session = Session::with_threads(1);
     for (b, randomized) in [
         (&skewed, false),
         (&skewed, true),
         (&balanced, false),
         (&balanced, true),
     ] {
-        let solver = core::WeakSplittingSolver {
-            allow_randomized: randomized,
-            ..Default::default()
+        let request = Request::new(Problem::weak_splitting(), b.clone());
+        let request = if randomized {
+            request
+        } else {
+            request.deterministic()
         };
-        let (out, _) = solver.solve(b).unwrap();
-        assert!(checks::is_weak_splitting(b, &out.colors, 0));
+        let solution = session.solve(&request).unwrap();
+        let colors = solution.output.two_coloring().unwrap();
+        assert!(checks::is_weak_splitting(b, colors, 0));
     }
 }
 
