@@ -199,11 +199,6 @@ impl ConformanceReport {
             .flat_map(|c| &c.failures)
             .collect()
     }
-
-    /// Whether every check passed.
-    pub fn is_green(&self) -> bool {
-        self.failures().is_empty()
-    }
 }
 
 /// Check recorder for one cell.

@@ -28,6 +28,13 @@ pub struct VirtualSplit {
 /// Panics if `target == 0`.
 pub fn uniformize_left_degrees(b: &BipartiteGraph, target: usize) -> VirtualSplit {
     assert!(target > 0, "target degree must be positive");
+    if (0..b.left_count()).all(|u| b.left_degree(u) < 2 * target) {
+        // no constraint splits: the instance is its own uniformization
+        return VirtualSplit {
+            graph: b.clone(),
+            origin: (0..b.left_count()).collect(),
+        };
+    }
     let mut origin = Vec::new();
     let mut edges: Vec<(usize, usize)> = Vec::with_capacity(b.edge_count());
     for u in 0..b.left_count() {
@@ -51,7 +58,7 @@ pub fn uniformize_left_degrees(b: &BipartiteGraph, target: usize) -> VirtualSpli
         }
         debug_assert_eq!(offset, d);
     }
-    let graph = BipartiteGraph::from_edges(origin.len(), b.right_count(), &edges)
+    let graph = BipartiteGraph::from_edges_bulk(origin.len(), b.right_count(), &edges)
         .expect("virtual split preserves simplicity");
     VirtualSplit { graph, origin }
 }

@@ -16,11 +16,12 @@
 //! # Memory layout
 //!
 //! The executor snapshots the topology once into flat CSR buffers
-//! (`offsets`/`targets` plus a precomputed reverse-port table, so no
-//! per-message port lookups), and shuttles messages through two flat,
-//! double-buffered arenas: an *outbox* of `(dst, seq, port, msg)` records
-//! filled during the round, and an *inbox* arena regrouped from it by a
-//! deterministic in-place sort on `(dst, seq)`. Both arenas and the
+//! (`offsets`/`targets` plus a reverse-port table filled in one sweep with a
+//! per-node cursor, so no per-message port lookups), and shuttles messages
+//! through two flat, double-buffered arenas: an *outbox* of `(dst, port,
+//! msg)` records filled during the round in emission order, and an *inbox*
+//! arena regrouped from it by a stable counting sort on `dst`, `O(n +
+//! messages)` per round. Both arenas, the counting-sort slots and the
 //! active-node frontier are reused every round, so steady-state execution
 //! performs no per-node per-round allocation (programs still own the `Vec`s
 //! they return). Terminated nodes leave the frontier and cost zero.
@@ -31,7 +32,7 @@
 //! frontier is split into contiguous chunks, each processed by a scoped
 //! thread (`std::thread::scope`), and the per-chunk outboxes are merged in
 //! chunk order — which equals the sequential emission order — before the
-//! same deterministic regrouping sort. Nodes are independent within a round,
+//! same stable regrouping. Nodes are independent within a round,
 //! so for any thread count the run is **bit-identical** to [`run_local`]:
 //! same outputs, same round count, same message count, same inbox orderings.
 
@@ -99,7 +100,7 @@ pub struct LocalRun<O> {
 
 /// Flat topology snapshot: CSR adjacency plus, for every directed edge slot
 /// `v → u`, the port of `u` back towards `v` (precomputed once so delivery
-/// needs no per-message binary search).
+/// needs no per-message lookup).
 struct Topology {
     offsets: Vec<usize>,
     targets: Vec<usize>,
@@ -116,13 +117,20 @@ impl Topology {
             targets.extend_from_slice(g.neighbors(v));
             offsets.push(targets.len());
         }
+        // Rows are sorted and swept in ascending node order, so `v`'s slot
+        // in `u`'s row is always the next one `u`'s cursor has not claimed.
+        let mut cursor = offsets[..n].to_vec();
         let mut rev_port = vec![0usize; targets.len()];
         for v in 0..n {
             for i in offsets[v]..offsets[v + 1] {
                 let u = targets[i];
-                rev_port[i] = targets[offsets[u]..offsets[u + 1]]
-                    .binary_search(&v)
-                    .expect("adjacency is symmetric");
+                let slot = cursor[u];
+                assert!(
+                    slot < offsets[u + 1] && targets[slot] == v,
+                    "adjacency is symmetric"
+                );
+                rev_port[i] = slot - offsets[u];
+                cursor[u] += 1;
             }
         }
         Topology {
@@ -137,12 +145,11 @@ impl Topology {
     }
 }
 
-/// One outbound message record in the flat arena. `seq` is the global
-/// emission index, assigned before regrouping; sorting by `(dst, seq)` is a
-/// total order, so the regrouped inbox arena is deterministic.
+/// One outbound message record in the flat arena. The arena is filled in
+/// emission order, and [`regroup`] keeps that order within each inbox, so
+/// the regrouped inbox arena is deterministic.
 struct OutMsg<M> {
     dst: usize,
-    seq: usize,
     port: usize,
     msg: M,
 }
@@ -162,7 +169,6 @@ fn emit<M: Clone>(
             for i in lo..hi {
                 buf.push(OutMsg {
                     dst: topo.targets[i],
-                    seq: 0,
                     port: topo.rev_port[i],
                     msg: msg.clone(),
                 });
@@ -176,7 +182,6 @@ fn emit<M: Clone>(
             let i = topo.offsets[v] + port;
             buf.push(OutMsg {
                 dst: topo.targets[i],
-                seq: 0,
                 port: topo.rev_port[i],
                 msg,
             });
@@ -185,21 +190,18 @@ fn emit<M: Clone>(
     }
 }
 
-/// Regroups the outbox arena into the inbox arena: assign emission sequence
-/// numbers, sort in place by `(dst, seq)` (total order → deterministic), and
-/// move the records over. After this, node `v`'s inbox is
-/// `inbox_data[starts[v]..starts[v + 1]]`, in exactly the order the seed
-/// executor's per-node push loop produced.
+/// Regroups the outbox arena into the inbox arena by a stable counting sort
+/// on `dst`, `O(n + messages)`. The outbox is in emission order, so every
+/// inbox keeps its messages in emission order — exactly the order the seed
+/// executor's per-node push loop produced. After this, node `v`'s inbox is
+/// `inbox_data[starts[v]..starts[v + 1]]`; `slots` is scatter scratch.
 fn regroup<M>(
     n: usize,
     outbox: &mut Vec<OutMsg<M>>,
+    slots: &mut Vec<Option<(usize, M)>>,
     inbox_data: &mut Vec<(usize, M)>,
     starts: &mut Vec<usize>,
 ) {
-    for (i, m) in outbox.iter_mut().enumerate() {
-        m.seq = i;
-    }
-    outbox.sort_unstable_by_key(|m| (m.dst, m.seq));
     starts.clear();
     starts.resize(n + 1, 0);
     for m in outbox.iter() {
@@ -208,8 +210,22 @@ fn regroup<M>(
     for i in 0..n {
         starts[i + 1] += starts[i];
     }
+    // scatter with `starts[v]` as `v`'s cursor; it ends at the end of `v`'s
+    // inbox, which is where `v + 1`'s begins, so one shift restores `starts`
+    slots.resize_with(outbox.len(), || None);
+    for m in outbox.drain(..) {
+        let at = &mut starts[m.dst];
+        slots[*at] = Some((m.port, m.msg));
+        *at += 1;
+    }
+    starts.copy_within(0..n, 1);
+    starts[0] = 0;
     inbox_data.clear();
-    inbox_data.extend(outbox.drain(..).map(|m| (m.port, m.msg)));
+    inbox_data.extend(
+        slots
+            .drain(..)
+            .map(|slot| slot.expect("the counting sort fills every slot")),
+    );
 }
 
 /// Runs one [`NodeProgram`] per node of `g` for at most `max_rounds` rounds.
@@ -276,6 +292,7 @@ pub fn run_local<P: NodeProgram>(
 
     let mut messages = 0usize;
     let mut outbox: Vec<OutMsg<P::Msg>> = Vec::new();
+    let mut slots: Vec<Option<(usize, P::Msg)>> = Vec::new();
     let mut inbox_data: Vec<(usize, P::Msg)> = Vec::new();
     let mut starts: Vec<usize> = Vec::new();
 
@@ -283,7 +300,7 @@ pub fn run_local<P: NodeProgram>(
         let out = programs[v].init(&contexts[v]);
         emit(&topo, v, out, &mut outbox, &mut messages);
     }
-    regroup(n, &mut outbox, &mut inbox_data, &mut starts);
+    regroup(n, &mut outbox, &mut slots, &mut inbox_data, &mut starts);
 
     let mut active: Vec<usize> = (0..n).filter(|&v| !programs[v].is_done()).collect();
     let mut rounds = 0usize;
@@ -294,7 +311,7 @@ pub fn run_local<P: NodeProgram>(
             let out = programs[v].round(&contexts[v], inbox);
             emit(&topo, v, out, &mut outbox, &mut messages);
         }
-        regroup(n, &mut outbox, &mut inbox_data, &mut starts);
+        regroup(n, &mut outbox, &mut slots, &mut inbox_data, &mut starts);
         active.retain(|&v| !programs[v].is_done());
         rounds += 1;
     }
@@ -340,6 +357,7 @@ where
 
     let mut messages = 0usize;
     let mut outbox: Vec<OutMsg<P::Msg>> = Vec::new();
+    let mut slots: Vec<Option<(usize, P::Msg)>> = Vec::new();
     let mut inbox_data: Vec<(usize, P::Msg)> = Vec::new();
     let mut starts: Vec<usize> = Vec::new();
     // per-worker outbox buffers, reused across rounds
@@ -350,7 +368,7 @@ where
         let out = programs[v].init(&contexts[v]);
         emit(&topo, v, out, &mut outbox, &mut messages);
     }
-    regroup(n, &mut outbox, &mut inbox_data, &mut starts);
+    regroup(n, &mut outbox, &mut slots, &mut inbox_data, &mut starts);
 
     let mut active: Vec<usize> = (0..n).filter(|&v| !programs[v].is_done()).collect();
     let mut rounds = 0usize;
@@ -391,7 +409,7 @@ where
                 chunk_bufs.push(buf);
             }
         });
-        regroup(n, &mut outbox, &mut inbox_data, &mut starts);
+        regroup(n, &mut outbox, &mut slots, &mut inbox_data, &mut starts);
         active.retain(|&v| !programs[v].is_done());
         rounds += 1;
     }

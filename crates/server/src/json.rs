@@ -480,11 +480,12 @@ impl<'a> Cursor<'a> {
         Ok(fields)
     }
 
-    /// [`Cursor::object`] for a value nested at `depth` that should be
-    /// an object. The value's structure is judged exactly as a skip of
-    /// it would be (the outer `Err`). What a skip would pass but an
-    /// object scan rejects — a value that is not an object, or a
-    /// repeated key — comes back as the inner `Err`, with the value
+    /// [`Cursor::object`] for a value nested at `depth` (the depth a
+    /// walk skips it at, as for [`Cursor::edge_list`]) that should be an
+    /// object. The value's structure is judged exactly as a skip of it
+    /// would be (the outer `Err`), whatever its type. What a skip would
+    /// pass but an object scan rejects — a value that is not an object,
+    /// or a repeated key — comes back as the inner `Err`, with the value
     /// consumed, for the caller to report later.
     ///
     /// # Errors
@@ -501,7 +502,7 @@ impl<'a> Cursor<'a> {
             return Ok(Err(e));
         }
         let mut duplicate = None;
-        let fields = self.walk(depth, Some(&mut duplicate), value)?;
+        let fields = self.walk(depth + 1, Some(&mut duplicate), value)?;
         Ok(duplicate.map_or(Ok(fields), Err))
     }
 

@@ -705,11 +705,6 @@ impl Server {
         self.shared.maybe_compact();
     }
 
-    /// Starts a default-configured server.
-    pub fn start_default() -> Self {
-        Self::start(ServerConfig::default())
-    }
-
     /// Opens a connection, returning its ingest and reporting halves.
     pub fn connect(&self) -> Connection {
         let conn = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);

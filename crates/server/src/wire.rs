@@ -350,12 +350,12 @@ pub fn scan(line: &str) -> Result<(ClientFrame, Body), ApiError> {
                 // a problem that is not an object is skipped like any
                 // value; the build step reports it
                 "problem" if c.peek() == Some(b'{') => {
-                    body.problem = c.nested_object(1, |_, _| Ok(false))?.ok();
+                    body.problem = c.nested_object(0, |_, _| Ok(false))?.ok();
                     return Ok(true);
                 }
                 "instance" => {
                     let edges = &mut body.edges;
-                    body.instance = Some(c.nested_object(1, |c, key| {
+                    body.instance = Some(c.nested_object(0, |c, key| {
                         if key != "edges" {
                             return Ok(false);
                         }
@@ -1274,13 +1274,6 @@ pub fn render_ping(id: &str) -> String {
     if !id.is_empty() {
         obj.string("id", id);
     }
-    obj.finish()
-}
-
-/// Renders a `shutdown` frame.
-pub fn render_shutdown() -> String {
-    let mut obj = JsonObject::new();
-    obj.uint("v", PROTOCOL_VERSION).string("type", "shutdown");
     obj.finish()
 }
 

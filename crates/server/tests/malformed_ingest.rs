@@ -321,6 +321,15 @@ fn hostile_lines() -> Vec<(&'static str, String, &'static str)> {
     }
     table.extend(problem_object_rows());
     table.extend(escaped_key_rows());
+    table.push((
+        "instance that is a 65-deep array",
+        format!(
+            r#"{{"v":1,"type":"request","id":"x","problem":{{"name":"mis"}},"instance":{}1{}}}"#,
+            "[".repeat(65),
+            "]".repeat(65)
+        ),
+        r#"{"v":1,"type":"error","id":"x","seq":75,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: not a JSON object: JSON parse error at byte 0: expected '{', found '['"}}"#,
+    ));
     table
 }
 
@@ -615,6 +624,89 @@ mod edge_decoder_matches_the_tree_parser {
                 mutated.remove(at);
                 assert_agreement(&mutated);
             }
+        }
+    }
+}
+
+/// The frame walk judges a value's structure by where it sits, not by
+/// which key it sits under: `instance` (scanned as an object),
+/// `problem` (scanned as an object when it is one) and an unknown key
+/// (skipped) must reject the same values, with the same reason at the
+/// same offset into the value, and accept the same values.
+mod walk_is_key_independent {
+    use proptest::prelude::*;
+    use splitting_api::ApiError;
+    use splitting_server::wire;
+
+    /// Innermost values: well-formed scalars and containers, a repeated
+    /// key, an `edges` list an instance decodes, and malformed text.
+    const LEAVES: &[&str] = &[
+        "1",
+        "\"s\"",
+        "[]",
+        "{}",
+        "[1,2]",
+        "{\"edges\":[[0,1]]}",
+        "{\"edges\":[[0,,1]]}",
+        "{\"a\":1,\"a\":2}",
+        "tru",
+        "[1,]",
+        "{\"k\" 1}",
+        "\"open",
+    ];
+
+    /// `(reason, offset into the value)` when the frame walk rejects the
+    /// line, `None` when it accepts it (whatever comes after).
+    fn walk_verdict(key: &str, value: &str) -> Option<(String, usize)> {
+        let head = format!(r#"{{"v":1,"type":"request","id":"x","{key}":"#);
+        let line = format!("{head}{value}}}");
+        let Err(ApiError::InvalidRequest {
+            field: "frame",
+            reason,
+        }) = wire::scan(&line)
+        else {
+            return None;
+        };
+        let rest = reason.strip_prefix("not a JSON object: JSON parse error at byte ")?;
+        let (at, why) = rest.split_once(": ")?;
+        let at: usize = at.parse().expect("a byte offset");
+        Some((why.to_string(), at.saturating_sub(head.len())))
+    }
+
+    proptest! {
+        #[test]
+        fn instance_problem_and_unknown_keys_agree(
+            (depth, wrappers, leaf, siblings) in
+                (0usize..72, 0u64..u64::MAX, 0usize..LEAVES.len(), 0u64..u64::MAX)
+        ) {
+            // nest the leaf in `depth` arrays or objects (bits of
+            // `wrappers`), some with a sibling before the nested value
+            let (mut open, mut close) = (String::new(), String::new());
+            for level in 0..depth {
+                let sibling = (siblings >> (level % 64)) & 1 == 1;
+                if (wrappers >> (level % 64)) & 1 == 0 {
+                    open.push_str(if sibling { "[0," } else { "[" });
+                    close.insert(0, ']');
+                } else {
+                    open.push_str(if sibling { "{\"s\":0,\"k\":" } else { "{\"k\":" });
+                    close.insert(0, '}');
+                }
+            }
+            let value = format!("{open}{}{close}", LEAVES[leaf]);
+            let unknown = walk_verdict("pad", &value);
+            prop_assert_eq!(walk_verdict("instance", &value), unknown.clone());
+            prop_assert_eq!(walk_verdict("problem", &value), unknown);
+        }
+    }
+
+    #[test]
+    fn the_depth_cap_does_not_depend_on_the_key() {
+        for depth in [63, 64, 65, 66] {
+            let value = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+            let unknown = walk_verdict("pad", &value);
+            assert_eq!(unknown.is_some(), depth > 65, "depth {depth}");
+            assert_eq!(walk_verdict("instance", &value), unknown, "depth {depth}");
+            assert_eq!(walk_verdict("problem", &value), unknown, "depth {depth}");
         }
     }
 }

@@ -194,9 +194,15 @@ pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
             comps[c].original_right.push(v - shift);
         }
     }
-    // second pass: build graphs in bulk (one edge list per component)
+    // second pass: build graphs in bulk (one edge list per component); an
+    // edgeless component (an isolated node) needs no build
     let mut edges: Vec<(usize, usize)> = Vec::new();
     for (c, comp) in comps.iter_mut().enumerate() {
+        let (left, right) = (comp.original_left.len(), comp.original_right.len());
+        if left + right == 1 {
+            comp.graph = BipartiteGraph::new(left, right);
+            continue;
+        }
         edges.clear();
         for (i, &orig_u) in comp.original_left.iter().enumerate() {
             for &orig_v in b.left_neighbors(orig_u) {
@@ -204,12 +210,8 @@ pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
                 edges.push((i, local[shift + orig_v]));
             }
         }
-        comp.graph = BipartiteGraph::from_edges_bulk(
-            comp.original_left.len(),
-            comp.original_right.len(),
-            &edges,
-        )
-        .expect("component edges are simple");
+        comp.graph = BipartiteGraph::from_edges_bulk(left, right, &edges)
+            .expect("component edges are simple");
     }
     comps
 }

@@ -175,11 +175,6 @@ impl Csr {
         }
         rows
     }
-
-    /// Consumes the CSR and returns `(offsets, targets)`.
-    pub fn into_parts(self) -> (Vec<usize>, Vec<usize>) {
-        (self.offsets, self.targets)
-    }
 }
 
 #[cfg(test)]
