@@ -1,15 +1,7 @@
 //! Experiment `api` — batch throughput of the unified request/solution
-//! layer versus sequential single-call dispatch and the raw legacy
-//! entrypoints. `--quick` shrinks the batches; `--json <path>`
+//! layer versus sequential single-call dispatch and the direct
+//! entrypoint calls. `--quick` shrinks the batches; `--json <path>`
 //! additionally emits the machine-readable `BENCH_api.json` report.
 fn main() {
-    let quick = splitting_bench::quick_flag();
-    let (tables, report) = splitting_bench::run_api_perf(quick);
-    for t in &tables {
-        t.print();
-    }
-    if let Some(path) = splitting_bench::json_path_flag() {
-        std::fs::write(&path, report.to_json()).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    splitting_bench::bench_main("api", splitting_bench::run_api_perf);
 }

@@ -4,13 +4,5 @@
 //! instance and stream; `--json <path>` additionally emits the
 //! machine-readable `BENCH_churn.json` report.
 fn main() {
-    let quick = splitting_bench::quick_flag();
-    let (tables, report) = splitting_bench::run_churn_perf(quick);
-    for t in &tables {
-        t.print();
-    }
-    if let Some(path) = splitting_bench::json_path_flag() {
-        std::fs::write(&path, report.to_json()).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    splitting_bench::bench_main("churn", splitting_bench::run_churn_perf);
 }

@@ -1,16 +1,8 @@
-//! Experiment `pipeline` — end-to-end benchmark of the theorem pipelines
-//! (solver dispatch, multicolor, uniform splitting) and before/after
-//! measurements of the derandomization engine. `--quick` shrinks the
+//! Experiment `pipeline` — the theorem pipelines (solver dispatch,
+//! multicolor, uniform splitting), the derandomization engine and single
+//! pipeline layers over repeated samples. `--quick` shrinks the
 //! instances; `--json <path>` additionally emits the machine-readable
 //! `BENCH_pipeline.json` report.
 fn main() {
-    let quick = splitting_bench::quick_flag();
-    let (tables, report) = splitting_bench::run_pipeline_perf(quick);
-    for t in &tables {
-        t.print();
-    }
-    if let Some(path) = splitting_bench::json_path_flag() {
-        std::fs::write(&path, report.to_json()).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    splitting_bench::bench_main("pipeline", splitting_bench::run_pipeline_perf);
 }

@@ -1,16 +1,5 @@
 //! Experiment `runtime` — see DESIGN.md §4 for the claim under test.
-//! `--json <path>` additionally emits the result tables as JSON.
 fn main() {
     let quick = splitting_bench::quick_flag();
-    let tables = splitting_bench::exp_runtime(quick);
-    if let Some(path) = splitting_bench::json_path_flag() {
-        let mode = if quick { "quick" } else { "full" };
-        std::fs::write(
-            &path,
-            splitting_bench::tables_to_json("runtime", mode, &tables),
-        )
-        .expect("write --json output");
-        eprintln!("wrote {path}");
-    }
-    splitting_bench::run_experiment_main(tables);
+    splitting_bench::run_experiment_main(splitting_bench::exp_runtime(quick));
 }

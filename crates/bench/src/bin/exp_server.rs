@@ -4,13 +4,5 @@
 //! `--quick` shrinks the load; `--json <path>` additionally emits the
 //! machine-readable `BENCH_server.json` report.
 fn main() {
-    let quick = splitting_bench::quick_flag();
-    let (tables, report) = splitting_bench::run_server_perf(quick);
-    for t in &tables {
-        t.print();
-    }
-    if let Some(path) = splitting_bench::json_path_flag() {
-        std::fs::write(&path, report.to_json()).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    splitting_bench::bench_main("server", splitting_bench::run_server_perf);
 }

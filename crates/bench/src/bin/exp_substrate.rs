@@ -1,15 +1,7 @@
-//! Experiment `substrate` — before/after microbench of the flat-memory
-//! graph core and the arena executor. `--quick` shrinks the instances;
-//! `--json <path>` additionally emits the machine-readable
-//! `BENCH_substrate.json` report.
+//! Experiment `substrate` — microbench of the flat-memory graph core, the
+//! arena executor, the symmetry-breaking colorings and the multigraph
+//! splitting engines. `--quick` shrinks the instances; `--json <path>`
+//! additionally emits the machine-readable `BENCH_substrate.json` report.
 fn main() {
-    let quick = splitting_bench::quick_flag();
-    let (tables, report) = splitting_bench::run_substrate_perf(quick);
-    for t in &tables {
-        t.print();
-    }
-    if let Some(path) = splitting_bench::json_path_flag() {
-        std::fs::write(&path, report.to_json()).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    splitting_bench::bench_main("substrate", splitting_bench::run_substrate_perf);
 }

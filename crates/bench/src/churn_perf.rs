@@ -5,8 +5,9 @@
 //! Per churn style (grow / shrink / rewire), the bench holds a solved
 //! weak-splitting instance and streams seeded edge-delta batches into
 //! it. Every timed update is paired with a from-scratch
-//! `Session::solve` of the identical patched instance, so the speedup
-//! column compares two certified solutions of the same graph. Repaired
+//! `Session::solve` of the identical patched instance, so the two
+//! records of a style — `api.held_apply` and `api.solve`, one sample per
+//! update — time two certified solutions of the same graph. Repaired
 //! certificates are verified **in the loop**: `certificate.holds()`
 //! inside the timed region, plus an untimed full `reverify` against the
 //! patched instance after every update.
@@ -17,8 +18,7 @@
 //! re-solve; the route counters in the record report whatever happened
 //! inside the timed window). Results feed `BENCH_churn.json`.
 
-use crate::json::esc;
-use crate::table::{fnum, Table};
+use crate::json::{params, Record};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splitgraph::delta::{random_delta, ChurnStyle};
@@ -26,123 +26,8 @@ use splitgraph::generators;
 use splitting_api::{Instance, Problem, Request, Session};
 use std::time::Instant;
 
-/// One churn-style measurement over a mutation stream.
-#[derive(Debug, Clone)]
-pub struct ChurnRecord {
-    /// Churn style (`grow` / `shrink` / `rewire`).
-    pub style: &'static str,
-    /// Constraints (left nodes).
-    pub left: usize,
-    /// Variables (right nodes).
-    pub right: usize,
-    /// Left degree of the biregular instance.
-    pub degree: usize,
-    /// Edge count at the start of the timed window.
-    pub edges: usize,
-    /// Timed updates in the stream.
-    pub updates: usize,
-    /// Edits per update batch.
-    pub edits_per_update: usize,
-    /// Churn rate: edits per update as a percentage of constraints.
-    pub churn_pct: f64,
-    /// Wall time of the initial full solve (the `hold`), nanoseconds.
-    pub wall_ns_first_solve: u128,
-    /// Total wall time of the timed incremental updates, nanoseconds.
-    pub wall_ns_update_total: u128,
-    /// Total wall time of the paired from-scratch re-solves, nanoseconds.
-    pub wall_ns_scratch_total: u128,
-    /// Updates answered by the incremental repair route in the window.
-    pub repairs: u64,
-    /// Updates that fell back to a full re-solve in the window.
-    pub full_resolves: u64,
-    /// Mean refix fraction of the repairs in the window.
-    pub mean_refix_fraction: f64,
-    /// Certificates verified in-loop (one `holds` + one `reverify` per
-    /// update on the incremental side; the scratch side verifies
-    /// internally before returning).
-    pub certificates_verified: usize,
-}
-
-impl ChurnRecord {
-    /// Mean incremental update latency, nanoseconds.
-    pub fn update_ns(&self) -> u128 {
-        self.wall_ns_update_total / self.updates.max(1) as u128
-    }
-
-    /// Mean from-scratch re-solve latency, nanoseconds.
-    pub fn scratch_ns(&self) -> u128 {
-        self.wall_ns_scratch_total / self.updates.max(1) as u128
-    }
-
-    /// Update-vs-rescratch speedup (mean scratch / mean update).
-    pub fn speedup(&self) -> f64 {
-        self.wall_ns_scratch_total as f64 / self.wall_ns_update_total.max(1) as f64
-    }
-}
-
-/// A full churn benchmark run.
-#[derive(Debug, Clone)]
-pub struct ChurnReport {
-    /// `"quick"` or `"full"`.
-    pub mode: &'static str,
-    /// `std::thread::available_parallelism()` of the measuring host
-    /// (shared report envelope; both sides of the comparison run on a
-    /// single-threaded session regardless).
-    pub host_parallelism: usize,
-    /// All measurements, one per churn style.
-    pub records: Vec<ChurnRecord>,
-}
-
-impl ChurnReport {
-    /// Serializes the report for `BENCH_churn.json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"bench\": \"churn\",\n  \"mode\": \"{}\",\n  \"host_parallelism\": {},\n  \"records\": [",
-            esc(self.mode),
-            self.host_parallelism
-        ));
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"style\": \"{}\", \"left\": {}, \"right\": {}, \"degree\": {}, \
-                 \"edges\": {}, \"updates\": {}, \"edits_per_update\": {}, \
-                 \"churn_pct\": {:.4}, \"wall_ns_first_solve\": {}, \
-                 \"wall_ns_update_total\": {}, \"wall_ns_scratch_total\": {}, \
-                 \"update_ns\": {}, \"scratch_ns\": {}, \"speedup\": {:.2}, \
-                 \"repairs\": {}, \"full_resolves\": {}, \"mean_refix_fraction\": {:.4}, \
-                 \"certificates_verified\": {}}}",
-                esc(r.style),
-                r.left,
-                r.right,
-                r.degree,
-                r.edges,
-                r.updates,
-                r.edits_per_update,
-                r.churn_pct,
-                r.wall_ns_first_solve,
-                r.wall_ns_update_total,
-                r.wall_ns_scratch_total,
-                r.update_ns(),
-                r.scratch_ns(),
-                r.speedup(),
-                r.repairs,
-                r.full_resolves,
-                r.mean_refix_fraction,
-                r.certificates_verified,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// Runs the churn benchmark; returns printable tables plus the JSON
-/// report.
-pub fn run_churn_perf(quick: bool) -> (Vec<Table>, ChurnReport) {
-    let mode = if quick { "quick" } else { "full" };
+/// Runs the churn benchmark; the records of `BENCH_churn.json`.
+pub fn run_churn_perf(quick: bool) -> Vec<Record> {
     // full: n = 120 000 nodes, 2.4 M edges, 150-edit batches (0.25 % of
     // constraints per update, ≪ 1 % churn); δ = 40 keeps 2·log₂ n ≈ 33.7
     // at a margin so deletes cannot exit the Theorem 2.5 regime
@@ -159,17 +44,15 @@ pub fn run_churn_perf(quick: bool) -> (Vec<Table>, ChurnReport) {
         let request = Request::new(Problem::weak_splitting(), b)
             .deterministic()
             .seed(1);
-        let t0 = Instant::now();
         let mut held = session.hold(&request).expect("regime is covered");
-        let wall_ns_first_solve = t0.elapsed().as_nanos();
         for _ in 0..warmup {
             let delta = random_delta(held.instance(), style, edits, &mut rng);
             held.apply(&delta).expect("warm-up update solves");
         }
         let before = *held.stats();
         let edges = held.instance().edge_count();
-        let mut wall_ns_update_total = 0u128;
-        let mut wall_ns_scratch_total = 0u128;
+        let mut update_ns = Vec::with_capacity(updates);
+        let mut scratch_ns = Vec::with_capacity(updates);
         let mut certificates_verified = 0usize;
         for _ in 0..updates {
             let delta = random_delta(held.instance(), style, edits, &mut rng);
@@ -177,7 +60,7 @@ pub fn run_churn_perf(quick: bool) -> (Vec<Table>, ChurnReport) {
             let t0 = Instant::now();
             let repaired = held.apply(&delta).expect("update solves");
             assert!(repaired.certificate.holds(), "repaired certificate holds");
-            wall_ns_update_total += t0.elapsed().as_nanos();
+            update_ns.push(t0.elapsed().as_nanos());
             certificates_verified += 1;
             // full re-verification against the patched instance, in-loop
             // but untimed (the scratch side verifies internally too, so
@@ -191,73 +74,34 @@ pub fn run_churn_perf(quick: bool) -> (Vec<Table>, ChurnReport) {
                 .seed(1);
             let t0 = Instant::now();
             let scratch = session.solve(&scratch_request).expect("scratch solves");
-            wall_ns_scratch_total += t0.elapsed().as_nanos();
+            scratch_ns.push(t0.elapsed().as_nanos());
             std::hint::black_box(scratch.output.len());
         }
         let after = *held.stats();
         let repairs = after.repairs - before.repairs;
-        records.push(ChurnRecord {
-            style: style.name(),
-            left: l,
-            right: l,
-            degree: d,
-            edges,
-            updates,
-            edits_per_update: edits,
-            churn_pct: 100.0 * edits as f64 / l as f64,
-            wall_ns_first_solve,
-            wall_ns_update_total,
-            wall_ns_scratch_total,
-            repairs,
-            full_resolves: after.full_resolves - before.full_resolves,
-            mean_refix_fraction: if repairs > 0 {
-                (after.mean_refix_fraction() * after.repairs as f64
-                    - before.mean_refix_fraction() * before.repairs as f64)
-                    / repairs as f64
-            } else {
-                0.0
-            },
-            certificates_verified,
-        });
-    }
-
-    let mut table = Table::new(
-        format!("churn ({mode}): incremental repair vs from-scratch re-solve"),
-        &[
-            "style",
-            "n",
-            "edges",
-            "edits/update",
-            "churn %",
-            "first solve ms",
-            "update ms",
-            "scratch ms",
-            "speedup",
-            "repairs",
-            "full resolves",
-            "mean refix",
-        ],
-    );
-    for r in &records {
-        table.row(vec![
-            r.style.to_string(),
-            (r.left + r.right).to_string(),
-            r.edges.to_string(),
-            r.edits_per_update.to_string(),
-            format!("{:.3}", r.churn_pct),
-            fnum(r.wall_ns_first_solve as f64 / 1e6),
-            fnum(r.update_ns() as f64 / 1e6),
-            fnum(r.scratch_ns() as f64 / 1e6),
-            format!("{:.1}×", r.speedup()),
-            r.repairs.to_string(),
-            r.full_resolves.to_string(),
-            format!("{:.3}", r.mean_refix_fraction),
+        let mean_refix_fraction = if repairs > 0 {
+            (after.mean_refix_fraction() * after.repairs as f64
+                - before.mean_refix_fraction() * before.repairs as f64)
+                / repairs as f64
+        } else {
+            0.0
+        };
+        let shape =
+            || params!["n" => 2 * l, "degree" => d, "edges" => edges, "edits_per_update" => edits];
+        let mut apply_params = shape();
+        apply_params.extend(params![
+            "repairs" => repairs,
+            "full_resolves" => after.full_resolves - before.full_resolves,
+            "mean_refix_fraction" => mean_refix_fraction,
+            "certificates_verified" => certificates_verified,
         ]);
+        records.push(Record::new(
+            "api.held_apply",
+            style.name(),
+            apply_params,
+            update_ns,
+        ));
+        records.push(Record::new("api.solve", style.name(), shape(), scratch_ns));
     }
-    let report = ChurnReport {
-        mode,
-        host_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        records,
-    };
-    (vec![table], report)
+    records
 }

@@ -5,6 +5,11 @@
 //! [`Table`]s with measured quantities next to the paper's predicted
 //! bounds. Binaries under `src/bin/` wrap these functions; `run_all`
 //! regenerates the entire EXPERIMENTS.md corpus.
+//!
+//! Five more binaries (`exp_substrate`, `exp_pipeline`, `exp_api`,
+//! `exp_server`, `exp_churn`) time the library over repeated samples and
+//! write the `BENCH_*.json` reports through [`bench_main`], in the one
+//! [`Record`] shape.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,8 +30,8 @@ mod server_perf;
 mod substrate_perf;
 mod table;
 
-pub use api_perf::{run_api_perf, ApiRecord, ApiReport};
-pub use churn_perf::{run_churn_perf, ChurnRecord, ChurnReport};
+pub use api_perf::run_api_perf;
+pub use churn_perf::run_churn_perf;
 pub use exp_ablations::{exp_abl_engine, exp_abl_eps, exp_abl_shatter};
 pub use exp_conformance::exp_conformance;
 pub use exp_fig1::{exp_fig1, exp_thm210};
@@ -37,10 +42,10 @@ pub use exp_section3::{exp_thm32, exp_thm33};
 pub use exp_section4::{exp_lem41, exp_lem42};
 pub use exp_section5::{exp_lem51, exp_thm52};
 pub use exp_substrate::{exp_edge_split, exp_runtime};
-pub use json::{json_path_flag, tables_to_json};
-pub use pipeline_perf::{run_pipeline_perf, PipelineRecord, PipelineReport};
-pub use server_perf::{run_server_perf, ServerRecord, ServerReport};
-pub use substrate_perf::{run_substrate_perf, PerfRecord, SubstrateReport};
+pub use json::{Param, Record};
+pub use pipeline_perf::run_pipeline_perf;
+pub use server_perf::run_server_perf;
+pub use substrate_perf::run_substrate_perf;
 pub use table::{fnum, Table};
 
 /// An experiment runner: takes the `quick` flag, returns result tables.
@@ -78,6 +83,25 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
 pub fn run_experiment_main(tables: Vec<Table>) {
     for t in tables {
         t.print();
+    }
+}
+
+/// Entry point of the `BENCH_*.json` binaries: runs `run` (`--quick`
+/// shrinks it), prints its records, and with `--json <path>` writes them
+/// as the `bench` report.
+pub fn bench_main(bench: &str, run: fn(bool) -> Vec<Record>) {
+    let quick = quick_flag();
+    let mode = if quick { "quick" } else { "full" };
+    let records = run(quick);
+    table::records_table(format!("{bench} ({mode})"), &records).print();
+    if let Some(path) = json::json_path_flag() {
+        let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
+        std::fs::write(
+            &path,
+            json::write_report(bench, mode, host_parallelism, &records),
+        )
+        .expect("write --json output");
+        eprintln!("wrote {path}");
     }
 }
 

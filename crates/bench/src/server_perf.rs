@@ -2,54 +2,49 @@
 //! `splitd` job-queue service.
 //!
 //! Drives the same zero-round weak-splitting workload as experiment
-//! `api` (the single-threaded `zero_round_batch` row of
-//! `BENCH_api.json`) through the full service path — ingest, admission, priority queue,
-//! persistent workers, ordered reporting — plus a mixed-traffic workload
-//! blending zero-round requests with Section 4 reductions across all
-//! three priority lanes.
+//! `api` (the single-threaded `zero_round_batch` rows of
+//! `BENCH_api.json`) through the full service path — ingest, admission,
+//! priority queue, persistent workers, ordered reporting — plus a
+//! mixed-traffic workload blending zero-round requests with Section 4
+//! reductions across all three priority lanes.
 //!
-//! Each row records wall-clock throughput, per-request service latency
-//! percentiles (queue wait + solve, from the frame timings the server
-//! stamps), the queue's high-water depth, and the rejected count, for
-//! two transports:
+//! Each sample of a row pushes the workload's request stream through one
+//! server (fresh per row, kept across the row's samples) and times it
+//! first submission to last in-order reply. `params` carry per-request
+//! service latency percentiles over all samples (queue wait + solve, from
+//! the frame timings the server stamps), the queue's high-water depth,
+//! and the rejected and error counts, for each layer:
 //!
-//! * **inproc** — pre-parsed `Request`s via `Submitter::submit_request`,
-//!   isolating the queue/worker/reporting machinery itself. This is the
-//!   row the acceptance gate reads: its absolute zero-round throughput
-//!   must stay within 10% of the single-threaded `zero_round_batch`
-//!   figure committed in `BENCH_api.json`.
-//! * **wire** — rendered JSON lines via `Submitter::submit_line`,
-//!   additionally paying the full codec round trip (frame scan and
-//!   edge decoding on ingest, request build in the worker), reported
-//!   honestly rather than hidden: on multi-kilobyte instances the parse
-//!   dominates a zero-round solve.
+//! * **`api.solve`** — the identical stream through bare
+//!   `Session::solve`: the no-service baseline a row's median divides;
+//! * **`server.inproc`** — pre-parsed `Request`s via
+//!   `Submitter::submit_request`, isolating the queue/worker/reporting
+//!   machinery itself. Its zero-round row is the one the acceptance gate
+//!   reads: its throughput must stay within 10% of the single-threaded
+//!   `zero_round_batch` figure committed in `BENCH_api.json`;
+//! * **`server.wire`** — rendered JSON lines via `Submitter::submit_line`,
+//!   additionally paying the full codec round trip (frame scan and edge
+//!   decoding on ingest, request build in the worker). The run asserts
+//!   `parse_fallbacks == 0`;
+//! * **`server.wire_handle`** — the zero-round workload over the wire
+//!   with every instance uploaded once and referenced by handle, so
+//!   requests are a few hundred bytes and solves share the interned
+//!   `Arc<Instance>`. The run asserts `parse_fallbacks == 0`;
+//! * **`wire.edge_decode`** — a codec microbench: the frame scan's
+//!   in-place edge-list decoder over the exact edge array bytes the wire
+//!   rows carry.
 //!
-//! A `zero_round_degraded` row reruns the zero-round workload under
-//! the seeded chaos layer (2% injected worker panics, 2% 1 ms stalls)
-//! so the fault path's throughput cost stays on the record, and a
-//! `zero_round_journaled` row reruns it with a write-ahead journal
-//! under the default batch fsync policy, pricing the durability layer
-//! (per-admission append + per-completion append) against the clean
-//! in-proc figure.
-//!
-//! Two rows price the parse-light ingest work:
-//!
-//! * **`zero_round_wire_handle`** — the zero-round workload over the
-//!   wire with every instance uploaded once and referenced by handle,
-//!   so requests are a few hundred bytes and solves share the interned
-//!   `Arc<Instance>`. The run asserts `parse_fallbacks == 0`.
-//! * **`wire_fast_parse`** — a codec microbench over the exact edge
-//!   array bytes the wire rows carry: `wall_ns` times the frame scan's
-//!   in-place edge-list decoder. `wall_ns_direct` is not measured: it
-//!   is the strict `Json` tree parser's committed time on the same
-//!   lists (see [`TREE_PARSE_NS`]), from before the tree left the
-//!   shipped codec, so on this one row `vs_direct` reads as the
-//!   decoder's speedup over that figure.
+//! Two more `server.inproc` rows rerun the zero-round workload:
+//! `zero_round_degraded` under the seeded chaos layer (2% injected
+//! worker panics, 2% 1 ms stalls) so the fault path's throughput cost
+//! stays on the record, and `zero_round_journaled` with a write-ahead
+//! journal under the default batch fsync policy, pricing the durability
+//! layer (per-admission append + per-completion append) against the
+//! clean in-proc figure.
 //!
 //! Results feed `BENCH_server.json`.
 
-use crate::json::esc;
-use crate::table::{fnum, Table};
+use crate::json::{params, quantile, sample, Record};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splitgraph::generators;
@@ -57,133 +52,6 @@ use splitting_api::{Problem, Request, Session};
 use splitting_reductions as red;
 use splitting_server::{json, wire, Admission, Priority, Server, ServerConfig};
 use std::time::Instant;
-
-/// One (workload, transport) measurement.
-#[derive(Debug, Clone)]
-pub struct ServerRecord {
-    /// Workload name, e.g. `zero_round_sustained`.
-    pub name: &'static str,
-    /// `"inproc"` (pre-parsed requests) or `"wire"` (JSON lines).
-    pub transport: &'static str,
-    /// Requests pushed through the service.
-    pub requests: usize,
-    /// Persistent worker threads.
-    pub workers: usize,
-    /// Host cores at measurement time (see `ApiRecord`).
-    pub host_parallelism: usize,
-    /// Wall time from first submission to last in-order reply, ns.
-    pub wall_ns: u128,
-    /// Direct `Session::solve` wall time for the identical request
-    /// stream, ns — the no-service baseline.
-    pub wall_ns_direct: u128,
-    /// Median per-request service latency (queue wait + solve), ns.
-    pub p50_ns: u64,
-    /// 95th-percentile service latency, ns.
-    pub p95_ns: u64,
-    /// 99th-percentile service latency, ns.
-    pub p99_ns: u64,
-    /// Deepest the job queue got during the run.
-    pub queue_high_water: usize,
-    /// Requests refused admission (0 under blocking backpressure).
-    pub rejected: u64,
-    /// Error frames received (0 outside degraded-mode rows, where
-    /// injected worker panics come back as typed `internal-panic`
-    /// frames and count against throughput honestly).
-    pub errors: u64,
-}
-
-impl ServerRecord {
-    /// Requests per second through the full service path.
-    pub fn throughput_rps(&self) -> f64 {
-        self.requests as f64 / (self.wall_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Direct-dispatch requests per second on the same stream.
-    pub fn direct_rps(&self) -> f64 {
-        self.requests as f64 / (self.wall_ns_direct.max(1) as f64 / 1e9)
-    }
-
-    /// Service throughput as a fraction of direct dispatch (1.0 = the
-    /// service machinery is free). Expect well below 1.0 even in-proc:
-    /// the direct loop only solves, while every served request also
-    /// pays payload rendering, frame assembly, timing stamps, and two
-    /// cross-thread handoffs.
-    pub fn vs_direct(&self) -> f64 {
-        self.throughput_rps() / self.direct_rps().max(1e-9)
-    }
-}
-
-/// A full service benchmark run.
-#[derive(Debug, Clone)]
-pub struct ServerReport {
-    /// `"quick"` or `"full"`.
-    pub mode: &'static str,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_parallelism: usize,
-    /// All measurements.
-    pub records: Vec<ServerRecord>,
-}
-
-impl ServerReport {
-    /// Serializes the report for `BENCH_server.json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"bench\": \"server\",\n  \"mode\": \"{}\",\n  \"host_parallelism\": {},\n  \"records\": [",
-            esc(self.mode),
-            self.host_parallelism
-        ));
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"transport\": \"{}\", \"requests\": {}, \
-                 \"workers\": {}, \"host_parallelism\": {}, \
-                 \"wall_ns\": {}, \"wall_ns_direct\": {}, \
-                 \"throughput_rps\": {:.1}, \"direct_rps\": {:.1}, \"vs_direct\": {:.3}, \
-                 \"latency_p50_ns\": {}, \"latency_p95_ns\": {}, \"latency_p99_ns\": {}, \
-                 \"queue_high_water\": {}, \"rejected\": {}, \"errors\": {}}}",
-                esc(r.name),
-                esc(r.transport),
-                r.requests,
-                r.workers,
-                r.host_parallelism,
-                r.wall_ns,
-                r.wall_ns_direct,
-                r.throughput_rps(),
-                r.direct_rps(),
-                r.vs_direct(),
-                r.p50_ns,
-                r.p95_ns,
-                r.p99_ns,
-                r.queue_high_water,
-                r.rejected,
-                r.errors
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// The strict `Json` tree parser's time on the `wire_fast_parse` lists
-/// (parse, then read back into pairs), as committed in
-/// `BENCH_server.json` before the tree left the shipped codec:
-/// [`TREE_PARSE_NS`] over [`TREE_PARSE_LISTS`] lists, full mode, on a
-/// 2-vCPU host. The row scales it to its own list count.
-const TREE_PARSE_NS: u128 = 1_924_967_240;
-/// The list count [`TREE_PARSE_NS`] was measured over.
-const TREE_PARSE_LISTS: u128 = 10_000;
-
-/// Nearest-rank percentile over an already-sorted sample.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 /// The request pool one workload cycles over.
 struct Pool {
@@ -247,13 +115,10 @@ fn mixed_pool(weak: usize, hosts: usize, n: usize, d: usize) -> Pool {
     }
 }
 
-/// Sorted per-request service latencies plus the run's wall time.
-struct LoadOutcome {
-    wall_ns: u128,
+/// What the runs of one row saw besides their wall times.
+#[derive(Default)]
+struct Load {
     latencies: Vec<u64>,
-    replies: usize,
-    queue_high_water: usize,
-    rejected: u64,
     errors: u64,
 }
 
@@ -271,7 +136,9 @@ const POLL_SLEEP: std::time::Duration = std::time::Duration::from_micros(700);
 /// Pushes `total` requests from `pool` through one connection as an
 /// event loop — a bounded in-flight window, new submissions interleaved
 /// with non-blocking drains of the ordered reply stream — and collects
-/// the server-stamped service latency of every reply.
+/// the server-stamped service latency of every reply into `load`;
+/// returns the run's wall time, first submission to last in-order
+/// reply.
 ///
 /// The event-loop shape matters on purpose: it models a real sustained
 /// client (requests materialize shortly before submission and stay
@@ -283,8 +150,9 @@ fn drive(
     pool: &Pool,
     total: usize,
     transport: &str,
-    allow_errors: bool,
-) -> LoadOutcome {
+    chaos: bool,
+    load: &mut Load,
+) -> u128 {
     let lines: Vec<String> = match transport {
         "wire" => pool
             .requests
@@ -342,14 +210,12 @@ fn drive(
         }
     }
     let wall_ns = t0.elapsed().as_nanos();
-    let replies = frames.len();
-    let mut latencies = Vec::with_capacity(total);
-    let mut errors = 0u64;
+    assert_eq!(frames.len(), total, "one reply per request");
     for frame in &frames {
         let reply = wire::split_reply(frame).expect("well-formed reply frame");
         if reply.frame_type == "error" {
-            assert!(allow_errors, "workload request failed under load: {frame}");
-            errors += 1;
+            assert!(chaos, "workload request failed under load: {frame}");
+            load.errors += 1;
         } else {
             assert_eq!(
                 reply.frame_type, "solution",
@@ -357,32 +223,71 @@ fn drive(
             );
         }
         if let Some(t) = reply.timing {
-            latencies.push(t.queued_ns + t.solve_ns);
+            load.latencies.push(t.queued_ns + t.solve_ns);
         }
     }
+    wall_ns
+}
+/// Times `samples` drives of `total` requests from `pool` through
+/// `server` as one record: each run's wall time, plus latency
+/// percentiles, error frames and the server's queue counters over all
+/// runs. A `chaos` row must see error frames; any other row none.
+#[allow(clippy::too_many_arguments)]
+fn served(
+    layer: &'static str,
+    name: &str,
+    server: &Server,
+    pool: &Pool,
+    total: usize,
+    transport: &str,
+    chaos: bool,
+    samples: usize,
+) -> Record {
+    let mut load = Load::default();
+    let wall: Vec<u128> = (0..samples)
+        .map(|_| drive(server, pool, total, transport, chaos, &mut load))
+        .collect();
+    assert_eq!(
+        chaos,
+        load.errors > 0,
+        "error frames iff the chaos schedule fires"
+    );
+    load.latencies.sort_unstable();
     let stats = server.stats();
-    latencies.sort_unstable();
-    LoadOutcome {
-        wall_ns,
-        latencies,
-        replies,
-        queue_high_water: stats.queue_high_water,
-        rejected: stats.rejected,
-        errors,
-    }
+    Record::new(
+        layer,
+        name,
+        params![
+            "requests" => total,
+            "workers" => server.config().workers,
+            "latency_p50_ns" => quantile(&load.latencies, 0.50),
+            "latency_p95_ns" => quantile(&load.latencies, 0.95),
+            "latency_p99_ns" => quantile(&load.latencies, 0.99),
+            "queue_high_water" => stats.queue_high_water,
+            "rejected" => stats.rejected,
+            "errors" => load.errors,
+        ],
+        wall,
+    )
 }
 
-/// Runs the service benchmark; returns printable tables plus the JSON
-/// report.
-pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
-    let mode = if quick { "quick" } else { "full" };
-    let host_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let (zero_pool, zero_total, mixed_weak, mixed_hosts, mixed_total) = if quick {
-        (16, 4_000, 16, 3, 300)
+/// A single-worker server with blocking admission: sustained
+/// backpressure instead of load shedding, so every request is served and
+/// the queue saturates honestly.
+fn blocking_server(config: ServerConfig) -> Server {
+    Server::start(ServerConfig {
+        workers: 1,
+        admission: Admission::Block,
+        ..config
+    })
+}
+
+/// Runs the service benchmark; the records of `BENCH_server.json`.
+pub fn run_server_perf(quick: bool) -> Vec<Record> {
+    let (samples, zero_pool, zero_total, mixed_weak, mixed_hosts, mixed_total) = if quick {
+        (5, 16, 4_000, 16, 3, 300)
     } else {
-        (64, 12_000, 32, 6, 1_200)
+        (11, 64, 12_000, 32, 6, 1_200)
     };
 
     let pools = [
@@ -392,62 +297,37 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
 
     let session = Session::with_threads(1);
     let mut records = Vec::new();
-    let mut zero_direct_ns = 0u128;
     for (pool, total) in &pools {
         // the no-service baseline on the identical stream (warm, then
         // timed), solving straight through the API
         for (_, r) in &pool.requests {
             std::hint::black_box(session.solve(r).expect("pool solves").output.len());
         }
-        let t0 = Instant::now();
-        for i in 0..*total {
-            let (_, r) = &pool.requests[i % pool.requests.len()];
-            std::hint::black_box(session.solve(r).expect("pool solves").output.len());
-        }
-        let wall_ns_direct = t0.elapsed().as_nanos();
-        if pool.name == "zero_round_sustained" {
-            zero_direct_ns = wall_ns_direct;
-        }
-
-        for transport in ["inproc", "wire"] {
-            // a fresh single-worker server per row: blocking admission
-            // gives sustained backpressure instead of load shedding, so
-            // every request is served and the queue saturates honestly
-            let server = Server::start(ServerConfig {
-                workers: 1,
-                admission: Admission::Block,
-                ..ServerConfig::default()
-            });
-            let outcome = drive(&server, pool, *total, transport, false);
-            assert_eq!(outcome.replies, *total, "one reply per request");
-            if transport == "wire" {
-                // the renderer emits canonical encodings, so no edge list
-                // may count as a non-canonical spelling
-                assert_eq!(
-                    server.stats().parse_fallbacks,
-                    0,
-                    "canonical wire encodings counted as non-canonical spellings"
-                );
+        let ((), wall) = sample(samples, || {
+            for i in 0..*total {
+                let (_, r) = &pool.requests[i % pool.requests.len()];
+                std::hint::black_box(session.solve(r).expect("pool solves").output.len());
             }
-            records.push(ServerRecord {
-                name: pool.name,
-                transport: if transport == "wire" {
-                    "wire"
-                } else {
-                    "inproc"
-                },
-                requests: *total,
-                workers: server.config().workers,
-                host_parallelism,
-                wall_ns: outcome.wall_ns,
-                wall_ns_direct,
-                p50_ns: percentile(&outcome.latencies, 0.50),
-                p95_ns: percentile(&outcome.latencies, 0.95),
-                p99_ns: percentile(&outcome.latencies, 0.99),
-                queue_high_water: outcome.queue_high_water,
-                rejected: outcome.rejected,
-                errors: outcome.errors,
-            });
+        });
+        records.push(Record::new(
+            "api.solve",
+            pool.name,
+            params!["requests" => *total],
+            wall,
+        ));
+
+        for (layer, transport) in [("server.inproc", "inproc"), ("server.wire", "wire")] {
+            let server = blocking_server(ServerConfig::default());
+            records.push(served(
+                layer, pool.name, &server, pool, *total, transport, false, samples,
+            ));
+            // the renderer emits canonical encodings, so no edge list may
+            // count as a non-canonical spelling
+            assert_eq!(
+                server.stats().parse_fallbacks,
+                0,
+                "canonical wire encodings counted as non-canonical spellings"
+            );
             server.shutdown();
         }
     }
@@ -460,11 +340,7 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
     // of the wire-vs-inproc gap.
     {
         let (pool, total) = &pools[0];
-        let server = Server::start(ServerConfig {
-            workers: 1,
-            admission: Admission::Block,
-            ..ServerConfig::default()
-        });
+        let server = blocking_server(ServerConfig::default());
         let (mut utx, mut urx) = server.connect().split();
         for (_, r) in &pool.requests {
             utx.submit_line(&wire::render_upload("upload", r.instance()));
@@ -479,8 +355,16 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
             uploads += 1;
         }
         assert_eq!(uploads, pool.requests.len(), "every instance uploaded");
-        let outcome = drive(&server, pool, *total, "wire-handle", false);
-        assert_eq!(outcome.replies, *total, "one reply per handle request");
+        records.push(served(
+            "server.wire_handle",
+            "zero_round_sustained",
+            &server,
+            pool,
+            *total,
+            "wire-handle",
+            false,
+            samples,
+        ));
         let stats = server.stats();
         assert_eq!(
             stats.parse_fallbacks, 0,
@@ -491,28 +375,12 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
             pool.requests.len(),
             "interned instances survive the run"
         );
-        records.push(ServerRecord {
-            name: "zero_round_wire_handle",
-            transport: "wire-handle",
-            requests: *total,
-            workers: server.config().workers,
-            host_parallelism,
-            wall_ns: outcome.wall_ns,
-            wall_ns_direct: zero_direct_ns,
-            p50_ns: percentile(&outcome.latencies, 0.50),
-            p95_ns: percentile(&outcome.latencies, 0.95),
-            p99_ns: percentile(&outcome.latencies, 0.99),
-            queue_high_water: outcome.queue_high_water,
-            rejected: outcome.rejected,
-            errors: outcome.errors,
-        });
         server.shutdown();
     }
 
     // Codec microbench: the frame scan's edge-list decoder over the
     // exact edge-array bytes the wire rows carry. No server in the loop
-    // — this row isolates ingest decoding; its `vs_direct` compares it
-    // with the tree parser's committed time.
+    // — this row isolates ingest decoding.
     {
         let (pool, _) = &pools[0];
         let lines: Vec<String> = pool
@@ -535,7 +403,7 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
                 &instance[field(instance, "edges")]
             })
             .collect();
-        let iters = if quick { 2_000 } else { 10_000 };
+        let lists = if quick { 2_000 } else { 10_000 };
         let decode = |e: &str| {
             let list = json::Cursor::new(e)
                 .edge_list(0)
@@ -547,28 +415,17 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
         for e in &edges {
             decode(e);
         }
-        let wall_ns_direct = TREE_PARSE_NS * iters as u128 / TREE_PARSE_LISTS;
-        let t0 = Instant::now();
-        for i in 0..iters {
-            let e = edges[i % edges.len()];
-            std::hint::black_box(decode(e).len());
-        }
-        let wall_ns = t0.elapsed().as_nanos();
-        records.push(ServerRecord {
-            name: "wire_fast_parse",
-            transport: "codec",
-            requests: iters,
-            workers: 0,
-            host_parallelism,
-            wall_ns,
-            wall_ns_direct,
-            p50_ns: 0,
-            p95_ns: 0,
-            p99_ns: 0,
-            queue_high_water: 0,
-            rejected: 0,
-            errors: 0,
+        let ((), wall) = sample(samples, || {
+            for i in 0..lists {
+                std::hint::black_box(decode(edges[i % edges.len()]).len());
+            }
         });
+        records.push(Record::new(
+            "wire.edge_decode",
+            "zero_round_edge_lists",
+            params!["lists" => lists],
+            wall,
+        ));
     }
 
     // Degraded mode: the zero-round workload again, but with the seeded
@@ -579,9 +436,7 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
     // the same place as a regression in the happy path.
     {
         let (pool, total) = &pools[0];
-        let server = Server::start(ServerConfig {
-            workers: 1,
-            admission: Admission::Block,
+        let server = blocking_server(ServerConfig {
             chaos: Some(splitting_server::ChaosConfig {
                 seed: 0xDE9,
                 worker_panic: 0.02,
@@ -593,27 +448,16 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
             }),
             ..ServerConfig::default()
         });
-        let outcome = drive(&server, pool, *total, "inproc", true);
-        assert_eq!(
-            outcome.replies, *total,
-            "degraded mode still answers every request"
-        );
-        assert!(outcome.errors > 0, "the 2% panic schedule must fire");
-        records.push(ServerRecord {
-            name: "zero_round_degraded",
-            transport: "inproc",
-            requests: *total,
-            workers: server.config().workers,
-            host_parallelism,
-            wall_ns: outcome.wall_ns,
-            wall_ns_direct: zero_direct_ns,
-            p50_ns: percentile(&outcome.latencies, 0.50),
-            p95_ns: percentile(&outcome.latencies, 0.95),
-            p99_ns: percentile(&outcome.latencies, 0.99),
-            queue_high_water: outcome.queue_high_water,
-            rejected: outcome.rejected,
-            errors: outcome.errors,
-        });
+        records.push(served(
+            "server.inproc",
+            "zero_round_degraded",
+            &server,
+            pool,
+            *total,
+            "inproc",
+            true,
+            samples,
+        ));
         server.shutdown();
     }
 
@@ -635,82 +479,30 @@ pub fn run_server_perf(quick: bool) -> (Vec<Table>, ServerReport) {
             splitting_server::Journal::open(&path, splitting_server::FsyncPolicy::Batch)
                 .expect("bench journal opens"),
         );
-        let server = Server::start(ServerConfig {
-            workers: 1,
-            admission: Admission::Block,
+        let server = blocking_server(ServerConfig {
             journal: Some(std::sync::Arc::clone(&journal)),
             ..ServerConfig::default()
         });
-        let outcome = drive(&server, pool, *total, "inproc", false);
-        assert_eq!(
-            outcome.replies, *total,
-            "journaled mode still answers every request"
-        );
+        records.push(served(
+            "server.inproc",
+            "zero_round_journaled",
+            &server,
+            pool,
+            *total,
+            "inproc",
+            false,
+            samples,
+        ));
         let jstats = journal.stats();
+        let journaled = (*total * samples) as u64;
         assert_eq!(
             (jstats.appended, jstats.completed),
-            (*total as u64, *total as u64),
+            (journaled, journaled),
             "every request journaled and completed"
         );
-        records.push(ServerRecord {
-            name: "zero_round_journaled",
-            transport: "inproc",
-            requests: *total,
-            workers: server.config().workers,
-            host_parallelism,
-            wall_ns: outcome.wall_ns,
-            wall_ns_direct: zero_direct_ns,
-            p50_ns: percentile(&outcome.latencies, 0.50),
-            p95_ns: percentile(&outcome.latencies, 0.95),
-            p99_ns: percentile(&outcome.latencies, 0.99),
-            queue_high_water: outcome.queue_high_water,
-            rejected: outcome.rejected,
-            errors: outcome.errors,
-        });
         server.shutdown();
         drop(journal);
         let _ = std::fs::remove_file(&path);
     }
-
-    let mut table = Table::new(
-        format!("server ({mode}): sustained load through the splitd service path"),
-        &[
-            "workload",
-            "transport",
-            "reqs",
-            "workers",
-            "wall ms",
-            "req/s",
-            "vs direct",
-            "p50 µs",
-            "p95 µs",
-            "p99 µs",
-            "q-high",
-            "rejected",
-            "errors",
-        ],
-    );
-    for r in &records {
-        table.row(vec![
-            r.name.to_string(),
-            r.transport.to_string(),
-            r.requests.to_string(),
-            r.workers.to_string(),
-            fnum(r.wall_ns as f64 / 1e6),
-            fnum(r.throughput_rps()),
-            format!("{:.3}×", r.vs_direct()),
-            fnum(r.p50_ns as f64 / 1e3),
-            fnum(r.p95_ns as f64 / 1e3),
-            fnum(r.p99_ns as f64 / 1e3),
-            r.queue_high_water.to_string(),
-            r.rejected.to_string(),
-            r.errors.to_string(),
-        ]);
-    }
-    let report = ServerReport {
-        mode,
-        host_parallelism,
-        records,
-    };
-    (vec![table], report)
+    records
 }

@@ -1,297 +1,63 @@
-//! Substrate microbenchmarks: the seed's pointer-chasing, per-edge-insert
-//! graph paths and per-round-allocating executor versus the flat CSR bulk
-//! builders and the arena executor.
+//! Substrate microbenchmarks: the flat CSR bulk builders, power graphs,
+//! the arena executor (sequential and parallel round steps), the
+//! symmetry-breaking colorings, and the multigraph degree-splitting
+//! engines, each timed alone over repeated samples.
 //!
-//! The *before* side of every record is a faithful private replica of the
-//! seed implementation (kept here so the speedup stays measurable long after
-//! the library has moved on); the *after* side calls the live library code.
-//! Results feed `BENCH_substrate.json` so the perf trajectory is tracked
-//! from this baseline onward.
+//! Bit-parity of these kernels with the implementations they replaced is
+//! pinned by tests, not re-timed here: `representations_agree_on_random_edge_lists`
+//! and `power_graph_matches_seed_reference` (`splitgraph`) and
+//! `regroup_parity.rs` (`local-runtime`). Results feed
+//! `BENCH_substrate.json`.
 
-use crate::json::esc;
-use crate::table::{fnum, Table};
-use local_runtime::{run_local, run_local_parallel, LocalRun, NodeContext, NodeProgram, BROADCAST};
+use crate::json::{params, sample, Record};
+use degree_split::{eulerian_orientation, walk_splitting, WalkDecomposition};
+use local_coloring::{cole_vishkin_3color, kw_reduce, linial_color, Chains};
+use local_runtime::{run_local, run_local_parallel, NodeContext, NodeProgram, BROADCAST};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use splitgraph::{generators, power_graph, Graph};
-use std::collections::VecDeque;
-use std::time::Instant;
+use rand::{RngExt, SeedableRng};
+use splitgraph::{generators, power_graph, Graph, MultiGraph};
 
-/// One before/after measurement.
-#[derive(Debug, Clone)]
-pub struct PerfRecord {
-    /// Kernel name, e.g. `power_graph_k4`.
-    pub name: &'static str,
-    /// Node count of the instance.
-    pub n: usize,
-    /// Edge count of the instance.
-    pub m: usize,
-    /// Wall time of the seed-replica implementation, nanoseconds.
-    pub wall_ns_before: u128,
-    /// Wall time of the current implementation, nanoseconds.
-    pub wall_ns_after: u128,
-    /// Effective thread count of the measured side; `None` for sequential
-    /// kernels. Sized from `std::thread::available_parallelism`.
-    pub threads: Option<usize>,
-}
-
-impl PerfRecord {
-    /// `before / after` wall-time ratio.
-    pub fn speedup(&self) -> f64 {
-        self.wall_ns_before as f64 / self.wall_ns_after.max(1) as f64
-    }
-
-    /// True when the parallel side could only run one thread (single-vCPU
-    /// host): the record then certifies wall-clock *parity* of the
-    /// threaded path, not a speedup, and is labeled as such instead of
-    /// being reported as a regression.
-    pub fn is_parity_run(&self) -> bool {
-        self.threads == Some(1)
-    }
-}
-
-/// A full substrate benchmark run.
-#[derive(Debug, Clone)]
-pub struct SubstrateReport {
-    /// `"quick"` or `"full"`.
-    pub mode: &'static str,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_parallelism: usize,
-    /// All measurements.
-    pub records: Vec<PerfRecord>,
-}
-
-impl SubstrateReport {
-    /// Serializes the report for `BENCH_substrate.json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"bench\": \"substrate\",\n  \"mode\": \"{}\",\n  \"host_parallelism\": {},\n  \"records\": [",
-            esc(self.mode),
-            self.host_parallelism
-        ));
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"wall_ns_before\": {}, \"wall_ns_after\": {}, \"speedup\": {:.2}",
-                esc(r.name),
-                r.n,
-                r.m,
-                r.wall_ns_before,
-                r.wall_ns_after,
-                r.speedup()
-            ));
-            if let Some(t) = r.threads {
-                out.push_str(&format!(
-                    ", \"threads\": {t}, \"parity_run\": {}",
-                    r.is_parity_run()
-                ));
-            }
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// Instance sizes for one benchmark tier.
+/// Instance sizes and sample count for one benchmark tier.
 struct Scale {
-    mode: &'static str,
+    samples: usize,
     build_sparse: (usize, usize),
     build_dense: (usize, usize),
     power: (usize, usize),
     exec: (usize, usize, usize), // (n, d, rounds)
+    coloring: (usize, usize),    // (n, d); the Cole–Vishkin cycle has 5n nodes
+    multigraph: (usize, usize),  // (n, m)
 }
 
 const FULL: Scale = Scale {
-    mode: "full",
+    samples: 11,
     build_sparse: (100_000, 4),
     build_dense: (20_000, 64),
     power: (100_000, 4),
     exec: (100_000, 8, 16),
+    coloring: (1_000, 8),
+    multigraph: (500, 10_000),
 };
 
 const QUICK: Scale = Scale {
-    mode: "quick",
+    samples: 5,
     build_sparse: (10_000, 4),
     build_dense: (4_000, 32),
     power: (10_000, 4),
     exec: (10_000, 8, 8),
+    coloring: (1_000, 8),
+    multigraph: (500, 10_000),
 };
 
 #[cfg(test)]
 const TINY: Scale = Scale {
-    mode: "tiny",
+    samples: 3,
     build_sparse: (400, 4),
     build_dense: (200, 8),
     power: (300, 4),
     exec: (300, 4, 4),
+    coloring: (100, 4),
+    multigraph: (50, 400),
 };
-
-// ---------------------------------------------------------------------------
-// seed replicas (the "before" side)
-// ---------------------------------------------------------------------------
-
-/// The seed's adjacency representation: one sorted `Vec` per node, built by
-/// binary-search-and-insert per edge.
-struct SeedGraph {
-    adj: Vec<Vec<usize>>,
-    edge_count: usize,
-}
-
-impl SeedGraph {
-    fn new(n: usize) -> SeedGraph {
-        SeedGraph {
-            adj: vec![Vec::new(); n],
-            edge_count: 0,
-        }
-    }
-
-    fn from_edges(n: usize, edges: &[(usize, usize)]) -> SeedGraph {
-        let mut g = SeedGraph::new(n);
-        for &(u, v) in edges {
-            assert!(g.add_edge(u, v), "benchmark edge lists are simple");
-        }
-        g
-    }
-
-    /// The seed `Graph::add_edge`, minus the error plumbing (same validation
-    /// branches, same insert cost).
-    fn add_edge(&mut self, u: usize, v: usize) -> bool {
-        let n = self.adj.len();
-        if u >= n || v >= n || u == v {
-            return false;
-        }
-        match self.adj[u].binary_search(&v) {
-            Ok(_) => return false,
-            Err(pos) => self.adj[u].insert(pos, v),
-        }
-        let pos = self.adj[v].binary_search(&u).unwrap_err();
-        self.adj[v].insert(pos, u);
-        self.edge_count += 1;
-        true
-    }
-
-    fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adj[v]
-    }
-}
-
-/// The seed `power_graph`: depth-bounded BFS per node, output assembled by
-/// per-pair sorted inserts.
-fn seed_power_graph(g: &Graph, k: usize) -> SeedGraph {
-    let n = g.node_count();
-    let mut out = SeedGraph::new(n);
-    if k == 0 {
-        return out;
-    }
-    let mut dist = vec![usize::MAX; n];
-    let mut touched = Vec::new();
-    for v in 0..n {
-        dist[v] = 0;
-        touched.push(v);
-        let mut queue = VecDeque::new();
-        queue.push_back(v);
-        while let Some(x) = queue.pop_front() {
-            if dist[x] == k {
-                continue;
-            }
-            for &y in g.neighbors(x) {
-                if dist[y] == usize::MAX {
-                    dist[y] = dist[x] + 1;
-                    touched.push(y);
-                    queue.push_back(y);
-                }
-            }
-        }
-        for &w in &touched {
-            if w > v {
-                assert!(out.add_edge(v, w), "power graph edges are simple");
-            }
-        }
-        for &w in &touched {
-            dist[w] = usize::MAX;
-        }
-        touched.clear();
-    }
-    out
-}
-
-/// The seed `run_local`: per-message binary-search port lookup and a fresh
-/// `vec![Vec::new(); n]` inbox allocation every round.
-fn seed_run_local<P: NodeProgram>(
-    g: &Graph,
-    ids: &[u64],
-    max_rounds: usize,
-    make: impl FnMut(&NodeContext) -> P,
-) -> LocalRun<P::Output> {
-    let n = g.node_count();
-    assert_eq!(ids.len(), n, "id vector length mismatch");
-    let port_towards = |v: usize, u: usize| -> usize {
-        g.neighbors(v)
-            .binary_search(&u)
-            .expect("port lookup of non-neighbor")
-    };
-    let contexts: Vec<NodeContext> = (0..n)
-        .map(|v| NodeContext {
-            node: v,
-            id: ids[v],
-            degree: g.degree(v),
-            n,
-        })
-        .collect();
-    let mut programs: Vec<P> = contexts.iter().map(make).collect();
-    let mut messages = 0usize;
-    let mut inboxes: Vec<Vec<(usize, P::Msg)>> = vec![Vec::new(); n];
-    let deliver = |v: usize,
-                   out: Vec<(usize, P::Msg)>,
-                   inboxes: &mut Vec<Vec<(usize, P::Msg)>>,
-                   messages: &mut usize| {
-        for (port, msg) in out {
-            if port == BROADCAST {
-                for &u in g.neighbors(v) {
-                    inboxes[u].push((port_towards(u, v), msg.clone()));
-                    *messages += 1;
-                }
-            } else {
-                assert!(port < g.degree(v), "node {v} sent to invalid port {port}");
-                let u = g.neighbors(v)[port];
-                inboxes[u].push((port_towards(u, v), msg.clone()));
-                *messages += 1;
-            }
-        }
-    };
-    for v in 0..n {
-        let out = programs[v].init(&contexts[v]);
-        deliver(v, out, &mut inboxes, &mut messages);
-    }
-    let mut rounds = 0usize;
-    let mut completed = programs.iter().all(NodeProgram::is_done);
-    while !completed && rounds < max_rounds {
-        let taken: Vec<Vec<(usize, P::Msg)>> = std::mem::replace(&mut inboxes, vec![Vec::new(); n]);
-        for (v, inbox) in taken.into_iter().enumerate() {
-            if programs[v].is_done() {
-                continue;
-            }
-            let out = programs[v].round(&contexts[v], &inbox);
-            deliver(v, out, &mut inboxes, &mut messages);
-        }
-        rounds += 1;
-        completed = programs.iter().all(NodeProgram::is_done);
-    }
-    LocalRun {
-        outputs: programs.iter().map(NodeProgram::output).collect(),
-        rounds,
-        messages,
-        completed,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// workloads
-// ---------------------------------------------------------------------------
 
 /// Fixed-round gossip: broadcast a running sum of everything heard. Keeps
 /// every node active for exactly `rounds` rounds with one broadcast each.
@@ -372,16 +138,25 @@ impl NodeProgram for HeavyGossip {
     }
 }
 
-fn time<T>(f: impl FnOnce() -> T) -> (T, u128) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_nanos())
+fn random_multigraph(n: usize, m: usize, seed: u64) -> MultiGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = MultiGraph::new(n);
+    for _ in 0..m {
+        let a = rng.random_range(0..n);
+        let mut b = rng.random_range(0..n);
+        while b == a {
+            b = rng.random_range(0..n);
+        }
+        g.add_edge(a, b);
+    }
+    g
 }
 
-fn run_sized(scale: &Scale) -> (Vec<Table>, SubstrateReport) {
+fn run_sized(scale: &Scale) -> Vec<Record> {
+    let samples = scale.samples;
     let mut records = Vec::new();
 
-    // graph construction: checked per-edge insert vs bulk counting sort
+    // graph construction: bulk counting sort
     for (name, (n, d), seed) in [
         ("graph_build_sparse", scale.build_sparse, 41u64),
         ("graph_build_dense", scale.build_dense, 42u64),
@@ -389,44 +164,38 @@ fn run_sized(scale: &Scale) -> (Vec<Table>, SubstrateReport) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = generators::random_regular(n, d, &mut rng).expect("feasible");
         let edges: Vec<(usize, usize)> = g.edges().collect();
-        // measure the current implementation first, on an unfragmented heap
-        let (after_g, wall_after) = time(|| Graph::from_edges_bulk(n, &edges).expect("simple"));
-        let (before_g, wall_before) = time(|| SeedGraph::from_edges(n, &edges));
-        assert_eq!(before_g.edge_count, after_g.edge_count());
-        assert_eq!(before_g.neighbors(0), after_g.neighbors(0));
-        records.push(PerfRecord {
-            name,
-            n,
-            m: edges.len(),
-            wall_ns_before: wall_before,
-            wall_ns_after: wall_after,
-            threads: None,
+        let (built, wall) = sample(samples, || {
+            Graph::from_edges_bulk(n, &edges).expect("simple")
         });
+        assert_eq!(built.edge_count(), edges.len());
+        records.push(Record::new(
+            "splitgraph.from_edges_bulk",
+            name,
+            params!["n" => n, "m" => edges.len()],
+            wall,
+        ));
     }
 
-    // power graphs: per-pair sorted insert vs BFS-ball bulk CSR assembly
+    // power graphs: BFS-ball bulk CSR assembly
     {
         let (n, d) = scale.power;
         let mut rng = StdRng::seed_from_u64(43);
         let g = generators::random_regular(n, d, &mut rng).expect("feasible");
         for (name, k) in [("power_graph_k2", 2usize), ("power_graph_k4", 4usize)] {
-            let (after_p, wall_after) = time(|| power_graph(&g, k));
-            let (before_p, wall_before) = time(|| seed_power_graph(&g, k));
-            assert_eq!(before_p.edge_count, after_p.edge_count());
-            assert_eq!(before_p.neighbors(n / 2), after_p.neighbors(n / 2));
-            records.push(PerfRecord {
+            let (p, wall) = sample(samples, || power_graph(&g, k));
+            records.push(Record::new(
+                "splitgraph.power_graph",
                 name,
-                n,
-                m: after_p.edge_count(),
-                wall_ns_before: wall_before,
-                wall_ns_after: wall_after,
-                threads: None,
-            });
+                params!["n" => n, "m" => p.edge_count(), "k" => k],
+                wall,
+            ));
         }
     }
 
-    // executor rounds: per-round inbox reallocation + port binary search vs
-    // double-buffered arenas; plus the opt-in parallel step vs sequential
+    // executor rounds: double-buffered arenas; plus the opt-in parallel
+    // step against the same compute-heavy program run sequentially, with
+    // the thread count sized to what the host exposes (a 1-vCPU host
+    // yields a wall-clock parity run: `threads` equals 1)
     {
         let (n, d, rounds) = scale.exec;
         let mut rng = StdRng::seed_from_u64(44);
@@ -434,90 +203,118 @@ fn run_sized(scale: &Scale) -> (Vec<Table>, SubstrateReport) {
         let ids: Vec<u64> = (0..n as u64)
             .map(|x| x.wrapping_mul(0x9e3779b97f4a7c15))
             .collect();
+        let shape = || params!["n" => n, "m" => g.edge_count(), "rounds" => rounds];
         let mk = |_: &NodeContext| Gossip {
             acc: 0,
             rounds_left: rounds,
         };
-        let (after_run, wall_after) = time(|| run_local(&g, &ids, 10 * rounds, mk));
-        let (before_run, wall_before) = time(|| seed_run_local(&g, &ids, 10 * rounds, mk));
-        assert_eq!(before_run.outputs, after_run.outputs);
-        assert_eq!(before_run.rounds, after_run.rounds);
-        assert_eq!(before_run.messages, after_run.messages);
-        records.push(PerfRecord {
-            name: "executor_rounds",
-            n,
-            m: g.edge_count(),
-            wall_ns_before: wall_before,
-            wall_ns_after: wall_after,
-            threads: None,
-        });
-        // the parallel round step pays off for compute-heavy node programs;
-        // baseline it against the same program run sequentially, with the
-        // thread count sized to what the host actually exposes (a 1-vCPU
-        // container yields a wall-clock parity run, labeled as such)
+        let (run, wall) = sample(samples, || run_local(&g, &ids, 10 * rounds, mk));
+        assert_eq!(run.rounds, rounds);
+        records.push(Record::new(
+            "local_runtime.run_local",
+            "executor_rounds",
+            shape(),
+            wall,
+        ));
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         let mk_heavy = |_: &NodeContext| HeavyGossip {
             acc: 0,
             rounds_left: rounds,
         };
-        let (heavy_seq, wall_heavy_seq) = time(|| run_local(&g, &ids, 10 * rounds, mk_heavy));
-        let (heavy_par, wall_heavy_par) =
-            time(|| run_local_parallel(&g, &ids, 10 * rounds, threads, mk_heavy));
-        assert_eq!(heavy_par.outputs, heavy_seq.outputs);
-        assert_eq!(heavy_par.rounds, heavy_seq.rounds);
-        assert_eq!(heavy_par.messages, heavy_seq.messages);
-        records.push(PerfRecord {
-            name: "executor_heavy_parallel",
-            n,
-            m: g.edge_count(),
-            wall_ns_before: wall_heavy_seq, // sequential arena executor baseline
-            wall_ns_after: wall_heavy_par,
-            threads: Some(threads),
+        let (seq, wall_seq) = sample(samples, || run_local(&g, &ids, 10 * rounds, mk_heavy));
+        let (par, wall_par) = sample(samples, || {
+            run_local_parallel(&g, &ids, 10 * rounds, threads, mk_heavy)
         });
+        assert_eq!(par.outputs, seq.outputs);
+        assert_eq!(par.rounds, seq.rounds);
+        assert_eq!(par.messages, seq.messages);
+        records.push(Record::new(
+            "local_runtime.run_local",
+            "executor_heavy_sequential",
+            shape(),
+            wall_seq,
+        ));
+        let mut par_params = shape();
+        par_params.extend(params!["threads" => threads]);
+        records.push(Record::new(
+            "local_runtime.run_local_parallel",
+            "executor_heavy_parallel",
+            par_params,
+            wall_par,
+        ));
     }
 
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut t = Table::new(
-        "substrate — seed implementation vs flat CSR core / arena executor",
-        &[
-            "kernel",
-            "n",
-            "m",
-            "threads",
-            "before ms",
-            "after ms",
-            "speedup",
-        ],
-    );
-    for r in &records {
-        t.row(vec![
-            r.name.into(),
-            r.n.to_string(),
-            r.m.to_string(),
-            r.threads.map_or("-".into(), |t| t.to_string()),
-            fnum(r.wall_ns_before as f64 / 1e6),
-            fnum(r.wall_ns_after as f64 / 1e6),
-            if r.is_parity_run() {
-                "parity".into()
-            } else {
-                fnum(r.speedup())
-            },
-        ]);
+    // symmetry breaking: Linial, Kuhn–Wattenhofer reduction, Cole–Vishkin
+    {
+        let (n, d) = scale.coloring;
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = generators::random_regular(n, d, &mut rng).expect("feasible");
+        let ids: Vec<u64> = (0..n as u64).collect();
+        let shape = || params!["n" => n, "m" => g.edge_count()];
+        let (lin, wall) = sample(samples, || linial_color(&g, &ids, n as u64));
+        records.push(Record::new(
+            "local_coloring.linial_color",
+            "linial_regular",
+            shape(),
+            wall,
+        ));
+        let (_, wall) = sample(samples, || kw_reduce(&g, &lin.colors, lin.palette));
+        records.push(Record::new(
+            "local_coloring.kw_reduce",
+            "kw_reduce_regular",
+            shape(),
+            wall,
+        ));
+        let len = 5 * n;
+        let chains = Chains::from_next((0..len).map(|i| Some((i + 1) % len)).collect());
+        let chain_ids: Vec<u64> = (0..len as u64)
+            .map(|i| i * 2_654_435_761 % 1_000_003)
+            .collect();
+        let (_, wall) = sample(samples, || cole_vishkin_3color(&chains, &chain_ids));
+        records.push(Record::new(
+            "local_coloring.cole_vishkin",
+            "cole_vishkin_cycle",
+            params!["n" => len],
+            wall,
+        ));
     }
-    (
-        vec![t],
-        SubstrateReport {
-            mode: scale.mode,
-            host_parallelism,
-            records,
-        },
-    )
+
+    // multigraph degree splitting: Eulerian oracle, walk engine, pairing
+    {
+        let (n, m) = scale.multigraph;
+        let g = random_multigraph(n, m, 3);
+        let shape = || params!["n" => n, "m" => m];
+        let (_, wall) = sample(samples, || eulerian_orientation(&g));
+        records.push(Record::new(
+            "degree_split.eulerian_orientation",
+            "eulerian_multigraph",
+            shape(),
+            wall,
+        ));
+        let (_, wall) = sample(samples, || walk_splitting(&g, 0.1));
+        let mut walk_params = shape();
+        walk_params.extend(params!["eps" => 0.1]);
+        records.push(Record::new(
+            "degree_split.walk_splitting",
+            "walk_multigraph",
+            walk_params,
+            wall,
+        ));
+        let (_, wall) = sample(samples, || WalkDecomposition::from_pairing(&g));
+        records.push(Record::new(
+            "degree_split.walk_decomposition",
+            "pairing_multigraph",
+            shape(),
+            wall,
+        ));
+    }
+    records
 }
 
-/// `substrate` — before/after microbench of graph construction, power
-/// graphs, and executor rounds. Returns the printable table and the
-/// machine-readable report for `BENCH_substrate.json`.
-pub fn run_substrate_perf(quick: bool) -> (Vec<Table>, SubstrateReport) {
+/// `substrate` — microbench of graph construction, power graphs,
+/// executor rounds, colorings and multigraph splitting engines; the
+/// records of `BENCH_substrate.json`.
+pub fn run_substrate_perf(quick: bool) -> Vec<Record> {
     run_sized(if quick { &QUICK } else { &FULL })
 }
 
@@ -527,26 +324,24 @@ mod tests {
 
     #[test]
     fn tiny_run_produces_consistent_records() {
-        let (tables, report) = run_sized(&TINY);
-        assert_eq!(report.records.len(), 6);
-        assert_eq!(tables[0].row_count(), 6);
-        for r in &report.records {
-            assert!(r.wall_ns_before > 0 && r.wall_ns_after > 0, "{}", r.name);
-            assert!(r.n > 0 && r.m > 0);
+        let records = run_sized(&TINY);
+        assert_eq!(records.len(), 13);
+        for r in &records {
+            assert_eq!(r.samples_ns.len(), TINY.samples, "{}", r.name);
+            assert!(r.samples_ns.iter().all(|&w| w > 0), "{}", r.name);
+            assert!(r.params.iter().any(|(k, _)| *k == "n"), "{}", r.name);
         }
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"substrate\""));
-        assert!(json.contains("power_graph_k4"));
-        assert!(json.contains("executor_heavy_parallel"));
-        assert!(json.contains("\"host_parallelism\""));
-        assert!(json.contains("\"threads\""));
-        assert!(json.contains("\"parity_run\""));
-        let parallel = report
-            .records
+        let parallel = records
             .iter()
             .find(|r| r.name == "executor_heavy_parallel")
             .unwrap();
-        assert_eq!(parallel.threads, Some(report.host_parallelism));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert!(parallel
+            .params
+            .contains(&("threads", crate::json::Param::Int(host as u128))));
+        assert!(records
+            .iter()
+            .any(|r| r.name == "executor_heavy_sequential"));
+        assert!(records.iter().any(|r| r.name == "power_graph_k4"));
     }
 }

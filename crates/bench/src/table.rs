@@ -1,5 +1,6 @@
 //! Plain-text table rendering for experiment outputs.
 
+use crate::json::{Param, Record};
 use std::fmt::Write as _;
 
 /// A printable experiment table: a title, column headers, and rows.
@@ -99,6 +100,35 @@ pub fn fnum(x: f64) -> String {
     } else {
         format!("{x:.2e}")
     }
+}
+
+/// The printable form of a bench report: one row per record, times in
+/// milliseconds.
+pub fn records_table(title: impl Into<String>, records: &[Record]) -> Table {
+    let mut t = Table::new(
+        title,
+        &["layer", "record", "median ms", "p10 ms", "p90 ms", "params"],
+    );
+    for r in records {
+        let ms = |q| fnum(r.quantile_ns(q) as f64 / 1e6);
+        let params: Vec<String> = r
+            .params
+            .iter()
+            .map(|(k, v)| match v {
+                Param::Text(s) => format!("{k}={s}"),
+                v => format!("{k}={v}"),
+            })
+            .collect();
+        t.row(vec![
+            r.layer.into(),
+            r.name.clone(),
+            ms(0.5),
+            ms(0.1),
+            ms(0.9),
+            params.join(" "),
+        ]);
+    }
+    t
 }
 
 #[cfg(test)]

@@ -7,7 +7,12 @@
 //! at every step of the trajectory, across left-regular and irregular
 //! bipartite instances and all three estimator instantiations.
 //!
-//! A second family pins [`FixerState::seeded`] — the halo-restricted state
+//! A second family pins [`phased_fix`] on Lemma 2.1's distance-2
+//! schedules (`greedy_right_square`) against the reference's phased
+//! run: identical colors, bit-identical initial and final `Φ`, and
+//! the same charged rounds.
+//!
+//! A third family pins [`FixerState::seeded`] — the halo-restricted state
 //! churn repair builds — against a whole-instance [`FixerState`] that fixes
 //! every clean variable in ascending order: identical re-fix choices and
 //! bit-identical `φ_u` on every halo constraint.
@@ -19,8 +24,11 @@
 //! engines must break toward the smaller color) can split by one ULP and
 //! flip the argmin — the recurrence is what "the same color choices" is
 //! defined against.
+//!
+//! CI runs this file with `PROPTEST_CASES=2048` for a heavier sweep.
 
-use derand::{sequential_fix, ColoringEstimator, FixerState};
+use derand::{phased_fix, sequential_fix, ColoringEstimator, FixOutcome, FixerState};
+use local_coloring::greedy_right_square;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -73,9 +81,7 @@ fn estimator(b: &BipartiteGraph, kind: Kind) -> ColoringEstimator {
 
 /// Naive reference: the pre-refactor fixer verbatim — one count `Vec` per
 /// constraint, per-query `powi`, per-color-outer candidate loops, and `Φ`
-/// recomputed from scratch at every step. A sibling copy lives in
-/// `crates/bench/src/pipeline_perf.rs` (`SeedFixerState`) as the frozen
-/// *before* side of the speedup records; keep the two in lockstep.
+/// recomputed from scratch at every step.
 struct NaiveRef {
     palette: u32,
     factor: f64,
@@ -157,6 +163,39 @@ impl NaiveRef {
     }
 }
 
+impl NaiveRef {
+    /// The phased run over `square_coloring`: classes in ascending
+    /// order, each class's variables (ascending) all choosing from the
+    /// same state before any of them commits, two rounds charged per
+    /// class of the `palette`, empty or not.
+    fn phased(
+        b: &BipartiteGraph,
+        est: &ColoringEstimator,
+        square_coloring: &[u32],
+        palette: u32,
+    ) -> FixOutcome {
+        let mut naive = NaiveRef::new(b, est);
+        let initial_phi = naive.total();
+        let mut colors = vec![0u32; b.right_count()];
+        for class in 0..palette {
+            let deciders: Vec<usize> = (0..b.right_count())
+                .filter(|&v| square_coloring[v] == class)
+                .collect();
+            let choices: Vec<u32> = deciders.iter().map(|&v| naive.best_color(b, v)).collect();
+            for (&v, &x) in deciders.iter().zip(&choices) {
+                naive.fix(b, v, x);
+                colors[v] = x;
+            }
+        }
+        FixOutcome {
+            colors,
+            initial_phi,
+            final_phi: naive.total(),
+            rounds: 2 * palette as usize,
+        }
+    }
+}
+
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * b.abs().max(1.0)
 }
@@ -200,6 +239,29 @@ fn assert_parity(b: &BipartiteGraph, kind: Kind, order_seed: u64) {
     let out = sequential_fix(b, est, &order);
     assert_eq!(out.colors, colors);
     assert!(close(out.final_phi, naive.total()));
+}
+
+/// Runs [`phased_fix`] and the reference's phased run over the
+/// greedy distance-2 schedule of `b` and asserts identical colors,
+/// bit-identical `Φ` endpoints and equal rounds.
+fn assert_phased_parity(b: &BipartiteGraph, kind: Kind) {
+    let est = estimator(b, kind);
+    let (schedule, _) = greedy_right_square(b);
+    let palette = schedule.iter().copied().max().map_or(1, |c| c + 1);
+    let live = phased_fix(b, est.clone(), &schedule, palette);
+    let naive = NaiveRef::phased(b, &est, &schedule, palette);
+    assert_eq!(live.colors, naive.colors, "{kind:?}: colors diverged");
+    assert_eq!(
+        live.initial_phi.to_bits(),
+        naive.initial_phi.to_bits(),
+        "{kind:?}: initial Φ diverged"
+    );
+    assert_eq!(
+        live.final_phi.to_bits(),
+        naive.final_phi.to_bits(),
+        "{kind:?}: final Φ diverged"
+    );
+    assert_eq!(live.rounds, naive.rounds, "{kind:?}: rounds diverged");
 }
 
 /// Seeds a halo state from a random previous coloring and a random dirty
@@ -258,8 +320,6 @@ const ALL_KINDS: [Kind; 4] = [
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
     #[test]
     fn incremental_matches_naive_on_left_regular(
         (nc, nv_mult, deg, seed) in (2usize..14, 2usize..5, 2usize..9, 0u64..10_000)
@@ -295,6 +355,21 @@ proptest! {
         let b = generators::random_left_regular(nc, nv, deg, &mut rng).unwrap();
         for palette in [2u32, 3, 5] {
             assert_parity(&b, Kind::Overload(palette), seed ^ 0x33);
+        }
+    }
+
+    #[test]
+    fn phased_matches_naive_phased_on_square_schedules(
+        (nc, nv_mult, deg, p10, seed) in (2usize..14, 2usize..5, 2usize..9, 1usize..7, 0u64..10_000)
+    ) {
+        let nv = nc * nv_mult;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let regular = generators::random_left_regular(nc, nv, deg.min(nv), &mut rng).unwrap();
+        let irregular = generators::erdos_renyi_bipartite(nc, nv, 0.1 * p10 as f64, &mut rng);
+        for b in [&regular, &irregular] {
+            for kind in ALL_KINDS {
+                assert_phased_parity(b, kind);
+            }
         }
     }
 

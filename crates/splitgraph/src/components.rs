@@ -172,10 +172,36 @@ impl BipartiteComponent {
 /// Isolated nodes (degree 0 on either side) form singleton components; they
 /// are included so that callers can account for every node.
 pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
-    let g = b.to_graph();
-    let cc = connected_components(&g);
+    // BFS straight over the two sides' rows: node `x < shift` is left
+    // node `x`, node `shift + v` right node `v`; starts ascend, so labels
+    // number components by their smallest node, as over `b.to_graph()`
     let shift = b.left_count();
-    let mut comps: Vec<BipartiteComponent> = (0..cc.count())
+    let n = shift + b.right_count();
+    let mut labels = vec![usize::MAX; n];
+    let mut count = 0;
+    let mut queue = std::collections::VecDeque::new();
+    for start in 0..n {
+        if labels[start] != usize::MAX {
+            continue;
+        }
+        labels[start] = count;
+        queue.push_back(start);
+        while let Some(x) = queue.pop_front() {
+            let (row, offset) = if x < shift {
+                (b.left_neighbors(x), shift)
+            } else {
+                (b.right_neighbors(x - shift), 0)
+            };
+            for &y in row {
+                if labels[offset + y] == usize::MAX {
+                    labels[offset + y] = count;
+                    queue.push_back(offset + y);
+                }
+            }
+        }
+        count += 1;
+    }
+    let mut comps: Vec<BipartiteComponent> = (0..count)
         .map(|_| BipartiteComponent {
             graph: BipartiteGraph::default(),
             original_left: Vec::new(),
@@ -183,9 +209,9 @@ pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
         })
         .collect();
     // first pass: assign local indices
-    let mut local = vec![usize::MAX; g.node_count()];
+    let mut local = vec![usize::MAX; n];
     for (v, slot) in local.iter_mut().enumerate() {
-        let c = cc.label(v);
+        let c = labels[v];
         if v < shift {
             *slot = comps[c].original_left.len();
             comps[c].original_left.push(v);
@@ -206,7 +232,7 @@ pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
         edges.clear();
         for (i, &orig_u) in comp.original_left.iter().enumerate() {
             for &orig_v in b.left_neighbors(orig_u) {
-                debug_assert_eq!(cc.label(shift + orig_v), c);
+                debug_assert_eq!(labels[shift + orig_v], c);
                 edges.push((i, local[shift + orig_v]));
             }
         }
