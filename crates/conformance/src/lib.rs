@@ -14,6 +14,9 @@
 //! * [`degree_split::DegreeSplitter`] over every `Engine` × `Flavor`,
 //! * the Section 4 reductions (uniform splitting, Δ-coloring, MIS, edge
 //!   coloring),
+//! * the `splitting-api` request layer and the `splitd` wire path, and
+//!   the stateful service as one seeded operation sequence across
+//!   restarts, kills and faults ([`service`]),
 //!
 //! validating outputs with the certifiers and round-ledger bounds,
 //! cross-checking alternate engines on shared instances, and asserting
@@ -35,6 +38,7 @@ pub mod harness;
 pub mod replay;
 pub mod report;
 pub mod scenario;
+pub mod service;
 
 pub use harness::{
     run_cell, run_corpus, run_corpus_groups, run_scenario, ConformanceReport, Finding, Group,

@@ -5,8 +5,9 @@
 //! Usage: `conformance [--quick | --full] [--group NAME ...] [--ledger PATH]`
 //!
 //! `--group` (repeatable) restricts the run to selected entrypoint
-//! groups — e.g. `--group chaos` for the CI fault-injection sweep,
-//! which additionally varies the schedule via `CONFORMANCE_CHAOS_SEED`.
+//! groups — e.g. `--group service` for the CI sweep of the stateful
+//! service group, which additionally reseeds its operation sequence via
+//! `CONFORMANCE_SERVICE_SEED`.
 
 use conformance::{render_matrix, repro_line, run_corpus_groups, write_ledger, Group, Tier};
 use std::path::PathBuf;

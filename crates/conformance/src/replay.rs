@@ -110,6 +110,18 @@ mod tests {
     }
 
     #[test]
+    fn service_selector_parses_and_the_merged_groups_do_not() {
+        let sel = Selector::parse("biregular/100x100d20#1:service").unwrap();
+        assert_eq!(sel.group, Some(Group::Service));
+        // chaos, recovery, churn and store were merged into service;
+        // their names select nothing, so a stale selector fails loudly
+        for merged in ["chaos", "recovery", "churn", "store"] {
+            assert_eq!(Group::parse(merged), None);
+            assert!(Selector::parse(&format!("biregular/100x100d20#1:{merged}")).is_none());
+        }
+    }
+
+    #[test]
     fn replay_finds_registered_scenarios() {
         let sel = Selector::parse("torus-incidence/6x6#1:solver").unwrap();
         let cells = replay(Tier::Quick, &sel).expect("scenario registered");

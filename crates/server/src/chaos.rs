@@ -8,8 +8,8 @@
 //! frame is torn depends only on the seed and the job's identity, not
 //! on thread interleaving. Replaying the same seed over the same
 //! request stream reproduces the same fault schedule exactly, which is
-//! what lets the conformance chaos group assert byte-parity on the
-//! surviving replies.
+//! what lets the conformance `service` group predict every surviving
+//! reply byte for byte.
 //!
 //! The hook is a test/bench-only affordance: the default configuration
 //! (`chaos: None`) compiles the seams down to a branch on `None`, and
@@ -59,7 +59,7 @@ pub struct ChaosConfig {
     /// solve but before reply delivery and the journal completion mark
     /// — the server [halts](crate::Server::halt) abruptly, simulating
     /// `kill -9` at the worst possible instant. Used by the conformance
-    /// `recovery` group together with a journal.
+    /// `service` group together with a journal.
     pub process_kill: f64,
 }
 
@@ -95,7 +95,7 @@ impl ChaosConfig {
     /// the fault fires iff this is `< process_kill`. Exposed so a
     /// harness can *choose* a probability that guarantees the kill
     /// lands exactly once, at a seed-dependent position in its request
-    /// stream (the recovery conformance group does this).
+    /// stream (the service conformance group does this).
     pub fn process_kill_roll(&self, conn: u64, seq: u64) -> f64 {
         self.roll(SITE_PROCESS_KILL, conn, seq)
     }

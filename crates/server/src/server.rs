@@ -21,7 +21,7 @@ use crate::chaos::{self, ChaosConfig};
 use crate::journal::{Journal, PayloadHash};
 use crate::queue::{JobQueue, PushError};
 use crate::store::{HeldEntry, InstanceStore, Origin};
-use crate::wire::{self, ClientFrame, Envelope, Priority, StatsSnapshot, Timing};
+use crate::wire::{self, ClientFrame, Envelope, Priority, ReplyKind, StatsSnapshot, Timing};
 use splitting_api::{ApiError, CancelToken, HeldSolution, Request, Session};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -171,17 +171,6 @@ const DELIVER_POLL: Duration = Duration::from_millis(1);
 /// no longer exists. Client connection ids count up from 0 and cannot
 /// collide with it.
 const RECOVERY_CONN: u64 = u64::MAX;
-
-/// What reply frame a cached payload replays as.
-#[derive(Clone, Copy)]
-enum ReplyKind {
-    /// A solved request (`solution` frame).
-    Solution,
-    /// A typed error (`error` frame).
-    Error,
-    /// An applied mutation (`mutated` frame).
-    Mutated,
-}
 
 /// A delivered reply remembered under its idempotency key.
 #[derive(Clone)]
@@ -499,8 +488,10 @@ fn worker_loop(shared: &Shared, slot: usize) {
                     deadline_ms,
                 }
                 .to_json_line();
-                let frame = wire::error_frame(&job.id, job.seq, timing(started), &payload);
-                shared.finish_job(&job, ReplyKind::Error, payload);
+                let kind = ReplyKind::Error;
+                let frame =
+                    wire::reply_frame(kind, &job.id, job.seq, timing(started), false, &payload);
+                shared.finish_job(&job, kind, payload);
                 shared.deliver(job.conn, job.seq, frame);
                 shared.served.fetch_add(1, Ordering::Relaxed);
                 shared.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -575,13 +566,12 @@ fn worker_loop(shared: &Shared, slot: usize) {
             };
             wire::internal_panic_payload(detail)
         });
-        let (kind, frame) = if payload.starts_with("{\"event\":\"solution\"") {
-            let frame = wire::solution_frame(&job.id, job.seq, timing(started), &payload);
-            (ReplyKind::Solution, frame)
+        let kind = if payload.starts_with("{\"event\":\"solution\"") {
+            ReplyKind::Solution
         } else {
-            let frame = wire::error_frame(&job.id, job.seq, timing(started), &payload);
-            (ReplyKind::Error, frame)
+            ReplyKind::Error
         };
+        let frame = wire::reply_frame(kind, &job.id, job.seq, timing(started), false, &payload);
         shared.finish_job(&job, kind, payload);
         shared.deliver(job.conn, job.seq, frame);
         shared.served.fetch_add(1, Ordering::Relaxed);
@@ -795,7 +785,7 @@ impl Server {
     }
 
     /// Kills the server abruptly — the in-process analogue of `kill
-    /// -9`, used by the recovery conformance group and crash tests.
+    /// -9`, used by the service conformance group and crash tests.
     /// Queued and in-flight work is abandoned without replies or
     /// journal completions (their admitted records stay incomplete, so
     /// a restart on the same journal re-runs them); workers are joined
@@ -855,7 +845,9 @@ impl Submitter {
 
     /// Answers a frame with a typed error frame under `id`.
     fn reply_error(&self, id: &str, seq: u64, error: &ApiError) -> Submitted {
-        self.send_now(seq, wire::error_frame(id, seq, None, &error.to_json_line()));
+        let payload = error.to_json_line();
+        let frame = wire::reply_frame(ReplyKind::Error, id, seq, None, false, &payload);
+        self.send_now(seq, frame);
         Submitted::Replied
     }
 
@@ -867,13 +859,16 @@ impl Submitter {
             retry_after_ms: self.shared.config.retry_after_ms,
         }
         .to_json_line();
-        self.send_now(seq, wire::error_frame(id, seq, None, &payload));
+        let frame = wire::reply_frame(ReplyKind::Error, id, seq, None, false, &payload);
+        self.send_now(seq, frame);
     }
 
     /// Idempotent retry: a key whose reply was already delivered is
     /// answered from the cache, as the frame type it was first delivered
-    /// in — no admission, no journal append, no second solve. Returns
-    /// `false` when there is nothing to replay.
+    /// in (a request reusing a key last answered by a mutate replays the
+    /// `mutated` frame: the key names the delivered reply, not the frame
+    /// type of the retry) — no admission, no journal append, no second
+    /// solve. Returns `false` when there is nothing to replay.
     fn replay(&self, idempotency_key: Option<&str>, id: &str, seq: u64) -> bool {
         let Some(hit) =
             idempotency_key.and_then(|key| self.shared.idempotency.lock().unwrap().get(key))
@@ -881,14 +876,7 @@ impl Submitter {
             return false;
         };
         self.shared.replayed.fetch_add(1, Ordering::Relaxed);
-        let frame = match hit.kind {
-            ReplyKind::Solution => wire::replayed_frame(true, id, seq, &hit.payload),
-            ReplyKind::Error => wire::replayed_frame(false, id, seq, &hit.payload),
-            // a request reusing a key last answered by a mutate replays
-            // the mutated frame — the key identifies the delivered reply,
-            // not the frame type of the retry
-            ReplyKind::Mutated => wire::replayed_mutated_frame(id, seq, &hit.payload),
-        };
+        let frame = wire::reply_frame(hit.kind, id, seq, None, true, &hit.payload);
         self.send_now(seq, frame);
         true
     }
@@ -1079,14 +1067,14 @@ impl Submitter {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        let (id, key, render): (_, _, fn(&str, u64, &str) -> String) = match &frame {
-            ClientFrame::Upload { id } => (id, None, wire::uploaded_frame),
-            ClientFrame::Release { id, .. } => (id, None, wire::released_frame),
+        let (id, key, kind) = match &frame {
+            ClientFrame::Upload { id } => (id, None, ReplyKind::Uploaded),
+            ClientFrame::Release { id, .. } => (id, None, ReplyKind::Released),
             ClientFrame::Mutate {
                 id,
                 idempotency_key: key,
                 ..
-            } => (id, key.as_deref(), wire::mutated_frame),
+            } => (id, key.as_deref(), ReplyKind::Mutated),
             _ => unreachable!("only state frames reach here"),
         };
         if self.replay(key, id, seq) {
@@ -1112,7 +1100,7 @@ impl Submitter {
                 .cache_reply(key.to_owned(), ReplyKind::Mutated, payload.clone());
         }
         self.shared.maybe_compact();
-        self.send_now(seq, render(id, seq, &payload));
+        self.send_now(seq, wire::reply_frame(kind, id, seq, None, false, &payload));
         Submitted::Replied
     }
 

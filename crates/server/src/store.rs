@@ -317,7 +317,8 @@ impl InstanceStore {
         let replies: Vec<_> = replies
             .filter(|r| !r.carried || cached.contains(&r.key))
             .map(|r| {
-                let line = wire::mutated_frame("snapshot", 0, &r.payload);
+                let kind = wire::ReplyKind::Mutated;
+                let line = wire::reply_frame(kind, "snapshot", 0, None, false, &r.payload);
                 (line, Some(KeyedReply { carried: true, ..r }))
             })
             .collect();

@@ -1289,18 +1289,53 @@ pub struct Timing {
     pub solve_ns: u64,
 }
 
-fn reply_frame(
-    frame_type: &str,
+/// What a reply frame carries. [`name`](ReplyKind::name) is both the
+/// frame's `type` and the key of its embedded payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyKind {
+    /// A solved request: a
+    /// [`Solution::to_json_line`](splitting_api::Solution::to_json_line)
+    /// payload.
+    Solution,
+    /// A typed error: an [`ApiError::to_json_line`] payload.
+    Error,
+    /// An interned instance: an [`uploaded_payload`].
+    Uploaded,
+    /// A dropped instance: a [`released_payload`].
+    Released,
+    /// A patched instance: a [`mutated_payload`].
+    Mutated,
+}
+
+impl ReplyKind {
+    /// The frame type, which is also the payload key.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReplyKind::Solution => "solution",
+            ReplyKind::Error => "error",
+            ReplyKind::Uploaded => "uploaded",
+            ReplyKind::Released => "released",
+            ReplyKind::Mutated => "mutated",
+        }
+    }
+}
+
+/// Assembles a reply frame around a rendered payload, embedded verbatim
+/// as the last field so clients can slice it out byte-exactly (see
+/// [`split_reply`]). `timing` is attached when the reply was queued and
+/// solved; `replayed` marks a reply served from the idempotency cache,
+/// which carries no timing because nothing was queued or solved.
+pub fn reply_frame(
+    kind: ReplyKind,
     id: &str,
     seq: u64,
     timing: Option<Timing>,
     replayed: bool,
-    payload_key: &str,
     payload: &str,
 ) -> String {
     let mut obj = JsonObject::new();
     obj.uint("v", PROTOCOL_VERSION)
-        .string("type", frame_type)
+        .string("type", kind.name())
         .string("id", id)
         .uint("seq", seq);
     if let Some(t) = timing {
@@ -1310,41 +1345,8 @@ fn reply_frame(
     if replayed {
         obj.bool("replayed", true);
     }
-    // the payload is always the LAST field so tests and clients can
-    // extract it byte-exactly with `embedded_payload`
-    obj.raw(payload_key, payload);
+    obj.raw(kind.name(), payload);
     obj.finish()
-}
-
-/// Assembles a `solution` reply frame around a rendered
-/// [`Solution::to_json_line`](splitting_api::Solution::to_json_line)
-/// payload (embedded verbatim).
-pub fn solution_frame(id: &str, seq: u64, timing: Option<Timing>, payload: &str) -> String {
-    reply_frame("solution", id, seq, timing, false, "solution", payload)
-}
-
-/// Assembles an `error` reply frame around a rendered
-/// [`ApiError::to_json_line`] payload (embedded verbatim).
-pub fn error_frame(id: &str, seq: u64, timing: Option<Timing>, payload: &str) -> String {
-    reply_frame("error", id, seq, timing, false, "error", payload)
-}
-
-/// Assembles a reply frame served from the idempotency cache: same
-/// shape as [`solution_frame`]/[`error_frame`] (the cached payload is
-/// embedded byte-for-byte, still the last field) plus a
-/// `"replayed":true` marker before the payload. Timings are omitted —
-/// nothing was queued or solved.
-pub fn replayed_frame(solution: bool, id: &str, seq: u64, payload: &str) -> String {
-    let key = if solution { "solution" } else { "error" };
-    reply_frame(key, id, seq, None, true, key, payload)
-}
-
-/// Assembles a `mutated` reply frame served from the idempotency cache:
-/// same shape as [`mutated_frame`] plus the `"replayed":true` marker
-/// before the payload. Nothing was re-patched — the cached payload
-/// (including the moved handle) is embedded byte-for-byte.
-pub fn replayed_mutated_frame(id: &str, seq: u64, payload: &str) -> String {
-    reply_frame("mutated", id, seq, None, true, "mutated", payload)
 }
 
 /// Renders the payload of an `uploaded` reply: the handle, the interned
@@ -1406,28 +1408,6 @@ pub fn mutated_payload(
         .uint("edges", edges as u64)
         .uint("held", held as u64);
     obj.finish()
-}
-
-/// Assembles an `uploaded` reply frame around a rendered
-/// [`uploaded_payload`] (embedded verbatim, last field like every reply
-/// payload). Timings are omitted — interning happens at ingest, nothing
-/// is queued or solved.
-pub fn uploaded_frame(id: &str, seq: u64, payload: &str) -> String {
-    reply_frame("uploaded", id, seq, None, false, "uploaded", payload)
-}
-
-/// Assembles a `released` reply frame around a rendered
-/// [`released_payload`].
-pub fn released_frame(id: &str, seq: u64, payload: &str) -> String {
-    reply_frame("released", id, seq, None, false, "released", payload)
-}
-
-/// Assembles a `mutated` reply frame around a rendered
-/// [`mutated_payload`] (embedded verbatim, last field like every reply
-/// payload). Timings are omitted — patching happens at ingest, nothing
-/// is queued or solved.
-pub fn mutated_frame(id: &str, seq: u64, payload: &str) -> String {
-    reply_frame("mutated", id, seq, None, false, "mutated", payload)
 }
 
 /// A point-in-time service snapshot, reported on heartbeat frames.
@@ -1946,18 +1926,27 @@ mod tests {
 
     #[test]
     fn reply_frames_embed_payload_last() {
-        let frame = solution_frame("r9", 4, None, r#"{"event":"solution","x":1}"#);
+        let frame = reply_frame(
+            ReplyKind::Solution,
+            "r9",
+            4,
+            None,
+            false,
+            r#"{"event":"solution","x":1}"#,
+        );
         assert_eq!(
             frame,
             r#"{"v":1,"type":"solution","id":"r9","seq":4,"solution":{"event":"solution","x":1}}"#
         );
-        let timed = error_frame(
+        let timed = reply_frame(
+            ReplyKind::Error,
             "r9",
             5,
             Some(Timing {
                 queued_ns: 10,
                 solve_ns: 20,
             }),
+            false,
             r#"{"event":"error"}"#,
         );
         assert_eq!(
@@ -1969,7 +1958,7 @@ mod tests {
     #[test]
     fn replayed_frames_keep_the_payload_last_and_flag_before_it() {
         let payload = r#"{"event":"solution","x":1}"#;
-        let frame = replayed_frame(true, "r9", 4, payload);
+        let frame = reply_frame(ReplyKind::Solution, "r9", 4, None, true, payload);
         assert_eq!(
             frame,
             r#"{"v":1,"type":"solution","id":"r9","seq":4,"replayed":true,"solution":{"event":"solution","x":1}}"#
@@ -1979,22 +1968,31 @@ mod tests {
         assert_eq!(reply.payload, Some(payload));
         // fresh frames parse as not-replayed
         assert!(
-            !split_reply(&solution_frame("r9", 4, None, payload))
-                .unwrap()
-                .replayed
+            !split_reply(&reply_frame(
+                ReplyKind::Solution,
+                "r9",
+                4,
+                None,
+                false,
+                payload
+            ))
+            .unwrap()
+            .replayed
         );
     }
 
     #[test]
     fn split_reply_recovers_envelope_and_exact_payload() {
         let payload = r#"{"event":"solution","rounds":0}"#;
-        let frame = solution_frame(
+        let frame = reply_frame(
+            ReplyKind::Solution,
             "abc",
             17,
             Some(Timing {
                 queued_ns: 3,
                 solve_ns: 9,
             }),
+            false,
             payload,
         );
         let reply = split_reply(&frame).unwrap();
@@ -2155,7 +2153,7 @@ mod tests {
             "{payload}"
         );
         assert!(payload.ends_with(r#","held":1}"#), "{payload}");
-        let frame = uploaded_frame("u1", 3, &payload);
+        let frame = reply_frame(ReplyKind::Uploaded, "u1", 3, None, false, &payload);
         assert!(
             frame.ends_with(&format!(r#","uploaded":{payload}}}"#)),
             "{frame}"
@@ -2171,7 +2169,7 @@ mod tests {
             payload,
             format!(r#"{{"event":"released","handle":"{handle}","held":0}}"#)
         );
-        let frame = released_frame("u2", 4, &payload);
+        let frame = reply_frame(ReplyKind::Released, "u2", 4, None, false, &payload);
         let reply = split_reply(&frame).unwrap();
         assert_eq!(reply.frame_type, "released");
         assert_eq!(reply.payload, Some(payload.as_str()));
