@@ -851,16 +851,14 @@ impl Submitter {
         Submitted::Replied
     }
 
-    fn reject(&self, id: &str, seq: u64, depth: usize) {
+    fn reject(&self, id: &str, seq: u64, depth: usize) -> Submitted {
         self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-        let payload = ApiError::Overloaded {
+        let error = ApiError::Overloaded {
             queue_depth: depth,
             capacity: self.shared.queue.capacity(),
             retry_after_ms: self.shared.config.retry_after_ms,
-        }
-        .to_json_line();
-        let frame = wire::reply_frame(ReplyKind::Error, id, seq, None, false, &payload);
-        self.send_now(seq, frame);
+        };
+        self.reply_error(id, seq, &error)
     }
 
     /// Idempotent retry: a key whose reply was already delivered is
@@ -957,8 +955,7 @@ impl Submitter {
         if let (Some(journal), Some(record_id)) = (&self.shared.config.journal, job.journal_id) {
             let _ = journal.mark_completed(record_id);
         }
-        self.reject(&job.id, seq, depth);
-        Submitted::Replied
+        self.reject(&job.id, seq, depth)
     }
 
     /// Submits one raw input line, driving the full ingest path:
