@@ -1,31 +1,24 @@
 //! The `service` group: one seeded operation sequence driven through
 //! `splitd` against one reference model.
 //!
-//! `plan` draws epochs from the scenario seed mixed with [`SEED_ENV`]. Every epoch is one server process on a journal all
-//! epochs share, with its own `workers`, `held_capacity`,
-//! `journal_compact_threshold` and fsync policy.
+//! `plan` draws six epochs from the scenario seed mixed with
+//! [`SEED_ENV`]; each is a server process with its own configuration on
+//! a journal all epochs share. A *sequential* epoch sends every frame
+//! kind one at a time, fills the held-solution cache and moves its
+//! handles so they repair, and ends in a clean restart or in a burst of
+//! keyed solves with a seeded `process_kill` inside it, whose queued
+//! tail the restart re-runs and the next epoch retries. A *streamed*
+//! epoch (always the second) sends inline solves through the byte-stream
+//! transport under worker panics and stalls, torn frames and dropped
+//! connections, at least one of which fires; its bytes do not depend
+//! on scheduling, so it may run two workers. Every plan kills once.
 //!
-//! * A *sequential* epoch sends one frame at a time over the full frame
-//!   set: inline and handle solves, uploads (some of content a later
-//!   mutate reaches), keyed and keyless mutates, verbatim keyed retries,
-//!   releases (some of handles already gone) and pings. It ends in a
-//!   clean restart or in a seeded `process_kill` on its last frame, a
-//!   keyed solve; the next epoch starts by retrying that frame.
-//! * A *streamed* epoch sends a burst of inline solves through the
-//!   byte-stream transport with worker panics and stalls, torn frames
-//!   and dropped connections armed. Its bytes do not depend on
-//!   scheduling, so it may run two workers, and a fault that drops a
-//!   reply drops a stateless one.
-//!
-//! The `Model` answers every frame as the server must, byte for byte.
-//! It keeps the instance table, the idempotency cache, a mirror of the
-//! held-solution cache (so a handle solve's bytes come from
-//! [`Session::solve`] on a miss and from [`HeldSolution::apply`] of the
-//! pending deltas on a hit), the outstanding journal records with their
-//! compaction, and the seeded fault schedule. `drive` replays the plan
-//! against real servers and compares every reply, stream, stats snapshot
-//! and journal image. A failure's detail names the seed, epoch and step;
-//! the `scenario:service` ledger line replays the whole sequence.
+//! The `Model` answers every frame byte for byte from its instance
+//! table, idempotency cache, held-cache mirror ([`Session::solve`] on a
+//! miss, [`HeldSolution::apply`] of the pending deltas on a hit),
+//! journal records and fault schedule; `drive` compares every reply,
+//! stream, stats snapshot and journal image. A failure's detail names
+//! seed, epoch and step; the `scenario:service` ledger line replays it.
 
 use crate::harness::{server_request_menu, Ctx};
 use crate::scenario::Scenario;
@@ -52,9 +45,10 @@ use std::time::{Duration, Instant};
 pub const SEED_ENV: &str = "CONFORMANCE_SERVICE_SEED";
 
 /// The [`SEED_ENV`] values the CI sweep runs. Together their plans tear
-/// a stream mid-sequence and late, run one fault-free, kill, restart
-/// under every fsync policy, evict and compact (pinned by a test).
-pub const CI_SEEDS: [u64; 3] = [2, 6, 14];
+/// a stream mid-sequence and late, run one fault-free, kill under every
+/// fsync policy and with jobs still queued, evict and compact (pinned
+/// by a test).
+pub const CI_SEEDS: [u64; 3] = [3, 12, 45];
 
 const EPOCHS: usize = 6;
 
@@ -73,7 +67,7 @@ enum Reply {
     /// A heartbeat reporting this table size, admissions appended and
     /// replies replayed (the rest of a heartbeat is timing).
     Heartbeat(usize, u64, u64),
-    /// Nothing: the process dies on this frame.
+    /// Nothing: the process dies on this frame or before reaching it.
     Killed,
 }
 
@@ -85,7 +79,6 @@ struct Step(String, Submitted, Reply);
 /// A streamed epoch's transport output and liveness probe.
 #[derive(Debug, Clone, PartialEq)]
 struct Stream {
-    fault_seed: u64,
     bytes: Vec<u8>,
     outcome: Result<ServeSummary, &'static str>,
     /// An inline solve on a second connection after the burst.
@@ -116,24 +109,25 @@ struct Ledger {
     completed: usize,
 }
 
-/// One server process of the sequence.
-#[derive(Debug, Clone, PartialEq)]
+/// One server process of the sequence; `drive` adds the journal.
+#[derive(Debug, Clone)]
 struct Epoch {
-    workers: usize,
-    held_capacity: usize,
-    compact_threshold: usize,
+    config: ServerConfig,
     fsync: FsyncPolicy,
     steps: Vec<Step>,
     stream: Option<Stream>,
-    kill: bool,
+    /// Keyed solves sent after `steps` without waiting; the process
+    /// dies on the first whose reply is [`Reply::Killed`].
+    burst: Vec<Step>,
     ledger: Ledger,
 }
 
 /// The whole sequence, and the frame kinds, events and cache
 /// transitions it exercises.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct Plan {
     epochs: Vec<Epoch>,
+    #[cfg_attr(not(test), allow(dead_code))]
     tags: BTreeSet<&'static str>,
 }
 
@@ -214,6 +208,18 @@ fn stream_faults(seed: u64) -> ChaosConfig {
     }
 }
 
+/// Whether the fault schedule under `seed` tears, drops or panics
+/// somewhere in a burst of `count` frames.
+fn injects(seed: u64, count: u64) -> bool {
+    let c = stream_faults(seed);
+    let sites = [
+        (c.worker_panic, SITE_WORKER_PANIC),
+        (c.torn_frame, SITE_TORN_FRAME),
+        (c.drop_connection, SITE_DROP_CONNECTION),
+    ];
+    (0..count).any(|seq| sites.iter().any(|&(p, site)| fires(&c, p, site, 0, seq)))
+}
+
 /// A `process_kill` schedule that fires on job `seq` of connection 0
 /// and on no earlier job — nor on the `recovered` jobs the restart
 /// re-runs first on the reserved recovery connection (id `u64::MAX`).
@@ -268,9 +274,10 @@ struct Model<'c, 'a> {
     compact_threshold: usize,
     tick: u64,
     records: Vec<StateRecord>,
-    /// The keyed solve the process died on, with its reply: the restart
-    /// re-runs it and caches the reply under its key.
-    killed: Option<(String, String, String)>,
+    /// The keyed solves the process died with, the one it died on and
+    /// those queued behind it, as (id, key, reply): the restart re-runs
+    /// them and caches each reply under its key.
+    killed: Vec<(String, String, String)>,
     ledger: Ledger,
     tags: BTreeSet<&'static str>,
     /// The held solution a failed repair just dropped.
@@ -296,7 +303,7 @@ impl<'c, 'a> Model<'c, 'a> {
             compact_threshold: 0,
             tick: 0,
             records: Vec::new(),
-            killed: None,
+            killed: Vec::new(),
             ledger: Ledger::default(),
             tags: BTreeSet::new(),
             dropped: None,
@@ -397,17 +404,7 @@ impl<'c, 'a> Model<'c, 'a> {
             };
             let line = solution.to_json_line();
             match HeldSolution::adopt(&self.session, &request, solution) {
-                Ok(held) => {
-                    let pending = Vec::new();
-                    self.checkin(
-                        key,
-                        Held {
-                            held,
-                            pending,
-                            last_used: 0,
-                        },
-                    );
-                }
+                Ok(held) => self.checkin(key, held, Vec::new()),
                 Err(e) => self.ctx.check("service.accept-parity", false, || {
                     format!("{at}: adopting the scratch solution of {handle} failed: {e}")
                 }),
@@ -445,23 +442,29 @@ impl<'c, 'a> Model<'c, 'a> {
         self.ctx.check("service.repair-certifies", certifies, || {
             format!("{at}: the repaired solution of {handle} does not certify")
         });
-        self.checkin(key, entry);
+        self.checkin(key, entry.held, entry.pending);
         solution.to_json_line()
     }
 
     /// Puts a held solution (back), evicting the least recently used
     /// one at capacity.
-    fn checkin(&mut self, key: (String, bool), mut entry: Held) {
+    fn checkin(&mut self, key: (String, bool), held: HeldSolution, pending: Vec<EdgeDelta>) {
         if self.held_capacity == 0 {
             return;
         }
-        (entry.last_used, self.tick) = (self.tick, self.tick + 1);
         if self.held.len() >= self.held_capacity && !self.held.contains_key(&key) {
             let lru = self.held.iter().min_by_key(|(_, h)| h.last_used);
             let victim = lru.map(|(k, _)| k.clone()).expect("at capacity");
             self.held.remove(&victim);
             self.tags.insert("evict");
         }
+        let last_used = self.tick;
+        self.tick += 1;
+        let entry = Held {
+            held,
+            pending,
+            last_used,
+        };
         self.held.insert(key, entry);
     }
 
@@ -517,13 +520,13 @@ impl<'c, 'a> Model<'c, 'a> {
 
     /// A new process on the same journal: the held cache and every
     /// solve key are gone, the outstanding records replay (and may
-    /// compact), and a solve the old process died on re-runs.
+    /// compact), and the solves the old process died with re-run.
     fn restart(&mut self, held_capacity: usize, compact_threshold: usize) {
         self.held.clear();
         self.replies
             .retain(|_, reply| reply.0 == ReplyKind::Mutated);
-        let killed = self.killed.take();
-        let resolves = u64::from(killed.is_some());
+        let killed = std::mem::take(&mut self.killed);
+        let resolves = killed.len() as u64;
         self.ledger.recovered = self.records.len() as u64 + resolves;
         self.ledger.resolves = resolves;
         self.ledger.appended = 0;
@@ -532,7 +535,7 @@ impl<'c, 'a> Model<'c, 'a> {
         for record in &mut self.records {
             record.2 = false;
         }
-        if let Some((_, key, payload)) = killed {
+        for (_, key, payload) in killed {
             self.ledger.completed += 1;
             self.replies.insert(key, (kind_of(&payload), payload));
         }
@@ -615,7 +618,11 @@ impl<'c, 'a> Model<'c, 'a> {
                     let reason = format!("unknown instance handle \"{handle}\"");
                     return Self::error(id, seq, &invalid("handle", reason));
                 }
+                let held = self.held.len();
                 self.held.retain(|(h, _), _| h != handle);
+                if self.held.len() < held {
+                    self.tags.insert("release-held");
+                }
                 let payload = wire::released_payload(handle, self.live.len());
                 self.applied(f, seq, ReplyKind::Released, payload)
             }
@@ -628,38 +635,40 @@ impl<'c, 'a> Model<'c, 'a> {
         }
     }
 
-    /// The keyed solve `f` the process dies on, after solving it and
-    /// before delivering or completing it.
-    fn kill(&mut self, f: &Frame) -> Step {
+    /// A keyed solve of the burst the process dies in, sent at `seq`:
+    /// admitted and never answered. The process dies on it after
+    /// solving it (`runs`) or before reaching it.
+    fn lost(&mut self, e: usize, seq: usize, f: &Frame, runs: bool) -> Step {
+        self.at = format!("seed {} epoch {e} step {seq}", self.sweep);
         let payload = match &f.op {
             Op::Solve(menu) => self.menu_payload(*menu),
             // the worker solves through the held cache before it dies,
             // and the restart re-runs the journaled job as an inline solve
             Op::HandleSolve(handle, randomized) => {
-                self.held_solve(handle, *randomized);
+                if runs {
+                    self.held_solve(handle, *randomized);
+                }
                 let request = weak(self.ctx.scenario, &self.live[handle], *randomized);
                 rendered(self.session.solve(&request))
             }
-            _ => unreachable!("the planned kill is a solve"),
+            _ => unreachable!("the burst holds only solves"),
         };
         self.admit(&f.id);
-        let key = f.key.clone().expect("the planned kill is keyed");
-        self.killed = Some((f.id.clone(), key, payload));
-        self.tags.insert("kill");
+        let key = f.key.clone().expect("the burst is keyed");
+        self.killed.push((f.id.clone(), key, payload));
         Step(f.line.clone(), Submitted::Queued, Reply::Killed)
     }
 
     /// A streamed epoch's burst of inline solves, as the transport must
     /// write it under the seeded faults, and the liveness probe after it.
-    fn stream(&mut self, e: usize, fault_seed: u64, frames: &[Frame]) -> (Vec<Step>, Stream) {
-        let c = stream_faults(fault_seed);
+    fn stream(&mut self, e: usize, c: &ChaosConfig, frames: &[Frame]) -> (Vec<Step>, Stream) {
         let panicked = wire::internal_panic_payload("chaos: injected worker panic");
         let mut steps = Vec::new();
         for (seq, f) in frames.iter().enumerate() {
-            if fires(&c, c.worker_stall, SITE_WORKER_STALL, 0, seq as u64) {
+            if fires(c, c.worker_stall, SITE_WORKER_STALL, 0, seq as u64) {
                 self.tags.insert("stall");
             }
-            if fires(&c, c.worker_panic, SITE_WORKER_PANIC, 0, seq as u64) {
+            if fires(c, c.worker_panic, SITE_WORKER_PANIC, 0, seq as u64) {
                 self.tags.insert("panic");
                 let (submitted, reply) = self.solve(f, seq as u64, |_| panicked.clone());
                 steps.push(Step(f.line.clone(), submitted, reply));
@@ -677,12 +686,12 @@ impl<'c, 'a> Model<'c, 'a> {
             let Reply::Frame(frame) = reply else {
                 unreachable!("streamed solves answer with frames")
             };
-            if fires(&c, c.drop_connection, SITE_DROP_CONNECTION, 0, index) {
+            if fires(c, c.drop_connection, SITE_DROP_CONNECTION, 0, index) {
                 self.tags.insert("drop");
                 outcome = Err("chaos: injected connection drop");
                 break;
             }
-            if fires(&c, c.torn_frame, SITE_TORN_FRAME, 0, index) {
+            if fires(c, c.torn_frame, SITE_TORN_FRAME, 0, index) {
                 self.tags.insert("torn");
                 bytes.extend_from_slice(&frame.as_bytes()[..(frame.len() / 2).max(1)]);
                 outcome = Err("chaos: injected torn frame");
@@ -696,14 +705,13 @@ impl<'c, 'a> Model<'c, 'a> {
         }
         // the probe is the first job of the second connection
         let f = self.frame("liveness".to_owned(), None, Op::Solve(0));
-        let panics = fires(&c, c.worker_panic, SITE_WORKER_PANIC, 1, 0);
+        let panics = fires(c, c.worker_panic, SITE_WORKER_PANIC, 1, 0);
         let probe = |m: &mut Self| if panics { panicked } else { m.menu_payload(0) };
         let (submitted, reply) = self.solve(&f, 0, probe);
         let probe = Step(f.line, submitted, reply);
         (
             steps,
             Stream {
-                fault_seed,
                 bytes,
                 outcome,
                 probe,
@@ -718,6 +726,8 @@ struct Gen {
     next_id: u64,
     /// Keyed frames sent so far, for verbatim retries.
     keyed: Vec<Frame>,
+    /// The burst the last process died in, retried by the next epoch.
+    burst: Vec<Frame>,
     /// Uploaded content that a later mutate of the handle by these
     /// edits reaches.
     ahead: Vec<(String, EdgeDelta)>,
@@ -730,22 +740,38 @@ impl Gen {
         format!("op{}", self.next_id)
     }
 
+    /// Sends a keyless frame doing `op` as the epoch's next step.
+    fn send(&mut self, m: &mut Model<'_, '_>, e: usize, steps: &mut Vec<Step>, op: Op) {
+        let f = m.frame(self.fresh_id(), None, op);
+        steps.push(m.step(e, steps.len(), &f));
+    }
+
     /// Draws one epoch and answers it with the model.
     fn epoch(&mut self, m: &mut Model<'_, '_>, e: usize) -> Epoch {
         let rng = &mut self.rng;
-        let killed = m.killed.as_ref().map(|(id, ..)| id.clone());
-        let streamed = killed.is_none() && e > 0 && rng.random_bool(0.35);
-        let workers = 1 + usize::from(streamed && rng.random_bool(0.5));
-        let held_capacity = rng.random_range(1..=3usize);
-        let compact_threshold = [0, 3, 4][rng.random_range(0..3usize)];
-        let fsync = FsyncPolicy::ALL[rng.random_range(0..3usize)];
-        let kill = !streamed && e + 1 < EPOCHS && rng.random_bool(0.5);
+        // every plan streams in epoch 1 and kills at least once, in the
+        // second-to-last epoch at the latest, so the last one retries
+        // what a kill left; a streamed epoch never follows a kill, as
+        // its faults would reach the recovered jobs
+        let after_kill = !m.killed.is_empty();
+        let last_chance = e + 2 == EPOCHS && !m.tags.contains("kill");
+        let streamed = !after_kill && (e == 1 || e > 1 && !last_chance && rng.random_bool(0.35));
+        let mut config = ServerConfig {
+            workers: 1 + usize::from(streamed && rng.random_bool(0.5)),
+            record_timings: false,
+            held_capacity: rng.random_range(1..=3usize),
+            journal_compact_threshold: [0, 3, 4][rng.random_range(0..3usize)],
+            ..ServerConfig::default()
+        };
+        let policy = rng.random_range(0..3usize);
+        let fsync = FsyncPolicy::ALL[policy];
+        let kill = !streamed && e > 0 && e + 1 < EPOCHS && (last_chance || rng.random_bool(0.5));
         m.tags.insert(fsync.name());
-        if e > 0 && killed.is_none() {
+        if e > 0 && !after_kill {
             m.tags.insert("restart");
         }
-        m.restart(held_capacity, compact_threshold);
-        let (mut steps, mut stream) = (Vec::new(), None);
+        m.restart(config.held_capacity, config.journal_compact_threshold);
+        let (mut steps, mut stream, mut burst) = (Vec::new(), None, Vec::new());
         if streamed {
             let count = self.rng.random_range(4..=8usize);
             let frames: Vec<Frame> = (0..count)
@@ -754,8 +780,12 @@ impl Gen {
                     m.frame(id, None, Op::Solve(menu))
                 })
                 .collect();
-            let (burst, out) = m.stream(e, self.rng.random(), &frames);
-            (steps, stream) = (burst, Some(out));
+            let fault_seed = std::iter::repeat_with(|| self.rng.random())
+                .find(|&seed| injects(seed, count as u64))
+                .expect("some fault seed fires");
+            let faults = stream_faults(fault_seed);
+            let (frames, out) = m.stream(e, &faults, &frames);
+            (steps, stream, config.chaos) = (frames, Some(out), Some(faults));
         } else {
             // after a restart exactly the model's handles resolve: a
             // mutate deleting an absent edge is refused on its delta
@@ -765,8 +795,7 @@ impl Gen {
             });
             let mut frames: Vec<Frame> = probes.collect();
             frames.push(m.frame("ping".to_owned(), None, Op::Ping));
-            let retry = self.keyed.iter().filter(|f| Some(&f.id) == killed.as_ref());
-            frames.extend(retry.cloned());
+            frames.append(&mut self.burst);
             for f in &frames {
                 steps.push(m.step(e, steps.len(), f));
             }
@@ -774,52 +803,86 @@ impl Gen {
                 let f = self.draw(m, false);
                 steps.push(m.step(e, steps.len(), &f));
             }
+            // fill the held cache to capacity with solutions of the base
+            // instance under both policies, then of an edit of it, where
+            // they accept: the moves below repair, and an eviction the
+            // server makes too early or too late turns a repair into a
+            // miss
+            for randomized in [false, true, false] {
+                if m.held.len() >= m.held_capacity {
+                    break;
+                }
+                let mut g = m.ctx.scenario.bipartite.clone();
+                if m.held.contains_key(&(handle_of(&g), randomized)) {
+                    let _ = random_delta(&g, ChurnStyle::Rewire, 2, &mut self.rng).apply(&mut g);
+                }
+                let handle = handle_of(&g);
+                if !m.live.contains_key(&handle) {
+                    self.send(m, e, &mut steps, Op::Upload(g));
+                }
+                self.send(m, e, &mut steps, Op::HandleSolve(handle, randomized));
+            }
             // the server must hold exactly the model's held solutions:
             // move each handle that has one by an edit and solve it under
             // both policies, which repairs exactly where one is held
             let held: BTreeSet<String> = m.held.keys().map(|(h, _)| h.clone()).collect();
             for handle in held {
                 let mut g = m.live[&handle].clone();
-                let delta = random_delta(&g, ChurnStyle::Rewire, 1, &mut self.rng);
+                let delta = random_delta(&g, ChurnStyle::Rewire, 2, &mut self.rng);
                 let _ = delta.apply(&mut g);
                 let (ins, del) = (delta.inserts().to_vec(), delta.deletes().to_vec());
-                let mut frames = vec![m.frame(self.fresh_id(), None, Op::Mutate(handle, ins, del))];
+                self.send(m, e, &mut steps, Op::Mutate(handle, ins, del));
                 for randomized in [false, true] {
-                    let op = Op::HandleSolve(handle_of(&g), randomized);
-                    frames.push(m.frame(self.fresh_id(), None, op));
-                }
-                for f in &frames {
-                    steps.push(m.step(e, steps.len(), f));
+                    self.send(m, e, &mut steps, Op::HandleSolve(handle_of(&g), randomized));
                 }
             }
-            if kill {
-                let f = self.draw(m, true);
-                steps.push(m.kill(&f));
+        }
+        if kill {
+            // `drive_steps` admits the whole burst before the worker can
+            // reach its third job, so a kill from there on lands with
+            // every later job of the burst queued
+            let count = self.rng.random_range(3..=6usize);
+            let at = self.rng.random_range(2..count);
+            for i in 0..count {
+                let (f, seq) = (self.draw(m, true), steps.len() + i);
+                let step = if i < at {
+                    m.step(e, seq, &f)
+                } else {
+                    m.lost(e, seq, &f, i == at)
+                };
+                burst.push(step);
+                self.burst.push(f);
+            }
+            let (seq, recovered) = ((steps.len() + at) as u64, m.ledger.resolves);
+            config.chaos = Some(kill_schedule(seq, recovered));
+            // a one-frame reply buffer parks the worker on the burst's
+            // second reply until the client reads, and it reads only once
+            // the whole burst is admitted
+            (config.reply_buffer, config.write_timeout) = (1, Duration::from_secs(120));
+            m.tags
+                .extend(["kill", ["kill-always", "kill-batch", "kill-never"][policy]]);
+            if at + 1 < count {
+                m.tags.insert("kill-queued");
             }
         }
         let records = m.records.iter().map(|r| (r.0.clone(), r.1.clone()));
         let killed = m.killed.iter().map(|k| (k.0.clone(), Some(k.1.clone())));
-        let incomplete = records.chain(killed).collect();
+        m.ledger.incomplete = records.chain(killed).collect();
         m.ledger.handles = m.live.len();
-        let ledger = Ledger {
-            incomplete,
-            ..m.ledger.clone()
-        };
+        let ledger = m.ledger.clone();
         Epoch {
-            workers,
-            held_capacity,
-            compact_threshold,
+            config,
             fsync,
             steps,
             stream,
-            kill,
+            burst,
             ledger,
         }
     }
 
     /// Draws the next frame of a sequential epoch, keeping it for
-    /// retries when it is keyed; `kill` draws the keyed solve the
-    /// process dies on.
+    /// retries when it is keyed; `kill` draws a keyed solve of the burst
+    /// the process dies in.
     fn draw(&mut self, m: &mut Model<'_, '_>, kill: bool) -> Frame {
         let f = self.draw_frame(m, kill);
         if f.key.is_some() && !self.keyed.iter().any(|k| k.id == f.id) {
@@ -925,6 +988,7 @@ pub(crate) fn plan(ctx: &mut Ctx<'_>, sweep: u64) -> Plan {
         rng: StdRng::seed_from_u64(seed),
         next_id: 0,
         keyed: Vec::new(),
+        burst: Vec::new(),
         ahead: Vec::new(),
         gone: Vec::new(),
     };
@@ -972,22 +1036,16 @@ fn drive(ctx: &mut Ctx<'_>, plan: &Plan, path: &Path, sweep: u64) {
         let (want, at) = (&epoch.ledger, format!("seed {sweep} epoch {e}"));
         let journal = Arc::new(Journal::open(path, epoch.fsync).expect("journal opens"));
         let recovered = journal.stats().recovered;
-        let name = "service.reopen-recovers";
-        expect(ctx, name, &at, recovered, want.recovered);
-        let chaos = match (&epoch.stream, epoch.kill) {
-            (Some(stream), _) => Some(stream_faults(stream.fault_seed)),
-            (None, true) => Some(kill_schedule(epoch.steps.len() as u64 - 1, want.resolves)),
-            (None, false) => None,
-        };
-        let server = Server::start(ServerConfig {
-            workers: epoch.workers,
-            record_timings: false,
-            held_capacity: epoch.held_capacity,
-            journal_compact_threshold: epoch.compact_threshold,
-            journal: Some(Arc::clone(&journal)),
-            chaos,
-            ..ServerConfig::default()
-        });
+        expect(
+            ctx,
+            "service.reopen-recovers",
+            &at,
+            recovered,
+            want.recovered,
+        );
+        let mut config = epoch.config.clone();
+        config.journal = Some(Arc::clone(&journal));
+        let server = Server::start(config);
         // recovered solves re-run in the background: wait (bounded) until
         // they are served, so their completions are journaled
         let deadline = Instant::now() + Duration::from_secs(120);
@@ -995,23 +1053,31 @@ fn drive(ctx: &mut Ctx<'_>, plan: &Plan, path: &Path, sweep: u64) {
             std::thread::sleep(Duration::from_millis(1));
         }
         let settled = journal.stats().completed;
-        let name = "service.recovered-jobs-complete";
-        expect(ctx, name, &at, settled, want.settled);
+        expect(
+            ctx,
+            "service.recovered-jobs-complete",
+            &at,
+            settled,
+            want.settled,
+        );
         match &epoch.stream {
             Some(stream) => drive_stream(ctx, &at, &server, &epoch.steps, stream),
-            None => drive_steps(ctx, &at, &server, &epoch.steps),
+            None => drive_steps(ctx, &at, &server, &epoch.steps, &epoch.burst),
         }
         // replays, re-admissions, held-cache updates, and the table the
         // restart rebuilt
-        let stats = server.stats();
-        let repairs = (stats.repairs, stats.full_resolves);
-        let table = (stats.handles_held as usize, stats.journal_recovered);
-        let seen = (stats.replayed, stats.journal_appended, repairs, table);
+        let s = server.stats();
+        let seen = (s.replayed, s.journal_appended, (s.repairs, s.full_resolves));
+        let table = (
+            s.handles_held as usize,
+            s.journal_recovered,
+            s.journal_bytes > 0,
+        );
         let model = (want.replayed, want.appended, want.repairs);
-        let model = (model.0, model.1, model.2, (want.handles, want.recovered));
-        let (name, bytes) = ("service.stats-match-model", stats.journal_bytes > 0);
-        expect(ctx, name, &at, (seen, bytes), (model, true));
-        if epoch.kill {
+        let tables = (want.handles, want.recovered, true);
+        let name = "service.stats-match-model";
+        expect(ctx, name, &at, (seen, table), (model, tables));
+        if !epoch.burst.is_empty() {
             server.halt();
         } else {
             server.shutdown();
@@ -1023,39 +1089,53 @@ fn drive(ctx: &mut Ctx<'_>, plan: &Plan, path: &Path, sweep: u64) {
     let _ = std::fs::remove_file(path);
 }
 
-/// A sequential epoch: one frame at a time, each reply awaited.
-fn drive_steps(ctx: &mut Ctx<'_>, at: &str, server: &Server, steps: &[Step]) {
+/// A sequential epoch: one frame at a time, each reply awaited, then
+/// the burst sent whole before its replies are read. The end of input
+/// is sent last: through the one-frame reply buffer it would wait on
+/// the unread replies.
+fn drive_steps(ctx: &mut Ctx<'_>, at: &str, server: &Server, steps: &[Step], burst: &[Step]) {
     let (mut tx, mut rx) = server.connect().split();
-    for (i, Step(line, want, reply)) in steps.iter().enumerate() {
-        let submitted = tx.submit_line(line);
-        let name = "service.submit-outcome";
-        expect(ctx, name, format!("{at} step {i}"), submitted, *want);
-        let frame = rx.recv();
-        let ok = match (reply, &frame) {
-            (Reply::Frame(want), Some(frame)) => frame == want,
-            (Reply::Heartbeat(handles, appended, replayed), Some(frame)) => {
-                let beat = wire::split_reply(frame).is_some_and(|r| r.frame_type == "heartbeat");
-                let fields = [
-                    format!("\"replayed\":{replayed},"),
-                    format!("\"journal_appended\":{appended},"),
-                    format!("\"handles_held\":{handles},"),
-                ];
-                beat && fields.iter().all(|f| frame.contains(f.as_str()))
-            }
-            (Reply::Killed, _) => {
-                let killed = frame.is_none() && server.killed();
-                ctx.check("service.kill-fires", killed, || {
-                    format!("{at} step {i}: the planned kill did not fire: {frame:?}")
-                });
-                continue;
-            }
-            (_, None) => false,
-        };
-        ctx.check("service.reply-matches-model", ok, || {
-            format!("{at} step {i}: {line}\n  expected {reply:?}\n  got {frame:?}")
-        });
+    let all = steps.iter().chain(burst).enumerate();
+    let all: Vec<(String, &Step)> = all.map(|(i, s)| (format!("{at} step {i}"), s)).collect();
+    for (i, (at, step)) in all.iter().enumerate() {
+        let submitted = tx.submit_line(&step.0);
+        expect(ctx, "service.submit-outcome", at, submitted, step.1);
+        if i < steps.len() {
+            check_reply(ctx, at, server, step, rx.recv());
+        }
+    }
+    for (at, step) in &all[steps.len()..] {
+        check_reply(ctx, at, server, step, rx.recv());
     }
     tx.finish();
+}
+
+/// Compares the frame received for `step` with the model's reply.
+fn check_reply(ctx: &mut Ctx<'_>, at: &str, server: &Server, step: &Step, frame: Option<String>) {
+    let Step(line, _, reply) = step;
+    let ok = match (reply, &frame) {
+        (Reply::Frame(want), Some(frame)) => frame == want,
+        (Reply::Heartbeat(handles, appended, replayed), Some(frame)) => {
+            let beat = wire::split_reply(frame).is_some_and(|r| r.frame_type == "heartbeat");
+            let fields = [
+                format!("\"replayed\":{replayed},"),
+                format!("\"journal_appended\":{appended},"),
+                format!("\"handles_held\":{handles},"),
+            ];
+            beat && fields.iter().all(|f| frame.contains(f.as_str()))
+        }
+        (Reply::Killed, _) => {
+            let killed = frame.is_none() && server.killed();
+            ctx.check("service.kill-fires", killed, || {
+                format!("{at}: the planned kill did not fire: {frame:?}")
+            });
+            return;
+        }
+        (_, None) => false,
+    };
+    ctx.check("service.reply-matches-model", ok, || {
+        format!("{at}: {line}\n  expected {reply:?}\n  got {frame:?}")
+    });
 }
 
 /// A streamed epoch: the burst through the byte-stream transport, then
@@ -1099,8 +1179,13 @@ fn check_image(ctx: &mut Ctx<'_>, at: &str, bytes: &[u8], epoch: &Epoch) {
             Record::Payload { .. } => {}
         }
     }
-    let name = "service.journal-admission-order";
-    expect(ctx, name, at, &admitted, &want.admitted);
+    expect(
+        ctx,
+        "service.journal-admission-order",
+        at,
+        &admitted,
+        &want.admitted,
+    );
     let incomplete = journal::incomplete(&records).into_iter();
     let incomplete: Vec<_> = incomplete.map(|r| (r.id, r.idempotency_key)).collect();
     let name = "service.journal-incomplete-matches-model";
@@ -1110,16 +1195,15 @@ fn check_image(ctx: &mut Ctx<'_>, at: &str, bytes: &[u8], epoch: &Epoch) {
     completed.dedup();
     let (seen, want) = ((total, completed.len()), (want.completed, want.completed));
     expect(ctx, "service.journal-completes-once", at, seen, want);
-    if !epoch.kill {
+    if epoch.burst.is_empty() {
         return;
     }
     // any byte-length prefix recovers exactly the fully-written records
-    let mut end = journal::HEADER_LEN;
-    let mut ends = Vec::new();
-    for record in &records {
-        end += journal::encode_record(record).len();
-        ends.push(end);
-    }
+    let ends = records.iter().scan(journal::HEADER_LEN, |end, record| {
+        *end += journal::encode_record(record).len();
+        Some(*end)
+    });
+    let ends: Vec<usize> = ends.collect();
     let mid = (journal::HEADER_LEN + bytes.len()) / 2;
     for cut in [journal::HEADER_LEN, mid, bytes.len() - 1] {
         let want = ends.iter().filter(|&&end| end <= cut).count();
@@ -1165,11 +1249,31 @@ mod tests {
         plan
     }
 
-    /// The plan is a pure function of (scenario, seed), and across the
-    /// CI seeds it exercises every frame kind, every event, every fsync
-    /// policy, an LRU eviction and a compaction.
+    /// The plan is a pure function of (scenario, seed). At the default
+    /// seed and every CI seed, every plan of the quick tier streams under
+    /// a fault that fires, kills the process, and repairs a held solution
+    /// where the base instance accepts. Across the CI seeds the plans of
+    /// one scenario exercise every frame kind, every event, every fsync
+    /// policy (a kill under each), an LRU eviction and a compaction.
     #[test]
     fn plans_are_pure_and_the_ci_seeds_cover_every_axis() {
+        let session = Session::with_threads(1);
+        for s in corpus(Tier::Quick) {
+            let b = &s.bipartite;
+            if b.left_count() == 0 || b.right_count() == 0 || b.edge_count() == 0 {
+                continue;
+            }
+            let accepts = session.solve(&weak(&s, b, false)).is_ok();
+            for seed in std::iter::once(0).chain(CI_SEEDS) {
+                let tags = plan_of(&s, seed).tags;
+                let faulted = ["panic", "torn", "drop"].iter().any(|t| tags.contains(t));
+                let name = &s.name;
+                assert!(faulted, "{name} seed {seed}: no fault fires");
+                assert!(tags.contains("kill"), "{name} seed {seed}: no kill");
+                let repaired = tags.contains("repair");
+                assert!(!accepts || repaired, "{name} seed {seed}: no repair");
+            }
+        }
         let scenarios = corpus(Tier::Quick);
         let s = scenarios
             .iter()
@@ -1178,8 +1282,9 @@ mod tests {
         let mut tags = BTreeSet::new();
         for seed in CI_SEEDS {
             let plan = plan_of(s, seed);
+            let again = format!("{:?}", plan_of(s, seed));
             assert!(
-                plan == plan_of(s, seed),
+                format!("{plan:?}") == again,
                 "seed {seed}: the plan is not pure"
             );
             tags.extend(plan.tags);
@@ -1196,6 +1301,7 @@ mod tests {
             "replayed",
             "release",
             "release-gone",
+            "release-held",
             "ping",
             "panic",
             "stall",
@@ -1203,6 +1309,10 @@ mod tests {
             "drop",
             "clean-stream",
             "kill",
+            "kill-queued",
+            "kill-always",
+            "kill-batch",
+            "kill-never",
             "restart",
             "always",
             "batch",
