@@ -25,10 +25,7 @@ pub fn exp_fig1(quick: bool) -> Vec<Table> {
     );
 
     // the 8-node, 6-regular example in the spirit of Figure 1
-    let mut fig = generators::complete(8);
-    for i in 0..4 {
-        fig.remove_edge(2 * i, 2 * i + 1);
-    }
+    let fig = generators::complete(8).filter_edges(|u, v| !(u % 2 == 0 && v == u + 1));
     let families: Vec<(String, splitgraph::Graph)> = {
         let mut fams = vec![("figure-1 example (8 nodes)".to_string(), fig)];
         let mut rng = StdRng::seed_from_u64(42);

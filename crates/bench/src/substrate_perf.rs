@@ -164,12 +164,10 @@ fn run_sized(scale: &Scale) -> Vec<Record> {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = generators::random_regular(n, d, &mut rng).expect("feasible");
         let edges: Vec<(usize, usize)> = g.edges().collect();
-        let (built, wall) = sample(samples, || {
-            Graph::from_edges_bulk(n, &edges).expect("simple")
-        });
+        let (built, wall) = sample(samples, || Graph::from_edges(n, &edges).expect("simple"));
         assert_eq!(built.edge_count(), edges.len());
         records.push(Record::new(
-            "splitgraph.from_edges_bulk",
+            "splitgraph.from_edges",
             name,
             params!["n" => n, "m" => edges.len()],
             wall,

@@ -1568,7 +1568,7 @@ fn check_server(ctx: &mut Ctx<'_>) {
 /// Applies a right-side relabeling to a bipartite instance.
 fn relabel_right(b: &BipartiteGraph, perm: &[usize]) -> BipartiteGraph {
     let edges: Vec<(usize, usize)> = b.edges().map(|(u, v)| (u, perm[v])).collect();
-    BipartiteGraph::from_edges_bulk(b.left_count(), b.right_count(), &edges)
+    BipartiteGraph::from_edges(b.left_count(), b.right_count(), &edges)
         .expect("relabeling preserves simplicity")
 }
 

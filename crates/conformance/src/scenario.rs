@@ -448,7 +448,7 @@ fn push_family_scenarios(out: &mut Vec<Scenario>, tier: Tier, seed: u64) {
         let (n, d) = if full { (96, 6) } else { (48, 4) };
         let mut rng = StdRng::seed_from_u64(0xD000 + seed);
         let (b, edges) = generators::random_girth10_bipartite(n, d, &mut rng).expect("feasible");
-        let host = Graph::from_edges_bulk(n, &edges).expect("host edges simple");
+        let host = Graph::from_edges(n, &edges).expect("host edges simple");
         out.push(Scenario::new(
             "girth10",
             &format!("n{n}d{d}"),
@@ -522,7 +522,7 @@ fn push_family_scenarios(out: &mut Vec<Scenario>, tier: Tier, seed: u64) {
             .enumerate()
             .flat_map(|(i, &(a, c))| [(a, i), (c, i)])
             .collect();
-        let b = BipartiteGraph::from_edges_bulk(n, endpoints.len(), &incidences)
+        let b = BipartiteGraph::from_edges(n, endpoints.len(), &incidences)
             .expect("incidence of a loop-free multigraph is simple");
         out.push(Scenario::new(
             "multigraph-euler",

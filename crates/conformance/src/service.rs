@@ -29,6 +29,9 @@ use splitgraph::delta::{random_delta, ChurnStyle, EdgeDelta};
 use splitgraph::BipartiteGraph;
 use splitting_api::Solution;
 use splitting_api::{ApiError, Determinism, HeldSolution, Instance, Problem, Request, Session};
+use splitting_server::chaos::{
+    SITE_DROP_CONNECTION, SITE_PROCESS_KILL, SITE_TORN_FRAME, SITE_WORKER_PANIC, SITE_WORKER_STALL,
+};
 use splitting_server::journal::{self, JournalError, Record};
 use splitting_server::transport::{self, ServeSummary};
 use splitting_server::wire::{self, InstanceRef, ReplyKind};
@@ -51,13 +54,6 @@ pub const SEED_ENV: &str = "CONFORMANCE_SERVICE_SEED";
 pub const CI_SEEDS: [u64; 3] = [3, 12, 45];
 
 const EPOCHS: usize = 6;
-
-// `splitting_server::chaos` injection sites: every fault is the draw
-// `ChaosConfig::roll(site, conn, seq)` falling under its probability
-const SITE_WORKER_PANIC: u64 = 1;
-const SITE_WORKER_STALL: u64 = 2;
-const SITE_TORN_FRAME: u64 = 3;
-const SITE_DROP_CONNECTION: u64 = 4;
 
 /// What the server must answer one frame with.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,10 +187,6 @@ fn unknown(handle: &str) -> String {
     invalid("handle", reason)
 }
 
-fn fires(c: &ChaosConfig, p: f64, site: u64, conn: u64, seq: u64) -> bool {
-    p > 0.0 && c.roll(site, conn, seq) < p
-}
-
 /// The fault schedule of a streamed epoch.
 fn stream_faults(seed: u64) -> ChaosConfig {
     ChaosConfig {
@@ -217,7 +209,7 @@ fn injects(seed: u64, count: u64) -> bool {
         (c.torn_frame, SITE_TORN_FRAME),
         (c.drop_connection, SITE_DROP_CONNECTION),
     ];
-    (0..count).any(|seq| sites.iter().any(|&(p, site)| fires(&c, p, site, 0, seq)))
+    (0..count).any(|seq| sites.iter().any(|&(p, site)| c.fires(p, site, 0, seq)))
 }
 
 /// A `process_kill` schedule that fires on job `seq` of connection 0
@@ -232,10 +224,10 @@ fn kill_schedule(seq: u64, recovered: u64) -> ChaosConfig {
                 seed,
                 ..ChaosConfig::default()
             };
-            let target = probe.process_kill_roll(0, seq);
+            let target = probe.roll(SITE_PROCESS_KILL, 0, seq);
             let others = (0..seq)
-                .map(|i| probe.process_kill_roll(0, i))
-                .chain((0..recovered).map(|i| probe.process_kill_roll(u64::MAX, i)))
+                .map(|i| probe.roll(SITE_PROCESS_KILL, 0, i))
+                .chain((0..recovered).map(|i| probe.roll(SITE_PROCESS_KILL, u64::MAX, i)))
                 .fold(1.0f64, f64::min);
             (target < others).then(|| ChaosConfig {
                 seed,
@@ -665,10 +657,10 @@ impl<'c, 'a> Model<'c, 'a> {
         let panicked = wire::internal_panic_payload("chaos: injected worker panic");
         let mut steps = Vec::new();
         for (seq, f) in frames.iter().enumerate() {
-            if fires(c, c.worker_stall, SITE_WORKER_STALL, 0, seq as u64) {
+            if c.fires(c.worker_stall, SITE_WORKER_STALL, 0, seq as u64) {
                 self.tags.insert("stall");
             }
-            if fires(c, c.worker_panic, SITE_WORKER_PANIC, 0, seq as u64) {
+            if c.fires(c.worker_panic, SITE_WORKER_PANIC, 0, seq as u64) {
                 self.tags.insert("panic");
                 let (submitted, reply) = self.solve(f, seq as u64, |_| panicked.clone());
                 steps.push(Step(f.line.clone(), submitted, reply));
@@ -686,12 +678,12 @@ impl<'c, 'a> Model<'c, 'a> {
             let Reply::Frame(frame) = reply else {
                 unreachable!("streamed solves answer with frames")
             };
-            if fires(c, c.drop_connection, SITE_DROP_CONNECTION, 0, index) {
+            if c.fires(c.drop_connection, SITE_DROP_CONNECTION, 0, index) {
                 self.tags.insert("drop");
                 outcome = Err("chaos: injected connection drop");
                 break;
             }
-            if fires(c, c.torn_frame, SITE_TORN_FRAME, 0, index) {
+            if c.fires(c.torn_frame, SITE_TORN_FRAME, 0, index) {
                 self.tags.insert("torn");
                 bytes.extend_from_slice(&frame.as_bytes()[..(frame.len() / 2).max(1)]);
                 outcome = Err("chaos: injected torn frame");
@@ -705,7 +697,7 @@ impl<'c, 'a> Model<'c, 'a> {
         }
         // the probe is the first job of the second connection
         let f = self.frame("liveness".to_owned(), None, Op::Solve(0));
-        let panics = fires(c, c.worker_panic, SITE_WORKER_PANIC, 1, 0);
+        let panics = c.fires(c.worker_panic, SITE_WORKER_PANIC, 1, 0);
         let probe = |m: &mut Self| if panics { panicked } else { m.menu_payload(0) };
         let (submitted, reply) = self.solve(&f, 0, probe);
         let probe = Step(f.line, submitted, reply);

@@ -66,7 +66,7 @@ pub fn weak_splitting_via_weak_multicolor(b: &BipartiteGraph) -> Result<SplitOut
             });
         }
     }
-    let pruned = BipartiteGraph::from_edges_bulk(b.left_count(), b.right_count(), &selected_edges)
+    let pruned = BipartiteGraph::from_edges(b.left_count(), b.right_count(), &selected_edges)
         .expect("subset of simple edges");
     ledger.add_measured("S(u) selection (local)", 0.0);
 

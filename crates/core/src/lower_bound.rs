@@ -230,11 +230,7 @@ mod tests {
     /// The 8-node, δ ≥ 5 example in the spirit of Figure 1.
     fn figure1_graph() -> Graph {
         // complete graph on 8 nodes minus a perfect matching: 6-regular
-        let mut g = generators::complete(8);
-        for i in 0..4 {
-            g.remove_edge(2 * i, 2 * i + 1);
-        }
-        g
+        generators::complete(8).filter_edges(|u, v| !(u % 2 == 0 && v == u + 1))
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub fn truncate_left_degrees(b: &BipartiteGraph, keep: usize) -> BipartiteGraph 
     let edges: Vec<(usize, usize)> = (0..b.left_count())
         .flat_map(|u| b.left_neighbors(u).iter().take(keep).map(move |&v| (u, v)))
         .collect();
-    BipartiteGraph::from_edges_bulk(b.left_count(), b.right_count(), &edges)
+    BipartiteGraph::from_edges(b.left_count(), b.right_count(), &edges)
         .expect("subset of simple edges stays simple")
 }
 

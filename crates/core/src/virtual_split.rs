@@ -58,7 +58,7 @@ pub fn uniformize_left_degrees(b: &BipartiteGraph, target: usize) -> VirtualSpli
         }
         debug_assert_eq!(offset, d);
     }
-    let graph = BipartiteGraph::from_edges_bulk(origin.len(), b.right_count(), &edges)
+    let graph = BipartiteGraph::from_edges(origin.len(), b.right_count(), &edges)
         .expect("virtual split preserves simplicity");
     VirtualSplit { graph, origin }
 }

@@ -9,7 +9,7 @@
 //!   random multigraphs with parallel edges and self-loops;
 //! * (c) [`degree_rank_reduction_i`]'s residual graph, Lemma 2.4 trace and
 //!   ledger equal a replay of the loop as first written (multigraph view,
-//!   `split`, kept-edge list, `from_edges_bulk`) for `k ∈ {0, 1, 3}`.
+//!   `split`, kept-edge list, `from_edges`) for `k ∈ {0, 1, 3}`.
 //!
 //! The bipartite shapes cover odd degrees, isolated nodes on both sides,
 //! empty rows and the empty graph.
@@ -157,7 +157,7 @@ fn reference_orientation(g: &MultiGraph) -> Orientation {
 }
 
 /// Degree–Rank Reduction I as first written: multigraph view, `split`,
-/// kept-edge list, `from_edges_bulk`.
+/// kept-edge list, `from_edges`.
 fn reference_drr1(
     b: &BipartiteGraph,
     splitter: &DegreeSplitter,
@@ -180,9 +180,8 @@ fn reference_drr1(
             .filter(|&(e, &(_, v))| result.orientation.head(&g, e) == current.right_index(v))
             .map(|(_, &edge)| edge)
             .collect();
-        current =
-            BipartiteGraph::from_edges_bulk(current.left_count(), current.right_count(), &kept)
-                .expect("kept edges stay simple");
+        current = BipartiteGraph::from_edges(current.left_count(), current.right_count(), &kept)
+            .expect("kept edges stay simple");
         let factor_lo = ((1.0 - eps) / 2.0).powi(it as i32);
         let factor_hi = ((1.0 + eps) / 2.0).powi(it as i32);
         trace.push(DrrIterationStats {

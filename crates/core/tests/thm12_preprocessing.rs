@@ -70,12 +70,9 @@ fn reference_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
             .flat_map(|(i, &u)| b.left_neighbors(u).iter().map(move |&v| (i, v)))
             .map(|(i, v)| (i, local[shift + v]))
             .collect();
-        comp.graph = BipartiteGraph::from_edges_bulk(
-            comp.original_left.len(),
-            comp.original_right.len(),
-            &edges,
-        )
-        .unwrap();
+        comp.graph =
+            BipartiteGraph::from_edges(comp.original_left.len(), comp.original_right.len(), &edges)
+                .unwrap();
     }
     comps
 }

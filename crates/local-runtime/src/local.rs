@@ -15,9 +15,9 @@
 //!
 //! # Memory layout
 //!
-//! The executor snapshots the topology once into flat CSR buffers
-//! (`offsets`/`targets` plus a reverse-port table filled in one sweep with a
-//! per-node cursor, so no per-message port lookups), and shuttles messages
+//! The executor runs on the graph's own CSR buffers ([`Graph::csr`],
+//! borrowed, not copied) plus a reverse-port table filled in one sweep with
+//! a per-node cursor, so no per-message port lookups; it shuttles messages
 //! through two flat, double-buffered arenas: an *outbox* of `(dst, port,
 //! msg)` records filled during the round in emission order, and an *inbox*
 //! arena regrouped from it by a stable counting sort on `dst`, `O(n +
@@ -98,25 +98,19 @@ pub struct LocalRun<O> {
     pub completed: bool,
 }
 
-/// Flat topology snapshot: CSR adjacency plus, for every directed edge slot
-/// `v → u`, the port of `u` back towards `v` (precomputed once so delivery
-/// needs no per-message lookup).
-struct Topology {
-    offsets: Vec<usize>,
-    targets: Vec<usize>,
+/// The graph's own CSR adjacency, borrowed, plus for every directed edge
+/// slot `v → u` the port of `u` back towards `v` (precomputed once so
+/// delivery needs no per-message lookup).
+struct Topology<'g> {
+    offsets: &'g [usize],
+    targets: &'g [usize],
     rev_port: Vec<usize>,
 }
 
-impl Topology {
-    fn new(g: &Graph) -> Topology {
+impl<'g> Topology<'g> {
+    fn new(g: &'g Graph) -> Topology<'g> {
+        let (offsets, targets) = g.csr();
         let n = g.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut targets = Vec::with_capacity(2 * g.edge_count());
-        for v in 0..n {
-            targets.extend_from_slice(g.neighbors(v));
-            offsets.push(targets.len());
-        }
         // Rows are sorted and swept in ascending node order, so `v`'s slot
         // in `u`'s row is always the next one `u`'s cursor has not claimed.
         let mut cursor = offsets[..n].to_vec();

@@ -187,22 +187,19 @@ fn staggered_termination_parity() {
 }
 
 #[test]
-fn parity_holds_on_flat_and_builder_representations() {
-    // same graph in both representations must give identical runs
-    let edges: Vec<(usize, usize)> = generators::cycle(40).unwrap().edges().collect();
-    let builder = Graph::from_edges(40, &edges).unwrap();
-    let flat = Graph::from_edges_bulk(40, &edges).unwrap();
-    assert!(flat.is_flat() && !builder.is_flat());
+fn inbox_hash_parity_on_cycle() {
+    let g = generators::cycle(40).unwrap();
     let ids = IdAssignment::Shuffled(2).assign(40);
-    let mk = |_: &NodeContext| InboxHash {
-        acc: 0,
-        rounds_left: 9,
-    };
-    let a = run_local(&builder, &ids, 20, mk);
-    let b = run_local(&flat, &ids, 20, mk);
-    assert_identical(&a, &b, "builder vs flat representation");
-    let c = run_local_parallel(&flat, &ids, 20, 3, mk);
-    assert_identical(&a, &c, "parallel on flat representation");
+    check_parity(
+        &g,
+        &ids,
+        20,
+        |_| InboxHash {
+            acc: 0,
+            rounds_left: 9,
+        },
+        "inbox-order hash on a cycle",
+    );
 }
 
 #[test]

@@ -226,9 +226,7 @@ mod tests {
 
     #[test]
     fn handles_disconnected_and_isolated_nodes() {
-        let mut g = Graph::new(10);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(2, 3).unwrap();
+        let g = Graph::from_edges(10, &[(0, 1), (2, 3)]).unwrap();
         let (mis, _, _) = mis_via_splitting(&g, 4, 1);
         assert!(checks::is_mis(&g, &mis));
         // isolated nodes must join

@@ -129,25 +129,17 @@ pub fn pad_low_degrees(g: &Graph, delta: usize) -> (Graph, usize) {
     // modified problem, which constrains only nodes of degree ≥ Δ/2 in the
     // *original* roles; the gadget mirrors the paper's O(n) construction.
     let clique = delta + 1;
-    let mut padded = Graph::new(n + clique);
-    for (u, v) in g.edges() {
-        padded.add_edge(u, v).expect("original edges stay simple");
-    }
+    let mut edges: Vec<(usize, usize)> = g.edges().collect();
     for i in 0..clique {
         for j in i + 1..clique {
-            padded
-                .add_edge(n + i, n + j)
-                .expect("clique edges are fresh");
+            edges.push((n + i, n + j));
         }
     }
     for &v in &deficient {
         let need = delta - g.degree(v);
-        for k in 0..need {
-            padded
-                .add_edge(v, n + (v + k) % clique)
-                .expect("gadget edges are fresh");
-        }
+        edges.extend((0..need).map(|k| (v, n + (v + k) % clique)));
     }
+    let padded = Graph::from_edges(n + clique, &edges).expect("gadget edges are fresh");
     (padded, n)
 }
 
@@ -199,10 +191,8 @@ mod tests {
     #[test]
     fn min_degree_exempts_small_nodes() {
         // a star: the center has high degree, leaves degree 1
-        let mut g = Graph::new(65);
-        for leaf in 1..65 {
-            g.add_edge(0, leaf).unwrap();
-        }
+        let leaves: Vec<(usize, usize)> = (1..65).map(|leaf| (0, leaf)).collect();
+        let g = Graph::from_edges(65, &leaves).unwrap();
         let eps = feasible_eps(65, 64);
         let out = uniform_splitting_deterministic(&g, eps, 32).unwrap();
         assert!(checks::is_uniform_splitting(&g, &out.colors, eps, 32));

@@ -64,7 +64,7 @@ fn main() {
 
     // 3 constraints of degree 12 over 36 variables of degree 1: the
     // δ ≥ 6r zero-round regime, so the weak-splitting examples solve
-    let skewed = splitgraph::BipartiteGraph::from_edges_bulk(
+    let skewed = splitgraph::BipartiteGraph::from_edges(
         3,
         36,
         &(0..3)
@@ -284,7 +284,7 @@ fn main() {
     // (the delete below leaves δ = 7 ≥ 6), and wide enough that a
     // one-edge move dirties exactly 2 of 8 constraints — at the repair
     // path's 25% refix threshold, not over it
-    let churned = splitgraph::BipartiteGraph::from_edges_bulk(
+    let churned = splitgraph::BipartiteGraph::from_edges(
         8,
         64,
         &(0..8)

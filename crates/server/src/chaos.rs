@@ -18,20 +18,20 @@
 use local_runtime::splitmix64;
 
 /// Injection site: the worker panics before touching the job.
-pub(crate) const SITE_WORKER_PANIC: u64 = 1;
+pub const SITE_WORKER_PANIC: u64 = 1;
 /// Injection site: the worker stalls before solving (queue pressure).
-pub(crate) const SITE_WORKER_STALL: u64 = 2;
+pub const SITE_WORKER_STALL: u64 = 2;
 /// Injection site: the stream writer truncates a reply frame mid-write
 /// and fails the connection.
-pub(crate) const SITE_TORN_FRAME: u64 = 3;
+pub const SITE_TORN_FRAME: u64 = 3;
 /// Injection site: the stream writer drops the connection before a
 /// reply frame.
-pub(crate) const SITE_DROP_CONNECTION: u64 = 4;
+pub const SITE_DROP_CONNECTION: u64 = 4;
 /// Injection site: the whole process "dies" (`kill -9` simulation) —
 /// the worker halts the server after solving a job but **before** its
 /// reply is delivered or its journal completion is recorded, the exact
 /// window the recovery machinery must cover.
-pub(crate) const SITE_PROCESS_KILL: u64 = 5;
+pub const SITE_PROCESS_KILL: u64 = 5;
 
 /// A seeded fault-injection schedule. All probabilities are per-event
 /// (per job for the worker sites, per reply frame for the stream
@@ -86,18 +86,10 @@ impl ChaosConfig {
         (mixed >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Whether the fault with probability `p` fires at `(site, a, b)`.
-    pub(crate) fn fires(&self, p: f64, site: u64, a: u64, b: u64) -> bool {
+    /// Whether the fault with probability `p` fires at `(site, a, b)`:
+    /// the draw [`roll`](Self::roll) falls under `p`.
+    pub fn fires(&self, p: f64, site: u64, a: u64, b: u64) -> bool {
         p > 0.0 && self.roll(site, a, b) < p
-    }
-
-    /// The draw the `process_kill` site makes for job `(conn, seq)` —
-    /// the fault fires iff this is `< process_kill`. Exposed so a
-    /// harness can *choose* a probability that guarantees the kill
-    /// lands exactly once, at a seed-dependent position in its request
-    /// stream (the service conformance group does this).
-    pub fn process_kill_roll(&self, conn: u64, seq: u64) -> f64 {
-        self.roll(SITE_PROCESS_KILL, conn, seq)
     }
 }
 

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -156,8 +156,14 @@ struct Job {
 }
 
 enum Report {
-    Frame { seq: u64, line: String },
-    Finished { total: u64 },
+    Frame {
+        seq: u64,
+        line: String,
+    },
+    /// Wakes a receiver parked on an empty channel once
+    /// [`Submitter::finish`] has recorded the total; sent without
+    /// waiting, and dropped when the buffer is full.
+    Finished,
 }
 
 /// How long a blocked delivery parks between retries of a full
@@ -333,10 +339,7 @@ impl Shared {
     }
 
     fn deliver(&self, conn: u64, seq: u64, line: String) {
-        self.send_bounded(conn, Report::Frame { seq, line });
-    }
-
-    fn send_bounded(&self, conn: u64, mut report: Report) {
+        let mut report = Report::Frame { seq, line };
         let sender = self.registry.lock().unwrap().get(&conn).cloned();
         let Some(sender) = sender else { return };
         let deadline = Instant::now() + self.config.write_timeout;
@@ -591,8 +594,10 @@ impl Server {
     /// crash, never completed) is re-enqueued immediately, in original
     /// admission order, on an internal connection — its reply is not
     /// streamed anywhere, but solving it journals the completion and
-    /// populates the idempotency cache, so a reconnecting client's
-    /// retry is answered `"replayed":true` from the recovered result.
+    /// populates the idempotency cache. `start` returns once every
+    /// recovered job has been served (or a kill fired during recovery),
+    /// so a reconnecting client's retry is answered `"replayed":true`
+    /// from the recovered result.
     pub fn start(config: ServerConfig) -> Self {
         let workers = config.workers.max(1);
         let idempotency = IdempotencyCache::new(config.idempotency_capacity);
@@ -628,19 +633,26 @@ impl Server {
             shared,
             workers: handles,
         };
-        server.reenqueue_recovered();
+        // serve the recovered jobs before any client frame, so a keyed
+        // retry finds its recovered reply cached instead of racing a
+        // second solve; a kill during recovery ends the wait
+        let recovered = server.reenqueue_recovered();
+        while server.shared.served.load(Ordering::SeqCst) < recovered && !server.shared.is_killed()
+        {
+            thread::sleep(DELIVER_POLL);
+        }
         server
     }
 
     /// Drains the journal's recovered jobs into the queue on the
-    /// reserved internal connection. Deadlines are dropped — the
-    /// admission clock they were counted from died with the old
-    /// process — and the blocking push means a recovered backlog larger
-    /// than the queue simply feeds the (already running) workers at
-    /// their own pace.
-    fn reenqueue_recovered(&self) {
+    /// reserved internal connection and returns how many it pushed.
+    /// Deadlines are dropped — the admission clock they were counted
+    /// from died with the old process — and the blocking push means a
+    /// recovered backlog larger than the queue simply feeds the
+    /// (already running) workers at their own pace.
+    fn reenqueue_recovered(&self) -> u64 {
         let Some(journal) = &self.shared.config.journal else {
-            return;
+            return 0;
         };
         let mut seq = 0u64;
         for rec in journal.take_recovered() {
@@ -685,14 +697,15 @@ impl Server {
                 .push_blocking(rec.record.priority, job)
                 .is_err()
             {
-                // queue closed (halt/shutdown raced startup): leave the
+                // queue closed (a kill during recovery): leave the
                 // record incomplete for the next restart
-                return;
+                return seq;
             }
         }
         // a crash can leave an arbitrarily long replayed history; fold
         // it into a fresh snapshot now rather than carrying it forward
         self.shared.maybe_compact();
+        seq
     }
 
     /// Opens a connection, returning its ingest and reporting halves.
@@ -703,11 +716,13 @@ impl Server {
         // (eviction, or the receiver's own teardown) disconnects the
         // channel, so a blocked `FrameReceiver::recv` always unparks
         self.shared.registry.lock().unwrap().insert(conn, tx);
+        let total = Arc::new(OnceLock::new());
         Connection {
             submitter: Submitter {
                 shared: Arc::clone(&self.shared),
                 conn,
                 next_seq: 0,
+                total: Arc::clone(&total),
             },
             receiver: FrameReceiver {
                 shared: Arc::clone(&self.shared),
@@ -715,7 +730,7 @@ impl Server {
                 rx,
                 buffer: BTreeMap::new(),
                 next_emit: 0,
-                total: None,
+                total,
             },
         }
     }
@@ -833,6 +848,9 @@ pub struct Submitter {
     shared: Arc<Shared>,
     conn: u64,
     next_seq: u64,
+    /// The admitted-line count, set by [`Submitter::finish`]; shared
+    /// with the connection's [`FrameReceiver`].
+    total: Arc<OnceLock<u64>>,
 }
 
 impl Submitter {
@@ -1123,15 +1141,21 @@ impl Submitter {
 
     /// Signals end of input: the reporting half will finish after
     /// delivering every outstanding reply. Consumes the submitter.
-    /// Bounded like every delivery — a consumer too slow to accept even
-    /// the end-of-input marker is evicted, never waited on forever.
+    /// Never blocks: the total goes into a cell the receiver reads
+    /// before it parks, and the wake-up is dropped when the reply
+    /// buffer is full (a full buffer wakes the receiver anyway).
     pub fn finish(self) {
-        self.shared.send_bounded(
-            self.conn,
-            Report::Finished {
-                total: self.next_seq,
-            },
-        );
+        let _ = self.total.set(self.next_seq);
+        let sender = self
+            .shared
+            .registry
+            .lock()
+            .unwrap()
+            .get(&self.conn)
+            .cloned();
+        if let Some(sender) = sender {
+            let _ = sender.try_send(Report::Finished);
+        }
     }
 }
 
@@ -1143,7 +1167,7 @@ pub struct FrameReceiver {
     rx: Receiver<Report>,
     buffer: BTreeMap<u64, String>,
     next_emit: u64,
-    total: Option<u64>,
+    total: Arc<OnceLock<u64>>,
 }
 
 /// Outcome of one non-blocking [`FrameReceiver::try_recv`] poll.
@@ -1187,7 +1211,7 @@ impl FrameReceiver {
                 self.next_emit += 1;
                 return Polled::Frame(frame);
             }
-            if self.total == Some(self.next_emit) {
+            if self.total.get() == Some(&self.next_emit) {
                 return Polled::Finished;
             }
             let report = if block {
@@ -1199,7 +1223,7 @@ impl FrameReceiver {
                 Ok(Report::Frame { seq, line }) => {
                     self.buffer.insert(seq, line);
                 }
-                Ok(Report::Finished { total }) => self.total = Some(total),
+                Ok(Report::Finished) => {}
                 Err(mpsc::TryRecvError::Empty) => return Polled::Pending,
                 // every sender gone without a Finished marker: give up
                 // rather than hang
@@ -1583,6 +1607,44 @@ mod tests {
     }
 
     #[test]
+    fn finish_never_blocks_on_a_full_reply_buffer() {
+        // more replies than the buffer holds, and `finish` called before
+        // the first read: the end-of-input marker must not wait for
+        // buffer space, or the client's own thread would stall until the
+        // write timeout evicts it and every reply is lost
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            record_timings: false,
+            reply_buffer: 2,
+            write_timeout: Duration::from_secs(2),
+            ..ServerConfig::default()
+        });
+        let (mut tx, rx) = server.connect().split();
+        let g = generators::cycle(8).unwrap();
+        for i in 0..6 {
+            let req = Request::new(
+                Problem::Mis {
+                    base_degree: Some(8),
+                },
+                g.clone(),
+            )
+            .seed(i);
+            tx.submit_request(&format!("r{i}"), Priority::Normal, req);
+        }
+        // two delivered replies fill the buffer; the worker now waits
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().served < 2 {
+            assert!(Instant::now() < deadline, "the buffer never filled");
+            thread::sleep(Duration::from_millis(1));
+        }
+        tx.finish();
+        let frames: Vec<String> = rx.collect();
+        assert_eq!(frames.len(), 6, "every reply arrives");
+        assert_eq!(server.stats().evicted, 0);
+        server.shutdown();
+    }
+
+    #[test]
     fn chaos_worker_panics_become_internal_panic_frames() {
         // every job panics: the pool must survive and answer each
         // admitted request with the reserved internal-panic payload
@@ -1809,6 +1871,88 @@ mod tests {
         );
         let stats = server.stats();
         assert_eq!((stats.replayed, stats.journal_recovered), (1, 1));
+        server.shutdown();
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn keyed_retry_after_restart_replays_a_recovered_job() {
+        use crate::journal::{FsyncPolicy, Journal};
+
+        let path = temp_journal_path("recover-then-retry");
+        let _ = std::fs::remove_file(&path);
+        let g = generators::cycle(8).unwrap();
+        let lines: Vec<String> = (0..3)
+            .map(|i| {
+                let request = Request::new(
+                    Problem::Mis {
+                        base_degree: Some(8),
+                    },
+                    g.clone(),
+                )
+                .seed(i);
+                let key = format!("key-{i}");
+                wire::render_request_with(
+                    &format!("job-{i}"),
+                    Priority::Normal,
+                    Some(&key),
+                    wire::InstanceRef::Inline,
+                    &request,
+                )
+            })
+            .collect();
+        // every job stalls, so all but the first are still queued when
+        // the process dies
+        let stalled = |stall_ms| {
+            Some(ChaosConfig {
+                seed: 1,
+                worker_stall: 1.0,
+                stall_ms,
+                ..ChaosConfig::default()
+            })
+        };
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Always).unwrap());
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            journal: Some(Arc::clone(&journal)),
+            chaos: stalled(200),
+            ..quiet_config()
+        });
+        let (mut tx, _rx) = server.connect().split();
+        for line in &lines {
+            assert_eq!(tx.submit_line(line), Submitted::Queued);
+        }
+        server.halt();
+        drop(journal);
+
+        // the restart re-runs the queued jobs (each stalling again); a
+        // retry sent the moment `start` returns must find its reply
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Always).unwrap());
+        assert!(journal.stats().recovered >= 2, "queued jobs are recovered");
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            journal: Some(Arc::clone(&journal)),
+            chaos: stalled(50),
+            ..quiet_config()
+        });
+        let appended = server.stats().journal_appended;
+        let (mut tx, mut rx) = server.connect().split();
+        assert_eq!(tx.submit_line(&lines[2]), Submitted::Replied);
+        let frame = rx.recv().unwrap();
+        let reply = split_reply(&frame).expect(&frame);
+        assert!(
+            reply.replayed,
+            "the retry is answered from the recovered run"
+        );
+        assert_eq!(reply.id, "job-2");
+        tx.finish();
+        assert!(rx.recv().is_none());
+        assert_eq!(
+            server.stats().journal_appended,
+            appended,
+            "no second admission"
+        );
         server.shutdown();
         drop(journal);
         let _ = std::fs::remove_file(&path);

@@ -670,15 +670,15 @@ pub fn build_instance(line: &str, body: &mut Body) -> Result<Instance, ApiError>
             only(&["kind", "left", "right", "edges"])?;
             let left = size("left", "missing left (constraint count)")?;
             let right = size("right", "missing right (variable count)")?;
-            let b = BipartiteGraph::from_edges_bulk(left, right, &edges()?)
+            let b = BipartiteGraph::from_edges(left, right, &edges()?)
                 .map_err(|e| invalid("instance", e.to_string()))?;
             Ok(Instance::Bipartite(b))
         }
         "host" => {
             only(&["kind", "nodes", "edges"])?;
             let n = size("nodes", "missing node count")?;
-            let g = Graph::from_edges_bulk(n, &edges()?)
-                .map_err(|e| invalid("instance", e.to_string()))?;
+            let g =
+                Graph::from_edges(n, &edges()?).map_err(|e| invalid("instance", e.to_string()))?;
             Ok(Instance::Host(g))
         }
         "multigraph" => {

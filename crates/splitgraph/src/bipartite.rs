@@ -41,34 +41,15 @@ impl BipartiteGraph {
         }
     }
 
-    /// Builds a bipartite graph from `(left, right)` edge pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on out-of-range endpoints or duplicate edges.
-    pub fn from_edges(
-        left_count: usize,
-        right_count: usize,
-        edges: &[(usize, usize)],
-    ) -> Result<Self, GraphError> {
-        let mut b = BipartiteGraph::new(left_count, right_count);
-        for &(u, v) in edges {
-            b.add_edge(u, v)?;
-        }
-        Ok(b)
-    }
-
     /// Builds a bipartite graph from `(left, right)` edge pairs in bulk:
     /// rows are filled by appends, sorted once, and scanned for duplicates —
-    /// `O(|U| + |V| + m log Δ)` with no per-edge sorted insertion. Validates
-    /// exactly what [`BipartiteGraph::from_edges`] validates, though with
-    /// several violations present the reported error may differ (ranges are
-    /// checked in list order before duplicates).
+    /// `O(|U| + |V| + m log Δ)` with no per-edge sorted insertion.
     ///
     /// # Errors
     ///
-    /// Returns an error on out-of-range endpoints or duplicate edges.
-    pub fn from_edges_bulk(
+    /// Returns an error on out-of-range endpoints or duplicate edges. Range
+    /// violations are reported in list order before any duplicate.
+    pub fn from_edges(
         left_count: usize,
         right_count: usize,
         edges: &[(usize, usize)],
@@ -122,6 +103,18 @@ impl BipartiteGraph {
             }
         }
         Ok(b)
+    }
+
+    /// Former name of [`BipartiteGraph::from_edges`], kept only because the
+    /// end-to-end benchmark's probe (`perfbench/probe`), which is versioned
+    /// with the benchmark rather than the library, still calls it.
+    #[doc(hidden)]
+    pub fn from_edges_bulk(
+        left_count: usize,
+        right_count: usize,
+        edges: &[(usize, usize)],
+    ) -> Result<Self, GraphError> {
+        BipartiteGraph::from_edges(left_count, right_count, edges)
     }
 
     /// Adds the edge between left node `u` and right node `v`.
@@ -419,21 +412,26 @@ mod tests {
     }
 
     #[test]
-    fn bulk_builder_matches_incremental() {
-        let edges = [(1, 2), (0, 0), (0, 1), (1, 1)];
-        let inc = BipartiteGraph::from_edges(2, 3, &edges).unwrap();
-        let bulk = BipartiteGraph::from_edges_bulk(2, 3, &edges).unwrap();
-        assert_eq!(inc, bulk);
+    fn from_edges_sorts_rows_and_validates() {
+        let b = BipartiteGraph::from_edges(2, 3, &[(1, 2), (0, 1), (1, 1), (0, 0)]).unwrap();
+        assert_eq!(b, sample());
+        assert_eq!(b.left_neighbors(1), &[1, 2]);
+        assert_eq!(b.right_neighbors(1), &[0, 1]);
         assert_eq!(
-            BipartiteGraph::from_edges_bulk(2, 3, &[(0, 1), (0, 1)]),
+            BipartiteGraph::from_edges(2, 3, &[(0, 1), (0, 1)]),
             Err(GraphError::DuplicateEdge { u: 0, v: 1 })
         );
         assert_eq!(
-            BipartiteGraph::from_edges_bulk(2, 3, &[(2, 0)]),
+            BipartiteGraph::from_edges(2, 3, &[(2, 0)]),
             Err(GraphError::NodeOutOfRange { node: 2, count: 2 })
         );
         assert_eq!(
-            BipartiteGraph::from_edges_bulk(2, 3, &[(0, 3)]),
+            BipartiteGraph::from_edges(2, 3, &[(0, 3)]),
+            Err(GraphError::NodeOutOfRange { node: 3, count: 3 })
+        );
+        // range errors come before duplicates, in list order
+        assert_eq!(
+            BipartiteGraph::from_edges(2, 3, &[(0, 1), (0, 1), (0, 3)]),
             Err(GraphError::NodeOutOfRange { node: 3, count: 3 })
         );
     }

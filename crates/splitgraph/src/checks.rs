@@ -387,7 +387,7 @@ mod checker_checks {
             .edges()
             .map(|(u, v)| (left_perm[u], right_perm[v]))
             .collect();
-        BipartiteGraph::from_edges_bulk(b.left_count(), b.right_count(), &edges)
+        BipartiteGraph::from_edges(b.left_count(), b.right_count(), &edges)
             .expect("permutation preserves simplicity")
     }
 
@@ -475,7 +475,7 @@ mod checker_checks {
             perm.shuffle(&mut rng);
             let edges: Vec<(usize, usize)> =
                 g.edges().map(|(u, v)| (perm[u], perm[v])).collect();
-            let gp = Graph::from_edges_bulk(n, &edges).expect("permuted simple graph");
+            let gp = Graph::from_edges(n, &edges).expect("permuted simple graph");
             let sp = permuted_colors(&sides, &perm);
             let mut expected: Vec<(usize, usize, usize)> =
                 uniform_splitting_violations(&g, &sides, 0.2, 1)

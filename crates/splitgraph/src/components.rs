@@ -236,8 +236,8 @@ pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
                 edges.push((i, local[shift + orig_v]));
             }
         }
-        comp.graph = BipartiteGraph::from_edges_bulk(left, right, &edges)
-            .expect("component edges are simple");
+        comp.graph =
+            BipartiteGraph::from_edges(left, right, &edges).expect("component edges are simple");
     }
     comps
 }

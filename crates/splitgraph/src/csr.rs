@@ -5,16 +5,16 @@
 //! the concatenated rows, so row `v` is the contiguous slice
 //! `targets[offsets[v]..offsets[v + 1]]`. Construction is a stable two-pass
 //! counting sort over the input pairs — `O(n + m)` with no per-entry
-//! shifting — which is what makes the bulk graph builders
-//! ([`crate::Graph::from_edges_bulk`], [`crate::Graph::from_adjacency`]) and
-//! the power-graph kernels fast. The same layout doubles as a flat
+//! shifting. A sorted `Csr` *is* the storage of [`crate::Graph`]
+//! ([`crate::Graph::from_edges`] builds it in bulk), and the power-graph
+//! kernels emit one row by row. The same layout doubles as a flat
 //! *incidence* structure for multigraphs ([`Csr::from_incidence`]), where row
 //! entries are edge ids instead of neighbor ids.
 
 /// Flat CSR rows: `offsets` (length `n + 1`) into a concatenated `targets`
 /// buffer. Rows preserve the insertion order of the building pass until
 /// [`Csr::sort_rows`] is called.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<usize>,
     targets: Vec<usize>,
@@ -141,32 +141,13 @@ impl Csr {
         }
     }
 
-    /// Removes duplicate entries inside each (sorted) row, compacting the
-    /// buffers in place. Rows must be sorted first.
-    pub fn dedup_rows(&mut self) {
-        let n = self.node_count();
-        let mut write = 0usize;
-        let mut row_start = self.offsets[0];
-        for v in 0..n {
-            let row_end = self.offsets[v + 1];
-            self.offsets[v] = write;
-            let mut prev: Option<usize> = None;
-            for i in row_start..row_end {
-                let t = self.targets[i];
-                if prev != Some(t) {
-                    self.targets[write] = t;
-                    write += 1;
-                    prev = Some(t);
-                }
-            }
-            row_start = row_end;
-        }
-        self.offsets[n] = write;
-        self.targets.truncate(write);
+    /// The `offsets` and `targets` buffers.
+    pub(crate) fn parts(&self) -> (&[usize], &[usize]) {
+        (&self.offsets, &self.targets)
     }
 
-    /// Unpacks into one owned `Vec` per row (the pointer-chasing builder
-    /// representation, used when a flat graph needs incremental mutation).
+    /// Unpacks into one owned `Vec` per row (the growable incidence lists
+    /// of [`crate::MultiGraph`]).
     pub fn into_rows(self) -> Vec<Vec<usize>> {
         let n = self.node_count();
         let mut rows = Vec::with_capacity(n);
@@ -207,14 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_dedup_rows() {
+    fn sort_rows_keeps_duplicates() {
         let mut c = Csr::from_directed_pairs(2, &[(0, 3), (0, 1), (0, 3), (1, 2), (1, 2)]);
         c.sort_rows();
         assert_eq!(c.row(0), &[1, 3, 3]);
-        c.dedup_rows();
-        assert_eq!(c.row(0), &[1, 3]);
-        assert_eq!(c.row(1), &[2]);
-        assert_eq!(c.entry_count(), 3);
+        assert_eq!(c.row(1), &[2, 2]);
+        assert_eq!(c.entry_count(), 5);
     }
 
     #[test]

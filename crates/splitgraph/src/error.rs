@@ -25,14 +25,6 @@ pub enum GraphError {
         /// Second endpoint.
         v: usize,
     },
-    /// Per-node adjacency lists were not symmetric (`v` listed as a neighbor
-    /// of `u` without the mirror entry).
-    AsymmetricAdjacency {
-        /// Node whose row contains the unmirrored entry.
-        u: usize,
-        /// The listed neighbor missing its mirror entry.
-        v: usize,
-    },
     /// Degree-sequence parameters do not admit the requested graph.
     InfeasibleDegrees {
         /// Human-readable reason.
@@ -61,12 +53,6 @@ impl fmt::Display for GraphError {
                 write!(
                     f,
                     "duplicate edge {{{u}, {v}}} not allowed in a simple graph"
-                )
-            }
-            GraphError::AsymmetricAdjacency { u, v } => {
-                write!(
-                    f,
-                    "adjacency lists not symmetric: {v} in row {u} without mirror entry"
                 )
             }
             GraphError::InfeasibleDegrees { reason } => {

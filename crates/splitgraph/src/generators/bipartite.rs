@@ -255,7 +255,7 @@ pub fn bipartite_disjoint_union(parts: &[&BipartiteGraph]) -> BipartiteGraph {
         left_off += p.left_count();
         right_off += p.right_count();
     }
-    BipartiteGraph::from_edges_bulk(left_count, right_count, &edges)
+    BipartiteGraph::from_edges(left_count, right_count, &edges)
         .expect("offset parts keep edges disjoint and in range")
 }
 

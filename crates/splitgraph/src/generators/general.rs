@@ -17,13 +17,13 @@ pub fn cycle(n: usize) -> Result<Graph, GraphError> {
         });
     }
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    Ok(Graph::from_edges_bulk(n, &edges).expect("cycle edges are simple"))
+    Ok(Graph::from_edges(n, &edges).expect("cycle edges are simple"))
 }
 
 /// The path `P_n` on `n` nodes.
 pub fn path(n: usize) -> Graph {
     let edges: Vec<_> = (1..n).map(|i| (i - 1, i)).collect();
-    Graph::from_edges_bulk(n, &edges).expect("path edges are simple")
+    Graph::from_edges(n, &edges).expect("path edges are simple")
 }
 
 /// The complete graph `K_n`.
@@ -34,7 +34,7 @@ pub fn complete(n: usize) -> Graph {
             edges.push((u, v));
         }
     }
-    Graph::from_edges_bulk(n, &edges).expect("complete graph edges are simple")
+    Graph::from_edges(n, &edges).expect("complete graph edges are simple")
 }
 
 /// The `d`-dimensional hypercube (`2^d` nodes, degree `d`).
@@ -49,7 +49,7 @@ pub fn hypercube(d: u32) -> Graph {
             }
         }
     }
-    Graph::from_edges_bulk(n, &edges).expect("hypercube edges are simple")
+    Graph::from_edges(n, &edges).expect("hypercube edges are simple")
 }
 
 /// The `rows × cols` torus (wrap-around grid): 4-regular for
@@ -73,7 +73,7 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
             edges.push((id(r, c), id(r, (c + 1) % cols)));
         }
     }
-    Ok(Graph::from_edges_bulk(rows * cols, &edges).expect("torus edges are simple"))
+    Ok(Graph::from_edges(rows * cols, &edges).expect("torus edges are simple"))
 }
 
 /// Erdős–Rényi graph `G(n, p)`.
@@ -86,7 +86,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
             }
         }
     }
-    Graph::from_edges_bulk(n, &edges).expect("fresh pairs are simple")
+    Graph::from_edges(n, &edges).expect("fresh pairs are simple")
 }
 
 /// Random `d`-regular simple graph via the configuration model with
@@ -127,7 +127,7 @@ pub fn random_regular<R: Rng + ?Sized>(
         stubs.shuffle(rng);
         let mut pairs: Vec<(usize, usize)> = stubs.chunks_exact(2).map(|c| (c[0], c[1])).collect();
         if repair_pairing(&mut pairs, rng) {
-            let g = Graph::from_edges_bulk(n, &pairs).expect("repaired pairing is simple");
+            let g = Graph::from_edges(n, &pairs).expect("repaired pairing is simple");
             return Ok(g);
         }
     }

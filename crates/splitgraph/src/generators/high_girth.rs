@@ -31,8 +31,8 @@ pub fn break_short_cycles<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) -> usize 
                 let i = rng.random_range(0..cycle.len());
                 let u = cycle[i];
                 let v = cycle[(i + 1) % cycle.len()];
-                let existed = g.remove_edge(u, v);
-                debug_assert!(existed, "cycle edge must exist");
+                debug_assert!(g.contains_edge(u, v), "cycle edge must exist");
+                *g = g.filter_edges(|a, b| (a, b) != (u.min(v), u.max(v)));
                 removed += 1;
             }
         }
@@ -143,7 +143,7 @@ pub fn projective_incidence_graph(q: u64) -> Result<Graph, GraphError> {
     triples.push([0, 0, 1]);
     let m = triples.len();
     // nodes: points 0..m, lines m..2m
-    let mut g = Graph::new(2 * m);
+    let mut edges = Vec::with_capacity(m * (q as usize + 1));
     for i in 0..m {
         for j in 0..m {
             let dot = triples[i]
@@ -153,12 +153,11 @@ pub fn projective_incidence_graph(q: u64) -> Result<Graph, GraphError> {
                 .sum::<u64>()
                 % q;
             if dot == 0 {
-                g.add_edge(i, m + j)
-                    .expect("point and line nodes are distinct");
+                edges.push((i, m + j));
             }
         }
     }
-    Ok(g)
+    Ok(Graph::from_edges_unchecked(2 * m, &edges))
 }
 
 fn is_prime_u64(x: u64) -> bool {

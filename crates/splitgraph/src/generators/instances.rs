@@ -34,7 +34,7 @@ pub fn doubling_instance(g: &Graph) -> BipartiteGraph {
         edges.push((u, v));
         edges.push((v, u));
     }
-    BipartiteGraph::from_edges_bulk(n, n, &edges).expect("simple graph gives simple doubling")
+    BipartiteGraph::from_edges(n, n, &edges).expect("simple graph gives simple doubling")
 }
 
 /// Node–edge incidence graph: constraints are the nodes of `G`, variables
@@ -50,7 +50,7 @@ pub fn incidence_instance(g: &Graph) -> (BipartiteGraph, Vec<(usize, usize)>) {
         .enumerate()
         .flat_map(|(i, &(u, v))| [(u, i), (v, i)])
         .collect();
-    let b = BipartiteGraph::from_edges_bulk(g.node_count(), edges.len(), &incidences)
+    let b = BipartiteGraph::from_edges(g.node_count(), edges.len(), &incidences)
         .expect("incidence edges are simple");
     (b, edges)
 }

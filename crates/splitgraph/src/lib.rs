@@ -4,7 +4,8 @@
 //! *"On the Complexity of Distributed Splitting Problems"* (Bamberger,
 //! Ghaffari, Kuhn, Maus, Uitto; PODC 2019):
 //!
-//! * [`Graph`] — simple undirected graphs (host networks);
+//! * [`Graph`] — simple undirected graphs (host networks), each one
+//!   immutable sorted CSR built from an edge list by [`Graph::from_edges`];
 //! * [`BipartiteGraph`] — the constraint/variable bipartite instances
 //!   `B = (U ∪ V, E)` on which all splitting problems are defined, with the
 //!   paper's parameters `δ`, `Δ` (left degrees) and rank `r` (right degree);
@@ -18,8 +19,9 @@
 //!   the doubling construction of Section 1.2, the sinkless-orientation
 //!   reduction instances of Section 2.5 / Figure 1, and girth-10 bipartite
 //!   graphs for Section 5;
-//! * [`csr`] — the flat compressed-sparse-row storage underneath the graph
-//!   types: bulk counting-sort construction with no per-edge shifting;
+//! * [`csr`] — the flat compressed-sparse-row storage underneath [`Graph`]
+//!   and the multigraph incidence lists: bulk counting-sort construction
+//!   with no per-edge shifting;
 //! * [`delta`] — typed edge-mutation batches ([`EdgeDelta`]) with in-place
 //!   patching, dirty-region tracking, and exact inverses for the churn
 //!   subsystem;
@@ -66,7 +68,7 @@ pub use error::GraphError;
 pub use girth::{bipartite_girth, girth};
 pub use graph::Graph;
 pub use multigraph::{EdgeId, MultiGraph, Orientation};
-pub use power::{bipartite_power, power_graph, right_square};
+pub use power::{power_graph, right_square};
 
 #[cfg(test)]
 mod tests {

@@ -67,12 +67,6 @@ impl MultiGraph {
         }
     }
 
-    /// Flat incidence structure: row `v` lists the edge ids incident to `v`
-    /// (self-loops twice) in one contiguous buffer.
-    pub fn incidence_csr(&self) -> Csr {
-        Csr::from_incidence(self.node_count, &self.endpoints)
-    }
-
     /// Adds an edge between `u` and `v` and returns its id.
     ///
     /// # Panics
@@ -287,10 +281,6 @@ mod tests {
         }
         let bulk = MultiGraph::from_endpoints(3, pairs);
         assert_eq!(inc, bulk);
-        let csr = bulk.incidence_csr();
-        for v in 0..3 {
-            assert_eq!(csr.row(v), bulk.incident_edges(v));
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! All three are bulk builders: per-node BFS frontiers are collected into
 //! reused scratch buffers and the output rows are appended directly to one
-//! flat CSR buffer pair ([`crate::Graph`] flat form), instead of paying an
+//! flat CSR buffer pair (the storage of [`crate::Graph`]), instead of paying an
 //! `O(log Δ)` sorted insert per discovered pair. This is the hottest path of
 //! the SLOCAL compilations that materialize a power (`thm52`, `thm32`);
 //! Lemma 2.1's reference scheduling colors the variable square without
@@ -172,12 +172,6 @@ pub fn right_square(b: &BipartiteGraph) -> Graph {
     Graph::from_csr_parts_unchecked(offsets, targets)
 }
 
-/// The `k`-th power of the flattened bipartite graph `B` (both sides),
-/// with left node `u` at index `u` and right node `v` at `left_count + v`.
-pub fn bipartite_power(b: &BipartiteGraph, k: usize) -> Graph {
-    power_graph(&b.to_graph(), k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,13 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn power_output_is_flat() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-        assert!(power_graph(&g, 2).is_flat());
-        assert!(right_square(&BipartiteGraph::new(2, 3)).is_flat());
-    }
-
-    #[test]
     fn right_square_links_covariables() {
         // u0 ~ {v0, v1}, u1 ~ {v1, v2}: v0-v1 and v1-v2 but not v0-v2
         let b = BipartiteGraph::from_edges(2, 3, &[(0, 0), (0, 1), (1, 1), (1, 2)]).unwrap();
@@ -245,9 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn bipartite_power_two_contains_same_side_links() {
+    fn square_of_flattened_bipartite_links_same_side() {
         let b = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 0)]).unwrap();
-        let p = bipartite_power(&b, 2);
+        let p = power_graph(&b.to_graph(), 2);
         // u0 and u1 share v0, so they are adjacent in B²
         assert!(p.contains_edge(0, 1));
     }

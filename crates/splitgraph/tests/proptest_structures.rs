@@ -1,4 +1,6 @@
 //! Property-based tests for the graph substrate itself.
+//!
+//! CI runs this file with `PROPTEST_CASES=2048` for a heavier sweep.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -7,18 +9,110 @@ use splitgraph::{
     bipartite_components, connected_components, generators, girth, power_graph, right_square,
     BipartiteGraph, Graph,
 };
+use std::collections::BTreeSet;
 
 fn arb_edges(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0..n, 0..n), 0..3 * n)
 }
 
-/// The seed `power_graph` (depth-bounded BFS + per-pair `add_edge`), kept as
-/// the reference the bulk CSR implementation must reproduce exactly.
+/// Reference model of `Graph::from_edges`: the rows as `BTreeSet`s, or
+/// `None` when the list has an out-of-range endpoint, a self-loop or a
+/// duplicate (in either orientation).
+fn graph_model(n: usize, edges: &[(usize, usize)]) -> Option<Vec<BTreeSet<usize>>> {
+    let mut rows = vec![BTreeSet::new(); n];
+    for &(u, v) in edges {
+        if u >= n || v >= n || u == v || !rows[u].insert(v) {
+            return None;
+        }
+        rows[v].insert(u);
+    }
+    Some(rows)
+}
+
+/// Reference model of `BipartiteGraph::from_edges`: the left and right
+/// rows as `BTreeSet`s, or `None` when the list has an out-of-range
+/// endpoint or a duplicate.
+type Sides = (Vec<BTreeSet<usize>>, Vec<BTreeSet<usize>>);
+fn bipartite_model(left: usize, right: usize, edges: &[(usize, usize)]) -> Option<Sides> {
+    let mut rows = (vec![BTreeSet::new(); left], vec![BTreeSet::new(); right]);
+    for &(u, v) in edges {
+        if u >= left || v >= right || !rows.0[u].insert(v) {
+            return None;
+        }
+        rows.1[v].insert(u);
+    }
+    Some(rows)
+}
+
+/// The longest-kept sublist `accepts` takes edge by edge: each edge stays
+/// if the list with it is still accepted. Orientation and order survive.
+fn accepted_sublist(
+    edges: &[(usize, usize)],
+    accepts: impl Fn(&[(usize, usize)]) -> bool,
+) -> Vec<(usize, usize)> {
+    let mut kept = Vec::new();
+    for &e in edges {
+        kept.push(e);
+        if !accepts(&kept) {
+            kept.pop();
+        }
+    }
+    kept
+}
+
+/// A simple graph on `n` nodes from the accepted sublist of a raw list.
+fn simple_graph(n: usize, edges: &[(usize, usize)]) -> Graph {
+    let kept = accepted_sublist(edges, |l| graph_model(n, l).is_some());
+    Graph::from_edges(n, &kept).unwrap()
+}
+
+fn check_graph(n: usize, edges: &[(usize, usize)]) {
+    let built = Graph::from_edges(n, edges);
+    let Some(rows) = graph_model(n, edges) else {
+        prop_assert!(built.is_err(), "accepted {:?}", edges);
+        return;
+    };
+    let g = built.expect("the model accepts this list");
+    prop_assert_eq!(g.node_count(), n);
+    prop_assert_eq!(g.edge_count(), edges.len());
+    for (u, row) in rows.iter().enumerate() {
+        prop_assert!(g.neighbors(u).iter().eq(row), "row {}", u);
+        prop_assert_eq!(g.degree(u), row.len());
+        for v in 0..n + 2 {
+            prop_assert_eq!(g.contains_edge(u, v), row.contains(&v));
+        }
+    }
+}
+
+fn check_bipartite(left: usize, right: usize, edges: &[(usize, usize)]) {
+    let built = BipartiteGraph::from_edges(left, right, edges);
+    let Some((lrows, rrows)) = bipartite_model(left, right, edges) else {
+        prop_assert!(built.is_err(), "accepted {:?}", edges);
+        return;
+    };
+    let b = built.expect("the model accepts this list");
+    prop_assert_eq!((b.left_count(), b.right_count()), (left, right));
+    prop_assert_eq!(b.edge_count(), edges.len());
+    for (u, row) in lrows.iter().enumerate() {
+        prop_assert!(b.left_neighbors(u).iter().eq(row), "left row {}", u);
+        prop_assert_eq!(b.left_degree(u), row.len());
+        for v in 0..right + 2 {
+            prop_assert_eq!(b.contains_edge(u, v), row.contains(&v));
+        }
+    }
+    for (v, row) in rrows.iter().enumerate() {
+        prop_assert!(b.right_neighbors(v).iter().eq(row), "right row {}", v);
+        prop_assert_eq!(b.right_degree(v), row.len());
+    }
+}
+
+/// Seed `power_graph` semantics (depth-bounded BFS per node), kept as the
+/// reference the bulk CSR implementation must reproduce exactly.
 fn reference_power_graph(g: &Graph, k: usize) -> Graph {
     let n = g.node_count();
-    let mut out = Graph::new(n);
+    let mut edges = Vec::new();
     if k == 0 {
-        return out;
+        return Graph::new(n);
     }
     let mut dist = vec![usize::MAX; n];
     let mut touched = Vec::new();
@@ -39,51 +133,62 @@ fn reference_power_graph(g: &Graph, k: usize) -> Graph {
                 }
             }
         }
-        for &w in &touched {
-            if w > v {
-                out.add_edge(v, w).expect("power graph edges are simple");
-            }
-        }
+        edges.extend(touched.iter().filter(|&&w| w > v).map(|&w| (v, w)));
         for &w in &touched {
             dist[w] = usize::MAX;
         }
         touched.clear();
     }
-    out
+    Graph::from_edges(n, &edges).expect("power graph edges are simple")
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
     #[test]
-    fn add_remove_edge_roundtrip(edges in arb_edges(20)) {
-        let mut g = Graph::new(20);
-        let mut inserted = Vec::new();
-        for (u, v) in edges {
-            if u != v && g.add_edge(u, v).is_ok() {
-                inserted.push((u, v));
-            }
+    fn from_edges_matches_reference_model(
+        (n, right, raw, (pick, at)) in (
+            1usize..=20,
+            1usize..=20,
+            prop::collection::vec((0..20usize, 0..20usize), 0..48),
+            (0..60usize, 0..64usize),
+        )
+    ) {
+        // raw (0..n, 0..n) lists carry self-loops and duplicates in both
+        // orientations; their accepted sublists exercise `Ok`, and each
+        // accepted sublist with one bad edge inserted exercises one error
+        let insert = |list: &[(usize, usize)], bad: (usize, usize)| {
+            let mut list = list.to_vec();
+            list.insert(at % (list.len() + 1), bad);
+            list
+        };
+        let edges: Vec<(usize, usize)> = raw.iter().map(|&(u, v)| (u % n, v % n)).collect();
+        check_graph(n, &edges);
+        let kept = accepted_sublist(&edges, |l| graph_model(n, l).is_some());
+        check_graph(n, &kept);
+        let (x, k) = (pick % n, pick % 3);
+        let mut bad = vec![(x, x), (x, n + k), (n + k, x)];
+        if let Some(&(u, v)) = kept.get(pick % kept.len().max(1)) {
+            bad.extend([(u, v), (v, u)]);
         }
-        prop_assert_eq!(g.edge_count(), inserted.len());
-        // degrees sum to twice the edge count (handshake)
-        let degree_sum: usize = (0..20).map(|v| g.degree(v)).sum();
-        prop_assert_eq!(degree_sum, 2 * g.edge_count());
-        // removing everything restores the empty graph
-        for &(u, v) in &inserted {
-            prop_assert!(g.remove_edge(u, v));
+        for e in bad {
+            check_graph(n, &insert(&kept, e));
         }
-        prop_assert_eq!(g.edge_count(), 0);
-        prop_assert_eq!(g.max_degree(), 0);
+
+        // the same lists read as `(left, right)` pairs over `0..n × 0..right`
+        let left = n;
+        let edges: Vec<(usize, usize)> = raw.iter().map(|&(u, v)| (u % left, v % right)).collect();
+        check_bipartite(left, right, &edges);
+        let kept = accepted_sublist(&edges, |l| bipartite_model(left, right, l).is_some());
+        check_bipartite(left, right, &kept);
+        let mut bad = vec![(left + k, pick % right), (pick % left, right + k)];
+        bad.extend(kept.get(pick % kept.len().max(1)));
+        for e in bad {
+            check_bipartite(left, right, &insert(&kept, e));
+        }
     }
 
     #[test]
     fn edges_iterator_matches_contains(edges in arb_edges(16)) {
-        let mut g = Graph::new(16);
-        for (u, v) in edges {
-            if u != v {
-                let _ = g.add_edge(u, v);
-            }
-        }
+        let g = simple_graph(16, &edges);
         let listed: Vec<(usize, usize)> = g.edges().collect();
         prop_assert_eq!(listed.len(), g.edge_count());
         for &(u, v) in &listed {
@@ -95,64 +200,13 @@ proptest! {
 
     #[test]
     fn components_cover_all_nodes(edges in arb_edges(24)) {
-        let mut g = Graph::new(24);
-        for (u, v) in edges {
-            if u != v {
-                let _ = g.add_edge(u, v);
-            }
-        }
+        let g = simple_graph(24, &edges);
         let cc = connected_components(&g);
         let sizes = cc.sizes();
         prop_assert_eq!(sizes.iter().sum::<usize>(), 24);
         // adjacent nodes share a component
         for (u, v) in g.edges() {
             prop_assert_eq!(cc.label(u), cc.label(v));
-        }
-    }
-
-    #[test]
-    fn representations_agree_on_random_edge_lists(edges in arb_edges(24)) {
-        // incremental add_edge, deduplicating on the fly
-        let mut inc = Graph::new(24);
-        let mut kept: Vec<(usize, usize)> = Vec::new();
-        for (u, v) in edges {
-            if u != v && inc.add_edge(u, v).is_ok() {
-                kept.push((u, v));
-            }
-        }
-        let bulk = Graph::from_edges_bulk(24, &kept).unwrap();
-        let rows: Vec<Vec<usize>> = (0..24).map(|v| inc.neighbors(v).to_vec()).collect();
-        let adj = Graph::from_adjacency(&rows).unwrap();
-        prop_assert!(bulk.is_flat() && adj.is_flat());
-        prop_assert_eq!(&inc, &bulk);
-        prop_assert_eq!(&inc, &adj);
-        prop_assert_eq!(inc.edge_count(), bulk.edge_count());
-        prop_assert_eq!(inc.edge_count(), adj.edge_count());
-        for v in 0..24 {
-            prop_assert_eq!(inc.neighbors(v), bulk.neighbors(v));
-            prop_assert_eq!(inc.neighbors(v), adj.neighbors(v));
-            prop_assert_eq!(inc.degree(v), bulk.degree(v));
-            prop_assert_eq!(inc.degree(v), adj.degree(v));
-        }
-        for u in 0..24 {
-            for v in 0..24 {
-                prop_assert_eq!(inc.contains_edge(u, v), bulk.contains_edge(u, v));
-                prop_assert_eq!(inc.contains_edge(u, v), adj.contains_edge(u, v));
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_validation_agrees_with_checked_path(
-        edges in prop::collection::vec((0..20usize, 0..20usize), 0..48)
-    ) {
-        // raw lists may contain self-loops, duplicates, and (on n = 16)
-        // out-of-range endpoints; acceptance must agree exactly
-        let checked = Graph::from_edges(16, &edges);
-        let bulk = Graph::from_edges_bulk(16, &edges);
-        prop_assert_eq!(checked.is_ok(), bulk.is_ok());
-        if let (Ok(a), Ok(b)) = (checked, bulk) {
-            prop_assert_eq!(a, b);
         }
     }
 
@@ -186,7 +240,7 @@ proptest! {
     }
 
     #[test]
-    fn right_square_symmetric_with_bipartite_power(
+    fn right_square_links_exactly_the_covariables(
         (u, v, d, seed) in (4usize..16, 8usize..24, 2usize..6, 0u64..300)
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
