@@ -110,7 +110,7 @@ impl Session {
         let graph = request.instance().bipartite()?.clone();
         let solution = self.solve(request)?;
         Ok(HeldSolution::assemble(
-            self.clone(),
+            *self,
             request.clone(),
             graph,
             solution,
@@ -170,7 +170,7 @@ impl HeldSolution {
             }
         }
         Ok(HeldSolution::assemble(
-            session.clone(),
+            *session,
             request.clone(),
             graph,
             solution,

@@ -14,8 +14,7 @@
 //!   [`Certificate`] (re-runs the matching `splitgraph::checks`
 //!   predicate), a [`Provenance`] record (chosen pipeline + regime
 //!   parameters + why), and the round ledger;
-//! * [`Session`] — solves single requests or parallel batches over
-//!   scoped worker threads, returning results in request order;
+//! * [`Session`] — solves one request at a time on the calling thread;
 //! * [`Session::hold`] / [`HeldSolution`] — the churn surface: hold an
 //!   instance, stream [`splitgraph::EdgeDelta`] batches into it, and get
 //!   back incrementally repaired (still fully certified) solutions;

@@ -1,5 +1,5 @@
-//! The session: solves single requests and parallel batches, verifying
-//! every solution against its certificate before returning it.
+//! The session: solves requests, verifying every solution against its
+//! certificate before returning it.
 
 use crate::error::ApiError;
 use crate::problem::{Output, Problem};
@@ -21,41 +21,28 @@ const ZERO_ROUND_ATTEMPTS: usize = 32;
 /// Legacy retry budget of the uniform-splitting Las Vegas loop.
 const UNIFORM_ATTEMPTS: usize = 16;
 
-/// A solving session: thread configuration plus reusable batch scratch.
+/// A solving session.
 ///
-/// Sessions are cheap to create and reusable; one session can serve any
-/// number of [`solve`](Session::solve) and
-/// [`solve_batch`](Session::solve_batch) calls. Batches run on scoped
-/// worker threads (mirroring `local_runtime::run_local_parallel`):
-/// requests are partitioned into contiguous chunks, each worker solves
-/// its chunk independently, and results are returned in request order —
-/// so a batch result is bit-identical to solving the requests
-/// sequentially.
-#[derive(Debug, Clone)]
-pub struct Session {
-    threads: usize,
-}
+/// Sessions hold no state: one session can serve any number of
+/// [`solve`](Session::solve) calls, and solves each request on the calling
+/// thread. Request-level parallelism belongs to the caller (`splitd`'s
+/// worker pool).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Session;
 
 impl Session {
-    /// A session sized to the host's available parallelism.
+    /// A session.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Session { threads }
+        Session
     }
 
-    /// A session with an explicit worker count (clamped to ≥ 1);
-    /// `with_threads(1)` makes `solve_batch` strictly sequential.
-    pub fn with_threads(threads: usize) -> Self {
-        Session {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured batch worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// The same session as [`Session::new`]; the argument is ignored.
+    /// Kept only because the end-to-end benchmark's probe
+    /// (`perfbench/probe`), which is versioned with the benchmark rather
+    /// than the library, still calls it.
+    #[doc(hidden)]
+    pub fn with_threads(_threads: usize) -> Self {
+        Session
     }
 
     /// Solves one request.
@@ -119,52 +106,16 @@ impl Session {
         }
         Ok(solution)
     }
-
-    /// Solves a batch of requests on up to [`threads`](Session::threads)
-    /// scoped worker threads, returning per-request results in request
-    /// order. Each result is bit-identical to a standalone
-    /// [`solve`](Session::solve) of the same request.
-    pub fn solve_batch(&self, requests: &[Request]) -> Vec<Result<Solution, ApiError>> {
-        let t = self.threads.min(requests.len().max(1));
-        if t <= 1 {
-            return requests.iter().map(|r| self.solve(r)).collect();
-        }
-        let chunk = requests.len().div_ceil(t);
-        let mut results: Vec<Result<Solution, ApiError>> = Vec::with_capacity(requests.len());
-        // per-worker result buffers, filled independently and drained in
-        // chunk order (requests are solved where they land; outputs come
-        // back in request order)
-        let mut buffers: Vec<Vec<Result<Solution, ApiError>>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = requests
-                .chunks(chunk)
-                .map(|reqs| s.spawn(move || reqs.iter().map(|r| self.solve(r)).collect::<Vec<_>>()))
-                .collect();
-            for h in handles {
-                buffers.push(h.join().expect("batch worker panicked"));
-            }
-        });
-        for buf in buffers {
-            results.extend(buf);
-        }
-        results
-    }
 }
 
-impl Default for Session {
-    fn default() -> Self {
-        Session::new()
-    }
-}
-
-/// Solves one request on a throwaway single-thread session — the
-/// convenience entry for one-off callers.
+/// Solves one request on a throwaway session — the convenience entry for
+/// one-off callers.
 ///
 /// # Errors
 ///
 /// Exactly like [`Session::solve`].
 pub fn solve(request: &Request) -> Result<Solution, ApiError> {
-    Session::with_threads(1).solve(request)
+    Session::new().solve(request)
 }
 
 // ------------------------------------------------------------- dispatch

@@ -43,7 +43,7 @@ proptest! {
         let request = Request::new(Problem::WeakSplitting { thm12_constant }, b)
             .determinism_policy(determinism)
             .seed(seed);
-        match Session::with_threads(1).solve(&request) {
+        match Session::new().solve(&request) {
             Ok(solution) => {
                 prop_assert!(plan.is_some());
                 prop_assert_eq!(solution.provenance.pipeline, plan);

@@ -62,9 +62,7 @@ fn multigraph() -> MultiGraph {
 }
 
 fn solve_ok(request: &Request) -> Solution {
-    let solution = Session::with_threads(1)
-        .solve(request)
-        .expect("request is solvable");
+    let solution = Session::new().solve(request).expect("request is solvable");
     assert!(solution.certificate.holds(), "{}", solution.certificate);
     assert!(
         solution.reverify(request.instance()),
@@ -137,7 +135,7 @@ fn weak_splitting_pipeline_override_forces_theorem25() {
 fn weak_splitting_uncovered_regime_is_typed() {
     let mut rng = StdRng::seed_from_u64(4);
     let b = generators::random_biregular(128, 256, 4, &mut rng).unwrap();
-    let err = Session::with_threads(1)
+    let err = Session::new()
         .solve(&Request::new(Problem::weak_splitting(), b))
         .unwrap_err();
     assert_eq!(err.kind(), "unsupported-regime");
@@ -292,61 +290,10 @@ fn mis_matches_legacy_reduction() {
 
     // the deterministic policy is honestly rejected (Lemma 4.2's oracle
     // A is instantiated randomized — the open problem)
-    let err = Session::with_threads(1)
+    let err = Session::new()
         .solve(&Request::new(problem, g).deterministic())
         .unwrap_err();
     assert_eq!(err.kind(), "invalid-request");
-}
-
-#[test]
-fn batch_solving_is_bit_identical_to_sequential_and_in_order() {
-    let b = dense_bipartite();
-    let g = host_graph();
-    let mg = multigraph();
-    let requests: Vec<Request> = vec![
-        Request::new(Problem::weak_splitting(), b.clone()).seed(1),
-        Request::new(Problem::weak_splitting(), b.clone())
-            .seed(2)
-            .deterministic(),
-        Request::new(
-            Problem::MulticolorSplitting {
-                colors: 6,
-                lambda: 0.6,
-            },
-            b.clone(),
-        )
-        .deterministic(),
-        Request::new(
-            Problem::DegreeSplitting {
-                eps: 0.25,
-                engine: Engine::EulerianOracle,
-            },
-            mg,
-        ),
-        Request::new(Problem::Mis { base_degree: None }, g.clone()).seed(3),
-        Request::new(
-            Problem::EdgeColoring {
-                base_degree: Some(8),
-                engine: red::EdgeSplitEngine::Eulerian,
-            },
-            g,
-        ),
-    ];
-    let sequential = Session::with_threads(1).solve_batch(&requests);
-    for threads in [2, 3, 8] {
-        let parallel = Session::with_threads(threads).solve_batch(&requests);
-        assert_eq!(parallel.len(), sequential.len());
-        for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
-            match (p, s) {
-                (Ok(p), Ok(s)) => assert_eq!(
-                    p.output, s.output,
-                    "batch[{i}] diverged at {threads} threads"
-                ),
-                (Err(p), Err(s)) => assert_eq!(p, s),
-                _ => panic!("batch[{i}] ok/err disagreement at {threads} threads"),
-            }
-        }
-    }
 }
 
 #[test]
@@ -354,7 +301,7 @@ fn round_budget_is_enforced() {
     let b = dense_bipartite();
     // deterministic Theorem 2.5 charges thousands of rounds; 1.0 is
     // far below any real ledger
-    let err = Session::with_threads(1)
+    let err = Session::new()
         .solve(
             &Request::new(Problem::weak_splitting(), b)
                 .deterministic()
@@ -373,7 +320,7 @@ fn round_budget_is_enforced() {
 #[test]
 fn invalid_parameters_are_rejected_before_solving() {
     let b = dense_bipartite();
-    let err = Session::with_threads(1)
+    let err = Session::new()
         .solve(&Request::new(
             Problem::MulticolorSplitting {
                 colors: 6,
@@ -385,7 +332,7 @@ fn invalid_parameters_are_rejected_before_solving() {
     assert_eq!(err.kind(), "invalid-request");
 
     // instance-shape mismatch: weak splitting over a host graph
-    let err = Session::with_threads(1)
+    let err = Session::new()
         .solve(&Request::new(Problem::weak_splitting(), Graph::new(4)))
         .unwrap_err();
     assert_eq!(err.kind(), "invalid-request");
@@ -393,7 +340,7 @@ fn invalid_parameters_are_rejected_before_solving() {
     // estimator honestly declines an uncertifiable accuracy
     let mut rng = StdRng::seed_from_u64(3);
     let g = generators::random_regular(128, 16, &mut rng).unwrap();
-    let err = Session::with_threads(1)
+    let err = Session::new()
         .solve(
             &Request::new(
                 Problem::UniformSplitting {
@@ -437,7 +384,7 @@ fn deterministic_policy_cannot_be_bypassed() {
     // forcing a randomized pipeline under the deterministic policy is a
     // typed error, not a silent randomized run
     let b = dense_bipartite();
-    let err = Session::with_threads(1)
+    let err = Session::new()
         .solve(
             &Request::new(Problem::weak_splitting(), b)
                 .deterministic()
@@ -452,7 +399,7 @@ fn deterministic_policy_cannot_be_bypassed() {
     // track is honestly refused …
     let mut rng = StdRng::seed_from_u64(8);
     let sparse = generators::random_regular(60, 6, &mut rng).unwrap();
-    let err = Session::with_threads(1)
+    let err = Session::new()
         .solve(&Request::new(Problem::SinklessOrientation, sparse).deterministic())
         .unwrap_err();
     assert_eq!(err.kind(), "unsupported-regime");

@@ -1,20 +1,14 @@
 //! Experiment `api` — throughput of the unified request/solution layer:
-//! batched `Session::solve_batch` dispatch versus sequential single-call
-//! dispatch versus the theorem entrypoints called directly.
+//! one `Session::solve` per request versus the theorem entrypoints called
+//! directly.
 //!
-//! Three records per workload:
+//! Two records per workload:
 //!
 //! * **`api.direct`** — a hand-written loop over the per-theorem
 //!   entrypoints (what callers did before the API existed);
-//! * **`api.solve`** — the same work as one `Session::with_threads(1)`
-//!   solve per request: its median over `api.direct`'s is the boundary's
-//!   overhead (request validation, dispatch, certificate verification,
-//!   provenance assembly);
-//! * **`api.solve_batch`** — one `solve_batch` call at each thread
-//!   count: measures the scoped-thread fan-out. A row whose `threads`
-//!   exceeds the report's `host_parallelism` certifies wall-clock
-//!   *parity*, not speedup (the batch path is bit-identical to sequential
-//!   by construction).
+//! * **`api.solve`** — the same work as one `Session::solve` per request:
+//!   its median over `api.direct`'s is the boundary's overhead (request
+//!   validation, dispatch, certificate verification, provenance assembly).
 //!
 //! Results feed `BENCH_api.json`.
 
@@ -30,7 +24,7 @@ use splitting_reductions as red;
 struct Workload {
     name: &'static str,
     requests: Vec<Request>,
-    direct: Box<dyn Fn() + Send + Sync>,
+    direct: Box<dyn Fn()>,
 }
 
 fn weak_batch(name: &'static str, count: usize, nu: usize, d: usize, randomized: bool) -> Workload {
@@ -140,11 +134,6 @@ pub fn run_api_perf(quick: bool) -> Vec<Record> {
         mixed_batch(mcount, msize, 8.min(msize - 1)),
     ];
 
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut thread_counts = vec![1, 2, 4, host_parallelism];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-
     let mut records = Vec::new();
     for w in &workloads {
         let requests = w.requests.len();
@@ -158,10 +147,10 @@ pub fn run_api_perf(quick: bool) -> Vec<Record> {
             wall,
         ));
 
-        let seq = Session::with_threads(1);
+        let session = Session::new();
         let ((), wall) = sample(samples, || {
             for r in &w.requests {
-                let s = seq.solve(r).expect("workload requests are solvable");
+                let s = session.solve(r).expect("workload requests are solvable");
                 std::hint::black_box(s.output.len());
             }
         });
@@ -171,21 +160,6 @@ pub fn run_api_perf(quick: bool) -> Vec<Record> {
             params!["requests" => requests],
             wall,
         ));
-
-        for &threads in &thread_counts {
-            let session = Session::with_threads(threads);
-            let (results, wall) = sample(samples, || session.solve_batch(&w.requests));
-            assert!(
-                results.iter().all(Result::is_ok),
-                "batch workload must solve"
-            );
-            records.push(Record::new(
-                "api.solve_batch",
-                format!("{}_threads{threads}", w.name),
-                params!["requests" => requests, "threads" => threads],
-                wall,
-            ));
-        }
     }
     records
 }

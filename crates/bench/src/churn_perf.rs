@@ -36,7 +36,7 @@ pub fn run_churn_perf(quick: bool) -> Vec<Record> {
     } else {
         (60_000, 40, 150, 2, 12)
     };
-    let session = Session::with_threads(1);
+    let session = Session::new();
     let mut records = Vec::new();
     for style in ChurnStyle::ALL {
         let mut rng = StdRng::seed_from_u64(0xC0DE);

@@ -2,11 +2,11 @@
 //! `splitd` job-queue service.
 //!
 //! Drives the same zero-round weak-splitting workload as experiment
-//! `api` (the single-threaded `zero_round_batch` rows of
-//! `BENCH_api.json`) through the full service path — ingest, admission,
-//! priority queue, persistent workers, ordered reporting — plus a
-//! mixed-traffic workload blending zero-round requests with Section 4
-//! reductions across all three priority lanes.
+//! `api` (the `zero_round_batch` rows of `BENCH_api.json`) through the
+//! full service path — ingest, admission, priority queue, persistent
+//! workers, ordered reporting — plus a mixed-traffic workload blending
+//! zero-round requests with Section 4 reductions across all three
+//! priority lanes.
 //!
 //! Each sample of a row pushes the workload's request stream through one
 //! server (fresh per row, kept across the row's samples) and times it
@@ -20,8 +20,8 @@
 //! * **`server.inproc`** — pre-parsed `Request`s via
 //!   `Submitter::submit_request`, isolating the queue/worker/reporting
 //!   machinery itself. Its zero-round row is the one the acceptance gate
-//!   reads: its throughput must stay within 10% of the single-threaded
-//!   `zero_round_batch` figure committed in `BENCH_api.json`;
+//!   reads: its throughput must stay within 10% of the `api.solve`
+//!   `zero_round_sustained` row of the same run;
 //! * **`server.wire`** — rendered JSON lines via `Submitter::submit_line`,
 //!   additionally paying the full codec round trip (frame scan and edge
 //!   decoding on ingest, request build in the worker). The run asserts
@@ -295,7 +295,7 @@ pub fn run_server_perf(quick: bool) -> Vec<Record> {
         (mixed_pool(mixed_weak, mixed_hosts, 64, 8), mixed_total),
     ];
 
-    let session = Session::with_threads(1);
+    let session = Session::new();
     let mut records = Vec::new();
     for (pool, total) in &pools {
         // the no-service baseline on the identical stream (warm, then

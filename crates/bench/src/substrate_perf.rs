@@ -1,7 +1,7 @@
 //! Substrate microbenchmarks: the flat CSR bulk builders, power graphs,
-//! the arena executor (sequential and parallel round steps), the
-//! symmetry-breaking colorings, and the multigraph degree-splitting
-//! engines, each timed alone over repeated samples.
+//! the arena executor's rounds, the symmetry-breaking colorings, and the
+//! multigraph degree-splitting engines, each timed alone over repeated
+//! samples.
 //!
 //! Bit-parity of these kernels with the implementations they replaced is
 //! pinned by tests, not re-timed here: `representations_agree_on_random_edge_lists`
@@ -12,7 +12,7 @@
 use crate::json::{params, sample, Record};
 use degree_split::{eulerian_orientation, walk_splitting, WalkDecomposition};
 use local_coloring::{cole_vishkin_3color, kw_reduce, linial_color, Chains};
-use local_runtime::{run_local, run_local_parallel, NodeContext, NodeProgram, BROADCAST};
+use local_runtime::{run_local, NodeContext, NodeProgram, BROADCAST};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use splitgraph::{generators, power_graph, Graph, MultiGraph};
@@ -92,52 +92,6 @@ impl NodeProgram for Gossip {
     }
 }
 
-/// Compute-heavy gossip: burns a fixed splitmix chain per received message,
-/// modelling node programs with real local work (estimator evaluations,
-/// coloring trials). This is the regime the parallel round step targets.
-struct HeavyGossip {
-    acc: u64,
-    rounds_left: usize,
-}
-
-impl HeavyGossip {
-    const MIX_ITERS: usize = 96;
-}
-
-impl NodeProgram for HeavyGossip {
-    type Msg = u64;
-    type Output = u64;
-    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, u64)> {
-        self.acc = ctx.id;
-        vec![(BROADCAST, self.acc)]
-    }
-    fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u64)]) -> Vec<(usize, u64)> {
-        for &(port, x) in inbox {
-            let mut h = x ^ (port as u64);
-            for _ in 0..Self::MIX_ITERS {
-                h = h.wrapping_add(0x9e3779b97f4a7c15);
-                let mut z = h;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                h ^= z >> 31;
-            }
-            self.acc = self.acc.wrapping_add(h);
-        }
-        self.rounds_left -= 1;
-        if self.rounds_left > 0 {
-            vec![(BROADCAST, self.acc)]
-        } else {
-            vec![]
-        }
-    }
-    fn is_done(&self) -> bool {
-        self.rounds_left == 0
-    }
-    fn output(&self) -> u64 {
-        self.acc
-    }
-}
-
 fn random_multigraph(n: usize, m: usize, seed: u64) -> MultiGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = MultiGraph::new(n);
@@ -190,10 +144,7 @@ fn run_sized(scale: &Scale) -> Vec<Record> {
         }
     }
 
-    // executor rounds: double-buffered arenas; plus the opt-in parallel
-    // step against the same compute-heavy program run sequentially, with
-    // the thread count sized to what the host exposes (a 1-vCPU host
-    // yields a wall-clock parity run: `threads` equals 1)
+    // executor rounds: double-buffered arenas
     {
         let (n, d, rounds) = scale.exec;
         let mut rng = StdRng::seed_from_u64(44);
@@ -213,32 +164,6 @@ fn run_sized(scale: &Scale) -> Vec<Record> {
             "executor_rounds",
             shape(),
             wall,
-        ));
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let mk_heavy = |_: &NodeContext| HeavyGossip {
-            acc: 0,
-            rounds_left: rounds,
-        };
-        let (seq, wall_seq) = sample(samples, || run_local(&g, &ids, 10 * rounds, mk_heavy));
-        let (par, wall_par) = sample(samples, || {
-            run_local_parallel(&g, &ids, 10 * rounds, threads, mk_heavy)
-        });
-        assert_eq!(par.outputs, seq.outputs);
-        assert_eq!(par.rounds, seq.rounds);
-        assert_eq!(par.messages, seq.messages);
-        records.push(Record::new(
-            "local_runtime.run_local",
-            "executor_heavy_sequential",
-            shape(),
-            wall_seq,
-        ));
-        let mut par_params = shape();
-        par_params.extend(params!["threads" => threads]);
-        records.push(Record::new(
-            "local_runtime.run_local_parallel",
-            "executor_heavy_parallel",
-            par_params,
-            wall_par,
         ));
     }
 
@@ -323,23 +248,13 @@ mod tests {
     #[test]
     fn tiny_run_produces_consistent_records() {
         let records = run_sized(&TINY);
-        assert_eq!(records.len(), 13);
+        assert_eq!(records.len(), 11);
         for r in &records {
             assert_eq!(r.samples_ns.len(), TINY.samples, "{}", r.name);
             assert!(r.samples_ns.iter().all(|&w| w > 0), "{}", r.name);
             assert!(r.params.iter().any(|(k, _)| *k == "n"), "{}", r.name);
         }
-        let parallel = records
-            .iter()
-            .find(|r| r.name == "executor_heavy_parallel")
-            .unwrap();
-        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
-        assert!(parallel
-            .params
-            .contains(&("threads", crate::json::Param::Int(host as u128))));
-        assert!(records
-            .iter()
-            .any(|r| r.name == "executor_heavy_sequential"));
+        assert!(records.iter().any(|r| r.name == "executor_rounds"));
         assert!(records.iter().any(|r| r.name == "power_graph_k4"));
     }
 }

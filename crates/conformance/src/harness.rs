@@ -44,8 +44,7 @@ pub enum Group {
     /// The `splitting-api` request/solution layer: every applicable
     /// `Problem` variant solved through `Session::solve`, bit-compared
     /// against the theorem or engine entrypoint behind its route, called
-    /// directly, with verified certificates and batch/sequential
-    /// equality.
+    /// directly, with verified certificates.
     Api,
     /// The `splitd` service layer: every applicable request rendered to
     /// the wire, run through the job-queue server, and the embedded
@@ -317,7 +316,7 @@ fn weak_entrypoint(
 fn check_solver(ctx: &mut Ctx<'_>) {
     let s = ctx.scenario;
     let b = &s.bipartite;
-    let session = Session::with_threads(1);
+    let session = Session::new();
     for determinism in [Determinism::Deterministic, Determinism::Randomized] {
         let mode = determinism.name();
         let plan = weak_plan(s, b, determinism);
@@ -878,7 +877,7 @@ fn check_reductions(ctx: &mut Ctx<'_>) {
 fn check_api(ctx: &mut Ctx<'_>) {
     let s = ctx.scenario;
     let b = &s.bipartite;
-    let session = Session::with_threads(1);
+    let session = Session::new();
 
     // weak splitting: the session must run the pipeline the dispatch
     // picks and agree bit for bit with its theorem entrypoint called
@@ -1206,36 +1205,6 @@ fn check_api(ctx: &mut Ctx<'_>) {
             }),
         }
     }
-
-    // batch = sequential, in request order (two policies over the shared
-    // instance — cheap, and exercises the scoped-thread path)
-    let requests = vec![
-        Request::new(
-            Problem::WeakSplitting {
-                thm12_constant: s.thm12_constant,
-            },
-            b.clone(),
-        )
-        .seed(s.seed),
-        Request::new(
-            Problem::WeakSplitting {
-                thm12_constant: s.thm12_constant,
-            },
-            b.clone(),
-        )
-        .deterministic(),
-    ];
-    let sequential: Vec<_> = requests.iter().map(|r| session.solve(r)).collect();
-    let batched = Session::with_threads(2).solve_batch(&requests);
-    let batch_matches = sequential.len() == batched.len()
-        && sequential.iter().zip(&batched).all(|(a, b)| match (a, b) {
-            (Ok(x), Ok(y)) => x.output == y.output,
-            (Err(x), Err(y)) => x == y,
-            _ => false,
-        });
-    ctx.check("api.batch-equals-sequential", batch_matches, || {
-        "solve_batch diverges from sequential solve on the same requests".into()
-    });
 }
 
 // ---------------------------------------------------------------- server
@@ -1357,7 +1326,7 @@ fn check_server(ctx: &mut Ctx<'_>) {
 
     // ground truth: the direct in-process rendering, solution or typed
     // error — exactly the payload the wire must carry, byte for byte
-    let session = Session::with_threads(1);
+    let session = Session::new();
     let expected: Vec<String> = requests
         .iter()
         .map(|(_, r)| {
@@ -1590,7 +1559,7 @@ fn check_metamorphic(ctx: &mut Ctx<'_>) {
     }
 
     // randomized solves through the session, each instance's colors
-    let session = Session::with_threads(1);
+    let session = Session::new();
     let solve = |instance: &BipartiteGraph| {
         session
             .solve(&weak_request(s, instance, Determinism::Randomized))

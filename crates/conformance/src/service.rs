@@ -285,7 +285,7 @@ impl<'c, 'a> Model<'c, 'a> {
         let menu = server_request_menu(ctx.scenario);
         Model {
             ctx,
-            session: Session::with_threads(1),
+            session: Session::new(),
             menu_payloads: vec![None; menu.len()],
             menu,
             live: BTreeMap::new(),
@@ -1249,7 +1249,7 @@ mod tests {
     /// policy (a kill under each), an LRU eviction and a compaction.
     #[test]
     fn plans_are_pure_and_the_ci_seeds_cover_every_axis() {
-        let session = Session::with_threads(1);
+        let session = Session::new();
         for s in corpus(Tier::Quick) {
             let b = &s.bipartite;
             if b.left_count() == 0 || b.right_count() == 0 || b.edge_count() == 0 {

@@ -5,8 +5,7 @@
 //!
 //! * [`run_local`] executes one [`NodeProgram`] per node of a
 //!   [`splitgraph::Graph`] under the synchronous LOCAL model, measuring
-//!   rounds and messages; [`run_local_parallel`] is its opt-in,
-//!   bit-identical multi-threaded round step;
+//!   rounds and messages;
 //! * [`run_slocal`] executes sequential-local (SLOCAL) algorithms with
 //!   *enforced* read radius — the model in which the paper's
 //!   derandomization arguments live;
@@ -30,7 +29,7 @@ mod slocal;
 
 pub use cancel::{checkpoint, with_token, CancelToken, Cancelled};
 pub use ids::IdAssignment;
-pub use local::{run_local, run_local_parallel, LocalRun, NodeContext, NodeProgram, BROADCAST};
+pub use local::{run_local, LocalRun, NodeContext, NodeProgram, BROADCAST};
 pub use metrics::{CostKind, LedgerEntry, RoundLedger};
 pub use rngs::{splitmix64, NodeRngs};
 pub use slocal::{run_slocal, SLocalView};

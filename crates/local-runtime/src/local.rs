@@ -25,16 +25,6 @@
 //! active-node frontier are reused every round, so steady-state execution
 //! performs no per-node per-round allocation (programs still own the `Vec`s
 //! they return). Terminated nodes leave the frontier and cost zero.
-//!
-//! # Parallelism contract
-//!
-//! [`run_local_parallel`] is the opt-in parallel round step: the active
-//! frontier is split into contiguous chunks, each processed by a scoped
-//! thread (`std::thread::scope`), and the per-chunk outboxes are merged in
-//! chunk order — which equals the sequential emission order — before the
-//! same stable regrouping. Nodes are independent within a round,
-//! so for any thread count the run is **bit-identical** to [`run_local`]:
-//! same outputs, same round count, same message count, same inbox orderings.
 
 use splitgraph::Graph;
 
@@ -318,104 +308,6 @@ pub fn run_local<P: NodeProgram>(
     }
 }
 
-/// Parallel variant of [`run_local`]: the round step is executed by up to
-/// `threads` scoped worker threads over contiguous chunks of the active
-/// frontier, with per-chunk outboxes merged deterministically in chunk
-/// order. For every thread count the result is **bit-identical** to the
-/// sequential executor (see the module docs for the contract); `threads`
-/// is clamped to at least 1, and `threads == 1` takes the sequential path.
-///
-/// # Panics
-///
-/// Panics if `ids.len() != g.node_count()` or a program sends to an invalid
-/// port.
-pub fn run_local_parallel<P>(
-    g: &Graph,
-    ids: &[u64],
-    max_rounds: usize,
-    threads: usize,
-    make: impl FnMut(&NodeContext) -> P,
-) -> LocalRun<P::Output>
-where
-    P: NodeProgram + Send,
-    P::Msg: Send + Sync,
-{
-    if threads <= 1 {
-        return run_local(g, ids, max_rounds, make);
-    }
-    let n = g.node_count();
-    assert_eq!(ids.len(), n, "id vector length mismatch");
-    let topo = Topology::new(g);
-    let contexts = make_contexts(g, ids);
-    let mut programs: Vec<P> = contexts.iter().map(make).collect();
-
-    let mut messages = 0usize;
-    let mut outbox: Vec<OutMsg<P::Msg>> = Vec::new();
-    let mut slots: Vec<Option<(usize, P::Msg)>> = Vec::new();
-    let mut inbox_data: Vec<(usize, P::Msg)> = Vec::new();
-    let mut starts: Vec<usize> = Vec::new();
-    // per-worker outbox buffers, reused across rounds
-    let mut chunk_bufs: Vec<Vec<OutMsg<P::Msg>>> = Vec::new();
-
-    // round-0 init is cheap and sequential by definition (no inbox)
-    for v in 0..n {
-        let out = programs[v].init(&contexts[v]);
-        emit(&topo, v, out, &mut outbox, &mut messages);
-    }
-    regroup(n, &mut outbox, &mut slots, &mut inbox_data, &mut starts);
-
-    let mut active: Vec<usize> = (0..n).filter(|&v| !programs[v].is_done()).collect();
-    let mut rounds = 0usize;
-    while !active.is_empty() && rounds < max_rounds {
-        crate::cancel::checkpoint();
-        let t = threads.min(active.len());
-        chunk_bufs.resize_with(t, Vec::new);
-        let (topo_ref, contexts_ref) = (&topo, &contexts);
-        let (inbox_ref, starts_ref, active_ref) = (&inbox_data, &starts, &active);
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(t);
-            let mut rest: &mut [P] = &mut programs;
-            let mut base = 0usize;
-            for (chunk, mut buf) in chunk_bufs.drain(..).enumerate() {
-                // contiguous chunk of the active frontier, balanced by count
-                let sub =
-                    &active_ref[chunk * active_ref.len() / t..(chunk + 1) * active_ref.len() / t];
-                let end_node = sub.last().expect("chunks are non-empty") + 1;
-                let (head, tail) = rest.split_at_mut(end_node - base);
-                rest = tail;
-                let chunk_base = base;
-                base = end_node;
-                handles.push(s.spawn(move || {
-                    let mut msgs = 0usize;
-                    for &v in sub {
-                        let inbox = &inbox_ref[starts_ref[v]..starts_ref[v + 1]];
-                        let out = head[v - chunk_base].round(&contexts_ref[v], inbox);
-                        emit(topo_ref, v, out, &mut buf, &mut msgs);
-                    }
-                    (buf, msgs)
-                }));
-            }
-            // merge in chunk order = ascending node order = sequential order
-            for handle in handles {
-                let (mut buf, msgs) = handle.join().expect("worker thread panicked");
-                messages += msgs;
-                outbox.append(&mut buf);
-                chunk_bufs.push(buf);
-            }
-        });
-        regroup(n, &mut outbox, &mut slots, &mut inbox_data, &mut starts);
-        active.retain(|&v| !programs[v].is_done());
-        rounds += 1;
-    }
-
-    LocalRun {
-        outputs: programs.iter().map(NodeProgram::output).collect(),
-        rounds,
-        messages,
-        completed: active.is_empty(),
-    }
-}
-
 fn make_contexts(g: &Graph, ids: &[u64]) -> Vec<NodeContext> {
     let n = g.node_count();
     (0..n)
@@ -570,6 +462,54 @@ mod tests {
         // node 2's neighbors are [0, 1]; port towards 0 is 0
         assert_eq!(run.outputs[2], Some((0, 99)));
         assert_eq!(run.messages, 1);
+    }
+
+    /// Max-ID flooding: rebroadcasts a larger id when it hears one, for
+    /// `n` rounds.
+    struct MaxId {
+        best: u64,
+        rounds_left: usize,
+    }
+    impl NodeProgram for MaxId {
+        type Msg = u64;
+        type Output = u64;
+        fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, u64)> {
+            self.best = ctx.id;
+            self.rounds_left = ctx.n;
+            vec![(BROADCAST, self.best)]
+        }
+        fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u64)]) -> Vec<(usize, u64)> {
+            let incoming = inbox.iter().map(|&(_, x)| x).max().unwrap_or(0);
+            self.rounds_left -= 1;
+            if incoming > self.best {
+                self.best = incoming;
+                vec![(BROADCAST, self.best)]
+            } else {
+                vec![]
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.rounds_left == 0
+        }
+        fn output(&self) -> u64 {
+            self.best
+        }
+    }
+
+    #[test]
+    fn degenerate_graphs_run() {
+        let max_id = |_: &NodeContext| MaxId {
+            best: 0,
+            rounds_left: 0,
+        };
+        let run = run_local(&Graph::new(0), &[], 5, max_id);
+        assert!(run.completed);
+        assert_eq!(run.rounds, 0);
+
+        // isolated nodes hear nothing and keep their own ids
+        let run = run_local(&Graph::new(3), &[5, 1, 9], 5, max_id);
+        assert!(run.completed);
+        assert_eq!(run.outputs, vec![5, 1, 9]);
     }
 
     #[test]

@@ -461,7 +461,7 @@ fn solve_held(
 }
 
 fn worker_loop(shared: &Shared, slot: usize) {
-    let session = Session::with_threads(1);
+    let session = Session::new();
     while let Some(mut job) = shared.queue.pop() {
         if shared.is_killed() {
             // the "dead" process does nothing with remaining queued
@@ -1288,7 +1288,7 @@ mod tests {
             assert_eq!(reply.seq, i as u64);
             assert_eq!(reply.frame_type, "solution");
             // parity with the direct session
-            let direct = Session::with_threads(1)
+            let direct = Session::new()
                 .solve(
                     &Request::new(
                         Problem::Mis {
@@ -1805,10 +1805,7 @@ mod tests {
             wire::InstanceRef::Inline,
             &request,
         );
-        let direct = Session::with_threads(1)
-            .solve(&request)
-            .unwrap()
-            .to_json_line();
+        let direct = Session::new().solve(&request).unwrap().to_json_line();
 
         // pass 1: the kill site always fires, so the very first job is
         // admitted (journaled) and solved but never delivered or marked
@@ -1971,10 +1968,7 @@ mod tests {
         )
         .seed(5);
         let handle = wire::render_handle(wire::instance_fingerprint(request.instance()));
-        let direct = Session::with_threads(1)
-            .solve(&request)
-            .unwrap()
-            .to_json_line();
+        let direct = Session::new().solve(&request).unwrap().to_json_line();
 
         // upload answers immediately with the content-derived handle
         let upload = wire::render_upload("u1", request.instance());
@@ -2111,7 +2105,7 @@ mod tests {
         let frame = rx.recv().unwrap();
         let reply = split_reply(&frame).expect(&frame);
         assert_eq!(reply.frame_type, "solution");
-        let session = Session::with_threads(1);
+        let session = Session::new();
         let mut direct = session.hold(&request).unwrap();
         let expect = direct.apply(&delta).unwrap().to_json_line();
         assert!(
@@ -2394,7 +2388,7 @@ mod tests {
         assert_eq!(reply.frame_type, "solution");
 
         // one solve drains both, answering with the last repair's bytes
-        let mut direct = Session::with_threads(1).hold(&request).unwrap();
+        let mut direct = Session::new().hold(&request).unwrap();
         direct.apply(&first).unwrap();
         let expect = direct.apply(&second).unwrap().to_json_line();
         assert_eq!(reply.payload, Some(expect.as_str()), "byte parity");
@@ -2642,7 +2636,7 @@ mod tests {
         );
         // an entry whose instance hash no longer resolves is dropped on
         // reinsert (the mutate-during-checkout orphan), never stored
-        let session = Session::with_threads(1);
+        let session = Session::new();
         let orphan = session.hold(&req_b).unwrap();
         server.shared.store.lock().unwrap().checkin(
             (hash_b, wire::policy_fingerprint(&req_b)),

@@ -1,6 +1,6 @@
 //! The introduction's success story (§1.1): edge splitting unlocks
 //! `2Δ(1+o(1))` edge coloring ([GS17], [GHK+17b]) — here requested
-//! through the unified API, once per engine, as one batch.
+//! through the unified API, once per engine.
 //!
 //! ```sh
 //! cargo run --release -p distributed-splitting --example edge_coloring
@@ -19,25 +19,16 @@ fn main() {
     let g = generators::random_regular(n, delta, &mut rng).expect("feasible");
     println!("graph: n = {n}, Δ = {delta}, m = {}", g.edge_count());
 
-    // both engines as one batch: the session fans the requests out over
-    // scoped worker threads and returns results in request order
-    let engines = [EdgeSplitEngine::Eulerian, EdgeSplitEngine::Walk];
-    let requests: Vec<Request> = engines
-        .iter()
-        .map(|&engine| {
-            Request::new(
-                Problem::EdgeColoring {
-                    base_degree: Some(8),
-                    engine,
-                },
-                g.clone(),
-            )
-        })
-        .collect();
-    let results = Session::new().solve_batch(&requests);
-
-    for (engine, result) in engines.iter().zip(results) {
-        let solution = result.expect("non-empty graph");
+    let session = Session::new();
+    for engine in [EdgeSplitEngine::Eulerian, EdgeSplitEngine::Walk] {
+        let request = Request::new(
+            Problem::EdgeColoring {
+                base_degree: Some(8),
+                engine,
+            },
+            g.clone(),
+        );
+        let solution = session.solve(&request).expect("non-empty graph");
         assert!(solution.certificate.holds());
         let (_, palette) = solution.output.multi_coloring().expect("edge colors");
         println!("\nengine {engine:?}:");

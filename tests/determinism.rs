@@ -91,7 +91,7 @@ fn solver_plan_is_pure() {
     assert_eq!(plan(), plan());
     // the session announces that plan, and replays its solve bit for bit
     let request = Request::new(Problem::weak_splitting(), b.clone());
-    let session = Session::with_threads(1);
+    let session = Session::new();
     let first = session.solve(&request).unwrap();
     let again = session.solve(&request).unwrap();
     assert_eq!(first.provenance.pipeline, plan());

@@ -95,7 +95,7 @@ fn session_covers_all_paper_regimes() {
     let skewed = generators::random_biregular(12, 72, 12, &mut rng).unwrap();
     // zero-round / Theorem 2.5 regime
     let balanced = generators::random_biregular(100, 100, 20, &mut rng).unwrap();
-    let session = Session::with_threads(1);
+    let session = Session::new();
     for (b, randomized) in [
         (&skewed, false),
         (&skewed, true),
