@@ -1,5 +1,5 @@
 //! Experiment `substrate` — microbench of the flat-memory graph core, the
-//! arena executor, the symmetry-breaking colorings and the multigraph
+//! broadcast-once executor, the symmetry-breaking colorings and the multigraph
 //! splitting engines. `--quick` shrinks the instances; `--json <path>`
 //! additionally emits the machine-readable `BENCH_substrate.json` report.
 fn main() {

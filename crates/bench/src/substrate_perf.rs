@@ -1,18 +1,19 @@
 //! Substrate microbenchmarks: the flat CSR bulk builders, power graphs,
-//! the arena executor's rounds, the symmetry-breaking colorings, and the
-//! multigraph degree-splitting engines, each timed alone over repeated
-//! samples.
+//! the broadcast-once executor's rounds, the symmetry-breaking colorings,
+//! and the multigraph degree-splitting engines, each timed alone over
+//! repeated samples.
 //!
-//! Bit-parity of these kernels with the implementations they replaced is
-//! pinned by tests, not re-timed here: `representations_agree_on_random_edge_lists`
-//! and `power_graph_matches_seed_reference` (`splitgraph`) and
-//! `regroup_parity.rs` (`local-runtime`). Results feed
+//! Correctness of these kernels is pinned by tests, not re-timed here:
+//! `from_edges_matches_reference_model` and
+//! `power_graph_matches_seed_reference` (`splitgraph`), and
+//! `regroup_parity.rs` (`local-runtime`), which holds the executor's
+//! inboxes to the per-receiver sorting executor it replaced. Results feed
 //! `BENCH_substrate.json`.
 
 use crate::json::{params, sample, Record};
 use degree_split::{eulerian_orientation, walk_splitting, WalkDecomposition};
 use local_coloring::{cole_vishkin_3color, kw_reduce, linial_color, Chains};
-use local_runtime::{run_local, NodeContext, NodeProgram, BROADCAST};
+use local_runtime::{run_local, Inbox, NodeContext, NodeProgram, Outbox};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use splitgraph::{generators, power_graph, Graph, MultiGraph};
@@ -69,19 +70,17 @@ struct Gossip {
 impl NodeProgram for Gossip {
     type Msg = u64;
     type Output = u64;
-    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, u64)> {
+    fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
         self.acc = ctx.id;
-        vec![(BROADCAST, self.acc)]
+        out.broadcast(self.acc);
     }
-    fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u64)]) -> Vec<(usize, u64)> {
-        for &(port, x) in inbox {
+    fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u64>, out: &mut Outbox<u64>) {
+        for (port, &x) in inbox.iter() {
             self.acc = self.acc.wrapping_add(x.rotate_left(port as u32));
         }
         self.rounds_left -= 1;
         if self.rounds_left > 0 {
-            vec![(BROADCAST, self.acc)]
-        } else {
-            vec![]
+            out.broadcast(self.acc);
         }
     }
     fn is_done(&self) -> bool {
@@ -144,7 +143,7 @@ fn run_sized(scale: &Scale) -> Vec<Record> {
         }
     }
 
-    // executor rounds: double-buffered arenas
+    // executor rounds: one stored broadcast per sender, read in place
     {
         let (n, d, rounds) = scale.exec;
         let mut rng = StdRng::seed_from_u64(44);

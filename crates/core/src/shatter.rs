@@ -12,7 +12,7 @@
 //! final color) run through [`local_runtime::run_local`] on the flattened
 //! bipartite host graph.
 
-use local_runtime::{run_local, NodeContext, NodeProgram, NodeRngs, BROADCAST};
+use local_runtime::{run_local, Inbox, NodeContext, NodeProgram, NodeRngs, Outbox};
 use rand::RngExt;
 use splitgraph::{BipartiteGraph, Color};
 
@@ -59,9 +59,9 @@ impl NodeProgram for Shatter {
     type Msg = Msg;
     type Output = (Option<Color>, bool);
 
-    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, Msg)> {
+    fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<Msg>) {
         if self.is_constraint {
-            return vec![];
+            return;
         }
         let mut rng = self.rngs.rng(ctx.node, 0);
         let roll: f64 = rng.random();
@@ -72,10 +72,10 @@ impl NodeProgram for Shatter {
         } else {
             None
         };
-        vec![(BROADCAST, Msg::Announce(self.color))]
+        out.broadcast(Msg::Announce(self.color));
     }
 
-    fn round(&mut self, ctx: &NodeContext, inbox: &[(usize, Msg)]) -> Vec<(usize, Msg)> {
+    fn round(&mut self, ctx: &NodeContext, inbox: Inbox<'_, Msg>, out: &mut Outbox<Msg>) {
         self.step += 1;
         match (self.is_constraint, self.step) {
             (true, 1) => {
@@ -85,9 +85,7 @@ impl NodeProgram for Shatter {
                     .filter(|(_, m)| matches!(m, Msg::Announce(Some(_))))
                     .count();
                 if 4 * colored > 3 * ctx.degree {
-                    vec![(BROADCAST, Msg::Uncolor)]
-                } else {
-                    vec![]
+                    out.broadcast(Msg::Uncolor);
                 }
             }
             (false, 2) => {
@@ -95,13 +93,13 @@ impl NodeProgram for Shatter {
                 if inbox.iter().any(|(_, m)| matches!(m, Msg::Uncolor)) {
                     self.color = None;
                 }
-                vec![(BROADCAST, Msg::Announce(self.color))]
+                out.broadcast(Msg::Announce(self.color));
             }
             (true, 3) => {
                 // satisfaction: both colors present among final announcements
                 let mut red = false;
                 let mut blue = false;
-                for (_, m) in inbox {
+                for (_, m) in inbox.iter() {
                     match m {
                         Msg::Announce(Some(Color::Red)) => red = true,
                         Msg::Announce(Some(Color::Blue)) => blue = true,
@@ -109,9 +107,8 @@ impl NodeProgram for Shatter {
                     }
                 }
                 self.satisfied = red && blue;
-                vec![]
             }
-            _ => vec![],
+            _ => {}
         }
     }
 

@@ -13,7 +13,7 @@
 
 use crate::estimator::ColoringEstimator;
 use crate::fixer::FixOutcome;
-use local_runtime::{run_local, NodeContext, NodeProgram, BROADCAST};
+use local_runtime::{run_local, Inbox, NodeContext, NodeProgram, Outbox};
 use splitgraph::{BipartiteGraph, MultiColor};
 use std::rc::Rc;
 
@@ -60,31 +60,26 @@ impl NodeProgram for Fixer {
     type Msg = Msg;
     type Output = (MultiColor, bool);
 
-    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, Msg)> {
+    fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<Msg>) {
         if self.is_constraint {
             self.unfixed = ctx.degree;
-            vec![(
-                BROADCAST,
-                Msg::State {
-                    bases: self.constraint_bases(),
-                    unfixed: self.unfixed,
-                },
-            )]
-        } else {
-            vec![]
+            out.broadcast(Msg::State {
+                bases: self.constraint_bases(),
+                unfixed: self.unfixed,
+            });
         }
     }
 
-    fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, Msg)]) -> Vec<(usize, Msg)> {
+    fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, Msg>, out: &mut Outbox<Msg>) {
         self.step += 1;
         let odd = self.step % 2 == 1; // odd steps: variables act on states
         if self.is_constraint {
             if odd {
                 // nothing to do: wait for decisions
-                return vec![];
+                return;
             }
             // apply decisions, then publish the refreshed state
-            for (_, m) in inbox {
+            for (_, m) in inbox.iter() {
                 if let Msg::Decide(x) = m {
                     self.counts[*x as usize] += 1;
                     self.unfixed -= 1;
@@ -92,18 +87,15 @@ impl NodeProgram for Fixer {
             }
             self.phase += 1;
             if self.phase >= self.palette_classes {
-                return vec![];
+                return;
             }
-            vec![(
-                BROADCAST,
-                Msg::State {
-                    bases: self.constraint_bases(),
-                    unfixed: self.unfixed,
-                },
-            )]
+            out.broadcast(Msg::State {
+                bases: self.constraint_bases(),
+                unfixed: self.unfixed,
+            });
         } else {
             if !odd {
-                return vec![];
+                return;
             }
             // collect constraint states; decide if this is our class
             self.inbox_states = inbox
@@ -115,7 +107,7 @@ impl NodeProgram for Fixer {
                 .collect();
             if self.decided || self.phase != self.class {
                 self.phase += 1;
-                return vec![];
+                return;
             }
             // greedy choice: minimize Σ_u φ'_u over the candidates
             let factor = self.est.factor();
@@ -141,7 +133,7 @@ impl NodeProgram for Fixer {
             self.color = best;
             self.decided = true;
             self.phase += 1;
-            vec![(BROADCAST, Msg::Decide(best))]
+            out.broadcast(Msg::Decide(best));
         }
     }
 

@@ -13,7 +13,7 @@
 //! schedule step (broadcast current color, compute the new one).
 
 use crate::gf::{next_prime, PrimeField};
-use local_runtime::{run_local, NodeContext, NodeProgram, BROADCAST};
+use local_runtime::{run_local, Inbox, NodeContext, NodeProgram, Outbox};
 use splitgraph::Graph;
 
 /// One step of the Linial schedule.
@@ -109,16 +109,14 @@ impl NodeProgram for LinialProgram {
     type Msg = u64;
     type Output = u64;
 
-    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, u64)> {
+    fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
         self.color = ctx.id;
-        if self.schedule.is_empty() {
-            vec![]
-        } else {
-            vec![(BROADCAST, self.color)]
+        if !self.schedule.is_empty() {
+            out.broadcast(self.color);
         }
     }
 
-    fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u64)]) -> Vec<(usize, u64)> {
+    fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u64>, out: &mut Outbox<u64>) {
         let st = self.schedule[self.step];
         let field = PrimeField::new(st.q);
         let digits = st.degree + 1;
@@ -126,7 +124,7 @@ impl NodeProgram for LinialProgram {
         let own = field.digits(self.color, digits);
         let neighbors: Vec<Vec<u64>> = inbox
             .iter()
-            .map(|&(_, c)| {
+            .map(|(_, &c)| {
                 assert_ne!(c, self.color, "input coloring is not proper");
                 field.digits(c, digits)
             })
@@ -140,9 +138,7 @@ impl NodeProgram for LinialProgram {
         self.color = x * st.q + field.eval_poly(&own, x);
         self.step += 1;
         if self.step < self.schedule.len() {
-            vec![(BROADCAST, self.color)]
-        } else {
-            vec![]
+            out.broadcast(self.color);
         }
     }
 

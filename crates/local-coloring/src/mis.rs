@@ -12,7 +12,7 @@
 //! (announcing that too, so the survivors shrink their active-neighbor
 //! sets).
 
-use local_runtime::{run_local, NodeContext, NodeProgram, NodeRngs, BROADCAST};
+use local_runtime::{run_local, Inbox, NodeContext, NodeProgram, NodeRngs, Outbox};
 use rand::RngExt;
 use splitgraph::Graph;
 
@@ -61,43 +61,41 @@ impl NodeProgram for Luby {
     type Msg = Msg;
     type Output = bool;
 
-    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, Msg)> {
+    fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<Msg>) {
         self.active_ports = vec![true; ctx.degree];
         if ctx.degree == 0 {
             // isolated nodes join immediately
             self.state = State::InMis;
-            return vec![];
+            return;
         }
         let p: u64 = self.rngs.rng(ctx.node, self.phase).random();
-        vec![(BROADCAST, Msg::Priority(p, ctx.id))]
+        out.broadcast(Msg::Priority(p, ctx.id));
     }
 
-    fn round(&mut self, ctx: &NodeContext, inbox: &[(usize, Msg)]) -> Vec<(usize, Msg)> {
+    fn round(&mut self, ctx: &NodeContext, inbox: Inbox<'_, Msg>, out: &mut Outbox<Msg>) {
         self.step = (self.step + 1) % 3;
         match self.step {
             1 => {
                 // received priorities; decide whether we are the local max
                 self.best_rival = inbox
                     .iter()
-                    .filter_map(|&(_, m)| match m {
+                    .filter_map(|(_, m)| match *m {
                         Msg::Priority(p, id) => Some((p, id)),
                         _ => None,
                     })
                     .max();
                 if self.state != State::Active {
-                    return vec![];
+                    return;
                 }
                 let mine: u64 = self.rngs.rng(ctx.node, self.phase).random();
                 if self.best_rival.is_none_or(|rival| (mine, ctx.id) > rival) {
                     self.state = State::InMis;
-                    vec![(BROADCAST, Msg::Joined)]
-                } else {
-                    vec![]
+                    out.broadcast(Msg::Joined);
                 }
             }
             2 => {
                 // joiners' neighbors retire
-                for &(port, m) in inbox {
+                for (port, &m) in inbox.iter() {
                     if m == Msg::Joined {
                         self.active_ports[port] = false;
                         if self.state == State::Active {
@@ -105,30 +103,29 @@ impl NodeProgram for Luby {
                         }
                     }
                 }
-                if self.state == State::Out && inbox.iter().any(|&(_, m)| m == Msg::Joined) {
-                    vec![(BROADCAST, Msg::Retired)]
-                } else {
-                    vec![]
+                if self.state == State::Out && inbox.iter().any(|(_, &m)| m == Msg::Joined) {
+                    out.broadcast(Msg::Retired);
                 }
             }
             _ => {
                 // prune retired neighbors; next phase's priorities go out
-                for &(port, m) in inbox {
+                for (port, &m) in inbox.iter() {
                     if m == Msg::Retired {
                         self.active_ports[port] = false;
                     }
                 }
                 self.phase += 1;
                 if self.state != State::Active {
-                    return vec![];
+                    return;
                 }
                 if !self.active_ports.iter().any(|&a| a) {
                     // all neighbors decided: we can join unopposed
                     self.state = State::InMis;
-                    return vec![(BROADCAST, Msg::Joined)];
+                    out.broadcast(Msg::Joined);
+                    return;
                 }
                 let p: u64 = self.rngs.rng(ctx.node, self.phase).random();
-                vec![(BROADCAST, Msg::Priority(p, ctx.id))]
+                out.broadcast(Msg::Priority(p, ctx.id));
             }
         }
     }

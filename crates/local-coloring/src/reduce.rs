@@ -16,7 +16,7 @@
 //! larger only by the `log` factor (substitution recorded in DESIGN.md).
 
 use crate::linial::ColoringOutcome;
-use local_runtime::{run_local, NodeContext, NodeProgram, BROADCAST};
+use local_runtime::{run_local, Inbox, NodeContext, NodeProgram, Outbox};
 use splitgraph::Graph;
 
 /// One-class-per-round reduction from palette `m` to `target ≥ Δ+1`.
@@ -54,15 +54,15 @@ pub fn greedy_reduce(g: &Graph, colors: &[u32], m: u32, target: u32) -> Coloring
     impl NodeProgram for Greedy {
         type Msg = u32;
         type Output = u32;
-        fn init(&mut self, _ctx: &NodeContext) -> Vec<(usize, u32)> {
-            vec![(BROADCAST, self.color)]
+        fn init(&mut self, _ctx: &NodeContext, out: &mut Outbox<u32>) {
+            out.broadcast(self.color);
         }
-        fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u32)]) -> Vec<(usize, u32)> {
+        fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u32>, out: &mut Outbox<u32>) {
             // class handled this round: m-1, m-2, …, target
             let class = self.m - 1 - self.phase;
             if self.color == class {
                 let mut used = vec![false; self.target as usize];
-                for &(_, c) in inbox {
+                for (_, &c) in inbox.iter() {
                     if c < self.target {
                         used[c as usize] = true;
                     }
@@ -74,10 +74,8 @@ pub fn greedy_reduce(g: &Graph, colors: &[u32], m: u32, target: u32) -> Coloring
                     as u32;
             }
             self.phase += 1;
-            if self.is_done() {
-                vec![]
-            } else {
-                vec![(BROADCAST, self.color)]
+            if !self.is_done() {
+                out.broadcast(self.color);
             }
         }
         fn is_done(&self) -> bool {
@@ -166,10 +164,10 @@ pub fn kw_reduce(g: &Graph, colors: &[u32], m: u32) -> ColoringOutcome {
     impl NodeProgram for Kw {
         type Msg = u32;
         type Output = u32;
-        fn init(&mut self, _ctx: &NodeContext) -> Vec<(usize, u32)> {
-            vec![(BROADCAST, self.color)]
+        fn init(&mut self, _ctx: &NodeContext, out: &mut Outbox<u32>) {
+            out.broadcast(self.color);
         }
-        fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u32)]) -> Vec<(usize, u32)> {
+        fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u32>, out: &mut Outbox<u32>) {
             // within the current pass, classes with (color % bucket) == slot
             // recolor into their bucket's target range
             let my_bucket = self.color / self.bucket;
@@ -177,7 +175,7 @@ pub fn kw_reduce(g: &Graph, colors: &[u32], m: u32) -> ColoringOutcome {
             if my_slot == self.slot {
                 let base = my_bucket * self.target;
                 let mut used = vec![false; self.target as usize];
-                for &(_, c) in inbox {
+                for (_, &c) in inbox.iter() {
                     // only colors already in my bucket's target range collide
                     if c >= base && c < base + self.target {
                         used[(c - base) as usize] = true;
@@ -201,10 +199,8 @@ pub fn kw_reduce(g: &Graph, colors: &[u32], m: u32) -> ColoringOutcome {
                     self.sizes[self.pass]
                 );
             }
-            if self.done_all() {
-                vec![]
-            } else {
-                vec![(BROADCAST, self.color)]
+            if !self.done_all() {
+                out.broadcast(self.color);
             }
         }
         fn is_done(&self) -> bool {

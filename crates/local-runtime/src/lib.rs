@@ -29,7 +29,7 @@ mod slocal;
 
 pub use cancel::{checkpoint, with_token, CancelToken, Cancelled};
 pub use ids::IdAssignment;
-pub use local::{run_local, LocalRun, NodeContext, NodeProgram, BROADCAST};
+pub use local::{run_local, Inbox, LocalRun, NodeContext, NodeProgram, Outbox};
 pub use metrics::{CostKind, LedgerEntry, RoundLedger};
 pub use rngs::{splitmix64, NodeRngs};
 pub use slocal::{run_slocal, SLocalView};

@@ -15,21 +15,20 @@
 //!
 //! # Memory layout
 //!
-//! The executor runs on the graph's own CSR buffers ([`Graph::csr`],
-//! borrowed, not copied) plus a reverse-port table filled in one sweep with
-//! a per-node cursor, so no per-message port lookups; it shuttles messages
-//! through two flat, double-buffered arenas: an *outbox* of `(dst, port,
-//! msg)` records filled during the round in emission order, and an *inbox*
-//! arena regrouped from it by a stable counting sort on `dst`, `O(n +
-//! messages)` per round. Both arenas, the counting-sort slots and the
-//! active-node frontier are reused every round, so steady-state execution
-//! performs no per-node per-round allocation (programs still own the `Vec`s
-//! they return). Terminated nodes leave the frontier and cost zero.
+//! On the graph's own CSR buffers ([`Graph::csr`], borrowed), an [`Outbox`]
+//! stores each broadcast **once**, in its sender's range of one arena, and
+//! an [`Inbox`] walks the receiver's sorted row, reading each neighbor's
+//! range in place: senders act in ascending order, so the inbox comes out by
+//! sender, then emission order, with no regroup and no per-neighbor copy.
+//! Explicit-port sends are chained per edge slot and merged in by emission
+//! index (`O(1)` each, via a reverse-slot table built on first use). Two
+//! outboxes alternate and keep their buffers; terminated nodes cost zero.
 
 use splitgraph::Graph;
+use std::ops::Range;
 
-/// Port number that broadcasts a message to every neighbor.
-pub const BROADCAST: usize = usize::MAX;
+/// End of a send chain.
+const NONE: usize = usize::MAX;
 
 /// Static knowledge available to a node at wake-up: its unique ID, its
 /// degree, and the global parameter `n` (standard in the LOCAL model).
@@ -51,21 +50,25 @@ pub struct NodeContext {
 /// The executor calls [`NodeProgram::init`] once (round 0, no inbox), then
 /// repeatedly [`NodeProgram::round`] with the messages received that round,
 /// until every node reports [`NodeProgram::is_done`] or the round limit is
-/// hit. Messages are `(port, message)` pairs; use [`BROADCAST`] as the port
-/// to send to all neighbors.
+/// hit. Programs send through the [`Outbox`] they are handed:
+/// [`Outbox::broadcast`] to all neighbors, [`Outbox::send`] to one port.
 pub trait NodeProgram {
     /// Message type exchanged with neighbors.
-    type Msg: Clone;
+    type Msg;
     /// Final output of a node.
     type Output;
 
-    /// Round-0 initialization; returns the messages to deliver in round 1.
-    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, Self::Msg)>;
+    /// Round-0 initialization; writes the messages to deliver in round 1.
+    fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<Self::Msg>);
 
-    /// One synchronous round: receives `(port, message)` pairs sent by
-    /// neighbors in the previous round, returns messages for the next round.
-    fn round(&mut self, ctx: &NodeContext, inbox: &[(usize, Self::Msg)])
-        -> Vec<(usize, Self::Msg)>;
+    /// One synchronous round: reads the `(port, message)` pairs neighbors
+    /// sent in the previous round and writes messages for the next round.
+    fn round(
+        &mut self,
+        ctx: &NodeContext,
+        inbox: Inbox<'_, Self::Msg>,
+        out: &mut Outbox<Self::Msg>,
+    );
 
     /// Whether this node has terminated (done nodes no longer act; messages
     /// addressed to them are dropped).
@@ -82,134 +85,140 @@ pub struct LocalRun<O> {
     pub outputs: Vec<O>,
     /// Number of message-passing rounds executed (round 0 init is free).
     pub rounds: usize,
-    /// Total messages delivered (a broadcast counts once per neighbor).
+    /// Total messages sent (a broadcast counts once per neighbor).
     pub messages: usize,
     /// Whether all nodes terminated before the round limit.
     pub completed: bool,
 }
 
-/// The graph's own CSR adjacency, borrowed, plus for every directed edge
-/// slot `v → u` the port of `u` back towards `v` (precomputed once so
-/// delivery needs no per-message lookup).
-struct Topology<'g> {
-    offsets: &'g [usize],
-    targets: &'g [usize],
-    rev_port: Vec<usize>,
-}
-
-impl<'g> Topology<'g> {
-    fn new(g: &'g Graph) -> Topology<'g> {
-        let (offsets, targets) = g.csr();
-        let n = g.node_count();
-        // Rows are sorted and swept in ascending node order, so `v`'s slot
-        // in `u`'s row is always the next one `u`'s cursor has not claimed.
-        let mut cursor = offsets[..n].to_vec();
-        let mut rev_port = vec![0usize; targets.len()];
-        for v in 0..n {
-            for i in offsets[v]..offsets[v + 1] {
-                let u = targets[i];
-                let slot = cursor[u];
-                assert!(
-                    slot < offsets[u + 1] && targets[slot] == v,
-                    "adjacency is symmetric"
-                );
-                rev_port[i] = slot - offsets[u];
-                cursor[u] += 1;
-            }
-        }
-        Topology {
-            offsets,
-            targets,
-            rev_port,
-        }
-    }
-
-    fn degree(&self, v: usize) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
-    }
-}
-
-/// One outbound message record in the flat arena. The arena is filled in
-/// emission order, and [`regroup`] keeps that order within each inbox, so
-/// the regrouped inbox arena is deterministic.
-struct OutMsg<M> {
-    dst: usize,
-    port: usize,
+/// One explicit-port send on edge slot `slot`, linked to the next send on
+/// that slot; the broadcasts below index `after` were emitted before it.
+struct Sent<M> {
     msg: M,
+    slot: usize,
+    after: usize,
+    next: usize,
 }
 
-/// Appends node `v`'s outgoing messages to the outbox arena, resolving
-/// broadcast and reverse ports from the flat topology.
-fn emit<M: Clone>(
-    topo: &Topology,
-    v: usize,
-    out: Vec<(usize, M)>,
-    buf: &mut Vec<OutMsg<M>>,
-    messages: &mut usize,
-) {
-    for (port, msg) in out {
-        if port == BROADCAST {
-            let (lo, hi) = (topo.offsets[v], topo.offsets[v + 1]);
-            for i in lo..hi {
-                buf.push(OutMsg {
-                    dst: topo.targets[i],
-                    port: topo.rev_port[i],
-                    msg: msg.clone(),
-                });
-            }
-            *messages += hi - lo;
-        } else {
-            assert!(
-                port < topo.degree(v),
-                "node {v} sent to invalid port {port}"
-            );
-            let i = topo.offsets[v] + port;
-            buf.push(OutMsg {
-                dst: topo.targets[i],
-                port: topo.rev_port[i],
-                msg,
-            });
-            *messages += 1;
+/// One round's messages, written by the acting nodes in ascending order
+/// through [`Outbox::broadcast`] and [`Outbox::send`].
+pub struct Outbox<M> {
+    broadcasts: Vec<M>,
+    /// Where each opened node's broadcasts start (the next start ends them).
+    at: Vec<usize>,
+    sends: Vec<Sent<M>>,
+    /// First and last send per edge slot. An entry is stale unless the send
+    /// it names is on its slot: every round reuses the table unreset.
+    chains: Vec<(usize, usize)>,
+    slots: Range<usize>,
+    /// Every message this outbox carried, over all rounds.
+    messages: usize,
+}
+
+impl<M> Outbox<M> {
+    fn new() -> Outbox<M> {
+        Outbox {
+            broadcasts: Vec::new(),
+            at: Vec::new(),
+            sends: Vec::new(),
+            chains: Vec::new(),
+            slots: 0..0,
+            messages: 0,
         }
     }
+
+    /// Sends `msg` to every neighbor. It is stored once and counts as one
+    /// message per neighbor.
+    pub fn broadcast(&mut self, msg: M) {
+        self.broadcasts.push(msg);
+        self.messages += self.slots.len();
+    }
+
+    /// Sends `msg` on `port`, after everything this node sent before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not below the node's degree.
+    pub fn send(&mut self, port: usize, msg: M) {
+        assert!(port < self.slots.len(), "node sent to invalid port {port}");
+        let (slot, at) = (self.slots.start + port, self.sends.len());
+        let len = self.chains.len().max(self.slots.end);
+        self.chains.resize(len, (NONE, NONE));
+        let chain = &mut self.chains[slot];
+        match self.sends.get_mut(chain.1).filter(|last| last.slot == slot) {
+            Some(last) => last.next = at,
+            None => chain.0 = at,
+        }
+        chain.1 = at;
+        let (after, next) = (self.broadcasts.len(), NONE);
+        self.sends.push(Sent {
+            msg,
+            slot,
+            after,
+            next,
+        });
+        self.messages += 1;
+    }
+
+    /// Opens node `v`'s range; nodes skipped since the last one get empty
+    /// ranges. Opening node `n` ends the round.
+    fn open(&mut self, v: usize, slots: Range<usize>) {
+        self.at.resize(v + 1, self.broadcasts.len());
+        self.slots = slots;
+    }
+
+    /// Drops the round's messages, keeping the buffers and the count.
+    fn clear(&mut self) {
+        self.broadcasts.clear();
+        self.at.clear();
+        self.sends.clear();
+    }
 }
 
-/// Regroups the outbox arena into the inbox arena by a stable counting sort
-/// on `dst`, `O(n + messages)`. The outbox is in emission order, so every
-/// inbox keeps its messages in emission order — exactly the order the seed
-/// executor's per-node push loop produced. After this, node `v`'s inbox is
-/// `inbox_data[starts[v]..starts[v + 1]]`; `slots` is scatter scratch.
-fn regroup<M>(
-    n: usize,
-    outbox: &mut Vec<OutMsg<M>>,
-    slots: &mut Vec<Option<(usize, M)>>,
-    inbox_data: &mut Vec<(usize, M)>,
-    starts: &mut Vec<usize>,
-) {
-    starts.clear();
-    starts.resize(n + 1, 0);
-    for m in outbox.iter() {
-        starts[m.dst + 1] += 1;
+/// The messages a node received in one round, read in place from the
+/// senders' [`Outbox`] ranges: by sender (that is, port), then emission order.
+pub struct Inbox<'a, M> {
+    sent: &'a Outbox<M>,
+    /// The receiver's row: the sender behind each port.
+    row: &'a [usize],
+    /// The sender's edge slot back towards the receiver, per port; empty
+    /// until a round delivers a port send.
+    back: &'a [usize],
+}
+
+impl<'a, M> Inbox<'a, M> {
+    /// The received `(port, message)` pairs, in delivery order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &'a M)> + 'a {
+        let (sent, row, back) = (self.sent, self.row, self.back);
+        row.iter().enumerate().flat_map(move |(port, &w)| {
+            let (mut b, end) = (sent.at[w], sent.at[w + 1]);
+            let slot = back.get(port).copied().unwrap_or(NONE);
+            let mut chain = sent.chains.get(slot).map_or(NONE, |c| c.0);
+            std::iter::from_fn(move || match sent.sends.get(chain) {
+                Some(x) if x.slot == slot && x.after <= b => {
+                    chain = x.next;
+                    Some((port, &x.msg))
+                }
+                _ if b < end => {
+                    b += 1;
+                    Some((port, &sent.broadcasts[b - 1]))
+                }
+                _ => None,
+            })
+        })
     }
-    for i in 0..n {
-        starts[i + 1] += starts[i];
-    }
-    // scatter with `starts[v]` as `v`'s cursor; it ends at the end of `v`'s
-    // inbox, which is where `v + 1`'s begins, so one shift restores `starts`
-    slots.resize_with(outbox.len(), || None);
-    for m in outbox.drain(..) {
-        let at = &mut starts[m.dst];
-        slots[*at] = Some((m.port, m.msg));
-        *at += 1;
-    }
-    starts.copy_within(0..n, 1);
-    starts[0] = 0;
-    inbox_data.clear();
-    inbox_data.extend(
-        slots
-            .drain(..)
-            .map(|slot| slot.expect("the counting sort fills every slot")),
-    );
+}
+
+/// For every edge slot `v → u`, the slot of `u → v`.
+fn back_slots(offsets: &[usize], targets: &[usize]) -> Vec<usize> {
+    let row = |u: usize| &targets[offsets[u]..offsets[u + 1]];
+    (0..offsets.len() - 1)
+        .flat_map(|v| {
+            row(v)
+                .iter()
+                .map(move |&u| offsets[u] + row(u).partition_point(|&x| x < v))
+        })
+        .collect()
 }
 
 /// Runs one [`NodeProgram`] per node of `g` for at most `max_rounds` rounds.
@@ -226,37 +235,29 @@ fn regroup<M>(
 /// Flood the maximum ID through a path (takes `n − 1 = 3` rounds):
 ///
 /// ```
-/// use local_runtime::{run_local, NodeContext, NodeProgram, BROADCAST};
-/// use splitgraph::Graph;
+/// use local_runtime::{run_local, Inbox, NodeContext, NodeProgram, Outbox};
 ///
-/// struct MaxId {
-///     best: u64,
-///     rounds_left: usize,
-/// }
+/// struct MaxId { best: u64, rounds_left: usize }
 /// impl NodeProgram for MaxId {
 ///     type Msg = u64;
 ///     type Output = u64;
-///     fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, u64)> {
-///         self.best = ctx.id;
-///         self.rounds_left = ctx.n - 1; // the diameter certainly is smaller
-///         vec![(BROADCAST, self.best)]
+///     fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
+///         // the diameter certainly is smaller than n
+///         *self = MaxId { best: ctx.id, rounds_left: ctx.n - 1 };
+///         out.broadcast(self.best);
 ///     }
-///     fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u64)]) -> Vec<(usize, u64)> {
-///         let incoming = inbox.iter().map(|&(_, x)| x).max().unwrap_or(0);
-///         let changed = incoming > self.best;
-///         self.best = self.best.max(incoming);
+///     fn round(&mut self, _: &NodeContext, inbox: Inbox<'_, u64>, out: &mut Outbox<u64>) {
 ///         self.rounds_left -= 1;
-///         if changed { vec![(BROADCAST, self.best)] } else { vec![] }
+///         if let Some(&x) = inbox.iter().map(|(_, x)| x).max().filter(|&&x| x > self.best) {
+///             self.best = x;
+///             out.broadcast(x);
+///         }
 ///     }
-///     fn is_done(&self) -> bool {
-///         self.rounds_left == 0
-///     }
-///     fn output(&self) -> u64 {
-///         self.best
-///     }
+///     fn is_done(&self) -> bool { self.rounds_left == 0 }
+///     fn output(&self) -> u64 { self.best }
 /// }
 ///
-/// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+/// let g = splitgraph::Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
 /// let run = run_local(&g, &[9, 2, 5, 1], 100, |_| MaxId { best: 0, rounds_left: 1 });
 /// assert!(run.completed);
 /// assert_eq!(run.rounds, 3);
@@ -270,32 +271,43 @@ pub fn run_local<P: NodeProgram>(
 ) -> LocalRun<P::Output> {
     let n = g.node_count();
     assert_eq!(ids.len(), n, "id vector length mismatch");
-    let topo = Topology::new(g);
-    let contexts = make_contexts(g, ids);
+    let (offsets, targets) = g.csr();
+    let contexts: Vec<NodeContext> = (0..n)
+        .map(|v| NodeContext {
+            node: v,
+            id: ids[v],
+            degree: g.degree(v),
+            n,
+        })
+        .collect();
     let mut programs: Vec<P> = contexts.iter().map(make).collect();
-
-    let mut messages = 0usize;
-    let mut outbox: Vec<OutMsg<P::Msg>> = Vec::new();
-    let mut slots: Vec<Option<(usize, P::Msg)>> = Vec::new();
-    let mut inbox_data: Vec<(usize, P::Msg)> = Vec::new();
-    let mut starts: Vec<usize> = Vec::new();
+    let (mut out, mut inbox) = (Outbox::new(), Outbox::new());
+    let mut back = Vec::new();
 
     for v in 0..n {
-        let out = programs[v].init(&contexts[v]);
-        emit(&topo, v, out, &mut outbox, &mut messages);
+        out.open(v, offsets[v]..offsets[v + 1]);
+        programs[v].init(&contexts[v], &mut out);
     }
-    regroup(n, &mut outbox, &mut slots, &mut inbox_data, &mut starts);
-
     let mut active: Vec<usize> = (0..n).filter(|&v| !programs[v].is_done()).collect();
     let mut rounds = 0usize;
     while !active.is_empty() && rounds < max_rounds {
         crate::cancel::checkpoint();
-        for &v in &active {
-            let inbox = &inbox_data[starts[v]..starts[v + 1]];
-            let out = programs[v].round(&contexts[v], inbox);
-            emit(&topo, v, out, &mut outbox, &mut messages);
+        out.open(n, 0..0);
+        std::mem::swap(&mut out, &mut inbox);
+        out.clear();
+        if !inbox.sends.is_empty() && back.is_empty() {
+            back = back_slots(offsets, targets);
         }
-        regroup(n, &mut outbox, &mut slots, &mut inbox_data, &mut starts);
+        for &v in &active {
+            let slots = offsets[v]..offsets[v + 1];
+            let view = Inbox {
+                sent: &inbox,
+                row: &targets[slots.clone()],
+                back: back.get(slots.clone()).unwrap_or_default(),
+            };
+            out.open(v, slots);
+            programs[v].round(&contexts[v], view, &mut out);
+        }
         active.retain(|&v| !programs[v].is_done());
         rounds += 1;
     }
@@ -303,21 +315,9 @@ pub fn run_local<P: NodeProgram>(
     LocalRun {
         outputs: programs.iter().map(NodeProgram::output).collect(),
         rounds,
-        messages,
+        messages: out.messages + inbox.messages,
         completed: active.is_empty(),
     }
-}
-
-fn make_contexts(g: &Graph, ids: &[u64]) -> Vec<NodeContext> {
-    let n = g.node_count();
-    (0..n)
-        .map(|v| NodeContext {
-            node: v,
-            id: ids[v],
-            degree: g.degree(v),
-            n,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -333,14 +333,13 @@ mod tests {
     impl NodeProgram for CollectNeighbors {
         type Msg = u64;
         type Output = Vec<u64>;
-        fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, u64)> {
-            vec![(BROADCAST, ctx.id)]
+        fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
+            out.broadcast(ctx.id);
         }
-        fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u64)]) -> Vec<(usize, u64)> {
-            self.seen = inbox.iter().map(|&(_, x)| x).collect();
+        fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u64>, _out: &mut Outbox<u64>) {
+            self.seen = inbox.iter().map(|(_, &x)| x).collect();
             self.seen.sort_unstable();
             self.done = true;
-            vec![]
         }
         fn is_done(&self) -> bool {
             self.done
@@ -371,11 +370,11 @@ mod tests {
     impl NodeProgram for Chatter {
         type Msg = ();
         type Output = ();
-        fn init(&mut self, _ctx: &NodeContext) -> Vec<(usize, ())> {
-            vec![(BROADCAST, ())]
+        fn init(&mut self, _ctx: &NodeContext, out: &mut Outbox<()>) {
+            out.broadcast(());
         }
-        fn round(&mut self, _ctx: &NodeContext, _inbox: &[(usize, ())]) -> Vec<(usize, ())> {
-            vec![(BROADCAST, ())]
+        fn round(&mut self, _ctx: &NodeContext, _inbox: Inbox<'_, ()>, out: &mut Outbox<()>) {
+            out.broadcast(());
         }
         fn is_done(&self) -> bool {
             false
@@ -396,12 +395,8 @@ mod tests {
     impl NodeProgram for ZeroRound {
         type Msg = ();
         type Output = u64;
-        fn init(&mut self, _ctx: &NodeContext) -> Vec<(usize, ())> {
-            vec![]
-        }
-        fn round(&mut self, _ctx: &NodeContext, _inbox: &[(usize, ())]) -> Vec<(usize, ())> {
-            vec![]
-        }
+        fn init(&mut self, _ctx: &NodeContext, _out: &mut Outbox<()>) {}
+        fn round(&mut self, _ctx: &NodeContext, _inbox: Inbox<'_, ()>, _out: &mut Outbox<()>) {}
         fn is_done(&self) -> bool {
             true
         }
@@ -428,19 +423,16 @@ mod tests {
     impl NodeProgram for PortEcho {
         type Msg = u64;
         type Output = Option<(usize, u64)>;
-        fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, u64)> {
+        fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
             if ctx.id == 0 && ctx.degree > 1 {
-                vec![(1, 99)] // send to second port only
-            } else {
-                vec![]
+                out.send(1, 99); // send to second port only
             }
         }
-        fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u64)]) -> Vec<(usize, u64)> {
-            if let Some(&(p, m)) = inbox.first() {
+        fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u64>, _out: &mut Outbox<u64>) {
+            if let Some((p, &m)) = inbox.iter().next() {
                 self.got = Some((p, m));
             }
             self.done = true;
-            vec![]
         }
         fn is_done(&self) -> bool {
             self.done
@@ -473,19 +465,17 @@ mod tests {
     impl NodeProgram for MaxId {
         type Msg = u64;
         type Output = u64;
-        fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, u64)> {
+        fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
             self.best = ctx.id;
             self.rounds_left = ctx.n;
-            vec![(BROADCAST, self.best)]
+            out.broadcast(self.best);
         }
-        fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, u64)]) -> Vec<(usize, u64)> {
-            let incoming = inbox.iter().map(|&(_, x)| x).max().unwrap_or(0);
+        fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u64>, out: &mut Outbox<u64>) {
+            let incoming = inbox.iter().map(|(_, &x)| x).max().unwrap_or(0);
             self.rounds_left -= 1;
             if incoming > self.best {
                 self.best = incoming;
-                vec![(BROADCAST, self.best)]
-            } else {
-                vec![]
+                out.broadcast(self.best);
             }
         }
         fn is_done(&self) -> bool {
@@ -512,6 +502,51 @@ mod tests {
         assert_eq!(run.outputs, vec![5, 1, 9]);
     }
 
+    /// Node 0 stops after one round; the others broadcast their id every
+    /// round for three rounds and log what they hear.
+    struct EarlyStop {
+        rounds_left: usize,
+        heard: Vec<(usize, u64)>,
+    }
+    impl NodeProgram for EarlyStop {
+        type Msg = u64;
+        type Output = Vec<(usize, u64)>;
+        fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
+            self.rounds_left = if ctx.id == 0 { 1 } else { 3 };
+            out.broadcast(ctx.id);
+        }
+        fn round(&mut self, ctx: &NodeContext, inbox: Inbox<'_, u64>, out: &mut Outbox<u64>) {
+            self.heard.extend(inbox.iter().map(|(p, &x)| (p, x)));
+            self.rounds_left -= 1;
+            out.broadcast(ctx.id);
+        }
+        fn is_done(&self) -> bool {
+            self.rounds_left == 0
+        }
+        fn output(&self) -> Vec<(usize, u64)> {
+            self.heard.clone()
+        }
+    }
+
+    #[test]
+    fn broadcasts_to_finished_neighbors_count_but_are_not_delivered() {
+        // star centred on node 0, which stops after round 1: its round-1
+        // broadcast reaches the leaves in round 2, and the leaves' later
+        // broadcasts to it are counted but nobody reads them
+        let g = Graph::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
+        let run = run_local(&g, &[0, 1, 2], 10, |_| EarlyStop {
+            rounds_left: 0,
+            heard: Vec::new(),
+        });
+        assert!(run.completed);
+        assert_eq!(run.rounds, 3);
+        assert_eq!(run.outputs[0], vec![(0, 1), (1, 2)]);
+        assert_eq!(run.outputs[1], vec![(0, 0), (0, 0)]);
+        assert_eq!(run.outputs[2], vec![(0, 0), (0, 0)]);
+        // init 2 + 1 + 1, round 1 2 + 1 + 1, rounds 2 and 3 1 + 1 each
+        assert_eq!(run.messages, 12);
+    }
+
     #[test]
     #[should_panic(expected = "invalid port")]
     fn invalid_port_panics() {
@@ -519,12 +554,10 @@ mod tests {
         impl NodeProgram for BadPort {
             type Msg = ();
             type Output = ();
-            fn init(&mut self, _ctx: &NodeContext) -> Vec<(usize, ())> {
-                vec![(5, ())]
+            fn init(&mut self, _ctx: &NodeContext, out: &mut Outbox<()>) {
+                out.send(5, ());
             }
-            fn round(&mut self, _ctx: &NodeContext, _inbox: &[(usize, ())]) -> Vec<(usize, ())> {
-                vec![]
-            }
+            fn round(&mut self, _ctx: &NodeContext, _inbox: Inbox<'_, ()>, _out: &mut Outbox<()>) {}
             fn is_done(&self) -> bool {
                 false
             }

@@ -1,7 +1,7 @@
 //! Integration tests for the LOCAL executor with classic distributed
 //! programs: BFS layering and flooding on standard topologies.
 
-use local_runtime::{run_local, IdAssignment, NodeContext, NodeProgram, BROADCAST};
+use local_runtime::{run_local, IdAssignment, Inbox, NodeContext, NodeProgram, Outbox};
 use splitgraph::generators;
 
 /// BFS layers from the node with ID 0: each node outputs its hop distance.
@@ -14,27 +14,24 @@ impl NodeProgram for BfsLayers {
     type Msg = usize;
     type Output = Option<usize>;
 
-    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, usize)> {
+    fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<usize>) {
         if ctx.id == 0 {
             self.dist = Some(0);
             self.announced = true;
-            vec![(BROADCAST, 0)]
-        } else {
-            vec![]
+            out.broadcast(0);
         }
     }
 
-    fn round(&mut self, _ctx: &NodeContext, inbox: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, usize>, out: &mut Outbox<usize>) {
         if self.dist.is_none() {
-            if let Some(&(_, d)) = inbox.iter().min_by_key(|&&(_, d)| d) {
+            if let Some(&d) = inbox.iter().map(|(_, d)| d).min() {
                 self.dist = Some(d + 1);
             }
         }
         if let (Some(d), false) = (self.dist, self.announced) {
             self.announced = true;
-            return vec![(BROADCAST, d)];
+            out.broadcast(d);
         }
-        vec![]
     }
 
     fn is_done(&self) -> bool {

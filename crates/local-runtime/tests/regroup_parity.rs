@@ -1,18 +1,20 @@
-//! Inbox-order parity of the LOCAL executor with the formulation it
-//! replaced: a reverse-port table found by binary search per directed edge,
-//! and a regroup that stamps every outbound message with its emission index
-//! and sorts the round's messages by `(dst, seq)`.
+//! Inbox-order parity of the broadcast-once LOCAL executor with the first
+//! formulation: one `(dst, port, msg)` copy per receiver, a reverse-port
+//! table found by binary search per directed edge, and a regroup that
+//! stamps every outbound message with its emission index and sorts the
+//! round's messages by `(dst, seq)`.
 //!
 //! The node program logs every inbox it sees as `(round, port, msg)`,
-//! mixes [`BROADCAST`] with explicit-port sends, sends several messages
-//! down one port in a round and stops nodes at different rounds, so any
-//! change in delivery order, tagging or message count changes the run.
-//! [`run_local`] must equal the reference on random graphs with isolated
-//! nodes, stars, cliques and paths.
+//! mixes broadcasts with explicit-port sends, sends several messages down
+//! one port in a round, in some rounds sends on every port next to a
+//! broadcast, and stops nodes at different rounds, so any change in
+//! delivery order, tagging or message count changes the run. [`run_local`]
+//! must equal the reference on random graphs with isolated nodes, stars,
+//! cliques and paths.
 //!
 //! CI runs this file with `PROPTEST_CASES=2048` for a heavier sweep.
 
-use local_runtime::{run_local, LocalRun, NodeContext, NodeProgram, BROADCAST};
+use local_runtime::{run_local, Inbox, LocalRun, NodeContext, NodeProgram, Outbox};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -22,6 +24,57 @@ use splitgraph::{generators, Graph};
 /// One inbox entry as a node saw it: `(round, port, msg)`.
 type Seen = (usize, usize, u64);
 
+/// The port number that stands for all ports in a [`SliceProgram`]'s sends.
+const BROADCAST: usize = usize::MAX;
+
+/// The program interface the reference executor was written against:
+/// inboxes arrive as slices and sends are returned as `(port, msg)` lists,
+/// with [`BROADCAST`] for all ports.
+trait SliceProgram {
+    type Msg: Clone;
+    type Output;
+    fn init(&mut self, ctx: &NodeContext) -> Vec<(usize, Self::Msg)>;
+    fn round(&mut self, ctx: &NodeContext, inbox: &[(usize, Self::Msg)])
+        -> Vec<(usize, Self::Msg)>;
+    fn is_done(&self) -> bool;
+    fn output(&self) -> Self::Output;
+}
+
+/// Runs a [`SliceProgram`] on [`run_local`]: copies each inbox into a slice
+/// and writes each returned send into the outbox.
+struct OnExecutor<P>(P);
+
+fn write<M>(sends: Vec<(usize, M)>, out: &mut Outbox<M>) {
+    for (port, msg) in sends {
+        match port {
+            BROADCAST => out.broadcast(msg),
+            _ => out.send(port, msg),
+        }
+    }
+}
+
+impl<P: SliceProgram> NodeProgram for OnExecutor<P> {
+    type Msg = P::Msg;
+    type Output = P::Output;
+
+    fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<P::Msg>) {
+        write(self.0.init(ctx), out);
+    }
+
+    fn round(&mut self, ctx: &NodeContext, inbox: Inbox<'_, P::Msg>, out: &mut Outbox<P::Msg>) {
+        let inbox: Vec<(usize, P::Msg)> = inbox.iter().map(|(p, m)| (p, m.clone())).collect();
+        write(self.0.round(ctx, &inbox), out);
+    }
+
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+
+    fn output(&self) -> P::Output {
+        self.0.output()
+    }
+}
+
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -30,7 +83,8 @@ fn mix(x: u64) -> u64 {
 }
 
 /// Logs every inbox and sends a hash-driven mix of broadcasts and
-/// explicit-port sends (several per port) until its fuel runs out.
+/// explicit-port sends (several per port, or one on every port around a
+/// broadcast) until its fuel runs out.
 struct Logger {
     salt: u64,
     fuel: usize,
@@ -52,6 +106,17 @@ impl Logger {
     fn sends(&self, ctx: &NodeContext) -> Vec<(usize, u64)> {
         let h = mix(ctx.id.wrapping_mul(31) ^ self.salt ^ ((self.round as u64) << 40));
         let mut out = Vec::new();
+        if ctx.degree > 0 && h % 8 == 7 {
+            // one message on every port, with a broadcast just before one
+            let middle = (h >> 16) as usize % ctx.degree;
+            for port in 0..ctx.degree {
+                if port == middle {
+                    out.push((BROADCAST, mix(h ^ 0xb)));
+                }
+                out.push((port, mix(h ^ port as u64)));
+            }
+            return out;
+        }
         for k in 0..(h % 5) {
             let msg = mix(h ^ k);
             if ctx.degree == 0 || msg.is_multiple_of(3) {
@@ -68,7 +133,7 @@ impl Logger {
     }
 }
 
-impl NodeProgram for Logger {
+impl SliceProgram for Logger {
     type Msg = u64;
     type Output = Vec<Seen>;
 
@@ -99,7 +164,7 @@ impl NodeProgram for Logger {
 
 /// The executor as first written: binary-searched reverse ports and a
 /// `(dst, seq)` sort per round.
-fn reference_run<P: NodeProgram>(
+fn reference_run<P: SliceProgram>(
     g: &Graph,
     ids: &[u64],
     max_rounds: usize,
@@ -181,7 +246,7 @@ fn reference_run<P: NodeProgram>(
         rounds += 1;
     }
     LocalRun {
-        outputs: programs.iter().map(NodeProgram::output).collect(),
+        outputs: programs.iter().map(SliceProgram::output).collect(),
         rounds,
         messages,
         completed: active.is_empty(),
@@ -232,7 +297,8 @@ proptest! {
         ids.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xa5a5));
         let make = move |ctx: &NodeContext| Logger::new(ctx, seed);
         let reference = reference_run(&g, &ids, max_rounds, make);
-        assert_same(&run_local(&g, &ids, max_rounds, make), &reference, "run_local");
+        let run = run_local(&g, &ids, max_rounds, |ctx| OnExecutor(make(ctx)));
+        assert_same(&run, &reference, "run_local");
     }
 }
 
@@ -242,19 +308,30 @@ fn the_program_exercises_every_delivery_case() {
     // stops nodes at several rounds, so the property above is not vacuous
     let g = generators::complete(12);
     let ids: Vec<u64> = (0..12).collect();
-    let run = run_local(&g, &ids, 10, |ctx| Logger::new(ctx, 7));
-    let stops: std::collections::BTreeSet<usize> = (0..12)
-        .map(|v| {
-            let ctx = NodeContext {
-                node: v,
-                id: ids[v],
-                degree: 11,
-                n: 12,
-            };
-            Logger::new(&ctx, 7).fuel
+    let run = run_local(&g, &ids, 10, |ctx| OnExecutor(Logger::new(ctx, 7)));
+    let contexts: Vec<NodeContext> = (0..12)
+        .map(|v| NodeContext {
+            node: v,
+            id: ids[v],
+            degree: 11,
+            n: 12,
         })
         .collect();
+    let stops: std::collections::BTreeSet<usize> = contexts
+        .iter()
+        .map(|ctx| Logger::new(ctx, 7).fuel)
+        .collect();
     assert!(stops.len() >= 3, "fuels {stops:?}");
+    let every_port = contexts.iter().any(|ctx| {
+        let mut logger = Logger::new(ctx, 7);
+        (0..logger.fuel).any(|round| {
+            logger.round = round;
+            let sends = logger.sends(ctx);
+            (0..11).all(|port| sends.iter().any(|&(p, _)| p == port))
+                && sends.iter().any(|&(p, _)| p == BROADCAST)
+        })
+    });
+    assert!(every_port, "no node sent on every port next to a broadcast");
     let repeated = run.outputs.iter().any(|seen| {
         seen.windows(2)
             .any(|w| w[0].0 == w[1].0 && w[0].1 == w[1].1 && w[0].2 ^ w[1].2 == 1)

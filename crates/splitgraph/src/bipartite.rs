@@ -317,11 +317,24 @@ impl BipartiteGraph {
     /// left node `u` maps to index `u`, right node `v` to `left_count + v`.
     ///
     /// Used to run generic node algorithms (colorings, power graphs,
-    /// components) on bipartite instances.
+    /// components) on bipartite instances. Both sides' rows are sorted and
+    /// every left index is below every shifted right one, so the host rows
+    /// are the left rows shifted by `left_count`, then the right rows
+    /// copied: `O(n + m)`, with no edge list and no sort.
     pub fn to_graph(&self) -> Graph {
         let shift = self.left_count();
-        let edges: Vec<(usize, usize)> = self.edges().map(|(u, v)| (u, shift + v)).collect();
-        Graph::from_edges_unchecked(self.node_count(), &edges)
+        let mut offsets = Vec::with_capacity(self.node_count() + 1);
+        let mut targets = Vec::with_capacity(2 * self.edge_count);
+        offsets.push(0);
+        for row in &self.adj_left {
+            targets.extend(row.iter().map(|&v| shift + v));
+            offsets.push(targets.len());
+        }
+        for row in &self.adj_right {
+            targets.extend_from_slice(row);
+            offsets.push(targets.len());
+        }
+        Graph::from_csr_parts_unchecked(offsets, targets)
     }
 
     /// Index of right node `v` in the flattened [`Graph`] of [`Self::to_graph`].

@@ -187,6 +187,28 @@ proptest! {
     }
 
     #[test]
+    fn to_graph_matches_the_shifted_edge_list(
+        (left, right, raw) in (
+            0usize..=12,
+            0usize..=12,
+            prop::collection::vec((0..12usize, 0..12usize), 0..48),
+        )
+    ) {
+        // the row-copy host graph equals the one built from the edge list
+        // with right nodes shifted past the left side, rows and offsets alike
+        let edges: Vec<(usize, usize)> = raw
+            .iter()
+            .filter(|&&(u, v)| u < left && v < right)
+            .copied()
+            .collect();
+        let kept = accepted_sublist(&edges, |l| bipartite_model(left, right, l).is_some());
+        let b = BipartiteGraph::from_edges(left, right, &kept).expect("accepted sublist");
+        let shifted: Vec<(usize, usize)> = kept.iter().map(|&(u, v)| (u, left + v)).collect();
+        let g = Graph::from_edges(left + right, &shifted).expect("bipartite edges are simple");
+        prop_assert_eq!(b.to_graph(), g);
+    }
+
+    #[test]
     fn edges_iterator_matches_contains(edges in arb_edges(16)) {
         let g = simple_graph(16, &edges);
         let listed: Vec<(usize, usize)> = g.edges().collect();
