@@ -18,10 +18,10 @@ use splitgraph::{BipartiteGraph, MultiColor};
 use std::rc::Rc;
 
 /// Messages exchanged by the distributed fixer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Msg {
     /// Constraint → variables: per-color base values and the unfixed count.
-    State { bases: Rc<[f64]>, unfixed: usize },
+    State { bases: Box<[f64]>, unfixed: usize },
     /// Variable → constraints: the chosen color.
     Decide(MultiColor),
 }
@@ -40,19 +40,16 @@ struct Fixer {
     unfixed: usize,
     /// constraint id (for base lookups)
     cid: usize,
-    /// variable state: received constraint states this phase
-    inbox_states: Vec<(Rc<[f64]>, usize)>,
     /// variable output
     color: MultiColor,
     decided: bool,
 }
 
 impl Fixer {
-    fn constraint_bases(&self) -> Rc<[f64]> {
+    fn constraint_bases(&self) -> Box<[f64]> {
         (0..self.est.palette())
             .map(|x| self.est.base(self.cid, self.counts[x as usize]))
-            .collect::<Vec<f64>>()
-            .into()
+            .collect()
     }
 }
 
@@ -97,14 +94,7 @@ impl NodeProgram for Fixer {
             if !odd {
                 return;
             }
-            // collect constraint states; decide if this is our class
-            self.inbox_states = inbox
-                .iter()
-                .filter_map(|(_, m)| match m {
-                    Msg::State { bases, unfixed } => Some((bases.clone(), *unfixed)),
-                    Msg::Decide(_) => None,
-                })
-                .collect();
+            // decide if this is our class
             if self.decided || self.phase != self.class {
                 self.phase += 1;
                 return;
@@ -115,14 +105,16 @@ impl NodeProgram for Fixer {
             let mut best = 0u32;
             let mut best_score = f64::INFINITY;
             for x in 0..self.est.palette() {
-                let score: f64 = self
-                    .inbox_states
+                let score: f64 = inbox
                     .iter()
-                    .map(|(bases, unfixed)| {
-                        let sum: f64 = bases.iter().sum();
-                        let old = bases[x as usize];
-                        let new = if step_f == 0.0 { 0.0 } else { old * step_f };
-                        factor.powi(*unfixed as i32 - 1) * (sum - old + new)
+                    .filter_map(|(_, m)| match m {
+                        Msg::State { bases, unfixed } => {
+                            let sum: f64 = bases.iter().sum();
+                            let old = bases[x as usize];
+                            let new = if step_f == 0.0 { 0.0 } else { old * step_f };
+                            Some(factor.powi(*unfixed as i32 - 1) * (sum - old + new))
+                        }
+                        Msg::Decide(_) => None,
                     })
                     .sum();
                 if score < best_score {
@@ -192,7 +184,6 @@ pub fn distributed_phased_fix(
         counts: vec![0; est2.palette() as usize],
         unfixed: 0,
         cid: if ctx.node < left { ctx.node } else { 0 },
-        inbox_states: Vec::new(),
         color: 0,
         decided: false,
     });

@@ -15,20 +15,17 @@
 //!
 //! # Memory layout
 //!
-//! On the graph's own CSR buffers ([`Graph::csr`], borrowed), an [`Outbox`]
-//! stores each broadcast **once**, in its sender's range of one arena, and
-//! an [`Inbox`] walks the receiver's sorted row, reading each neighbor's
-//! range in place: senders act in ascending order, so the inbox comes out by
-//! sender, then emission order, with no regroup and no per-neighbor copy.
-//! Explicit-port sends are chained per edge slot and merged in by emission
-//! index (`O(1)` each, via a reverse-slot table built on first use). Two
-//! outboxes alternate and keep their buffers; terminated nodes cost zero.
+//! Programs only broadcast. That loses nothing in LOCAL: messages are
+//! unbounded and ids are unique, so per-neighbor content rides in one
+//! broadcast keyed by the neighbor's id. On the graph's own CSR buffers
+//! ([`Graph::csr`], borrowed), an [`Outbox`] stores each broadcast **once**,
+//! in its sender's range of one arena, and an [`Inbox`] walks the
+//! receiver's sorted row, reading each neighbor's range in place: senders
+//! act in ascending order, so the inbox comes out by sender, then emission
+//! order, with no regroup and no per-neighbor copy. Two outboxes alternate
+//! and keep their buffers; terminated nodes cost zero.
 
 use splitgraph::Graph;
-use std::ops::Range;
-
-/// End of a send chain.
-const NONE: usize = usize::MAX;
 
 /// Static knowledge available to a node at wake-up: its unique ID, its
 /// degree, and the global parameter `n` (standard in the LOCAL model).
@@ -50,8 +47,8 @@ pub struct NodeContext {
 /// The executor calls [`NodeProgram::init`] once (round 0, no inbox), then
 /// repeatedly [`NodeProgram::round`] with the messages received that round,
 /// until every node reports [`NodeProgram::is_done`] or the round limit is
-/// hit. Programs send through the [`Outbox`] they are handed:
-/// [`Outbox::broadcast`] to all neighbors, [`Outbox::send`] to one port.
+/// hit. Programs send only by [`Outbox::broadcast`] to all neighbors; a
+/// message meant for one neighbor names it by id inside the broadcast.
 pub trait NodeProgram {
     /// Message type exchanged with neighbors.
     type Msg;
@@ -91,26 +88,14 @@ pub struct LocalRun<O> {
     pub completed: bool,
 }
 
-/// One explicit-port send on edge slot `slot`, linked to the next send on
-/// that slot; the broadcasts below index `after` were emitted before it.
-struct Sent<M> {
-    msg: M,
-    slot: usize,
-    after: usize,
-    next: usize,
-}
-
-/// One round's messages, written by the acting nodes in ascending order
-/// through [`Outbox::broadcast`] and [`Outbox::send`].
+/// One round's broadcasts, written by the acting nodes in ascending order
+/// through [`Outbox::broadcast`].
 pub struct Outbox<M> {
     broadcasts: Vec<M>,
     /// Where each opened node's broadcasts start (the next start ends them).
     at: Vec<usize>,
-    sends: Vec<Sent<M>>,
-    /// First and last send per edge slot. An entry is stale unless the send
-    /// it names is on its slot: every round reuses the table unreset.
-    chains: Vec<(usize, usize)>,
-    slots: Range<usize>,
+    /// The acting node's degree: the messages one broadcast counts as.
+    degree: usize,
     /// Every message this outbox carried, over all rounds.
     messages: usize,
 }
@@ -120,9 +105,7 @@ impl<M> Outbox<M> {
         Outbox {
             broadcasts: Vec::new(),
             at: Vec::new(),
-            sends: Vec::new(),
-            chains: Vec::new(),
-            slots: 0..0,
+            degree: 0,
             messages: 0,
         }
     }
@@ -131,47 +114,20 @@ impl<M> Outbox<M> {
     /// message per neighbor.
     pub fn broadcast(&mut self, msg: M) {
         self.broadcasts.push(msg);
-        self.messages += self.slots.len();
-    }
-
-    /// Sends `msg` on `port`, after everything this node sent before.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is not below the node's degree.
-    pub fn send(&mut self, port: usize, msg: M) {
-        assert!(port < self.slots.len(), "node sent to invalid port {port}");
-        let (slot, at) = (self.slots.start + port, self.sends.len());
-        let len = self.chains.len().max(self.slots.end);
-        self.chains.resize(len, (NONE, NONE));
-        let chain = &mut self.chains[slot];
-        match self.sends.get_mut(chain.1).filter(|last| last.slot == slot) {
-            Some(last) => last.next = at,
-            None => chain.0 = at,
-        }
-        chain.1 = at;
-        let (after, next) = (self.broadcasts.len(), NONE);
-        self.sends.push(Sent {
-            msg,
-            slot,
-            after,
-            next,
-        });
-        self.messages += 1;
+        self.messages += self.degree;
     }
 
     /// Opens node `v`'s range; nodes skipped since the last one get empty
     /// ranges. Opening node `n` ends the round.
-    fn open(&mut self, v: usize, slots: Range<usize>) {
+    fn open(&mut self, v: usize, degree: usize) {
         self.at.resize(v + 1, self.broadcasts.len());
-        self.slots = slots;
+        self.degree = degree;
     }
 
     /// Drops the round's messages, keeping the buffers and the count.
     fn clear(&mut self) {
         self.broadcasts.clear();
         self.at.clear();
-        self.sends.clear();
     }
 }
 
@@ -181,44 +137,17 @@ pub struct Inbox<'a, M> {
     sent: &'a Outbox<M>,
     /// The receiver's row: the sender behind each port.
     row: &'a [usize],
-    /// The sender's edge slot back towards the receiver, per port; empty
-    /// until a round delivers a port send.
-    back: &'a [usize],
 }
 
 impl<'a, M> Inbox<'a, M> {
     /// The received `(port, message)` pairs, in delivery order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &'a M)> + 'a {
-        let (sent, row, back) = (self.sent, self.row, self.back);
-        row.iter().enumerate().flat_map(move |(port, &w)| {
-            let (mut b, end) = (sent.at[w], sent.at[w + 1]);
-            let slot = back.get(port).copied().unwrap_or(NONE);
-            let mut chain = sent.chains.get(slot).map_or(NONE, |c| c.0);
-            std::iter::from_fn(move || match sent.sends.get(chain) {
-                Some(x) if x.slot == slot && x.after <= b => {
-                    chain = x.next;
-                    Some((port, &x.msg))
-                }
-                _ if b < end => {
-                    b += 1;
-                    Some((port, &sent.broadcasts[b - 1]))
-                }
-                _ => None,
-            })
-        })
+        let (broadcasts, at) = (&self.sent.broadcasts, &self.sent.at);
+        self.row
+            .iter()
+            .enumerate()
+            .flat_map(move |(port, &w)| broadcasts[at[w]..at[w + 1]].iter().map(move |m| (port, m)))
     }
-}
-
-/// For every edge slot `v → u`, the slot of `u → v`.
-fn back_slots(offsets: &[usize], targets: &[usize]) -> Vec<usize> {
-    let row = |u: usize| &targets[offsets[u]..offsets[u + 1]];
-    (0..offsets.len() - 1)
-        .flat_map(|v| {
-            row(v)
-                .iter()
-                .map(move |&u| offsets[u] + row(u).partition_point(|&x| x < v))
-        })
-        .collect()
 }
 
 /// Runs one [`NodeProgram`] per node of `g` for at most `max_rounds` rounds.
@@ -227,8 +156,7 @@ fn back_slots(offsets: &[usize], targets: &[usize]) -> Vec<usize> {
 ///
 /// # Panics
 ///
-/// Panics if `ids.len() != g.node_count()` or a program sends to an invalid
-/// port.
+/// Panics if `ids.len() != g.node_count()`.
 ///
 /// # Examples
 ///
@@ -282,30 +210,24 @@ pub fn run_local<P: NodeProgram>(
         .collect();
     let mut programs: Vec<P> = contexts.iter().map(make).collect();
     let (mut out, mut inbox) = (Outbox::new(), Outbox::new());
-    let mut back = Vec::new();
 
     for v in 0..n {
-        out.open(v, offsets[v]..offsets[v + 1]);
+        out.open(v, contexts[v].degree);
         programs[v].init(&contexts[v], &mut out);
     }
     let mut active: Vec<usize> = (0..n).filter(|&v| !programs[v].is_done()).collect();
     let mut rounds = 0usize;
     while !active.is_empty() && rounds < max_rounds {
         crate::cancel::checkpoint();
-        out.open(n, 0..0);
+        out.open(n, 0);
         std::mem::swap(&mut out, &mut inbox);
         out.clear();
-        if !inbox.sends.is_empty() && back.is_empty() {
-            back = back_slots(offsets, targets);
-        }
         for &v in &active {
-            let slots = offsets[v]..offsets[v + 1];
             let view = Inbox {
                 sent: &inbox,
-                row: &targets[slots.clone()],
-                back: back.get(slots.clone()).unwrap_or_default(),
+                row: &targets[offsets[v]..offsets[v + 1]],
             };
-            out.open(v, slots);
+            out.open(v, contexts[v].degree);
             programs[v].round(&contexts[v], view, &mut out);
         }
         active.retain(|&v| !programs[v].is_done());
@@ -324,27 +246,27 @@ pub fn run_local<P: NodeProgram>(
 mod tests {
     use super::*;
 
-    /// Each node outputs the multiset of neighbor IDs it saw in round 1.
+    /// Each node outputs the `(port, id)` pairs it heard in round 1, in
+    /// delivery order.
     struct CollectNeighbors {
-        seen: Vec<u64>,
+        seen: Vec<(usize, u64)>,
         done: bool,
     }
 
     impl NodeProgram for CollectNeighbors {
         type Msg = u64;
-        type Output = Vec<u64>;
+        type Output = Vec<(usize, u64)>;
         fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
             out.broadcast(ctx.id);
         }
         fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u64>, _out: &mut Outbox<u64>) {
-            self.seen = inbox.iter().map(|(_, &x)| x).collect();
-            self.seen.sort_unstable();
+            self.seen = inbox.iter().map(|(p, &x)| (p, x)).collect();
             self.done = true;
         }
         fn is_done(&self) -> bool {
             self.done
         }
-        fn output(&self) -> Vec<u64> {
+        fn output(&self) -> Vec<(usize, u64)> {
             self.seen.clone()
         }
     }
@@ -358,9 +280,10 @@ mod tests {
         });
         assert!(run.completed);
         assert_eq!(run.rounds, 1);
-        assert_eq!(run.outputs[0], vec![20]);
-        assert_eq!(run.outputs[1], vec![10, 30]);
-        assert_eq!(run.outputs[2], vec![20]);
+        assert_eq!(run.outputs[0], vec![(0, 20)]);
+        // unsorted: tagged with node 1's own port towards each sender
+        assert_eq!(run.outputs[1], vec![(0, 10), (1, 30)]);
+        assert_eq!(run.outputs[2], vec![(0, 20)]);
         // 3 broadcasts over degrees 1, 2, 1 = 4 messages
         assert_eq!(run.messages, 4);
     }
@@ -413,47 +336,6 @@ mod tests {
         assert_eq!(run.rounds, 0);
         assert_eq!(run.messages, 0);
         assert_eq!(run.outputs, vec![7, 7]);
-    }
-
-    /// Sends on a specific port and checks the receiving port tag.
-    struct PortEcho {
-        got: Option<(usize, u64)>,
-        done: bool,
-    }
-    impl NodeProgram for PortEcho {
-        type Msg = u64;
-        type Output = Option<(usize, u64)>;
-        fn init(&mut self, ctx: &NodeContext, out: &mut Outbox<u64>) {
-            if ctx.id == 0 && ctx.degree > 1 {
-                out.send(1, 99); // send to second port only
-            }
-        }
-        fn round(&mut self, _ctx: &NodeContext, inbox: Inbox<'_, u64>, _out: &mut Outbox<u64>) {
-            if let Some((p, &m)) = inbox.iter().next() {
-                self.got = Some((p, m));
-            }
-            self.done = true;
-        }
-        fn is_done(&self) -> bool {
-            self.done
-        }
-        fn output(&self) -> Option<(usize, u64)> {
-            self.got
-        }
-    }
-
-    #[test]
-    fn port_addressing_and_tagging() {
-        // triangle; node 0 sends to its port 1 = neighbor 2
-        let g = Graph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]).unwrap();
-        let run = run_local(&g, &[0, 1, 2], 5, |_| PortEcho {
-            got: None,
-            done: false,
-        });
-        assert_eq!(run.outputs[1], None);
-        // node 2's neighbors are [0, 1]; port towards 0 is 0
-        assert_eq!(run.outputs[2], Some((0, 99)));
-        assert_eq!(run.messages, 1);
     }
 
     /// Max-ID flooding: rebroadcasts a larger id when it hears one, for
@@ -545,25 +427,5 @@ mod tests {
         assert_eq!(run.outputs[2], vec![(0, 0), (0, 0)]);
         // init 2 + 1 + 1, round 1 2 + 1 + 1, rounds 2 and 3 1 + 1 each
         assert_eq!(run.messages, 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid port")]
-    fn invalid_port_panics() {
-        struct BadPort;
-        impl NodeProgram for BadPort {
-            type Msg = ();
-            type Output = ();
-            fn init(&mut self, _ctx: &NodeContext, out: &mut Outbox<()>) {
-                out.send(5, ());
-            }
-            fn round(&mut self, _ctx: &NodeContext, _inbox: Inbox<'_, ()>, _out: &mut Outbox<()>) {}
-            fn is_done(&self) -> bool {
-                false
-            }
-            fn output(&self) {}
-        }
-        let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-        let _ = run_local(&g, &[0, 1], 5, |_| BadPort);
     }
 }
