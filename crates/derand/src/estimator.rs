@@ -48,11 +48,15 @@
 //! [`FixerState::seeded`] builds the same engine over a *halo* of an
 //! instance whose other variables already hold colors: only the halo's
 //! constraints get state, each seeded from its fixed neighbors' colors,
-//! and only the unfixed ("dirty") variables get incidence rows. Its cost
-//! is `O(Σ_{u ∈ halo} deg u)`, independent of the instance size — the
-//! repair step of churn updates, where a few edited variables are re-fixed
-//! against an otherwise certified coloring (SLOCAL(2): a choice reads only
-//! its constraints and their fixed neighbors).
+//! and only the unfixed ("dirty") variables get incidence rows. A bit set
+//! over the variables marks the dirty ones, and each halo constraint is
+//! seeded in one pass over its row: under `step == 0` (weak and C-weak
+//! splitting) by counting its clean neighbors per color, otherwise by
+//! replaying their commits in order. Its cost is `O(Σ_{u ∈ halo} deg u)`
+//! plus the `|V|`-bit set — the repair step of churn updates, where a few
+//! edited variables are re-fixed against an otherwise certified coloring
+//! (SLOCAL(2): a choice reads only its constraints and their fixed
+//! neighbors).
 
 use splitgraph::csr::Csr;
 use splitgraph::{BipartiteGraph, MultiColor};
@@ -246,8 +250,15 @@ impl FixerState {
     /// Initializes the state for an instance where every variable is
     /// unfixed.
     pub fn new(b: &BipartiteGraph, est: ColoringEstimator) -> Self {
-        let pairs: Vec<(usize, usize)> = b.edges().map(|(u, v)| (v, u)).collect();
-        let var_rows = Csr::from_directed_pairs(b.right_count(), &pairs);
+        // `right_neighbors(v)` is already row `v`, ascending
+        let mut offsets = Vec::with_capacity(b.right_count() + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(b.edge_count());
+        for v in 0..b.right_count() {
+            targets.extend_from_slice(b.right_neighbors(v));
+            offsets.push(targets.len());
+        }
+        let var_rows = Csr::from_parts(offsets, targets);
         let degrees: Vec<u32> = (0..b.left_count())
             .map(|u| b.left_degree(u) as u32)
             .collect();
@@ -260,15 +271,28 @@ impl FixerState {
     /// variable outside `dirty` has been fixed to `fixed(v)`, exactly as
     /// [`FixerState::new`] followed by [`FixerState::fix`] of each such
     /// variable in ascending order would leave those constraints — bit for
-    /// bit, since each halo constraint replays the same commits in the same
-    /// order — without touching anything outside the halo.
+    /// bit — without touching anything outside the halo.
     ///
     /// The state is indexed locally: constraint `i` is `halo[i]` and
     /// variable `j` is `dirty[j]` (so [`FixerState::best_color`],
     /// [`FixerState::fix`] and [`FixerState::phi`] take local indices, and
     /// [`FixerState::total`] sums the halo in ascending global order).
     /// `est` is over all of `b`; [`FixerState::estimator`] returns its
-    /// restriction to the halo. Cost: `O(Σ_{u ∈ halo} deg u · log)`.
+    /// restriction to the halo.
+    ///
+    /// When `step == 0` (weak and C-weak splitting) each halo row is
+    /// counted in one pass: a commit changes `S_u` only when its color is
+    /// new to `u` (by `0 − base_zero`; every later commit of that color
+    /// adds `+0.0`, which leaves the never-negative-zero `S_u` as it is),
+    /// so the pass adds those steps in the order the replay would.
+    /// Otherwise the MGF steps of different colors interleave in float
+    /// arithmetic, and each clean neighbor's commit is replayed in order.
+    ///
+    /// # Cost
+    ///
+    /// `O(Σ_{u ∈ halo} deg u)` plus one bit set of `|V|` bits marking the
+    /// dirty variables (and a binary search into `halo` per edge of a
+    /// dirty variable, to index its incidence row locally).
     ///
     /// # Panics
     ///
@@ -289,10 +313,12 @@ impl FixerState {
             dirty.windows(2).all(|w| w[0] < w[1]),
             "dirty variables must be strictly ascending"
         );
+        let mut is_dirty = vec![0u64; b.right_count().div_ceil(64)];
         let mut offsets = Vec::with_capacity(dirty.len() + 1);
         offsets.push(0);
         let mut targets = Vec::new();
         for &v in dirty {
+            is_dirty[v / 64] |= 1 << (v % 64);
             for u in b.right_neighbors(v) {
                 let i = halo.binary_search(u).unwrap_or_else(|_| {
                     panic!("constraint {u} of dirty variable {v} is outside the halo")
@@ -301,16 +327,35 @@ impl FixerState {
             }
             offsets.push(targets.len());
         }
+        let clean = |v: usize| is_dirty[v / 64] & (1 << (v % 64)) == 0;
         let degrees: Vec<u32> = halo.iter().map(|&u| b.left_degree(u) as u32).collect();
         let mut st = FixerState::all_unfixed(
             est.restricted(halo),
             Csr::from_parts(offsets, targets),
             degrees,
         );
+        let c = st.est.palette as usize;
         for (i, &u) in halo.iter().enumerate() {
-            for &v in b.left_neighbors(u) {
-                if dirty.binary_search(&v).is_err() {
-                    st.apply_commit(i, fixed(v));
+            if st.est.step == 0.0 {
+                let b0 = st.est.base_zero[i];
+                let crow = &mut st.counts[i * c..(i + 1) * c];
+                let mut fixed_here = 0u32;
+                for &v in b.left_neighbors(u) {
+                    if clean(v) {
+                        let cnt = &mut crow[fixed(v) as usize];
+                        if *cnt == 0 {
+                            st.sums[i] += 0.0 - b0;
+                        }
+                        *cnt += 1;
+                        fixed_here += 1;
+                    }
+                }
+                st.unfixed[i] -= fixed_here;
+            } else {
+                for &v in b.left_neighbors(u) {
+                    if clean(v) {
+                        st.apply_commit(i, fixed(v));
+                    }
                 }
             }
         }
@@ -654,6 +699,49 @@ mod tests {
         st.fix(1, 0);
         assert_eq!(st.phi(0), 0.0, "exempt constraint stays at zero");
         assert_eq!(st.tracked_total(), 0.0);
+    }
+
+    #[test]
+    fn seeded_matches_new_then_ordered_fixes() {
+        // constraints: 0 sees {0,1,2,3}, 1 sees {2,3,4}, 2 sees {4,5},
+        // 3 sees {0,5}; variables 2 and 5 are dirty, so the halo is
+        // {0,1,2,3} and constraint 0 keeps two clean colors
+        let edges = [
+            (0, 0),
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 2),
+            (1, 3),
+            (1, 4),
+            (2, 4),
+            (2, 5),
+            (3, 0),
+            (3, 5),
+        ];
+        let b = BipartiteGraph::from_edges(4, 6, &edges).unwrap();
+        let prev = [1u32, 0, 2, 1, 1, 0];
+        let dirty = [2usize, 5];
+        let halo = [0usize, 1, 2, 3];
+        let mut exempting = ColoringEstimator::missing_color(&b, 3);
+        exempting.exempt(1);
+        for est in [
+            ColoringEstimator::monochromatic(&b),
+            ColoringEstimator::missing_color(&b, 3),
+            exempting,
+            ColoringEstimator::overload(&b, 3, &[2, 1, 1, 1], 0.8),
+        ] {
+            let prev: Vec<u32> = prev.iter().map(|&x| x % est.palette()).collect();
+            let mut whole = FixerState::new(&b, est.clone());
+            for v in (0..6).filter(|v| !dirty.contains(v)) {
+                whole.fix(v, prev[v]);
+            }
+            let seeded = FixerState::seeded(&b, &est, &halo, &dirty, |v| prev[v]);
+            for (i, &u) in halo.iter().enumerate() {
+                assert_eq!(seeded.phi(i).to_bits(), whole.phi(u).to_bits());
+            }
+            assert_eq!(seeded.total().to_bits(), whole.total().to_bits());
+        }
     }
 
     #[test]

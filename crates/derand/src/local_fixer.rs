@@ -99,27 +99,28 @@ impl NodeProgram for Fixer {
                 self.phase += 1;
                 return;
             }
-            // greedy choice: minimize Σ_u φ'_u over the candidates
+            // greedy choice: minimize Σ_u φ'_u over the candidates; each
+            // state's base sum is taken once, and every candidate's score
+            // adds its constraints' terms in inbox order
             let factor = self.est.factor();
             let step_f = self.est.step();
+            let mut scores = vec![0.0f64; self.est.palette() as usize];
+            for (_, m) in inbox.iter() {
+                if let Msg::State { bases, unfixed } = m {
+                    let sum: f64 = bases.iter().sum();
+                    let f = factor.powi(*unfixed as i32 - 1);
+                    for (score, &old) in scores.iter_mut().zip(bases.iter()) {
+                        let new = if step_f == 0.0 { 0.0 } else { old * step_f };
+                        *score += f * (sum - old + new);
+                    }
+                }
+            }
             let mut best = 0u32;
             let mut best_score = f64::INFINITY;
-            for x in 0..self.est.palette() {
-                let score: f64 = inbox
-                    .iter()
-                    .filter_map(|(_, m)| match m {
-                        Msg::State { bases, unfixed } => {
-                            let sum: f64 = bases.iter().sum();
-                            let old = bases[x as usize];
-                            let new = if step_f == 0.0 { 0.0 } else { old * step_f };
-                            Some(factor.powi(*unfixed as i32 - 1) * (sum - old + new))
-                        }
-                        Msg::Decide(_) => None,
-                    })
-                    .sum();
+            for (x, &score) in scores.iter().enumerate() {
                 if score < best_score {
                     best_score = score;
-                    best = x;
+                    best = x as u32;
                 }
             }
             self.color = best;

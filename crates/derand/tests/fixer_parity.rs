@@ -15,7 +15,11 @@
 //! A third family pins [`FixerState::seeded`] — the halo-restricted state
 //! churn repair builds — against a whole-instance [`FixerState`] that fixes
 //! every clean variable in ascending order: identical re-fix choices and
-//! bit-identical `φ_u` on every halo constraint.
+//! bit-identical `φ_u` on every halo constraint, over random dirty sets
+//! and over the edge cases of the counting seed — no variable dirty,
+//! every variable dirty, a halo constraint with no dirty neighbor whose
+//! clean neighbors all share one color, and exempt constraints under a
+//! `step == 0` estimator.
 //!
 //! The reference keeps the `S_u ← S_u − old + new` update of the original
 //! engine rather than re-summing `S_u = Σ_x base(u, F_{u,x})` per query:
@@ -265,17 +269,24 @@ fn assert_phased_parity(b: &BipartiteGraph, kind: Kind) {
 }
 
 /// Seeds a halo state from a random previous coloring and a random dirty
-/// set, re-fixes the dirty variables on both it and a whole-instance
-/// replay, and asserts identical choices and bit-identical halo `φ_u`.
+/// set, then checks it against a whole-instance replay
+/// ([`assert_seeded_matches`]).
 fn assert_seeded_parity(b: &BipartiteGraph, kind: Kind, seed: u64) {
     let est = estimator(b, kind);
     let nv = b.right_count();
     let mut rng = StdRng::seed_from_u64(seed);
-    let prev: Vec<u32> = (0..nv)
-        .map(|_| rng.random_range(0..est.palette()))
-        .collect();
+    let prev = random_coloring(nv, est.palette(), &mut rng);
     let dirty: Vec<usize> = (0..nv).filter(|_| rng.random_bool(0.3)).collect();
-    // the halo: every constraint of a dirty variable, plus a few others
+    let halo = halo_of(b, &dirty, &mut rng);
+    assert_seeded_matches(b, &est, &prev, &dirty, &halo, &format!("{kind:?}"));
+}
+
+fn random_coloring(nv: usize, palette: u32, rng: &mut StdRng) -> Vec<u32> {
+    (0..nv).map(|_| rng.random_range(0..palette)).collect()
+}
+
+/// Every constraint of a dirty variable, plus a few others.
+fn halo_of(b: &BipartiteGraph, dirty: &[usize], rng: &mut StdRng) -> Vec<usize> {
     let mut halo: Vec<usize> = dirty
         .iter()
         .flat_map(|&v| b.right_neighbors(v).iter().copied())
@@ -283,27 +294,42 @@ fn assert_seeded_parity(b: &BipartiteGraph, kind: Kind, seed: u64) {
         .collect();
     halo.sort_unstable();
     halo.dedup();
+    halo
+}
 
+/// Builds [`FixerState::seeded`] over `halo` with `dirty` unfixed and
+/// every other variable at `prev`, re-fixes the dirty variables on both
+/// it and a whole-instance [`FixerState`] that first fixed every clean
+/// variable in ascending order, and asserts identical choices and
+/// bit-identical halo `φ_u` after seeding and after re-fixing.
+fn assert_seeded_matches(
+    b: &BipartiteGraph,
+    est: &ColoringEstimator,
+    prev: &[u32],
+    dirty: &[usize],
+    halo: &[usize],
+    what: &str,
+) {
     let mut whole = FixerState::new(b, est.clone());
     for (v, &x) in prev.iter().enumerate() {
         if dirty.binary_search(&v).is_err() {
             whole.fix(v, x);
         }
     }
-    let mut seeded = FixerState::seeded(b, &est, &halo, &dirty, |v| prev[v]);
+    let mut seeded = FixerState::seeded(b, est, halo, dirty, |v| prev[v]);
     let check_halo = |whole: &FixerState, seeded: &FixerState, when: &str| {
         for (i, &u) in halo.iter().enumerate() {
             assert_eq!(
                 seeded.phi(i).to_bits(),
                 whole.phi(u).to_bits(),
-                "{kind:?}: φ of constraint {u} diverged {when}"
+                "{what}: φ of constraint {u} diverged {when}"
             );
         }
     };
     check_halo(&whole, &seeded, "after seeding");
     for (j, &v) in dirty.iter().enumerate() {
         let x = whole.best_color(v);
-        assert_eq!(seeded.best_color(j), x, "{kind:?}: choice for {v} diverged");
+        assert_eq!(seeded.best_color(j), x, "{what}: choice for {v} diverged");
         whole.fix(v, x);
         seeded.fix(j, x);
     }
@@ -381,6 +407,90 @@ proptest! {
         let b = generators::erdos_renyi_bipartite(nc, nv, 0.1 * p10 as f64, &mut rng);
         for kind in ALL_KINDS {
             assert_seeded_parity(&b, kind, seed ^ 0x77);
+        }
+    }
+    #[test]
+    fn seeded_with_no_dirty_variable_is_the_fixed_state(
+        (nc, nv, p10, seed) in (1usize..12, 1usize..24, 1usize..8, 0u64..10_000)
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let b = generators::erdos_renyi_bipartite(nc, nv, 0.1 * p10 as f64, &mut rng);
+        for kind in ALL_KINDS {
+            let est = estimator(&b, kind);
+            let prev = random_coloring(nv, est.palette(), &mut rng);
+            let halo = halo_of(&b, &[], &mut rng);
+            assert_seeded_matches(&b, &est, &prev, &[], &halo, &format!("{kind:?}, none dirty"));
+        }
+    }
+
+    #[test]
+    fn seeded_with_every_variable_dirty_is_the_fresh_state(
+        (nc, nv, p10, seed) in (1usize..12, 1usize..24, 1usize..8, 0u64..10_000)
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let b = generators::erdos_renyi_bipartite(nc, nv, 0.1 * p10 as f64, &mut rng);
+        let all: Vec<usize> = (0..nv).collect();
+        for kind in ALL_KINDS {
+            let est = estimator(&b, kind);
+            let prev = random_coloring(nv, est.palette(), &mut rng);
+            let halo = halo_of(&b, &all, &mut rng);
+            assert_seeded_matches(&b, &est, &prev, &all, &halo, &format!("{kind:?}, all dirty"));
+        }
+    }
+
+    #[test]
+    fn seeded_keeps_a_stranded_monochromatic_constraint(
+        (nc, nv, p10, seed) in (1usize..12, 1usize..24, 1usize..8, 0u64..10_000)
+    ) {
+        // constraint 0 has no dirty neighbor and all its clean neighbors
+        // share one color: it is fully fixed inside the halo, and the
+        // seeded state must carry its φ exactly (1 for weak splitting
+        // when it has a neighbor: one color is missing)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let b = generators::erdos_renyi_bipartite(nc, nv, 0.1 * p10 as f64, &mut rng);
+        for kind in ALL_KINDS {
+            let est = estimator(&b, kind);
+            let mut prev = random_coloring(nv, est.palette(), &mut rng);
+            let shared = rng.random_range(0..est.palette());
+            for &v in b.left_neighbors(0) {
+                prev[v] = shared;
+            }
+            let dirty: Vec<usize> = (0..nv)
+                .filter(|&v| rng.random_bool(0.4) && !b.left_neighbors(0).contains(&v))
+                .collect();
+            let mut halo = halo_of(&b, &dirty, &mut rng);
+            if halo.first() != Some(&0) {
+                halo.insert(0, 0);
+            }
+            assert_seeded_matches(&b, &est, &prev, &dirty, &halo, &format!("{kind:?}, stranded"));
+            if matches!(kind, Kind::Monochromatic) && b.left_degree(0) > 0 {
+                let st = FixerState::seeded(&b, &est, &halo, &dirty, |v| prev[v]);
+                assert_eq!(st.phi(0), 1.0, "a monochromatic constraint must contribute 1");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_skips_exempt_constraints_under_step_zero(
+        (nc, nv, p10, palette, seed) in (1usize..12, 1usize..24, 1usize..8, 2u32..7, 0u64..10_000)
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let b = generators::erdos_renyi_bipartite(nc, nv, 0.1 * p10 as f64, &mut rng);
+        let mut est = ColoringEstimator::missing_color(&b, palette);
+        for u in 0..nc {
+            if rng.random_bool(0.4) {
+                est.exempt(u);
+            }
+        }
+        let prev = random_coloring(nv, palette, &mut rng);
+        let dirty: Vec<usize> = (0..nv).filter(|_| rng.random_bool(0.3)).collect();
+        let halo = halo_of(&b, &dirty, &mut rng);
+        assert_seeded_matches(&b, &est, &prev, &dirty, &halo, "missing color with exemptions");
+        let st = FixerState::seeded(&b, &est, &halo, &dirty, |v| prev[v]);
+        for (i, &u) in halo.iter().enumerate() {
+            if est.is_exempt(u) {
+                assert_eq!(st.phi(i).to_bits(), 0.0f64.to_bits(), "exempt {u} must stay at +0");
+            }
         }
     }
 }

@@ -22,24 +22,18 @@ pub struct Csr {
 
 impl Csr {
     /// Shared two-pass counting-sort core: `emit` maps the `e`-th pair to
-    /// one or two `(row, value)` slots; the first pass counts rows, the
-    /// second places values, preserving input order within each row.
+    /// two `(row, value)` slots; the first pass counts rows, the second
+    /// places values, preserving input order within each row.
     fn from_slots(
         n: usize,
         pairs: &[(usize, usize)],
-        emit: impl Fn(usize, (usize, usize)) -> ((usize, usize), Option<(usize, usize)>),
+        emit: impl Fn(usize, (usize, usize)) -> [(usize, usize); 2],
     ) -> Csr {
         let mut counts = vec![0usize; n + 1];
-        let mut total = 0usize;
         for (e, &p) in pairs.iter().enumerate() {
-            let ((r0, _), snd) = emit(e, p);
-            debug_assert!(r0 < n, "row {r0} out of range {n}");
-            counts[r0 + 1] += 1;
-            total += 1;
-            if let Some((r1, _)) = snd {
-                debug_assert!(r1 < n, "row {r1} out of range {n}");
-                counts[r1 + 1] += 1;
-                total += 1;
+            for (r, _) in emit(e, p) {
+                debug_assert!(r < n, "row {r} out of range {n}");
+                counts[r + 1] += 1;
             }
         }
         for i in 0..n {
@@ -47,34 +41,20 @@ impl Csr {
         }
         let offsets = counts.clone();
         let mut cursor = counts;
-        let mut targets = vec![0usize; total];
+        let mut targets = vec![0usize; 2 * pairs.len()];
         for (e, &p) in pairs.iter().enumerate() {
-            let ((r0, v0), snd) = emit(e, p);
-            targets[cursor[r0]] = v0;
-            cursor[r0] += 1;
-            if let Some((r1, v1)) = snd {
-                targets[cursor[r1]] = v1;
-                cursor[r1] += 1;
+            for (r, v) in emit(e, p) {
+                targets[cursor[r]] = v;
+                cursor[r] += 1;
             }
         }
         Csr { offsets, targets }
     }
 
-    /// Builds rows from directed pairs: each `(src, dst)` appends `dst` to
-    /// row `src`, preserving input order within a row (stable counting sort).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if a source index is out of range; callers
-    /// validate ranges before building.
-    pub fn from_directed_pairs(n: usize, pairs: &[(usize, usize)]) -> Csr {
-        Csr::from_slots(n, pairs, |_, (s, t)| ((s, t), None))
-    }
-
     /// Builds rows from undirected pairs: each `{u, v}` appends `v` to row
     /// `u` and `u` to row `v` (a self-pair appends twice to the same row).
     pub fn from_undirected_pairs(n: usize, pairs: &[(usize, usize)]) -> Csr {
-        Csr::from_slots(n, pairs, |_, (u, v)| ((u, v), Some((v, u))))
+        Csr::from_slots(n, pairs, |_, (u, v)| [(u, v), (v, u)])
     }
 
     /// Builds a flat *incidence* structure from edge endpoints: row `v`
@@ -82,7 +62,7 @@ impl Csr {
     /// self-loop `(v, v)` appears twice in row `v` (it contributes 2 to the
     /// degree), matching [`crate::MultiGraph`] semantics.
     pub fn from_incidence(n: usize, endpoints: &[(usize, usize)]) -> Csr {
-        Csr::from_slots(n, endpoints, |e, (a, b)| ((a, e), Some((b, e))))
+        Csr::from_slots(n, endpoints, |e, (a, b)| [(a, e), (b, e)])
     }
 
     /// Assembles a CSR from already-built parts.
@@ -163,15 +143,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn directed_pairs_preserve_order() {
-        let c = Csr::from_directed_pairs(3, &[(1, 2), (0, 1), (1, 0), (2, 2)]);
-        assert_eq!(c.row(0), &[1]);
-        assert_eq!(c.row(1), &[2, 0]);
-        assert_eq!(c.row(2), &[2]);
-        assert_eq!(c.entry_count(), 4);
-    }
-
-    #[test]
     fn undirected_pairs_fill_both_rows() {
         let c = Csr::from_undirected_pairs(3, &[(0, 1), (1, 2)]);
         assert_eq!(c.row(0), &[1]);
@@ -189,7 +160,7 @@ mod tests {
 
     #[test]
     fn sort_rows_keeps_duplicates() {
-        let mut c = Csr::from_directed_pairs(2, &[(0, 3), (0, 1), (0, 3), (1, 2), (1, 2)]);
+        let mut c = Csr::from_parts(vec![0, 3, 5], vec![3, 1, 3, 2, 2]);
         c.sort_rows();
         assert_eq!(c.row(0), &[1, 3, 3]);
         assert_eq!(c.row(1), &[2, 2]);
@@ -198,7 +169,7 @@ mod tests {
 
     #[test]
     fn empty_rows_and_round_trip() {
-        let c = Csr::from_directed_pairs(4, &[(2, 0)]);
+        let c = Csr::from_parts(vec![0, 0, 0, 1, 1], vec![0]);
         assert_eq!(c.row(0), &[] as &[usize]);
         assert_eq!(c.row_len(3), 0);
         assert_eq!(c.into_rows(), vec![vec![], vec![], vec![0], vec![]]);
