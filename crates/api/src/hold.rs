@@ -12,6 +12,15 @@
 //! over the whole instance, so colorings and the `Φ < 1` decision are
 //! bit-identical to that replay.
 //!
+//! Ownership and cost: the held [`Request`] owns the held instance, and
+//! the retained [`Solution`] is the only copy of its coloring.
+//! [`HeldSolution::adopt`] shares the request's instance; each update
+//! patches it through [`Arc::make_mut`](std::sync::Arc::make_mut), which
+//! deep-copies it only while another owner (the caller's `Request`, or
+//! `splitd`'s interned table) still shares it, so that owner never sees
+//! a patch. Once nothing else shares it, a held solution costs one
+//! instance and an update copies none.
+//!
 //! Cost model per update: the fixer is `O(Σ_{u ∈ halo} deg u)`; the
 //! regime re-check and the copy of the coloring are `O(n)`; the
 //! whole-instance certificate check is `O(m)`. (The content handle a
@@ -22,26 +31,25 @@
 //!
 //! * every repaired [`Solution`] carries a **full** certificate, verified
 //!   over the entire patched instance, not just the dirty region;
-//! * the regime dispatch ([`splitting_core::decide_pipeline`]) is
-//!   re-checked per update — if churn moved the instance into a different
-//!   pipeline's regime (or out of every regime), the repair path is
-//!   abandoned for a full re-solve (or a typed decline);
+//! * the weak-splitting route (the request's override, else
+//!   [`splitting_core::decide_pipeline`]) is re-checked per update — if
+//!   churn moved the instance into a different pipeline's regime (or out
+//!   of every regime), the repair path is abandoned for a full re-solve
+//!   (or a typed decline);
 //! * when the dirty fraction exceeds the refix threshold, or seeding the
 //!   fixer from the stale coloring cannot certify (`Φ ≥ 1`), the update
 //!   falls back to a from-scratch solve of the patched instance.
 
 use crate::error::ApiError;
 use crate::problem::{Instance, Output, Problem};
-use crate::request::{Determinism, Request};
-use crate::session::Session;
-use crate::solution::{Certificate, CertificateKind, Provenance, Solution};
+use crate::request::Request;
+use crate::session::{certified_solution, weak_splitting_route, Session};
+use crate::solution::{CertificateKind, Solution};
 use derand::{ColoringEstimator, FixerState};
 use local_runtime::RoundLedger;
-use splitgraph::checks;
 use splitgraph::delta::{DirtyRegion, EdgeDelta};
 use splitgraph::{BipartiteGraph, Color};
-use splitting_core::{decide_pipeline, Pipeline, RegimeParams};
-use std::sync::Arc;
+use splitting_core::RegimeParams;
 
 /// Default ceiling on the dirty fraction (`|halo| / |U|`) the repair path
 /// accepts; above it a from-scratch solve of the patched instance is
@@ -59,7 +67,6 @@ pub struct ChurnStats {
     /// Updates that fell back to a from-scratch solve (threshold, regime
     /// change, unrepairable problem, stale coloring, or failed repair).
     pub full_resolves: u64,
-    /// Sum of the refix fractions over all repairs (for the mean).
     refix_sum: f64,
 }
 
@@ -73,6 +80,11 @@ impl ChurnStats {
             self.refix_sum / self.repairs as f64
         }
     }
+
+    /// Sum of the refix fractions over all repairs (for exact deltas).
+    pub fn refix_sum(&self) -> f64 {
+        self.refix_sum
+    }
 }
 
 /// A held instance with its live solution, ready to absorb edge deltas.
@@ -82,14 +94,12 @@ impl ChurnStats {
 /// [`Solution`] for the patched instance.
 #[derive(Debug, Clone)]
 pub struct HeldSolution {
-    session: Session,
+    /// The held request; its bipartite instance is the held graph.
     request: Request,
-    graph: BipartiteGraph,
     solution: Solution,
-    /// The last certified coloring, if the held problem is repairable and
-    /// the previous update succeeded (`None` forces a full re-solve).
-    colors: Option<Vec<Color>>,
-    pipeline: Option<Pipeline>,
+    /// Set when a re-solve failed: `solution` covers an earlier instance,
+    /// so the next update re-solves instead of repairing from it.
+    stale: bool,
     threshold: f64,
     stats: ChurnStats,
 }
@@ -107,79 +117,54 @@ impl Session {
     /// [`ApiError::InvalidRequest`] for non-bipartite instances, plus
     /// anything [`Session::solve`] can return for the initial solve.
     pub fn hold(&self, request: &Request) -> Result<HeldSolution, ApiError> {
-        let graph = request.instance().bipartite()?.clone();
-        let solution = self.solve(request)?;
-        Ok(HeldSolution::assemble(
-            *self,
-            request.clone(),
-            graph,
-            solution,
-        ))
+        request.instance().bipartite()?;
+        HeldSolution::adopt(self, request, self.solve(request)?)
     }
 }
 
 impl HeldSolution {
-    fn assemble(
-        session: Session,
-        request: Request,
-        graph: BipartiteGraph,
-        solution: Solution,
-    ) -> HeldSolution {
-        let colors = if matches!(request.problem(), Problem::WeakSplitting { .. }) {
-            solution.output.two_coloring().map(<[Color]>::to_vec)
-        } else {
-            None
-        };
-        let pipeline = solution.provenance.pipeline;
-        HeldSolution {
-            session,
-            request,
-            graph,
-            solution,
-            colors,
-            pipeline,
-            threshold: DEFAULT_REFIX_THRESHOLD,
-            stats: ChurnStats::default(),
-        }
-    }
-
     /// Adopts an already-solved request as a held solution without
     /// re-solving — the entry the `splitd` server uses after a worker has
-    /// produced `solution` for `request` the normal way.
+    /// produced `solution` for `request` the normal way. The held request
+    /// shares `request`'s instance; the first update copies it if
+    /// `request` is still alive then.
     ///
     /// # Errors
     ///
     /// [`ApiError::InvalidRequest`] when the request's instance is not
     /// bipartite or the output length does not match its variable side.
     pub fn adopt(
-        session: &Session,
+        _session: &Session,
         request: &Request,
         solution: Solution,
     ) -> Result<HeldSolution, ApiError> {
-        let graph = request.instance().bipartite()?.clone();
+        let variables = request.instance().bipartite()?.right_count();
         if let Some(colors) = solution.output.two_coloring() {
-            if colors.len() != graph.right_count() {
+            if colors.len() != variables {
                 return Err(ApiError::InvalidRequest {
                     field: "solution",
                     reason: format!(
-                        "coloring covers {} variables but the instance has {}",
-                        colors.len(),
-                        graph.right_count()
+                        "coloring covers {} variables but the instance has {variables}",
+                        colors.len()
                     ),
                 });
             }
         }
-        Ok(HeldSolution::assemble(
-            *session,
-            request.clone(),
-            graph,
+        Ok(HeldSolution {
+            request: request.clone(),
             solution,
-        ))
+            stale: false,
+            threshold: DEFAULT_REFIX_THRESHOLD,
+            stats: ChurnStats::default(),
+        })
     }
 
     /// The held instance in its current (patched) state.
     pub fn instance(&self) -> &BipartiteGraph {
-        &self.graph
+        match self.request.instance() {
+            Instance::Bipartite(b) => b,
+            _ => unreachable!("adopt holds bipartite instances only"),
+        }
     }
 
     /// The most recent certified solution.
@@ -211,7 +196,7 @@ impl HeldSolution {
         inserts: &[(usize, usize)],
         deletes: &[(usize, usize)],
     ) -> Result<EdgeDelta, ApiError> {
-        EdgeDelta::new(&self.graph, inserts, deletes).map_err(|e| ApiError::InvalidRequest {
+        EdgeDelta::new(self.instance(), inserts, deletes).map_err(|e| ApiError::InvalidRequest {
             field: "delta",
             reason: e.to_string(),
         })
@@ -229,45 +214,31 @@ impl HeldSolution {
     /// the patch **has** been applied in that case, and the next update
     /// starts from a full re-solve.
     pub fn apply(&mut self, delta: &EdgeDelta) -> Result<Solution, ApiError> {
-        let region = delta
-            .apply(&mut self.graph)
-            .map_err(|e| ApiError::InvalidRequest {
-                field: "delta",
-                reason: e.to_string(),
-            })?;
+        let Instance::Bipartite(graph) = self.request.instance_mut() else {
+            unreachable!("adopt holds bipartite instances only")
+        };
+        let region = delta.apply(graph).map_err(|e| ApiError::InvalidRequest {
+            field: "delta",
+            reason: e.to_string(),
+        })?;
         self.stats.mutations_applied += 1;
-        match self.try_repair(delta, &region) {
+        let solution = match self.try_repair(delta, &region) {
             Some(solution) => {
                 self.stats.repairs += 1;
-                self.stats.refix_sum += region.refix_fraction(&self.graph);
-                self.colors = solution.output.two_coloring().map(<[Color]>::to_vec);
-                self.solution = solution.clone();
-                Ok(solution)
+                self.stats.refix_sum += region.refix_fraction(self.instance());
+                solution
             }
             None => {
                 self.stats.full_resolves += 1;
-                match self.full_resolve() {
-                    Ok(solution) => {
-                        self.colors =
-                            if matches!(self.request.problem(), Problem::WeakSplitting { .. }) {
-                                solution.output.two_coloring().map(<[Color]>::to_vec)
-                            } else {
-                                None
-                            };
-                        self.pipeline = solution.provenance.pipeline;
-                        self.solution = solution.clone();
-                        Ok(solution)
-                    }
-                    Err(e) => {
-                        // the instance moved on but no solution covers it:
-                        // drop the stale coloring so the next update
-                        // re-solves instead of repairing from fiction
-                        self.colors = None;
-                        Err(e)
-                    }
-                }
+                let solved = Session::new().solve(&self.request);
+                // a failed re-solve leaves the patched instance without a
+                // solution: the retained one must not seed a repair
+                self.stale = solved.is_err();
+                solved?
             }
-        }
+        };
+        self.solution = solution.clone();
+        Ok(solution)
     }
 
     /// The incremental path: `None` means "fall back to a full solve".
@@ -275,21 +246,21 @@ impl HeldSolution {
         let Problem::WeakSplitting { thm12_constant } = *self.request.problem() else {
             return None;
         };
-        let prev = self.colors.as_deref()?;
-        let pipeline = self.pipeline?;
-        // regime re-check: churn may have moved the instance into another
-        // pipeline's territory (or out of every regime) — the repair path
-        // must never mask a dispatch change
-        let params = RegimeParams::of(&self.graph);
-        let allow_randomized = self.request.determinism() == Determinism::Randomized;
-        let expected = match self.request.pipeline_override() {
-            Some(p) => p,
-            None => decide_pipeline(allow_randomized, thm12_constant, params)?,
-        };
-        if expected != pipeline {
+        if self.stale {
             return None;
         }
-        let fraction = region.refix_fraction(&self.graph);
+        let prev = self.solution.output.two_coloring()?;
+        let pipeline = self.solution.provenance.pipeline?;
+        // route re-check: churn may have moved the instance into another
+        // pipeline's territory (or out of every regime) — the repair path
+        // must never mask a dispatch change
+        let graph = self.instance();
+        let params = RegimeParams::of(graph);
+        let (route, _) = weak_splitting_route(&self.request, thm12_constant, params).ok()?;
+        if route != pipeline {
+            return None;
+        }
+        let fraction = region.refix_fraction(graph);
         if fraction > self.threshold {
             return None;
         }
@@ -298,10 +269,9 @@ impl HeldSolution {
         // the dirty variables are greedily re-fixed in ascending order —
         // the same commits, in the same order, that a whole-instance replay
         // makes on these constraints, so the choices are identical
-        let est = ColoringEstimator::monochromatic(&self.graph);
+        let est = ColoringEstimator::monochromatic(graph);
         let prev_color = |v: usize| u32::from(prev[v] == Color::Blue);
-        let mut state =
-            FixerState::seeded(&self.graph, &est, &region.halo, &region.right, prev_color);
+        let mut state = FixerState::seeded(graph, &est, &region.halo, &region.right, prev_color);
         let mut two = prev.to_vec();
         for (j, &v) in region.right.iter().enumerate() {
             let x = state.best_color(j);
@@ -311,67 +281,35 @@ impl HeldSolution {
         // Φ < 1 certifies the halo. A constraint outside it kept its edges
         // and its neighbors' colors, so it is fully fixed and adds exactly
         // 0 to the whole-instance Φ unless it is violated — and then the
-        // whole-instance check below declines — so accept/decline always
-        // matches a Φ summed over the whole instance
+        // whole-instance certificate below fails — so accept/decline
+        // always matches a Φ summed over the whole instance
         if state.total() >= 1.0 {
-            return None;
-        }
-        // full certificate over the whole patched instance — repair never
-        // narrows verification to the dirty region
-        let kind = CertificateKind::WeakSplitting { min_degree: 0 };
-        let violations = checks::weak_splitting_violations(&self.graph, &two, 0).len();
-        if violations != 0 {
             return None;
         }
         let mut ledger = RoundLedger::new();
         ledger.add_measured("churn repair (seeded incremental fixer)", 0.0);
-        Some(Solution {
-            output: Output::TwoColoring(two),
-            certificate: Certificate::from_parts(kind, violations),
-            provenance: Provenance {
-                problem: self.request.problem().name(),
-                route: "weak-splitting/repair",
-                pipeline: Some(pipeline),
-                determinism: self.request.determinism(),
-                seed: self.request.master_seed(),
-                regime: params.to_string(),
-                why: format!(
-                    "re-fixed {} dirty variable(s), re-verified {} of {} constraints \
-                     ({:.2}% refix) after {} edit(s)",
-                    region.right.len(),
-                    region.halo.len(),
-                    self.graph.left_count(),
-                    100.0 * fraction,
-                    delta.len()
-                ),
-            },
+        let why = format!(
+            "re-fixed {} dirty variable(s), re-verified {} of {} constraints \
+             ({:.2}% refix) after {} edit(s)",
+            region.right.len(),
+            region.halo.len(),
+            graph.left_count(),
+            100.0 * fraction,
+            delta.len()
+        );
+        // full certificate over the whole patched instance — repair never
+        // narrows verification to the dirty region
+        let solution = certified_solution(
+            &self.request,
+            CertificateKind::WeakSplitting { min_degree: 0 },
+            Output::TwoColoring(two),
             ledger,
-        })
-    }
-
-    /// From-scratch solve of the current (patched) instance with the held
-    /// request's policy.
-    fn full_resolve(&self) -> Result<Solution, ApiError> {
-        let mut request = Request::from_shared(
-            self.request.problem().clone(),
-            Arc::new(Instance::Bipartite(self.graph.clone())),
+            "weak-splitting/repair",
+            Some((pipeline, params)),
+            why,
         )
-        .determinism_policy(self.request.determinism())
-        .seed(self.request.master_seed());
-        if let Some(p) = self.request.pipeline_override() {
-            request = request.force_pipeline(p);
-        }
-        let budget = self.request.budget();
-        if let Some(rounds) = budget.max_rounds {
-            request = request.max_rounds(rounds);
-        }
-        if let Some(attempts) = budget.attempts {
-            request = request.attempts(attempts);
-        }
-        if let Some(ms) = budget.deadline_ms {
-            request = request.deadline_ms(ms);
-        }
-        self.session.solve(&request)
+        .ok()?;
+        solution.certificate.holds().then_some(solution)
     }
 }
 
@@ -493,6 +431,38 @@ mod tests {
         assert_eq!(err.kind(), "invalid-request");
         assert_eq!(held.instance().edge_count(), hash_before);
         assert_eq!(held.stats().mutations_applied, 0);
+    }
+
+    #[test]
+    fn the_held_request_owns_the_only_copy() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let b = generators::random_biregular(1200, 1200, 28, &mut rng).unwrap();
+        let request = Request::new(Problem::weak_splitting(), b)
+            .deterministic()
+            .seed(61);
+        let original = request.instance().clone();
+        let solution = Session::new().solve(&request).unwrap();
+        let mut held = HeldSolution::adopt(&Session::new(), &request, solution).unwrap();
+        let graph = |r: &Request| r.instance().bipartite().unwrap() as *const BipartiteGraph;
+        assert!(std::ptr::eq(held.instance(), graph(&request)), "shared");
+
+        // while the caller keeps its request, an update copies the graph
+        // and the caller's instance stays as it was
+        let mut kept = held.clone();
+        let delta = random_delta(held.instance(), ChurnStyle::Rewire, 6, &mut rng);
+        let copied = kept.apply(&delta).unwrap();
+        assert!(!std::ptr::eq(kept.instance(), graph(&request)));
+        assert_eq!(*request.instance(), original);
+        assert_ne!(Instance::Bipartite(kept.instance().clone()), original);
+
+        // with the request dropped, nothing else shares the graph: the
+        // update patches it in place, to the same result
+        let address = graph(&request);
+        drop(request);
+        let patched = held.apply(&delta).unwrap();
+        assert!(std::ptr::eq(held.instance(), address), "patched in place");
+        assert_eq!(held.instance(), kept.instance());
+        assert_eq!(patched.to_json_line(), copied.to_json_line());
     }
 
     #[test]

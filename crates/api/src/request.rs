@@ -217,6 +217,13 @@ impl Request {
         &self.budget
     }
 
+    /// The instance, to patch in place: copied first only while another
+    /// owner still shares it ([`Arc::make_mut`]), so that owner never
+    /// sees the patch.
+    pub(crate) fn instance_mut(&mut self) -> &mut Instance {
+        Arc::make_mut(&mut self.instance)
+    }
+
     /// Recovers the instance, cloning only when other requests still
     /// share it (for callers that want to reuse it after solving).
     pub fn into_instance(self) -> Instance {

@@ -126,37 +126,36 @@ fn default_base_degree(n: usize) -> usize {
     (4 * ceil_log2(n.max(2)) as usize).max(1)
 }
 
-fn provenance(
-    request: &Request,
-    route: &'static str,
-    pipeline: Option<Pipeline>,
-    why: String,
-) -> Provenance {
-    Provenance {
-        problem: request.problem().name(),
-        route,
-        pipeline,
-        determinism: request.determinism(),
-        seed: request.master_seed(),
-        regime: request.instance().summary(),
-        why,
-    }
-}
-
-fn certified_solution(
+/// Verifies `output` against the request's instance and wraps it with
+/// its provenance. `dispatch` is the weak-splitting pipeline with the
+/// regime it was chosen on, which is then the provenance's regime
+/// without a second pass over the instance.
+pub(crate) fn certified_solution(
     request: &Request,
     kind: CertificateKind,
     output: Output,
     ledger: RoundLedger,
     route: &'static str,
-    pipeline: Option<Pipeline>,
+    dispatch: Option<(Pipeline, RegimeParams)>,
     why: String,
 ) -> Result<Solution, ApiError> {
     let certificate = Certificate::verify(kind, request.instance(), &output)?;
+    let regime = match dispatch {
+        Some((_, params)) => params.to_string(),
+        None => request.instance().summary(),
+    };
     Ok(Solution {
         output,
         certificate,
-        provenance: provenance(request, route, pipeline, why),
+        provenance: Provenance {
+            problem: request.problem().name(),
+            route,
+            pipeline: dispatch.map(|(p, _)| p),
+            determinism: request.determinism(),
+            seed: request.master_seed(),
+            regime,
+            why,
+        },
         ledger,
     })
 }
@@ -192,34 +191,7 @@ fn weak_splitting(request: &Request, thm12_constant: f64) -> Result<Solution, Ap
     let params = RegimeParams::of(b);
     let allow_randomized = request.determinism() == Determinism::Randomized;
     let seed = request.master_seed();
-    let (pipeline, why) = match request.pipeline_override() {
-        Some(p) => {
-            // the override cannot launder randomness past the policy: a
-            // deterministic request may only force deterministic pipelines
-            if !allow_randomized && matches!(p, Pipeline::ZeroRound | Pipeline::Theorem12) {
-                return Err(ApiError::InvalidRequest {
-                    field: "pipeline_override",
-                    reason: format!(
-                        "pipeline {} is randomized but the request is deterministic",
-                        p.name()
-                    ),
-                });
-            }
-            (
-                p,
-                format!("pipeline {} forced by request override", p.name()),
-            )
-        }
-        None => {
-            let p = decide_pipeline(allow_randomized, thm12_constant, params).ok_or_else(|| {
-                ApiError::UnsupportedRegime {
-                    requirement: DISPATCH_REQUIREMENT.into(),
-                    actual: params.to_string(),
-                }
-            })?;
-            (p, dispatch_reason(p, params, thm12_constant))
-        }
-    };
+    let (pipeline, why) = weak_splitting_route(request, thm12_constant, params)?;
     // the one per-pipeline arm: each pipeline's theorem entrypoint,
     // seeded with the request's master seed
     let out = match pipeline {
@@ -255,9 +227,45 @@ fn weak_splitting(request: &Request, thm12_constant: f64) -> Result<Solution, Ap
         Output::TwoColoring(out.colors),
         out.ledger,
         pipeline.name(),
-        Some(pipeline),
+        Some((pipeline, params)),
         why,
     )
+}
+
+/// The weak-splitting pipeline `request` runs on an instance with
+/// `params`, and why: its override (never a randomized one on a
+/// deterministic request), else the regime dispatcher's choice. Churn
+/// repair re-checks it after every update.
+pub(crate) fn weak_splitting_route(
+    request: &Request,
+    thm12_constant: f64,
+    params: RegimeParams,
+) -> Result<(Pipeline, String), ApiError> {
+    let allow_randomized = request.determinism() == Determinism::Randomized;
+    match request.pipeline_override() {
+        // the override cannot launder randomness past the policy: a
+        // deterministic request may only force deterministic pipelines
+        Some(p) if !allow_randomized && matches!(p, Pipeline::ZeroRound | Pipeline::Theorem12) => {
+            Err(ApiError::InvalidRequest {
+                field: "pipeline_override",
+                reason: format!(
+                    "pipeline {} is randomized but the request is deterministic",
+                    p.name()
+                ),
+            })
+        }
+        Some(p) => Ok((
+            p,
+            format!("pipeline {} forced by request override", p.name()),
+        )),
+        None => match decide_pipeline(allow_randomized, thm12_constant, params) {
+            Some(p) => Ok((p, dispatch_reason(p, params, thm12_constant))),
+            None => Err(ApiError::UnsupportedRegime {
+                requirement: DISPATCH_REQUIREMENT.into(),
+                actual: params.to_string(),
+            }),
+        },
+    }
 }
 
 fn dispatch_reason(pipeline: Pipeline, p: RegimeParams, c: f64) -> String {

@@ -112,14 +112,6 @@ impl Certificate {
         Ok(Certificate { kind, violations })
     }
 
-    /// Builds a certificate from an already-run predicate — for crate
-    /// paths (the churn repair) that verify against a graph they own
-    /// without materializing a temporary [`Instance`]. Callers must have
-    /// run the matching `splitgraph::checks` predicate themselves.
-    pub(crate) fn from_parts(kind: CertificateKind, violations: usize) -> Certificate {
-        Certificate { kind, violations }
-    }
-
     /// The predicate and parameters this certificate ran.
     pub fn kind(&self) -> &CertificateKind {
         &self.kind

@@ -80,9 +80,7 @@ pub fn run_churn_perf(quick: bool) -> Vec<Record> {
         let after = *held.stats();
         let repairs = after.repairs - before.repairs;
         let mean_refix_fraction = if repairs > 0 {
-            (after.mean_refix_fraction() * after.repairs as f64
-                - before.mean_refix_fraction() * before.repairs as f64)
-                / repairs as f64
+            (after.refix_sum() - before.refix_sum()) / repairs as f64
         } else {
             0.0
         };

@@ -6,7 +6,9 @@
 //! round tops, fixer commit strides). When the active token is
 //! cancelled — explicitly or because its deadline passed — the next
 //! checkpoint unwinds back to `with_token`, which returns
-//! [`Cancelled`] instead of a result.
+//! [`Cancelled`] instead of a result. Scopes nest: a checkpoint trips
+//! when any token installed on the thread trips, so an inner scope (a
+//! solve's own deadline) never shadows an enclosing one (the job's).
 //!
 //! Checkpoints are bit-neutral: they never touch the computation's
 //! state, so installing no token (the default) leaves every output
@@ -87,31 +89,38 @@ impl Default for CancelToken {
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
+    /// The tokens of the enclosing [`with_token`] scopes, outermost first.
+    static ACTIVE: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Restores the previously active token even if `f` unwinds.
-struct Restore(Option<CancelToken>);
+/// Uninstalls a scope's token even if `f` unwinds.
+struct Restore(usize);
 
 impl Drop for Restore {
     fn drop(&mut self) {
-        ACTIVE.with(|a| *a.borrow_mut() = self.0.take());
+        ACTIVE.with(|a| a.borrow_mut().truncate(self.0));
     }
 }
 
-/// Runs `f` with `token` installed as the calling thread's active
-/// token. Checkpoints inside `f` (on this thread) observe the token;
-/// if one trips, `f` is abandoned and `Err(Cancelled)` is returned.
-/// Panics other than the cancellation sentinel propagate unchanged,
-/// and the previously active token (if any) is restored either way.
+/// Runs `f` with `token` installed on the calling thread, inside any
+/// tokens already installed there. Checkpoints inside `f` (on this
+/// thread) observe `token` and every enclosing token; if one trips, `f`
+/// is abandoned and `Err(Cancelled)` is returned. Panics other than the
+/// cancellation sentinel propagate unchanged, and the enclosing tokens
+/// alone stay installed either way.
 ///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the computation was abandoned at a
-/// checkpoint because `token` was cancelled or its deadline passed.
+/// checkpoint because `token` or an enclosing token was cancelled or
+/// its deadline passed.
 pub fn with_token<R>(token: &CancelToken, f: impl FnOnce() -> R) -> Result<R, Cancelled> {
-    let previous = ACTIVE.with(|a| a.borrow_mut().replace(token.clone()));
-    let _restore = Restore(previous);
+    let depth = ACTIVE.with(|a| {
+        let mut active = a.borrow_mut();
+        active.push(token.clone());
+        active.len() - 1
+    });
+    let _restore = Restore(depth);
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(value) => Ok(value),
         Err(payload) => match payload.downcast::<Cancelled>() {
@@ -122,12 +131,13 @@ pub fn with_token<R>(token: &CancelToken, f: impl FnOnce() -> R) -> Result<R, Ca
 }
 
 /// Cancellation checkpoint: if the calling thread runs under
-/// [`with_token`] and that token is cancelled (or past its deadline),
-/// unwinds back to `with_token`. A no-op — one thread-local read —
-/// when no token is installed, so checkpoints are free to leave in
-/// hot loops and never perturb results.
+/// [`with_token`] and any installed token is cancelled (or past its
+/// deadline), unwinds back to the innermost `with_token`. A no-op — one
+/// thread-local read — when no token is installed, and one read plus
+/// one token check under a single scope, so checkpoints are free to
+/// leave in hot loops and never perturb results.
 pub fn checkpoint() {
-    let tripped = ACTIVE.with(|a| a.borrow().as_ref().is_some_and(CancelToken::is_cancelled));
+    let tripped = ACTIVE.with(|a| a.borrow().iter().any(CancelToken::is_cancelled));
     if tripped {
         std::panic::panic_any(Cancelled);
     }
@@ -200,6 +210,26 @@ mod tests {
             "ok"
         });
         assert_eq!(out, Ok("ok"));
+    }
+
+    #[test]
+    fn a_cancelled_outer_token_stops_an_inner_scope() {
+        let outer = CancelToken::new();
+        outer.cancel();
+        let mut reached = false;
+        let out = with_token(&outer, || {
+            // the inner token is live, but the enclosing one has tripped
+            let nested = with_token(&CancelToken::new(), || {
+                checkpoint();
+                reached = true;
+            });
+            assert_eq!(nested, Err(Cancelled));
+            "inner scope returned"
+        });
+        assert!(!reached, "the inner scope must stop at its checkpoint");
+        assert_eq!(out, Ok("inner scope returned"));
+        // both scopes are uninstalled again
+        checkpoint();
     }
 
     #[test]

@@ -91,9 +91,11 @@ pub struct ServerConfig {
     /// slot; `0` disables the cache entirely.
     pub idempotency_capacity: usize,
     /// Bound on cached held solutions for churn repair (default 64;
-    /// `0` disables holding). Each entry pins a full instance copy plus
-    /// its coloring. At capacity, adopting a fresh solution evicts the
-    /// least-recently-used entry — adoption is never refused.
+    /// `0` disables holding). An entry shares the interned instance until
+    /// the handle is first mutated; from then on it owns one instance
+    /// copy (patched in place by each repair) plus its coloring. At
+    /// capacity, adopting a fresh solution evicts the least-recently-used
+    /// entry — adoption is never refused.
     pub held_capacity: usize,
     /// Compact journaled state records (upload/mutate/release) once
     /// more than this many are outstanding (default 64; `0` disables
@@ -430,10 +432,16 @@ fn solve_held(
         };
     };
     let before = *entry.held.stats();
-    let mut repaired = None;
-    for delta in std::mem::take(&mut entry.pending) {
-        repaired = Some(entry.held.apply(&delta).map(|s| s.to_json_line()));
-    }
+    // the drain runs under the job's token, so a repair's fallback
+    // re-solve stops at the job's deadline (counted from admission) and
+    // at `Server::drain`'s cancel, like any other solve
+    let drained = local_runtime::with_token(token, || {
+        let mut repaired = None;
+        for delta in std::mem::take(&mut entry.pending) {
+            repaired = Some(entry.held.apply(&delta).map(|s| s.to_json_line()));
+        }
+        repaired
+    });
     let after = *entry.held.stats();
     let add = |total: &AtomicU64, n: u64| total.fetch_add(n, Ordering::Relaxed);
     add(&shared.repairs, after.repairs - before.repairs);
@@ -441,12 +449,19 @@ fn solve_held(
         &shared.full_resolves,
         after.full_resolves - before.full_resolves,
     );
-    let refix_sum = after.mean_refix_fraction() * after.repairs as f64
-        - before.mean_refix_fraction() * before.repairs as f64;
+    let refix_sum = after.refix_sum() - before.refix_sum();
     add(
         &shared.refix_sum_permille,
         (refix_sum * 1000.0).round() as u64,
     );
+    let Ok(repaired) = drained else {
+        // cancelled part-way: the entry is dropped like a failed apply
+        return ApiError::DeadlineExceeded {
+            stage: "solving",
+            deadline_ms: request.budget().deadline_ms.unwrap_or(0),
+        }
+        .to_json_line();
+    };
     match repaired.unwrap_or_else(|| Ok(entry.held.solution().to_json_line())) {
         Ok(line) => {
             shared.store.lock().unwrap().checkin(key, entry);
@@ -2284,6 +2299,111 @@ mod tests {
         let entry = interned(&server, newer).expect("the entry moved again");
         assert_eq!(Arc::as_ptr(&entry), address, "unshared → patched in place");
         assert_eq!(server.stats().mutations_applied, 2);
+
+        // a held solution shares the uploaded instance; the first mutate
+        // copies the table's entry, and the repaired solve then patches
+        // the held graph at the uploaded instance's address
+        let c = generators::random_biregular(600, 600, 24, &mut rng).unwrap();
+        let request = Request::new(Problem::weak_splitting(), c.clone())
+            .deterministic()
+            .seed(3);
+        let hash = wire::instance_fingerprint(request.instance());
+        let handle = wire::render_handle(hash);
+        let upload = wire::render_upload("u2", request.instance());
+        assert_eq!(tx.submit_line(&upload), Submitted::Replied);
+        rx.recv().unwrap();
+        let graph_in = |instance: &Instance| match instance {
+            Instance::Bipartite(b) => b as *const splitgraph::BipartiteGraph,
+            _ => unreachable!("uploaded a bipartite instance"),
+        };
+        let uploaded = graph_in(&interned(&server, hash).unwrap());
+        let solve = |id: &str, handle: &str| {
+            let handle = wire::InstanceRef::Handle(handle);
+            wire::render_request_with(id, Priority::Normal, None, handle, &request)
+        };
+        assert_eq!(tx.submit_line(&solve("s1", &handle)), Submitted::Queued);
+        assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
+        let delta = random_delta(&c, ChurnStyle::Rewire, 2, &mut rng);
+        let line = wire::render_mutate("m3", &handle, None, delta.inserts(), delta.deletes());
+        assert_eq!(tx.submit_line(&line), Submitted::Replied);
+        let new_handle = new_handle_of(&rx.recv().unwrap());
+        let new_hash = wire::parse_handle(&new_handle).unwrap();
+        assert_eq!(tx.submit_line(&solve("s2", &new_handle)), Submitted::Queued);
+        let frame = rx.recv().unwrap();
+        assert!(frame.contains("weak-splitting/repair"), "{frame}");
+        let table = graph_in(&interned(&server, new_hash).unwrap());
+        assert_ne!(table, uploaded, "the table's entry was copied");
+        let key = (new_hash, wire::policy_fingerprint(&request));
+        let held = server.shared.store.lock().unwrap().checkout(key).unwrap();
+        assert!(
+            std::ptr::eq(held.held.instance(), uploaded),
+            "patched in place"
+        );
+        let mut patched = c;
+        delta.apply(&mut patched).unwrap();
+        assert_eq!(*held.held.instance(), patched);
+        tx.finish();
+        assert!(rx.recv().is_none());
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_cancelled_token_stops_the_held_fallback_and_drops_the_entry() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use splitgraph::delta::{random_delta, ChurnStyle};
+
+        let server = Server::start(quiet_config());
+        let (mut tx, mut rx) = server.connect().split();
+        let mut rng = StdRng::seed_from_u64(63);
+        let b = generators::random_biregular(600, 600, 24, &mut rng).unwrap();
+        let request = Request::new(Problem::weak_splitting(), b.clone())
+            .deterministic()
+            .seed(9);
+        let handle = wire::render_handle(wire::instance_fingerprint(request.instance()));
+        let upload = wire::render_upload("u1", request.instance());
+        assert_eq!(tx.submit_line(&upload), Submitted::Replied);
+        rx.recv().unwrap();
+        let solve = |id: &str, handle: &str| {
+            let handle = wire::InstanceRef::Handle(handle);
+            wire::render_request_with(id, Priority::Normal, None, handle, &request)
+        };
+        assert_eq!(tx.submit_line(&solve("s1", &handle)), Submitted::Queued);
+        assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
+
+        // a rewire this wide dirties far more constraints than the refix
+        // threshold admits, so draining it falls back to a full re-solve
+        let delta = random_delta(&b, ChurnStyle::Rewire, 40, &mut rng);
+        let line = wire::render_mutate("m1", &handle, None, delta.inserts(), delta.deletes());
+        assert_eq!(tx.submit_line(&line), Submitted::Replied);
+        let new_handle = new_handle_of(&rx.recv().unwrap());
+        let new_hash = wire::parse_handle(&new_handle).unwrap();
+
+        // the job's token is already cancelled: the fallback stops at its
+        // first checkpoint, and the entry is not checked back in
+        let token = CancelToken::new();
+        token.cancel();
+        let job = Request::from_shared(
+            Problem::weak_splitting(),
+            interned(&server, new_hash).unwrap(),
+        )
+        .deterministic()
+        .seed(9);
+        let reply = solve_held(&server.shared, &Session::new(), &token, &job, new_hash);
+        assert!(reply.contains("deadline-exceeded"), "{reply}");
+        assert!(reply.contains("while solving"), "{reply}");
+        assert!(server.shared.store.lock().unwrap().held_keys().is_empty());
+        let counted = server.stats();
+        assert_eq!((counted.repairs, counted.full_resolves), (0, 1));
+
+        // the next solve of the handle is a miss: solved from scratch
+        // and adopted afresh, with no repair or re-solve counted
+        assert_eq!(tx.submit_line(&solve("s2", &new_handle)), Submitted::Queued);
+        let frame = rx.recv().unwrap();
+        assert!(frame.contains("\"route\":\"theorem25\""), "{frame}");
+        let stats = server.stats();
+        assert_eq!((stats.repairs, stats.full_resolves), (0, 1));
+        assert_eq!(server.shared.store.lock().unwrap().held_keys().len(), 1);
         tx.finish();
         assert!(rx.recv().is_none());
         server.shutdown();

@@ -1185,7 +1185,7 @@ pub fn request_fingerprint_from(
     use crate::journal;
     let mut h = journal::PayloadHasher::new(journal::DOMAIN_REQUEST);
     h.bytes(&instance);
-    hash_policy(&mut h, request);
+    h.bytes(render_policy(request).as_bytes());
     h.finish()
 }
 
@@ -1201,70 +1201,16 @@ pub fn policy_fingerprint(request: &Request) -> crate::journal::PayloadHash {
     // a fixed tag word in place of the instance keeps policy
     // fingerprints from aliasing full request fingerprints
     h.word(u64::MAX);
-    hash_policy(&mut h, request);
+    h.bytes(render_policy(request).as_bytes());
     h.finish()
 }
 
-fn hash_policy(h: &mut crate::journal::PayloadHasher, request: &Request) {
-    // every problem field the renderer serializes, with presence tags
-    // for the optional ones; the variant name separates the variants
-    let problem = request.problem();
-    h.bytes(problem.name().as_bytes());
-    let mut opt_word = |v: Option<u64>| match v {
-        Some(v) => {
-            h.word(1);
-            h.word(v);
-        }
-        None => h.word(0),
-    };
-    match *problem {
-        Problem::WeakSplitting { thm12_constant } => opt_word(Some(thm12_constant.to_bits())),
-        Problem::WeakMulticolor | Problem::SinklessOrientation => {}
-        Problem::MulticolorSplitting { colors, lambda } => {
-            opt_word(Some(u64::from(colors)));
-            opt_word(Some(lambda.to_bits()));
-        }
-        Problem::UniformSplitting { eps, min_degree } => {
-            opt_word(eps.map(f64::to_bits));
-            opt_word(min_degree.map(|d| d as u64));
-        }
-        Problem::DegreeSplitting { eps, engine } => {
-            opt_word(Some(eps.to_bits()));
-            opt_word(Some(engine as u64));
-        }
-        Problem::DeltaColoring {
-            base_degree,
-            max_eps,
-        } => {
-            opt_word(base_degree.map(|b| b as u64));
-            opt_word(max_eps.map(f64::to_bits));
-        }
-        Problem::EdgeColoring {
-            base_degree,
-            engine,
-        } => {
-            opt_word(base_degree.map(|b| b as u64));
-            opt_word(Some(engine as u64));
-        }
-        Problem::Mis { base_degree } => opt_word(base_degree.map(|b| b as u64)),
-    }
-    h.bytes(request.determinism().name().as_bytes());
-    h.word(request.master_seed());
-    match request.pipeline_override() {
-        Some(p) => h.bytes(p.name().as_bytes()),
-        None => h.word(0),
-    }
-    let budget = request.budget();
-    let mut opt_word = |v: Option<u64>| match v {
-        Some(v) => {
-            h.word(1);
-            h.word(v);
-        }
-        None => h.word(0),
-    };
-    opt_word(budget.max_rounds.map(f64::to_bits));
-    opt_word(budget.attempts.map(|a| a as u64));
-    opt_word(budget.deadline_ms);
+/// The request's canonical rendering with a fixed envelope and an empty
+/// handle in place of the instance: the policy bytes the fingerprints
+/// hash, so they agree with the renderer by construction (`-0.0` and
+/// `0.0` render, and so hash, alike).
+fn render_policy(request: &Request) -> String {
+    render_request_with("", Priority::Normal, None, InstanceRef::Handle(""), request)
 }
 
 /// Renders a `ping` frame.
@@ -1818,6 +1764,8 @@ mod tests {
             mis(Instance::from(g.clone())).deterministic(),
             mis(Instance::from(g.clone())).force_pipeline(Pipeline::Theorem25),
             mis(Instance::from(g.clone())).max_rounds(1e6),
+            mis(Instance::from(g.clone())).max_rounds(0.0),
+            mis(Instance::from(g.clone())).max_rounds(-0.0),
             mis(Instance::from(g.clone())).attempts(3),
             mis(Instance::from(g.clone())).deadline_ms(30_000),
         ];
