@@ -21,16 +21,25 @@
 //! a patch. Once nothing else shares it, a held solution costs one
 //! instance and an update copies none.
 //!
-//! Cost model per update: the fixer is `O(Σ_{u ∈ halo} deg u)`; the
-//! regime re-check and the copy of the coloring are `O(n)`; the
-//! whole-instance certificate check is `O(m)`. (The content handle a
-//! `splitd` `mutate` moves the instance to is updated from the edits
-//! alone, in `O(edits)`.)
+//! Cost model per update: the fixer and the certificate count are
+//! `O(Σ_{u ∈ halo} deg u)`; the regime re-check and the copy of the
+//! coloring are `O(n)`. (The content handle a `splitd` `mutate` moves
+//! the instance to is updated from the edits alone, in `O(edits)`.)
+//! [`HeldSolution::adopt`] checks the adopted solution's certificate
+//! once, in `O(m)`.
 //!
 //! Repair is an optimization, never a correctness shortcut:
 //!
-//! * every repaired [`Solution`] carries a **full** certificate, verified
-//!   over the entire patched instance, not just the dirty region;
+//! * every repaired [`Solution`] carries a **whole-instance** certificate:
+//!   verification is never narrowed. Its count covers every constraint —
+//!   the halo's rows counted with the checker's own row predicate
+//!   ([`checks::weak_splitting_violations_among`]), every other row
+//!   carried from the retained certificate, which must hold. That is
+//!   exact because [`DirtyRegion`]'s halo holds every constraint whose
+//!   row or neighbor colors an update can change, and it is why `adopt`
+//!   refuses a solution that does not certify on its request's instance.
+//!   Debug builds re-run the whole-instance checker after every repair
+//!   and assert the same count;
 //! * the weak-splitting route (the request's override, else
 //!   [`splitting_core::decide_pipeline`]) is re-checked per update — if
 //!   churn moved the instance into a different pipeline's regime (or out
@@ -44,11 +53,11 @@ use crate::error::ApiError;
 use crate::problem::{Instance, Output, Problem};
 use crate::request::Request;
 use crate::session::{certified_solution, weak_splitting_route, Session};
-use crate::solution::{CertificateKind, Solution};
+use crate::solution::{Certificate, CertificateKind, Solution};
 use derand::{ColoringEstimator, FixerState};
 use local_runtime::RoundLedger;
 use splitgraph::delta::{DirtyRegion, EdgeDelta};
-use splitgraph::{BipartiteGraph, Color};
+use splitgraph::{checks, BipartiteGraph, Color};
 use splitting_core::RegimeParams;
 
 /// Default ceiling on the dirty fraction (`|halo| / |U|`) the repair path
@@ -132,7 +141,9 @@ impl HeldSolution {
     /// # Errors
     ///
     /// [`ApiError::InvalidRequest`] when the request's instance is not
-    /// bipartite or the output length does not match its variable side.
+    /// bipartite, the output length does not match its variable side, or
+    /// the solution's certificate does not hold on the request's instance
+    /// (checked once here, in `O(m)`).
     pub fn adopt(
         _session: &Session,
         request: &Request,
@@ -149,6 +160,17 @@ impl HeldSolution {
                     ),
                 });
             }
+        }
+        // every repair carries the rows outside its halo from this
+        // solution's certificate, so it must certify on this instance
+        if !solution.reverify(request.instance()) {
+            return Err(ApiError::InvalidRequest {
+                field: "solution",
+                reason: format!(
+                    "the {} certificate does not hold on the request's instance",
+                    solution.certificate.kind().name()
+                ),
+            });
         }
         Ok(HeldSolution {
             request: request.clone(),
@@ -246,7 +268,12 @@ impl HeldSolution {
         let Problem::WeakSplitting { thm12_constant } = *self.request.problem() else {
             return None;
         };
-        if self.stale {
+        // the count below carries every row outside the halo from the
+        // retained certificate, so that certificate must be current (not
+        // stale), hold, and count the predicate this repair certifies
+        let kind = CertificateKind::WeakSplitting { min_degree: 0 };
+        let retained = &self.solution.certificate;
+        if self.stale || *retained.kind() != kind || !retained.holds() {
             return None;
         }
         let prev = self.solution.output.two_coloring()?;
@@ -281,9 +308,24 @@ impl HeldSolution {
         // Φ < 1 certifies the halo. A constraint outside it kept its edges
         // and its neighbors' colors, so it is fully fixed and adds exactly
         // 0 to the whole-instance Φ unless it is violated — and then the
-        // whole-instance certificate below fails — so accept/decline
-        // always matches a Φ summed over the whole instance
+        // retained certificate would not hold — so accept/decline always
+        // matches a Φ summed over the whole instance
         if state.total() >= 1.0 {
+            return None;
+        }
+        // the whole-instance count: the halo's rows read by the checker's
+        // own predicate, plus the retained certificate's count for every
+        // other row, which kept its row and its neighbors' colors
+        let carried = retained.violations();
+        let halo =
+            checks::weak_splitting_violations_among(graph, &two, 0, region.halo.iter().copied());
+        let violations = carried + halo.len();
+        debug_assert_eq!(
+            violations,
+            checks::weak_splitting_violations(graph, &two, 0).len(),
+            "the halo count disagrees with the whole-instance checker"
+        );
+        if violations > 0 {
             return None;
         }
         let mut ledger = RoundLedger::new();
@@ -297,19 +339,15 @@ impl HeldSolution {
             100.0 * fraction,
             delta.len()
         );
-        // full certificate over the whole patched instance — repair never
-        // narrows verification to the dirty region
-        let solution = certified_solution(
+        Some(certified_solution(
             &self.request,
-            CertificateKind::WeakSplitting { min_degree: 0 },
+            Certificate::counted(kind, violations),
             Output::TwoColoring(two),
             ledger,
             "weak-splitting/repair",
             Some((pipeline, params)),
             why,
-        )
-        .ok()?;
-        solution.certificate.holds().then_some(solution)
+        ))
     }
 }
 
@@ -415,6 +453,77 @@ mod tests {
         assert!(solution.certificate.holds());
         assert_eq!(held.stats().full_resolves, 2);
         assert_eq!(held.stats().repairs, 0);
+    }
+
+    #[test]
+    fn a_constraint_that_only_lost_edges_is_counted() {
+        // δ = 6, r = 1 → Theorem 2.7; constraint 0 has 20 private
+        // variables. Deleting its edges to the minority color leaves it
+        // monochromatic on 10 or more clean variables, no dirty variable
+        // is its neighbor afterwards, and δ, r and the route stay as they
+        // were: only its place in the halo as an edited row counts it
+        let mut edges: Vec<(usize, usize)> = (0..20).map(|v| (0, v)).collect();
+        for u in 1..8usize {
+            edges.extend((0..6).map(|j| (u, 20 + 6 * (u - 1) + j)));
+        }
+        let b = BipartiteGraph::from_edges(8, 62, &edges).unwrap();
+        let request = Request::new(Problem::weak_splitting(), b)
+            .deterministic()
+            .seed(7);
+        let mut held = Session::new().hold(&request).unwrap();
+        let colors = held.solution().output.two_coloring().unwrap().to_vec();
+        let blue = colors[..20].iter().filter(|&&c| c == Color::Blue).count();
+        let minority = if 2 * blue < 20 {
+            Color::Blue
+        } else {
+            Color::Red
+        };
+        let deletes: Vec<(usize, usize)> = (0..20)
+            .filter(|&v| colors[v] == minority)
+            .map(|v| (0, v))
+            .collect();
+        let delta = held.delta(&[], &deletes).unwrap();
+        let solution = held.apply(&delta).unwrap();
+        assert!(solution.certificate.holds());
+        assert!(solution.reverify(&Instance::Bipartite(held.instance().clone())));
+        assert_eq!(solution.provenance.route, "theorem27");
+        assert_eq!(held.stats().repairs, 0);
+        assert_eq!(held.stats().full_resolves, 1);
+    }
+
+    #[test]
+    fn adopt_refuses_a_solution_that_does_not_certify() {
+        let mut rng = StdRng::seed_from_u64(71);
+        let a = generators::random_biregular(1200, 1200, 28, &mut rng).unwrap();
+        let request_a = Request::new(Problem::weak_splitting(), a.clone())
+            .deterministic()
+            .seed(71);
+        let solution = Session::new().solve(&request_a).unwrap();
+        // B has A's shape, with constraint 0 moved onto variables A's
+        // solution colors Red, so that solution leaves it monochromatic
+        let colors = solution.output.two_coloring().unwrap();
+        let red = (0..a.right_count()).filter(|&v| colors[v] == Color::Red);
+        let edges: Vec<(usize, usize)> = a
+            .edges()
+            .filter(|&(u, _)| u != 0)
+            .chain(red.take(a.left_degree(0)).map(|v| (0, v)))
+            .collect();
+        let b = BipartiteGraph::from_edges(a.left_count(), a.right_count(), &edges).unwrap();
+        let request_b = Request::new(Problem::weak_splitting(), b)
+            .deterministic()
+            .seed(71);
+        let err = HeldSolution::adopt(&Session::new(), &request_b, solution.clone()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ApiError::InvalidRequest {
+                    field: "solution",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(HeldSolution::adopt(&Session::new(), &request_a, solution).is_ok());
     }
 
     #[test]

@@ -126,11 +126,9 @@ fn default_base_degree(n: usize) -> usize {
     (4 * ceil_log2(n.max(2)) as usize).max(1)
 }
 
-/// Verifies `output` against the request's instance and wraps it with
-/// its provenance. `dispatch` is the weak-splitting pipeline with the
-/// regime it was chosen on, which is then the provenance's regime
-/// without a second pass over the instance.
-pub(crate) fn certified_solution(
+/// Verifies `output` against the request's instance under `kind` and
+/// wraps it with its provenance ([`certified_solution`]).
+fn verified_solution(
     request: &Request,
     kind: CertificateKind,
     output: Output,
@@ -140,11 +138,36 @@ pub(crate) fn certified_solution(
     why: String,
 ) -> Result<Solution, ApiError> {
     let certificate = Certificate::verify(kind, request.instance(), &output)?;
+    Ok(certified_solution(
+        request,
+        certificate,
+        output,
+        ledger,
+        route,
+        dispatch,
+        why,
+    ))
+}
+
+/// Wraps `output` and the certificate already established for it with
+/// its provenance: the one place a [`Solution`] is assembled. `dispatch`
+/// is the weak-splitting pipeline with the regime it was chosen on, which
+/// is then the provenance's regime without a second pass over the
+/// instance.
+pub(crate) fn certified_solution(
+    request: &Request,
+    certificate: Certificate,
+    output: Output,
+    ledger: RoundLedger,
+    route: &'static str,
+    dispatch: Option<(Pipeline, RegimeParams)>,
+    why: String,
+) -> Solution {
     let regime = match dispatch {
         Some((_, params)) => params.to_string(),
         None => request.instance().summary(),
     };
-    Ok(Solution {
+    Solution {
         output,
         certificate,
         provenance: Provenance {
@@ -157,7 +180,7 @@ pub(crate) fn certified_solution(
             why,
         },
         ledger,
-    })
+    }
 }
 
 fn dispatch(request: &Request) -> Result<Solution, ApiError> {
@@ -221,7 +244,7 @@ fn weak_splitting(request: &Request, thm12_constant: f64) -> Result<Solution, Ap
             core::theorem12(b, &cfg)?
         }
     };
-    certified_solution(
+    verified_solution(
         request,
         CertificateKind::WeakSplitting { min_degree: 0 },
         Output::TwoColoring(out.colors),
@@ -301,7 +324,7 @@ fn weak_multicolor(request: &Request) -> Result<Solution, ApiError> {
             "one uniform color choice per variable (zero rounds)".to_string(),
         ),
     };
-    certified_solution(
+    verified_solution(
         request,
         kind,
         Output::MultiColoring {
@@ -341,7 +364,7 @@ fn multicolor(request: &Request, colors: u32, lambda: f64) -> Result<Solution, A
             "one uniform palette choice per variable (zero rounds)".to_string(),
         ),
     };
-    certified_solution(
+    verified_solution(
         request,
         CertificateKind::MulticolorSplitting {
             lambda,
@@ -377,7 +400,7 @@ fn uniform(
     match request.determinism() {
         Determinism::Deterministic => {
             let out = red::uniform_splitting_deterministic(g, eps, min_degree)?;
-            certified_solution(
+            verified_solution(
                 request,
                 kind,
                 Output::TwoColoring(out.colors),
@@ -397,7 +420,7 @@ fn uniform(
                 if checks::is_uniform_splitting(g, &sides, eps, min_degree) {
                     let mut ledger = RoundLedger::new();
                     ledger.add_measured("zero-round uniform splitting", 0.0);
-                    return certified_solution(
+                    return verified_solution(
                         request,
                         kind,
                         Output::TwoColoring(sides),
@@ -442,7 +465,7 @@ fn degree_splitting(request: &Request, eps: f64, engine: Engine) -> Result<Solut
             true,
         ),
     };
-    certified_solution(
+    verified_solution(
         request,
         CertificateKind::DegreeSplitContract { eps, aggregate },
         Output::EdgeOrientation(result.orientation),
@@ -485,7 +508,7 @@ fn sinkless(request: &Request) -> Result<Solution, ApiError> {
          (Theorem 2.10 forbids a fast LOCAL solver here)"
             .to_string()
     };
-    certified_solution(
+    verified_solution(
         request,
         CertificateKind::Sinkless { min_degree: 1 },
         Output::HostOrientation(reduction.orientation),
@@ -504,7 +527,7 @@ fn delta_coloring(
     let g = request.instance().host()?;
     let base = base_degree.unwrap_or_else(|| default_base_degree(g.node_count()));
     let (colors, report, ledger) = red::delta_coloring_via_splitting(g, base, max_eps)?;
-    certified_solution(
+    verified_solution(
         request,
         CertificateKind::ProperColoring,
         Output::MultiColoring {
@@ -530,7 +553,7 @@ fn edge_coloring(
     let g = request.instance().host()?;
     let base = base_degree.unwrap_or_else(|| default_base_degree(g.node_count()));
     let (colors, report, ledger) = red::edge_coloring_via_splitting(g, base, engine)?;
-    certified_solution(
+    verified_solution(
         request,
         CertificateKind::ProperEdgeColoring,
         Output::MultiColoring {
@@ -561,7 +584,7 @@ fn mis(request: &Request, base_degree: Option<usize>) -> Result<Solution, ApiErr
     let g = request.instance().host()?;
     let base = base_degree.unwrap_or_else(|| default_base_degree(g.node_count()));
     let (in_set, report, ledger) = red::mis_via_splitting(g, base, request.master_seed());
-    certified_solution(
+    verified_solution(
         request,
         CertificateKind::MaximalIndependentSet,
         Output::IndependentSet(in_set),

@@ -1017,6 +1017,12 @@ impl Submitter {
             Ok((ClientFrame::Request(envelope), body)) => {
                 if envelope.handle.is_some() {
                     self.enqueue_handle(envelope, seq, trimmed, body)
+                } else if let Err(e) =
+                    body.bound_declared_size(trimmed, self.shared.config.max_frame_bytes)
+                {
+                    // before admission: an oversized declaration is never
+                    // journaled, so recovery cannot re-run it
+                    self.reply_error(&envelope.id, seq, &e)
                 } else {
                     self.enqueue(
                         envelope,
@@ -1109,6 +1115,9 @@ impl Submitter {
         };
         if self.replay(key, id, seq) {
             return Submitted::Replied;
+        }
+        if let Err(e) = body.bound_declared_size(line, self.shared.config.max_frame_bytes) {
+            return self.reply_error(id, seq, &e);
         }
         let canonical = body.canonical();
         let origin = Origin::Live { id, line };
@@ -1728,6 +1737,51 @@ mod tests {
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    #[test]
+    fn an_oversized_declaration_is_answered_at_ingest_and_never_journaled() {
+        use crate::journal::{FsyncPolicy, Journal};
+
+        let path = temp_journal_path("oversized");
+        let _ = std::fs::remove_file(&path);
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+        let server = Server::start(ServerConfig {
+            journal: Some(Arc::clone(&journal)),
+            max_frame_bytes: 4096,
+            ..quiet_config()
+        });
+        let (mut tx, mut rx) = server.connect().split();
+        // one node past the bound, so nothing large is built even if the
+        // bound failed
+        let instance = r#""instance":{"kind":"bipartite","left":4096,"right":1,"edges":[]}"#;
+        for line in [
+            format!(
+                r#"{{"v":1,"type":"request","id":"r","problem":{{"name":"weak-splitting"}},{instance}}}"#
+            ),
+            format!(r#"{{"v":1,"type":"upload","id":"u",{instance}}}"#),
+        ] {
+            assert_eq!(tx.submit_line(&line), Submitted::Replied, "{line}");
+            let reply = rx.recv().unwrap();
+            assert!(
+                reply.contains("\"kind\":\"invalid-request\"")
+                    && reply.contains("left + right = 4097"),
+                "{reply}"
+            );
+        }
+        assert_eq!(
+            tx.submit_line(r#"{"v":1,"type":"ping","id":"p"}"#),
+            Submitted::Replied
+        );
+        assert!(rx.recv().unwrap().contains("\"type\":\"heartbeat\""));
+        assert_eq!(journal.stats().appended, 0, "nothing was admitted");
+        // at the bound the same request is admitted
+        let line = r#"{"v":1,"type":"request","id":"ok","problem":{"name":"mis"},"instance":{"kind":"host","nodes":4096,"edges":[]}}"#;
+        assert_eq!(tx.submit_line(line), Submitted::Queued);
+        assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
+        assert_eq!(journal.stats().appended, 1);
+        server.shutdown();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

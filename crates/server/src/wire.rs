@@ -326,6 +326,44 @@ impl Body {
             list("deletes", self.deletes)?,
         ))
     }
+
+    /// Bounds the node count an inline instance declares — `left` +
+    /// `right` of a bipartite instance, `nodes` of a host or multigraph —
+    /// by `limit`, so a short frame cannot make [`build_instance`]
+    /// allocate for a billion nodes. Reads the declared counts only; a
+    /// count that does not read as one is left for the build step to
+    /// report.
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::InvalidRequest`] on the `instance` field, naming the
+    /// declared fields, when their total exceeds `limit`.
+    pub fn bound_declared_size(&self, line: &str, limit: usize) -> Result<(), ApiError> {
+        let Some(Ok(fields)) = &self.instance else {
+            return Ok(());
+        };
+        let f = Fields::new(line, fields);
+        let keys: &[&str] = match f.str("kind").ok().flatten().as_deref() {
+            Some("bipartite") => &["left", "right"],
+            Some("host" | "multigraph") => &["nodes"],
+            _ => return Ok(()),
+        };
+        let declared = keys
+            .iter()
+            .map(|key| f.usize(key).ok().flatten().unwrap_or(0))
+            .fold(0usize, usize::saturating_add);
+        if declared > limit {
+            return Err(invalid(
+                "instance",
+                format!(
+                    "declares {} = {declared}, more than the {limit} nodes \
+                     max_frame_bytes allows",
+                    keys.join(" + ")
+                ),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Reads one client frame — the only way a frame is read, live and on

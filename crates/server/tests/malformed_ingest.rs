@@ -330,7 +330,37 @@ fn hostile_lines() -> Vec<(&'static str, String, &'static str)> {
         ),
         r#"{"v":1,"type":"error","id":"x","seq":75,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: not a JSON object: JSON parse error at byte 0: expected '{', found '['"}}"#,
     ));
+    table.extend(oversized_declaration_rows());
     table
+}
+
+/// An inline instance may declare at most `max_frame_bytes` nodes (4096
+/// here), so a short frame cannot make the server allocate for a huge
+/// declared graph. Each row declares one node past the bound, so none
+/// would allocate much even if it were built.
+fn oversized_declaration_rows() -> Vec<(&'static str, String, &'static str)> {
+    vec![
+        (
+            "bipartite request declaring too many nodes",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"weak-splitting"},"instance":{"kind":"bipartite","left":4000,"right":97,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":76,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: declares left + right = 4097, more than the 4096 nodes max_frame_bytes allows"}}"#,
+        ),
+        (
+            "host request declaring too many nodes",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":4097,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":77,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: declares nodes = 4097, more than the 4096 nodes max_frame_bytes allows"}}"#,
+        ),
+        (
+            "multigraph request declaring too many nodes",
+            r#"{"v":1,"type":"request","id":"x","problem":{"name":"degree-splitting"},"instance":{"kind":"multigraph","nodes":4097,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"x","seq":78,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: declares nodes = 4097, more than the 4096 nodes max_frame_bytes allows"}}"#,
+        ),
+        (
+            "upload declaring too many nodes",
+            r#"{"v":1,"type":"upload","id":"u","instance":{"kind":"bipartite","left":1,"right":4096,"edges":[]}}"#.into(),
+            r#"{"v":1,"type":"error","id":"u","seq":79,"error":{"event":"error","kind":"invalid-request","detail":"invalid request: instance: declares left + right = 4097, more than the 4096 nodes max_frame_bytes allows"}}"#,
+        ),
+    ]
 }
 
 /// The `problem` object's own errors: its type, a wrong-typed field, a

@@ -50,6 +50,25 @@ pub fn weak_splitting_violations(
     colors: &[Color],
     min_degree: usize,
 ) -> Vec<usize> {
+    weak_splitting_violations_among(b, colors, min_degree, 0..b.left_count())
+}
+
+/// The constraints among `rows` that [`weak_splitting_violations`] would
+/// report, in the order `rows` lists them: the same row predicate, read
+/// on the given rows only. Weak splitting is locally checkable, so a
+/// caller that knows every other row kept its status (churn repair
+/// counts an edit's halo this way) gets the whole-instance count from
+/// these rows alone.
+///
+/// # Panics
+///
+/// Panics if `colors.len() != b.right_count()` or a row is out of range.
+pub fn weak_splitting_violations_among(
+    b: &BipartiteGraph,
+    colors: &[Color],
+    min_degree: usize,
+    rows: impl IntoIterator<Item = usize>,
+) -> Vec<usize> {
     assert_eq!(
         colors.len(),
         b.right_count(),
@@ -61,7 +80,7 @@ pub fn weak_splitting_violations(
         Some((&first, rest)) => rest.iter().all(|&v| colors[v] == colors[first]),
         None => true,
     };
-    (0..b.left_count())
+    rows.into_iter()
         .filter(|&u| {
             let row = b.left_neighbors(u);
             row.len() >= min_degree && monochrome(row)
@@ -439,6 +458,21 @@ mod checker_checks {
                         .collect();
                     prop_assert_eq!(weak_splitting_violations(&b, colors, min_degree), expected);
                 }
+            }
+        }
+
+        // The row form reads only the rows it is given: over any subset it
+        // is the whole-instance list filtered to that subset, in its order.
+        #[test]
+        fn weak_splitting_among_rows_filters_the_whole_list(seed in 0u64..10_000) {
+            let (b, colors, left_perm, _) = setup(seed);
+            let rows = &left_perm[..left_perm.len() / 2];
+            for min_degree in [0, 2] {
+                let whole = weak_splitting_violations(&b, &colors, min_degree);
+                let expected: Vec<usize> =
+                    rows.iter().copied().filter(|u| whole.contains(u)).collect();
+                let got = weak_splitting_violations_among(&b, &colors, min_degree, rows.iter().copied());
+                prop_assert_eq!(got, expected);
             }
         }
 

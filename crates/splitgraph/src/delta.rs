@@ -559,28 +559,6 @@ mod tests {
         assert_eq!(closure, vec![0, 3, 4]);
     }
 
-    #[test]
-    fn dirty_region_halo_is_sound() {
-        // after any patch, every constraint outside the halo must have an
-        // unchanged neighborhood
-        for seed in 0..20u64 {
-            let mut rng = StdRng::seed_from_u64(0xDE17A ^ seed);
-            let before = crate::generators::erdos_renyi_bipartite(8, 12, 0.35, &mut rng);
-            let mut after = before.clone();
-            let (d, _) = random_delta(&after, &mut rng);
-            let region = d.apply(&mut after).unwrap();
-            for u in 0..after.left_count() {
-                if region.halo.binary_search(&u).is_err() {
-                    assert_eq!(
-                        before.left_neighbors(u),
-                        after.left_neighbors(u),
-                        "constraint {u} outside the halo changed (seed {seed})"
-                    );
-                }
-            }
-        }
-    }
-
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -677,6 +655,34 @@ mod tests {
                     d.apply(&mut upfront).unwrap();
                 }
                 prop_assert_eq!(streamed, upfront);
+            }
+        }
+
+        // the contract churn repair counts a certificate from: no
+        // constraint outside the halo gained or lost an edge, or has a
+        // neighbor the repair may recolor (a variable in `right`). No
+        // config header, so `PROPTEST_CASES` sets the case count
+        proptest! {
+            #[test]
+            fn dirty_region_halo_is_sound(seed in 0u64..10_000) {
+                let (before, mut rng) = setup(seed);
+                for style in ChurnStyle::ALL {
+                    let edits = rng.random_range(1..6usize);
+                    let d = crate::delta::random_delta(&before, style, edits, &mut rng);
+                    let mut after = before.clone();
+                    let region = d.apply(&mut after).unwrap();
+                    prop_assert!(region.left.iter().all(|u| region.halo.binary_search(u).is_ok()));
+                    for u in 0..after.left_count() {
+                        if region.halo.binary_search(&u).is_ok() {
+                            continue;
+                        }
+                        prop_assert_eq!(before.left_neighbors(u), after.left_neighbors(u));
+                        prop_assert!(
+                            after.left_neighbors(u).iter().all(|v| region.right.binary_search(v).is_err()),
+                            "constraint {} outside the halo has a dirty neighbor ({:?})", u, style
+                        );
+                    }
+                }
             }
         }
     }
