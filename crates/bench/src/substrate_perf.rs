@@ -1,4 +1,5 @@
-//! Substrate microbenchmarks: the flat CSR bulk builders, power graphs,
+//! Substrate microbenchmarks: the flat CSR bulk builders, the bipartite
+//! row-arena build (with a clone and a drop), power graphs,
 //! the broadcast-once executor's rounds, the symmetry-breaking colorings,
 //! and the multigraph degree-splitting engines, each timed alone over
 //! repeated samples.
@@ -16,13 +17,28 @@ use local_coloring::{cole_vishkin_3color, kw_reduce, linial_color, Chains};
 use local_runtime::{run_local, Inbox, NodeContext, NodeProgram, Outbox};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use splitgraph::{generators, power_graph, Graph, MultiGraph};
+use splitgraph::{generators, power_graph, BipartiteGraph, Graph, MultiGraph};
+
+/// A named bipartite shape `(name, left, right, d)`: `random_biregular`,
+/// every constraint of degree `d`.
+type BipartiteShape = (&'static str, usize, usize, usize);
+
+/// The end-to-end benchmark's bipartite instances: its three `wire`
+/// request shapes (Theorem 2.7, zero-round, Theorem 1.2) and its `churn`
+/// upload.
+const SERVICE_SHAPES: [BipartiteShape; 4] = [
+    ("wire_thm27", 200, 1_200, 24),
+    ("wire_zero_round", 600, 600, 24),
+    ("wire_thm12", 400, 1_800, 18),
+    ("churn_upload", 4_000, 4_000, 28),
+];
 
 /// Instance sizes and sample count for one benchmark tier.
 struct Scale {
     samples: usize,
     build_sparse: (usize, usize),
     build_dense: (usize, usize),
+    bipartite: [BipartiteShape; 4],
     power: (usize, usize),
     exec: (usize, usize, usize), // (n, d, rounds)
     coloring: (usize, usize),    // (n, d); the Cole–Vishkin cycle has 5n nodes
@@ -33,6 +49,7 @@ const FULL: Scale = Scale {
     samples: 11,
     build_sparse: (100_000, 4),
     build_dense: (20_000, 64),
+    bipartite: SERVICE_SHAPES,
     power: (100_000, 4),
     exec: (100_000, 8, 16),
     coloring: (1_000, 8),
@@ -43,6 +60,7 @@ const QUICK: Scale = Scale {
     samples: 5,
     build_sparse: (10_000, 4),
     build_dense: (4_000, 32),
+    bipartite: SERVICE_SHAPES,
     power: (10_000, 4),
     exec: (10_000, 8, 8),
     coloring: (1_000, 8),
@@ -54,6 +72,12 @@ const TINY: Scale = Scale {
     samples: 3,
     build_sparse: (400, 4),
     build_dense: (200, 8),
+    bipartite: [
+        ("a", 20, 60, 6),
+        ("b", 30, 30, 6),
+        ("c", 20, 90, 9),
+        ("d", 40, 40, 7),
+    ],
     power: (300, 4),
     exec: (300, 4, 4),
     coloring: (100, 4),
@@ -123,6 +147,26 @@ fn run_sized(scale: &Scale) -> Vec<Record> {
             "splitgraph.from_edges",
             name,
             params!["n" => n, "m" => edges.len()],
+            wall,
+        ));
+    }
+
+    // bipartite instances: the row-arena build from a row-ordered edge
+    // list (as the wire lists them), one clone, and both dropped
+    for (i, &(name, left, right, d)) in scale.bipartite.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(50 + i as u64);
+        let b = generators::random_biregular(left, right, d, &mut rng).expect("feasible");
+        let edges: Vec<(usize, usize)> = b.edges().collect();
+        let (copies, wall) = sample(samples, || {
+            let built = BipartiteGraph::from_edges(left, right, &edges).expect("simple");
+            let copy = built.clone();
+            built.edge_count() + copy.edge_count()
+        });
+        assert_eq!(copies, 2 * edges.len());
+        records.push(Record::new(
+            "splitgraph.bipartite_from_edges",
+            name,
+            params!["n" => left + right, "left" => left, "right" => right, "m" => edges.len()],
             wall,
         ));
     }
@@ -247,7 +291,7 @@ mod tests {
     #[test]
     fn tiny_run_produces_consistent_records() {
         let records = run_sized(&TINY);
-        assert_eq!(records.len(), 11);
+        assert_eq!(records.len(), 15);
         for r in &records {
             assert_eq!(r.samples_ns.len(), TINY.samples, "{}", r.name);
             assert!(r.samples_ns.iter().all(|&w| w > 0), "{}", r.name);

@@ -57,13 +57,34 @@ pub fn drr2_iteration(
         }
     }
     let result = splitter.split(&g, n_for_charge);
-    // delete the bipartite edge toward each pair-edge's head
-    let mut next = b.clone();
+    // delete the bipartite edge toward each pair-edge's head, in one
+    // filter: bucket the removed variables by head (a counting sort that
+    // keeps their ascending order), then walk each head's bucket along
+    // its row
+    let mut cursor = vec![0usize; b.left_count() + 1];
+    for e in 0..corresponding.len() {
+        cursor[result.orientation.head(&g, e) + 1] += 1;
+    }
+    for u in 0..b.left_count() {
+        cursor[u + 1] += cursor[u];
+    }
+    let mut end = cursor.clone();
+    let mut removed = vec![0usize; corresponding.len()];
     for (e, &(v, _, _)) in corresponding.iter().enumerate() {
         let head = result.orientation.head(&g, e);
-        let removed = next.remove_edge(head, v);
-        debug_assert!(removed, "pair edge endpoints must be neighbors of v");
+        removed[end[head]] = v;
+        end[head] += 1;
     }
+    let next = b.filter_edges(|u, v| {
+        let i = cursor[u];
+        let hit = i < end[u] && removed[i] == v;
+        cursor[u] += usize::from(hit);
+        !hit
+    });
+    debug_assert!(
+        (0..b.left_count()).all(|u| cursor[u] == end[u]),
+        "pair edge endpoints must be neighbors of v"
+    );
     (next, result.ledger)
 }
 
@@ -188,6 +209,38 @@ mod tests {
             );
         }
         let _ = b;
+    }
+
+    /// DRR-II's deletion as first written: clone the instance, then
+    /// remove the edge toward each pair edge's head, one at a time.
+    fn per_edge_iteration(b: &BipartiteGraph, splitter: &DegreeSplitter) -> BipartiteGraph {
+        let mut g = MultiGraph::new(b.left_count());
+        let mut vars = Vec::new();
+        for v in 0..b.right_count() {
+            for pair in b.right_neighbors(v).chunks_exact(2) {
+                g.add_edge(pair[0], pair[1]);
+                vars.push(v);
+            }
+        }
+        let result = splitter.split(&g, b.node_count());
+        let mut next = b.clone();
+        for (e, &v) in vars.iter().enumerate() {
+            assert!(next.remove_edge(result.orientation.head(&g, e), v));
+        }
+        next
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_filter_deletes_what_per_edge_removal_does(
+            (l, r, percent, seed) in (1usize..20, 1usize..30, 5u32..90, 0u64..1_000_000)
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let b = generators::erdos_renyi_bipartite(l, r, f64::from(percent) / 100.0, &mut rng);
+            let s = splitter_for(&b);
+            let (next, _) = drr2_iteration(&b, &s, b.node_count());
+            proptest::prop_assert_eq!(next, per_edge_iteration(&b, &s));
+        }
     }
 
     #[test]

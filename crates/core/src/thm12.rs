@@ -102,7 +102,7 @@ pub fn theorem12_with_report(
 
     // degree uniformization (δ > Δ/2 assumption of Section 2.4)
     let vs = uniformize_left_degrees(b, delta);
-    let work = &vs.graph;
+    let work: &BipartiteGraph = &vs.graph;
 
     'attempt: for attempt in 0..cfg.attempts {
         let mut ledger = RoundLedger::new();
@@ -121,21 +121,10 @@ pub fn theorem12_with_report(
         // components run in parallel: the ledger takes the per-kind maximum
         let mut comp_measured = 0.0f64;
         let mut comp_charged = 0.0f64;
+        // every component holds a constraint with an edge; variables left
+        // isolated in the residual keep their shattering colour, or take
+        // the red of the final unwrap if they have none
         for comp in &comps {
-            let has_constraints =
-                (0..comp.graph.left_count()).any(|u| comp.graph.left_degree(u) > 0);
-            if !has_constraints {
-                // stray *uncolored* variables: any color works. Colored
-                // variables also land in constraint-less singleton
-                // components (they are isolated in the residual) and must
-                // keep their shattering color.
-                for &orig in &comp.original_right {
-                    if colors[orig].is_none() {
-                        colors[orig] = Some(Color::Red);
-                    }
-                }
-                continue;
-            }
             report.max_component = report.max_component.max(comp.node_count());
             // Theorem 2.5 parameterized by the component size n_H; when its
             // (conservative) δ_H ≥ 2·log n_H check fails, fall back to the

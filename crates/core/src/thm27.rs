@@ -87,7 +87,7 @@ pub fn theorem27(b: &BipartiteGraph, variant: Variant) -> Result<SplitOutcome, S
     // degree uniformization: Δ ≤ 2δ − 1 afterwards (local, 0 rounds)
     let vs = uniformize_left_degrees(b, delta);
     ledger.add_measured("virtual-node degree uniformization (local)", 0.0);
-    let work = &vs.graph;
+    let work: &BipartiteGraph = &vs.graph;
 
     let flavor = match variant {
         Variant::Deterministic => Flavor::Deterministic,

@@ -15,11 +15,9 @@ use splitgraph::{checks, BipartiteGraph};
 /// Truncates every constraint of `b` to its first `keep` incident edges (a
 /// 0-round local rule) — exposed for the experiments that sweep `keep`.
 pub fn truncate_left_degrees(b: &BipartiteGraph, keep: usize) -> BipartiteGraph {
-    let edges: Vec<(usize, usize)> = (0..b.left_count())
-        .flat_map(|u| b.left_neighbors(u).iter().take(keep).map(move |&v| (u, v)))
-        .collect();
-    BipartiteGraph::from_edges(b.left_count(), b.right_count(), &edges)
-        .expect("subset of simple edges stays simple")
+    let rows = (0..b.left_count()).map(|u| b.left_neighbors(u).iter().take(keep).copied());
+    BipartiteGraph::from_left_rows(b.right_count(), rows)
+        .expect("prefixes of sorted rows stay sorted and simple")
 }
 
 /// Runs the Lemma 2.2 pipeline with threshold derived from

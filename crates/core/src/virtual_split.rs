@@ -8,13 +8,15 @@
 //! already sees both colors), so solutions pull back directly.
 
 use splitgraph::BipartiteGraph;
+use std::borrow::Cow;
 
 /// A degree-uniformized instance with the mapping back to the original
 /// constraints.
 #[derive(Debug, Clone)]
-pub struct VirtualSplit {
-    /// The uniformized instance: same variable side, virtual constraint side.
-    pub graph: BipartiteGraph,
+pub struct VirtualSplit<'a> {
+    /// The uniformized instance: same variable side, virtual constraint
+    /// side. Borrows the input when no constraint splits.
+    pub graph: Cow<'a, BipartiteGraph>,
     /// `origin[i]` = original constraint of virtual constraint `i`.
     pub origin: Vec<usize>,
 }
@@ -26,17 +28,17 @@ pub struct VirtualSplit {
 /// # Panics
 ///
 /// Panics if `target == 0`.
-pub fn uniformize_left_degrees(b: &BipartiteGraph, target: usize) -> VirtualSplit {
+pub fn uniformize_left_degrees(b: &BipartiteGraph, target: usize) -> VirtualSplit<'_> {
     assert!(target > 0, "target degree must be positive");
-    if (0..b.left_count()).all(|u| b.left_degree(u) < 2 * target) {
+    if b.max_left_degree() < 2 * target {
         // no constraint splits: the instance is its own uniformization
         return VirtualSplit {
-            graph: b.clone(),
+            graph: Cow::Borrowed(b),
             origin: (0..b.left_count()).collect(),
         };
     }
     let mut origin = Vec::new();
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(b.edge_count());
+    let mut rows: Vec<&[usize]> = Vec::new();
     for u in 0..b.left_count() {
         let nbrs = b.left_neighbors(u);
         let d = nbrs.len();
@@ -49,18 +51,19 @@ pub fn uniformize_left_degrees(b: &BipartiteGraph, target: usize) -> VirtualSpli
         let mut offset = 0;
         for p in 0..parts {
             let size = base + usize::from(p < extra);
-            let vid = origin.len();
             origin.push(u);
-            for &v in &nbrs[offset..offset + size] {
-                edges.push((vid, v));
-            }
+            rows.push(&nbrs[offset..offset + size]);
             offset += size;
         }
         debug_assert_eq!(offset, d);
     }
-    let graph = BipartiteGraph::from_edges(origin.len(), b.right_count(), &edges)
-        .expect("virtual split preserves simplicity");
-    VirtualSplit { graph, origin }
+    let graph =
+        BipartiteGraph::from_left_rows(b.right_count(), rows.iter().map(|r| r.iter().copied()))
+            .expect("virtual split preserves simplicity");
+    VirtualSplit {
+        graph: Cow::Owned(graph),
+        origin,
+    }
 }
 
 #[cfg(test)]

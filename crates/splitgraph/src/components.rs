@@ -167,26 +167,35 @@ impl BipartiteComponent {
     }
 }
 
-/// Splits a bipartite graph into its connected components.
+/// Splits a bipartite graph into the connected components that hold an
+/// edge.
 ///
-/// Isolated nodes (degree 0 on either side) form singleton components; they
-/// are included so that callers can account for every node.
+/// Isolated nodes (degree 0 on either side) are omitted: they form no
+/// component here, so a node of `b` is in some component exactly when it
+/// has an edge. Components are numbered by their smallest node (left
+/// nodes before right ones, as in [`BipartiteGraph::to_graph`]), and each
+/// side's local indices ascend with the original ones.
 pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
     // BFS straight over the two sides' rows: node `x < shift` is left
-    // node `x`, node `shift + v` right node `v`; starts ascend, so labels
-    // number components by their smallest node, as over `b.to_graph()`
+    // node `x`, node `shift + v` right node `v`. Every component with an
+    // edge holds a left node with one, and its smallest node is a left
+    // node, so BFS from left nodes with edges, in ascending order,
+    // numbers the components by their smallest node
     let shift = b.left_count();
     let n = shift + b.right_count();
     let mut labels = vec![usize::MAX; n];
     let mut count = 0;
-    let mut queue = std::collections::VecDeque::new();
-    for start in 0..n {
-        if labels[start] != usize::MAX {
+    let mut queue = Vec::new();
+    for start in 0..shift {
+        if labels[start] != usize::MAX || b.left_degree(start) == 0 {
             continue;
         }
         labels[start] = count;
-        queue.push_back(start);
-        while let Some(x) = queue.pop_front() {
+        queue.clear();
+        queue.push(start);
+        let mut head = 0;
+        while let Some(&x) = queue.get(head) {
+            head += 1;
             let (row, offset) = if x < shift {
                 (b.left_neighbors(x), shift)
             } else {
@@ -195,7 +204,7 @@ pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
             for &y in row {
                 if labels[offset + y] == usize::MAX {
                     labels[offset + y] = count;
-                    queue.push_back(offset + y);
+                    queue.push(offset + y);
                 }
             }
         }
@@ -208,36 +217,28 @@ pub fn bipartite_components(b: &BipartiteGraph) -> Vec<BipartiteComponent> {
             original_right: Vec::new(),
         })
         .collect();
-    // first pass: assign local indices
+    // local indices ascend with the original ones
     let mut local = vec![usize::MAX; n];
-    for (v, slot) in local.iter_mut().enumerate() {
-        let c = labels[v];
-        if v < shift {
-            *slot = comps[c].original_left.len();
-            comps[c].original_left.push(v);
+    for (x, slot) in local.iter_mut().enumerate() {
+        let Some(comp) = comps.get_mut(labels[x]) else {
+            continue; // isolated
+        };
+        if x < shift {
+            *slot = comp.original_left.len();
+            comp.original_left.push(x);
         } else {
-            *slot = comps[c].original_right.len();
-            comps[c].original_right.push(v - shift);
+            *slot = comp.original_right.len();
+            comp.original_right.push(x - shift);
         }
     }
-    // second pass: build graphs in bulk (one edge list per component); an
-    // edgeless component (an isolated node) needs no build
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (c, comp) in comps.iter_mut().enumerate() {
-        let (left, right) = (comp.original_left.len(), comp.original_right.len());
-        if left + right == 1 {
-            comp.graph = BipartiteGraph::new(left, right);
-            continue;
-        }
-        edges.clear();
-        for (i, &orig_u) in comp.original_left.iter().enumerate() {
-            for &orig_v in b.left_neighbors(orig_u) {
-                debug_assert_eq!(labels[shift + orig_v], c);
-                edges.push((i, local[shift + orig_v]));
-            }
-        }
-        comp.graph =
-            BipartiteGraph::from_edges(left, right, &edges).expect("component edges are simple");
+    // each component's left rows, mapped to local indices, stay sorted
+    for comp in &mut comps {
+        let rows = comp
+            .original_left
+            .iter()
+            .map(|&u| b.left_neighbors(u).iter().map(|&v| local[shift + v]));
+        comp.graph = BipartiteGraph::from_left_rows(comp.original_right.len(), rows)
+            .expect("component edges are simple");
     }
     comps
 }
@@ -307,11 +308,32 @@ mod tests {
     }
 
     #[test]
-    fn bipartite_isolated_nodes_kept() {
+    fn bipartite_isolated_nodes_omitted() {
+        // u1 and v1 are isolated: one component, of the edge (u0, v0)
         let b = BipartiteGraph::from_edges(2, 2, &[(0, 0)]).unwrap();
         let comps = bipartite_components(&b);
-        assert_eq!(comps.len(), 3);
-        let total_nodes: usize = comps.iter().map(|c| c.node_count()).sum();
-        assert_eq!(total_nodes, 4);
+        assert_eq!(comps.len(), 1);
+        assert_eq!(
+            (
+                comps[0].original_left.as_slice(),
+                comps[0].original_right.as_slice()
+            ),
+            (&[0][..], &[0][..])
+        );
+        assert_eq!(comps[0].graph.edge_count(), 1);
+        assert!(bipartite_components(&BipartiteGraph::new(3, 4)).is_empty());
+    }
+
+    #[test]
+    fn bipartite_components_number_by_smallest_node() {
+        // u0 is isolated; u2's component {u2, v0} has a smaller right node
+        // than u1's {u1, v3}, but is numbered after it
+        let b = BipartiteGraph::from_edges(3, 4, &[(1, 3), (2, 0)]).unwrap();
+        let comps = bipartite_components(&b);
+        assert_eq!(comps.len(), 2);
+        assert_eq!(comps[0].original_left, vec![1]);
+        assert_eq!(comps[0].original_right, vec![3]);
+        assert_eq!(comps[1].original_left, vec![2]);
+        assert_eq!(comps[1].original_right, vec![0]);
     }
 }

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splitgraph::{
     bipartite_components, connected_components, generators, girth, power_graph, right_square,
-    BipartiteGraph, Graph,
+    BipartiteGraph, EdgeDelta, Graph, GraphError,
 };
 use std::collections::BTreeSet;
 
@@ -359,4 +359,149 @@ fn bipartite_graph_default_is_empty() {
     let b = BipartiteGraph::default();
     assert_eq!(b.node_count(), 0);
     assert_eq!(b.edge_count(), 0);
+}
+
+/// The arena model: a bipartite graph as one `BTreeSet` row per left node.
+struct RowModel {
+    right: usize,
+    rows: Vec<BTreeSet<usize>>,
+}
+
+impl RowModel {
+    fn edges(&self) -> Vec<(usize, usize)> {
+        let rows = self.rows.iter().enumerate();
+        rows.flat_map(|(u, row)| row.iter().map(move |&v| (u, v)))
+            .collect()
+    }
+
+    fn contains(&self, (u, v): (usize, usize)) -> bool {
+        self.rows[u].contains(&v)
+    }
+
+    /// The first `k` pairs of `0..left × 0..right`, read cyclically from
+    /// `from`, that are present (`present`) or absent in the model.
+    fn pick(&self, from: usize, k: usize, present: bool) -> Vec<(usize, usize)> {
+        let total = self.rows.len() * self.right;
+        (0..total)
+            .map(|i| {
+                (
+                    (from + i) % total / self.right,
+                    (from + i) % total % self.right,
+                )
+            })
+            .filter(|&e| self.contains(e) == present)
+            .take(k)
+            .collect()
+    }
+}
+
+/// Every read of `b` against the model, and `b` against a fresh build of
+/// the model's edge set, which is tight where `b` may hold relocated rows,
+/// room and dead slots.
+fn check_against_model(b: &BipartiteGraph, m: &RowModel) {
+    let (left, right) = (m.rows.len(), m.right);
+    let edges = m.edges();
+    let mut cols = vec![Vec::new(); right];
+    for &(u, v) in &edges {
+        cols[v].push(u);
+    }
+    prop_assert_eq!((b.left_count(), b.right_count()), (left, right));
+    prop_assert_eq!(b.edge_count(), edges.len());
+    for (u, row) in m.rows.iter().enumerate() {
+        prop_assert!(b.left_neighbors(u).iter().eq(row), "left row {}", u);
+        prop_assert_eq!(b.left_degree(u), row.len());
+    }
+    for (v, col) in cols.iter().enumerate() {
+        prop_assert_eq!(b.right_neighbors(v), col.as_slice(), "right row {}", v);
+        prop_assert_eq!(b.right_degree(v), col.len());
+    }
+    let lens = m.rows.iter().map(BTreeSet::len);
+    prop_assert_eq!(b.min_left_degree(), lens.clone().min().unwrap_or(0));
+    prop_assert_eq!(b.max_left_degree(), lens.max().unwrap_or(0));
+    prop_assert_eq!(b.rank(), cols.iter().map(Vec::len).max().unwrap_or(0));
+    prop_assert_eq!(
+        b.min_right_degree(),
+        cols.iter().map(Vec::len).min().unwrap_or(0)
+    );
+    prop_assert_eq!(b.edges().collect::<Vec<_>>(), edges.clone());
+    let shifted: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (u, left + v)).collect();
+    prop_assert_eq!(
+        b.to_graph(),
+        Graph::from_edges(left + right, &shifted).unwrap()
+    );
+    let fresh = BipartiteGraph::from_edges(left, right, &edges).unwrap();
+    prop_assert_eq!(b, &fresh);
+    prop_assert_eq!(&fresh, b);
+    prop_assert_eq!(&b.clone(), b);
+}
+
+proptest! {
+    #[test]
+    fn arena_edits_match_a_row_model(
+        (left, right, tight, start, ops) in (
+            1usize..=8,
+            1usize..=10,
+            0..2u8,
+            prop::collection::vec((0..8usize, 0..10usize), 0..40),
+            prop::collection::vec((0..8u8, 0..10usize, 0..12usize), 0..64),
+        )
+    ) {
+        // rows start tight (`from_edges`) or empty (`new`); inserts move
+        // full rows to the arena's tail, deletes leave room behind, and a
+        // side is packed once its dead slots outnumber its live targets, so
+        // long op lists cross relocations and compactions alike
+        let mut m = RowModel { right, rows: vec![BTreeSet::new(); left] };
+        let mut b = if tight == 1 {
+            let edges: Vec<(usize, usize)> = start.iter().map(|&(u, v)| (u % left, v % right)).collect();
+            let kept = accepted_sublist(&edges, |l| bipartite_model(left, right, l).is_some());
+            for &(u, v) in &kept {
+                m.rows[u].insert(v);
+            }
+            BipartiteGraph::from_edges(left, right, &kept).unwrap()
+        } else {
+            BipartiteGraph::new(left, right)
+        };
+        check_against_model(&b, &m);
+        for (kind, x, y) in ops {
+            let (u, v) = (x % left, y % right);
+            match kind {
+                // inserts outnumber deletes, so rows grow past their room
+                0..=2 => {
+                    let got = b.add_edge(u, v);
+                    if m.rows[u].insert(v) {
+                        prop_assert_eq!(got, Ok(()));
+                    } else {
+                        prop_assert_eq!(got, Err(GraphError::DuplicateEdge { u, v }));
+                    }
+                }
+                3 | 4 => prop_assert_eq!(b.remove_edge(u, v), m.rows[u].remove(&v)),
+                5 => {
+                    // out of range on either side: rejected, nothing moves
+                    prop_assert!(b.add_edge(left + x, v).is_err());
+                    prop_assert!(b.add_edge(u, right + y).is_err());
+                    prop_assert!(!b.remove_edge(left + x, v));
+                }
+                _ => {
+                    // a batch of up to 3 inserts and 3 deletes; kind 7
+                    // applies its inverse straight after
+                    let from = x * right + y;
+                    let inserts = m.pick(from, 1 + y % 3, false);
+                    let deletes = m.pick(from, 1 + x % 3, true);
+                    let delta = EdgeDelta::new(&b, &inserts, &deletes).unwrap();
+                    delta.apply(&mut b).unwrap();
+                    if kind == 7 {
+                        delta.inverse().apply(&mut b).unwrap();
+                    } else {
+                        for &(u, v) in &inserts {
+                            m.rows[u].insert(v);
+                        }
+                        for &(u, v) in &deletes {
+                            m.rows[u].remove(&v);
+                        }
+                    }
+                }
+            }
+            check_against_model(&b, &m);
+        }
+    }
 }

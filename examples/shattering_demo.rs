@@ -35,11 +35,7 @@ fn main() {
         b.right_count()
     );
     let comps = bipartite_components(&sh.residual);
-    let sizes: Vec<usize> = comps
-        .iter()
-        .filter(|c| (0..c.graph.left_count()).any(|u| c.graph.left_degree(u) > 0))
-        .map(|c| c.node_count())
-        .collect();
+    let sizes: Vec<usize> = comps.iter().map(|c| c.node_count()).collect();
     println!(
         "  residual components:     {} (largest: {} nodes)",
         sizes.len(),

@@ -75,11 +75,26 @@ proptest! {
 
     #[test]
     fn components_partition_the_bipartite_instance(b in arb_bipartite()) {
+        // the components partition the edges and the nodes with an edge;
+        // every node in no component is isolated
         let comps = bipartite_components(&b);
-        let left: usize = comps.iter().map(|c| c.graph.left_count()).sum();
-        let right: usize = comps.iter().map(|c| c.graph.right_count()).sum();
-        prop_assert_eq!(left, b.left_count());
-        prop_assert_eq!(right, b.right_count());
+        let mut left_seen = vec![false; b.left_count()];
+        let mut right_seen = vec![false; b.right_count()];
+        for c in &comps {
+            prop_assert!(c.graph.edge_count() > 0);
+            for &u in &c.original_left {
+                prop_assert!(!std::mem::replace(&mut left_seen[u], true));
+            }
+            for &v in &c.original_right {
+                prop_assert!(!std::mem::replace(&mut right_seen[v], true));
+            }
+        }
+        for (u, &seen) in left_seen.iter().enumerate() {
+            prop_assert_eq!(seen, b.left_degree(u) > 0);
+        }
+        for (v, &seen) in right_seen.iter().enumerate() {
+            prop_assert_eq!(seen, b.right_degree(v) > 0);
+        }
         let edges: usize = comps.iter().map(|c| c.graph.edge_count()).sum();
         prop_assert_eq!(edges, b.edge_count());
     }
