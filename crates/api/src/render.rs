@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn control_chars_escape() {
         let mut s = String::new();
-        escape_into(&mut s, "a\x01b\nc");
-        assert_eq!(s, "a\\u0001b\\nc");
+        escape_into(&mut s, "a\x01b\nc\"d\\e");
+        assert_eq!(s, "a\\u0001b\\nc\\\"d\\\\e");
     }
 }

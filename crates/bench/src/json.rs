@@ -7,6 +7,7 @@
 //! shape and counters; a ratio is never stored, it is two records'
 //! medians.
 
+use splitting_api::render::escape_into;
 use std::time::Instant;
 
 /// One flat `params` value.
@@ -59,7 +60,7 @@ impl std::fmt::Display for Param {
                 let fixed = format!("{x:.4}");
                 write!(f, "{}", fixed.trim_end_matches('0').trim_end_matches('.'))
             }
-            Param::Text(s) => write!(f, "\"{}\"", esc(s)),
+            Param::Text(s) => f.write_str(&quote(s)),
         }
     }
 }
@@ -131,19 +132,11 @@ pub fn sample<T>(count: usize, mut f: impl FnMut() -> T) -> (T, Vec<u128>) {
     (out.expect("at least one run"), samples_ns)
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string literal, quotes included.
+fn quote(s: &str) -> String {
+    let mut out = String::from('"');
+    escape_into(&mut out, s);
+    out.push('"');
     out
 }
 
@@ -156,18 +149,18 @@ pub fn write_report(
     records: &[Record],
 ) -> String {
     let mut out = format!(
-        "{{\n  \"bench\": \"{}\",\n  \"mode\": \"{}\",\n  \"host_parallelism\": {host_parallelism},\n  \"records\": [",
-        esc(bench),
-        esc(mode)
+        "{{\n  \"bench\": {},\n  \"mode\": {},\n  \"host_parallelism\": {host_parallelism},\n  \"records\": [",
+        quote(bench),
+        quote(mode)
     );
     for (i, r) in records.iter().enumerate() {
         let join = |items: Vec<String>| items.join(", ");
         out.push_str(&format!(
-            "{}\n    {{\"layer\": \"{}\", \"name\": \"{}\", \"params\": {{{}}}, \"samples_ns\": [{}], \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}}}",
+            "{}\n    {{\"layer\": {}, \"name\": {}, \"params\": {{{}}}, \"samples_ns\": [{}], \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}}}",
             if i > 0 { "," } else { "" },
-            esc(r.layer),
-            esc(&r.name),
-            join(r.params.iter().map(|(k, v)| format!("\"{}\": {v}", esc(k))).collect()),
+            quote(r.layer),
+            quote(&r.name),
+            join(r.params.iter().map(|(k, v)| format!("{}: {v}", quote(k))).collect()),
             join(r.samples_ns.iter().map(u128::to_string).collect()),
             r.quantile_ns(0.5),
             r.quantile_ns(0.1),
@@ -193,11 +186,6 @@ pub fn json_path_flag() -> Option<String> {
 mod tests {
     use super::*;
     use splitting_server::json::{Cursor, Fields};
-
-    #[test]
-    fn escapes_specials() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
 
     #[test]
     fn quantiles_are_nearest_rank() {

@@ -171,7 +171,7 @@ fn run_sized(scale: &Scale) -> Vec<Record> {
         let t = derand::chernoff_t(cap as f64, 4, deg as f64);
         let caps = vec![cap; nc];
         let est = ColoringEstimator::overload(&b, 4, &caps, t);
-        let (_, wall) = sample(samples, || derand::sequential_fix_identity(&b, est.clone()));
+        let (_, wall) = sample(samples, || derand::sequential_fix(&b, est.clone(), 0..nv));
         let mut p = shape(&b);
         p.extend(params!["palette" => 4u32, "cap" => cap]);
         records.push(Record::new(
@@ -188,7 +188,7 @@ fn run_sized(scale: &Scale) -> Vec<Record> {
         let mut rng = StdRng::seed_from_u64(72);
         let b = generators::random_left_regular(nc, nv, deg, &mut rng).expect("feasible");
         let est = ColoringEstimator::monochromatic(&b);
-        let (_, wall) = sample(samples, || derand::sequential_fix_identity(&b, est.clone()));
+        let (_, wall) = sample(samples, || derand::sequential_fix(&b, est.clone(), 0..nv));
         let mut p = shape(&b);
         p.extend(params!["palette" => 2u32]);
         records.push(Record::new(

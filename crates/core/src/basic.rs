@@ -13,11 +13,11 @@
 //! (\[BEK14a\]: `O(Δr)` colors in `O(Δr + log* n)` rounds); see
 //! [`SchedulingMode`] for the two reproduction engines.
 
-use crate::outcome::{to_two_coloring, SplitError, SplitOutcome};
+use crate::outcome::{check_degree_threshold, to_two_coloring, SplitError, SplitOutcome};
 use derand::{phased_fix, ColoringEstimator};
 use local_coloring::{color_power, greedy_right_square};
 use local_runtime::RoundLedger;
-use splitgraph::math::{log_star, weak_splitting_degree_threshold};
+use splitgraph::math::log_star;
 use splitgraph::{right_square, BipartiteGraph};
 
 /// How the distance-2 scheduling coloring of Lemma 2.1 is obtained.
@@ -64,14 +64,7 @@ pub fn basic_deterministic_with(
     n_for_threshold: usize,
     mode: SchedulingMode,
 ) -> Result<SplitOutcome, SplitError> {
-    let threshold = weak_splitting_degree_threshold(n_for_threshold);
-    let delta = b.min_left_degree();
-    if delta < threshold {
-        return Err(SplitError::Precondition {
-            requirement: format!("δ ≥ 2·log n = {threshold}"),
-            actual: format!("δ = {delta}"),
-        });
-    }
+    check_degree_threshold(b, n_for_threshold)?;
     basic_deterministic_unchecked(b, mode)
 }
 

@@ -14,7 +14,7 @@
 //!   for degrees `≥ (α/λ)·ln n`, derandomized via the MGF estimator.
 
 use crate::outcome::SplitError;
-use derand::{chernoff_t, sequential_fix_identity, ColoringEstimator, FixOutcome};
+use derand::{chernoff_t, sequential_fix, ColoringEstimator, FixOutcome};
 use local_runtime::{NodeRngs, RoundLedger};
 use rand::RngExt;
 use splitgraph::math::{weak_multicolor_degree_threshold, weak_multicolor_required_colors};
@@ -194,7 +194,7 @@ fn scheduled_fix(b: &BipartiteGraph, est: ColoringEstimator) -> (FixOutcome, (f6
     let coloring_charge =
         sched_palette as f64 + splitgraph::math::log_star(b.node_count().max(2)) as f64;
     let phases_charge = 2.0 * (sched_palette as f64 + 1.0);
-    let fix = sequential_fix_identity(b, est);
+    let fix = sequential_fix(b, est, 0..b.right_count());
     (fix, (coloring_charge, phases_charge))
 }
 
@@ -208,7 +208,7 @@ pub fn weak_multicolor_slocal(b: &BipartiteGraph) -> Result<MulticolorOutcome, S
     let n = b.node_count();
     let palette = weak_multicolor_required_colors(n) as u32;
     let est = ColoringEstimator::missing_color(b, palette);
-    let fix = sequential_fix_identity(b, est);
+    let fix = sequential_fix(b, est, 0..b.right_count());
     if fix.initial_phi >= 1.0 {
         return Err(SplitError::EstimatorTooLarge {
             phi: fix.initial_phi,

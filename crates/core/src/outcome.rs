@@ -1,7 +1,8 @@
 //! Shared result and error types for the splitting algorithms.
 
 use local_runtime::RoundLedger;
-use splitgraph::Color;
+use splitgraph::math::weak_splitting_degree_threshold;
+use splitgraph::{BipartiteGraph, Color};
 use std::error::Error;
 use std::fmt;
 
@@ -66,6 +67,21 @@ impl fmt::Display for SplitError {
 }
 
 impl Error for SplitError {}
+
+/// Checks the `δ ≥ 2·log n` precondition of Lemmas 2.1 and 2.2, Theorem 2.5
+/// and the zero-round algorithm, with `n` the node count entering the
+/// threshold, and returns the threshold `⌈2·log n⌉`.
+pub(crate) fn check_degree_threshold(b: &BipartiteGraph, n: usize) -> Result<usize, SplitError> {
+    let threshold = weak_splitting_degree_threshold(n);
+    let delta = b.min_left_degree();
+    if delta < threshold {
+        return Err(SplitError::Precondition {
+            requirement: format!("δ ≥ 2·log n = {threshold}"),
+            actual: format!("δ = {delta}"),
+        });
+    }
+    Ok(threshold)
+}
 
 /// Converts the fixers' `0/1` multicolors into [`Color`]s (`0` → red).
 pub fn to_two_coloring(xs: &[splitgraph::MultiColor]) -> Vec<Color> {

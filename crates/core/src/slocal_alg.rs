@@ -131,8 +131,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let b = generators::random_left_regular(50, 100, 12, &mut rng).unwrap();
         let slocal = slocal_weak_splitting(&b).unwrap();
-        let order: Vec<usize> = (0..b.right_count()).collect();
-        let fix = sequential_fix(&b, ColoringEstimator::monochromatic(&b), &order);
+        let fix = sequential_fix(&b, ColoringEstimator::monochromatic(&b), 0..b.right_count());
         assert_eq!(slocal.colors, crate::outcome::to_two_coloring(&fix.colors));
     }
 

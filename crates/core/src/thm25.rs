@@ -15,11 +15,11 @@
 //! small-degree and the DRR branch end to end.
 
 use crate::drr1::{degree_rank_reduction_i, DrrIterationStats};
-use crate::outcome::{SplitError, SplitOutcome};
+use crate::outcome::{check_degree_threshold, SplitError, SplitOutcome};
 use crate::truncate::truncated_deterministic;
 use degree_split::{DegreeSplitter, Engine, Flavor};
 use local_runtime::RoundLedger;
-use splitgraph::math::{log2, weak_splitting_degree_threshold};
+use splitgraph::math::log2;
 use splitgraph::{checks, BipartiteGraph};
 
 /// The paper's predicted round bound `r/δ·log² n + log³ n·(log log n)^1.1`
@@ -72,14 +72,8 @@ pub fn theorem25(
     flavor: Flavor,
 ) -> Result<(SplitOutcome, Theorem25Report), SplitError> {
     let n = b.node_count();
-    let threshold = weak_splitting_degree_threshold(n);
+    let threshold = check_degree_threshold(b, n)?;
     let delta = b.min_left_degree();
-    if delta < threshold {
-        return Err(SplitError::Precondition {
-            requirement: format!("δ ≥ 2·log n = {threshold}"),
-            actual: format!("δ = {delta}"),
-        });
-    }
     let log_n = log2(n.max(2));
 
     // small-degree regime: Lemma 2.2 is already within budget

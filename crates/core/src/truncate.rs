@@ -7,9 +7,8 @@
 //! edges back.
 
 use crate::basic::basic_deterministic;
-use crate::outcome::{SplitError, SplitOutcome};
+use crate::outcome::{check_degree_threshold, SplitError, SplitOutcome};
 use local_runtime::RoundLedger;
-use splitgraph::math::weak_splitting_degree_threshold;
 use splitgraph::{checks, BipartiteGraph};
 
 /// Truncates every constraint of `b` to its first `keep` incident edges (a
@@ -31,14 +30,7 @@ pub fn truncated_deterministic(
     b: &BipartiteGraph,
     n_for_threshold: usize,
 ) -> Result<SplitOutcome, SplitError> {
-    let threshold = weak_splitting_degree_threshold(n_for_threshold);
-    let delta = b.min_left_degree();
-    if delta < threshold {
-        return Err(SplitError::Precondition {
-            requirement: format!("δ ≥ 2·log n = {threshold}"),
-            actual: format!("δ = {delta}"),
-        });
-    }
+    let threshold = check_degree_threshold(b, n_for_threshold)?;
     let mut ledger = RoundLedger::new();
     ledger.add_measured("degree truncation to ⌈2·log n⌉ (local)", 0.0);
     // when every constraint already sits at or below the threshold the

@@ -5,10 +5,9 @@
 //! constraint sees both colors with probability at least `1 − 2/n` — the
 //! starting point of every derandomization in the paper.
 
-use crate::outcome::{SplitError, SplitOutcome};
+use crate::outcome::{check_degree_threshold, SplitError, SplitOutcome};
 use local_runtime::{NodeRngs, RoundLedger};
 use rand::RngExt;
-use splitgraph::math::weak_splitting_degree_threshold;
 use splitgraph::{checks, BipartiteGraph, Color};
 
 /// Runs the zero-round algorithm once with the given seed. No validity
@@ -37,15 +36,7 @@ pub fn zero_round_whp(
     seed: u64,
     attempts: usize,
 ) -> Result<SplitOutcome, SplitError> {
-    let n = b.node_count();
-    let threshold = weak_splitting_degree_threshold(n);
-    let delta = b.min_left_degree();
-    if delta < threshold {
-        return Err(SplitError::Precondition {
-            requirement: format!("δ ≥ 2·log n = {threshold}"),
-            actual: format!("δ = {delta}"),
-        });
-    }
+    check_degree_threshold(b, b.node_count())?;
     for i in 0..attempts {
         let out = zero_round_coloring(b, seed.wrapping_add(i as u64));
         if checks::is_weak_splitting(b, &out.colors, 0) {

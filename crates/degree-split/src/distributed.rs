@@ -13,6 +13,10 @@
 //! concentrate cuts on one node, which is why the Eulerian engine remains
 //! the contract-keeping reference — the `abl_engine` experiment quantifies
 //! the gap.
+//!
+//! The segmentation is shared with the undirected walk engine
+//! ([`crate::edge_splitting_walk`]), which alternates colors along each
+//! segment instead of orienting it.
 
 use crate::walks::WalkDecomposition;
 use local_coloring::{cole_vishkin_3color, spaced_ruling_set};
@@ -39,82 +43,102 @@ pub struct WalkSplitting {
 ///
 /// Panics if `eps` is not in `(0, 1]` or `g` contains self-loops.
 pub fn walk_splitting(g: &MultiGraph, eps: f64) -> WalkSplitting {
+    // orient every segment consistently; the direction is chosen from
+    // segment-local data (parity of the smallest edge id in the segment),
+    // so neighboring segments decide independently
+    let mut towards_second = vec![false; g.edge_count()];
+    let (ledger, segments) = segment_walks(
+        g,
+        eps,
+        [
+            "walk engine (empty graph)",
+            "segment orientation (host rounds)",
+        ],
+        |walks, seg| {
+            let forward = seg.iter().min().expect("segment nonempty") % 2 == 0;
+            for &e in seg {
+                let (tail, _) = walks.direction[e];
+                let (a, _) = g.endpoints(e);
+                towards_second[e] = forward == (tail == a);
+            }
+        },
+    );
+    WalkSplitting {
+        orientation: Orientation::new(towards_second),
+        ledger,
+        segments,
+    }
+}
+
+/// The segmentation both walk engines share: checks `eps`, pairs the
+/// walks (0 rounds), 3-colors them with Cole–Vishkin (`log* + O(1)` walk
+/// rounds) and cuts them at a spaced ruling set (`O(L)` walk rounds).
+/// Segments begin at cut positions and at the heads of open walks and run
+/// up to the next cut (exclusive) or the walk's end; `per_segment` sees
+/// each one in walk order, in ascending order of its first edge. The
+/// ledger records the two phases and then, under `labels[1]`, the
+/// longest segment's per-segment pass (`O(L)` walk rounds); an empty
+/// graph records only `labels[0]`. Returns the ledger and the segment
+/// count.
+///
+/// # Panics
+///
+/// Panics if `eps` is not in `(0, 1]` or `g` contains self-loops.
+pub(crate) fn segment_walks(
+    g: &MultiGraph,
+    eps: f64,
+    labels: [&str; 2],
+    mut per_segment: impl FnMut(&WalkDecomposition, &[usize]),
+) -> (RoundLedger, usize) {
     assert!(eps > 0.0 && eps <= 1.0, "accuracy must lie in (0, 1]");
     let spacing = (1.0 / eps).ceil() as usize;
     let mut ledger = RoundLedger::new();
     if g.edge_count() == 0 {
-        ledger.add_measured("walk engine (empty graph)", 0.0);
-        return WalkSplitting {
-            orientation: Orientation::new(vec![]),
-            ledger,
-            segments: 0,
-        };
+        ledger.add_measured(labels[0], 0.0);
+        return (ledger, 0);
     }
-
-    // 0 rounds: pairing and implied walk structure are local choices
     let walks = WalkDecomposition::from_pairing(g);
-
-    // log* + O(1) walk rounds: Cole–Vishkin over edge positions (edge ids
-    // are unique identifiers)
+    // edge ids are unique identifiers
     let ids: Vec<u64> = (0..g.edge_count() as u64).collect();
     let coloring = cole_vishkin_3color(&walks.chains, &ids);
     ledger.add_measured(
         "cole-vishkin 3-coloring (host rounds)",
         2.0 * coloring.rounds as f64,
     );
-
-    // O(L) walk rounds: spaced cut points
     let cuts = spaced_ruling_set(&walks.chains, &coloring.colors, spacing);
     ledger.add_measured("spaced ruling set (host rounds)", 2.0 * cuts.rounds as f64);
 
-    // O(L) walk rounds: orient every segment consistently; the direction is
-    // chosen from segment-local data (parity of the smallest edge id in the
-    // segment), so neighboring segments decide independently
-    let mut towards_second = vec![false; g.edge_count()];
-    let mut assigned = vec![false; g.edge_count()];
-    let mut segments = 0usize;
-    let mut max_segment = 0usize;
+    // every edge lies in exactly one segment: a start is a cut or has no
+    // predecessor, so the walk from it stops at the next cut (on a cycle,
+    // at the latest at the start itself) or at the walk's end
+    let mut seg = Vec::new();
+    let (mut segments, mut covered, mut max_segment) = (0usize, 0usize, 0usize);
     for start in 0..g.edge_count() {
-        // segments begin at cut positions and at the heads of open walks
-        let is_start = cuts.cut[start] || walks.chains.prev(start).is_none();
-        if !is_start || assigned[start] {
+        if !cuts.cut[start] && walks.chains.prev(start).is_some() {
             continue;
         }
-        // collect the segment: from `start` to the next cut (exclusive)
-        let mut seg = vec![start];
+        seg.clear();
+        seg.push(start);
         let mut cur = start;
         while let Some(nx) = walks.chains.next(cur) {
-            if cuts.cut[nx] || nx == start || assigned[nx] {
+            if cuts.cut[nx] {
                 break;
             }
             seg.push(nx);
             cur = nx;
         }
-        let forward = seg.iter().min().expect("segment nonempty") % 2 == 0;
-        for &e in &seg {
-            assigned[e] = true;
-            let (tail, _) = walks.direction[e];
-            let (a, _) = g.endpoints(e);
-            let along_walk = tail == a;
-            towards_second[e] = if forward { along_walk } else { !along_walk };
-        }
+        per_segment(&walks, &seg);
         segments += 1;
+        covered += seg.len();
         max_segment = max_segment.max(seg.len());
     }
-    debug_assert!(
-        assigned.iter().all(|&x| x),
+    debug_assert_eq!(
+        covered,
+        g.edge_count(),
         "every edge must belong to a segment"
     );
-    ledger.add_measured(
-        "segment orientation (host rounds)",
-        2.0 * max_segment.max(1) as f64,
-    );
-
-    WalkSplitting {
-        orientation: Orientation::new(towards_second),
-        ledger,
-        segments,
-    }
+    ledger.add_measured(labels[1], 2.0 * max_segment.max(1) as f64);
+    (ledger, segments)
 }
 
 #[cfg(test)]

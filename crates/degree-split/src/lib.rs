@@ -16,7 +16,9 @@
 //!   spaced ruling sets, with measured rounds;
 //! * [`edge_splitting_eulerian`] / [`edge_splitting_walk`] — the
 //!   *undirected* variant (edge 2-coloring with per-node balance), the
-//!   tool behind the paper's edge-coloring motivation (§1.1).
+//!   tool behind the paper's edge-coloring motivation (§1.1). The walk
+//!   engine cuts the walks into the same segments as [`walk_splitting`]
+//!   (one shared segmentation) and alternates colors along each.
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 

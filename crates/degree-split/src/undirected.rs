@@ -17,8 +17,7 @@
 //!   engine; rounds measured.
 
 use crate::charge::splitting_rounds_deterministic;
-use crate::walks::WalkDecomposition;
-use local_coloring::{cole_vishkin_3color, spaced_ruling_set};
+use crate::distributed::segment_walks;
 use local_runtime::RoundLedger;
 use splitgraph::csr::Csr;
 use splitgraph::{Color, MultiGraph};
@@ -129,53 +128,21 @@ pub fn edge_splitting_eulerian(g: &MultiGraph, eps: f64, n_for_charge: usize) ->
 ///
 /// Panics if `eps` is outside `(0, 1]` or `g` contains self-loops.
 pub fn edge_splitting_walk(g: &MultiGraph, eps: f64) -> EdgeSplitting {
-    assert!(eps > 0.0 && eps <= 1.0, "accuracy must lie in (0, 1]");
-    let spacing = (1.0 / eps).ceil() as usize;
-    let mut ledger = RoundLedger::new();
-    if g.edge_count() == 0 {
-        ledger.add_measured("walk edge splitting (empty graph)", 0.0);
-        return EdgeSplitting {
-            colors: vec![],
-            ledger,
-        };
-    }
-    let walks = WalkDecomposition::from_pairing(g);
-    let ids: Vec<u64> = (0..g.edge_count() as u64).collect();
-    let coloring = cole_vishkin_3color(&walks.chains, &ids);
-    ledger.add_measured(
-        "cole-vishkin 3-coloring (host rounds)",
-        2.0 * coloring.rounds as f64,
-    );
-    let cuts = spaced_ruling_set(&walks.chains, &coloring.colors, spacing);
-    ledger.add_measured("spaced ruling set (host rounds)", 2.0 * cuts.rounds as f64);
-
     let mut colors = vec![Color::Red; g.edge_count()];
-    let mut assigned = vec![false; g.edge_count()];
-    let mut max_segment = 0usize;
-    for start in 0..g.edge_count() {
-        let is_start = cuts.cut[start] || walks.chains.prev(start).is_none();
-        if !is_start || assigned[start] {
-            continue;
-        }
-        let mut cur = start;
-        let mut len = 0usize;
-        let mut flip = Color::Red;
-        loop {
-            assigned[cur] = true;
-            colors[cur] = flip;
-            flip = flip.flipped();
-            len += 1;
-            match walks.chains.next(cur) {
-                Some(nx) if !cuts.cut[nx] && nx != start && !assigned[nx] => cur = nx,
-                _ => break,
+    let (ledger, _) = segment_walks(
+        g,
+        eps,
+        [
+            "walk edge splitting (empty graph)",
+            "segment alternation (host rounds)",
+        ],
+        |_, seg| {
+            let mut flip = Color::Red;
+            for &e in seg {
+                colors[e] = flip;
+                flip = flip.flipped();
             }
-        }
-        max_segment = max_segment.max(len);
-    }
-    debug_assert!(assigned.iter().all(|&x| x), "every edge must be colored");
-    ledger.add_measured(
-        "segment alternation (host rounds)",
-        2.0 * max_segment.max(1) as f64,
+        },
     );
     EdgeSplitting { colors, ledger }
 }

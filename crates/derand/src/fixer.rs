@@ -44,58 +44,36 @@ pub struct FixOutcome {
 }
 
 /// Runs the sequential (SLOCAL(2)) conditional-expectation fixer over the
-/// variables of `b` in `order`.
+/// variables of `b` in `order` (`0..nv` for the identity order), checking
+/// that it is a permutation as it fixes.
 ///
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of the variables.
-pub fn sequential_fix(b: &BipartiteGraph, est: ColoringEstimator, order: &[usize]) -> FixOutcome {
+pub fn sequential_fix(
+    b: &BipartiteGraph,
+    est: ColoringEstimator,
+    order: impl IntoIterator<Item = usize, IntoIter: ExactSizeIterator>,
+) -> FixOutcome {
     let nv = b.right_count();
+    let order = order.into_iter();
     assert_eq!(order.len(), nv, "order must cover every variable");
-    {
-        let mut seen = vec![false; nv];
-        for &v in order {
-            assert!(
-                v < nv && !seen[v],
-                "order must be a permutation of the variables"
-            );
-            seen[v] = true;
-        }
-    }
     let mut state = FixerState::new(b, est);
     let initial_phi = state.total();
     let mut colors = vec![0 as MultiColor; nv];
-    for (i, &v) in order.iter().enumerate() {
+    let mut seen = vec![false; nv];
+    for (i, v) in order.enumerate() {
+        assert!(
+            v < nv && !seen[v],
+            "order must be a permutation of the variables"
+        );
+        seen[v] = true;
         if i % CANCEL_STRIDE == 0 {
             local_runtime::checkpoint();
         }
         let x = state.best_color(v);
         state.fix(v, x);
         colors[v] = x;
-    }
-    FixOutcome {
-        colors,
-        initial_phi,
-        final_phi: state.total(),
-        rounds: 0,
-    }
-}
-
-/// [`sequential_fix`] over the identity order `0, 1, …, nv − 1` — the
-/// common case in the theorem pipelines, without materializing (or
-/// re-validating) an explicit permutation.
-pub fn sequential_fix_identity(b: &BipartiteGraph, est: ColoringEstimator) -> FixOutcome {
-    let nv = b.right_count();
-    let mut state = FixerState::new(b, est);
-    let initial_phi = state.total();
-    let mut colors = vec![0 as MultiColor; nv];
-    for (v, slot) in colors.iter_mut().enumerate() {
-        if v % CANCEL_STRIDE == 0 {
-            local_runtime::checkpoint();
-        }
-        let x = state.best_color(v);
-        state.fix(v, x);
-        *slot = x;
     }
     FixOutcome {
         colors,
@@ -234,26 +212,24 @@ mod tests {
         // 60 constraints of degree 16 over 120 variables: 2·2^{-16}·60 < 1
         let b = generators::random_left_regular(60, 120, 16, &mut rng).unwrap();
         let est = ColoringEstimator::monochromatic(&b);
-        let order: Vec<usize> = (0..120).collect();
-        let out = sequential_fix(&b, est, &order);
+        let out = sequential_fix(&b, est, 0..120);
         assert!(out.initial_phi < 1.0, "initial Φ = {}", out.initial_phi);
         assert!(out.final_phi < 1.0);
         assert!(is_weak_splitting(&b, &to_colors(&out.colors), 0));
     }
 
     #[test]
-    fn sequential_fix_identity_matches_explicit_order() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let b = generators::random_left_regular(40, 80, 14, &mut rng).unwrap();
-        let order: Vec<usize> = (0..80).collect();
-        let explicit = sequential_fix(&b, ColoringEstimator::monochromatic(&b), &order);
-        let identity = sequential_fix_identity(&b, ColoringEstimator::monochromatic(&b));
-        assert_eq!(explicit.colors, identity.colors);
-        assert_eq!(
-            explicit.initial_phi.to_bits(),
-            identity.initial_phi.to_bits()
-        );
-        assert_eq!(explicit.final_phi.to_bits(), identity.final_phi.to_bits());
+    #[should_panic(expected = "order must cover every variable")]
+    fn sequential_fix_rejects_short_order() {
+        let b = generators::complete_bipartite(1, 3);
+        let _ = sequential_fix(&b, ColoringEstimator::monochromatic(&b), 0..2);
+    }
+
+    #[test]
+    #[should_panic(expected = "order must be a permutation of the variables")]
+    fn sequential_fix_rejects_repeated_variable() {
+        let b = generators::complete_bipartite(1, 3);
+        let _ = sequential_fix(&b, ColoringEstimator::monochromatic(&b), [0, 2, 0]);
     }
 
     #[test]
@@ -265,7 +241,7 @@ mod tests {
             use rand::seq::SliceRandom;
             let mut r = StdRng::seed_from_u64(seed);
             order.shuffle(&mut r);
-            let out = sequential_fix(&b, ColoringEstimator::monochromatic(&b), &order);
+            let out = sequential_fix(&b, ColoringEstimator::monochromatic(&b), order);
             assert!(is_weak_splitting(&b, &to_colors(&out.colors), 0));
         }
     }
@@ -321,8 +297,7 @@ mod tests {
         // degree 64, palette 6: Φ = 40·6·(5/6)^64 ≈ 0.002
         let b = generators::random_left_regular(40, 160, 64, &mut rng).unwrap();
         let est = ColoringEstimator::missing_color(&b, 6);
-        let order: Vec<usize> = (0..160).collect();
-        let out = sequential_fix(&b, est, &order);
+        let out = sequential_fix(&b, est, 0..160);
         assert!(out.initial_phi < 1.0, "initial Φ = {}", out.initial_phi);
         // every constraint sees all 6 colors
         for u in 0..40 {
@@ -342,8 +317,7 @@ mod tests {
         let caps = vec![24usize; 30];
         let t = crate::estimator::chernoff_t(24.0, 4, 48.0);
         let est = ColoringEstimator::overload(&b, 4, &caps, t);
-        let order: Vec<usize> = (0..90).collect();
-        let out = sequential_fix(&b, est, &order);
+        let out = sequential_fix(&b, est, 0..90);
         assert!(out.initial_phi < 1.0, "initial Φ = {}", out.initial_phi);
         for u in 0..30 {
             let mut counts = [0usize; 4];

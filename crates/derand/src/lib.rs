@@ -17,8 +17,8 @@
 //!   by a periodic full-recompute guard — the tracked value is rebased
 //!   onto an exact `Σ_u φ_u` every `max(64, |U|)` commits, so whole-run
 //!   overhead stays `O(m)` while step-wise error stays below `1e-9`;
-//! * [`sequential_fix`] / [`sequential_fix_identity`] — the SLOCAL(2)
-//!   greedy fixer (explicit order / identity order);
+//! * [`sequential_fix`] — the SLOCAL(2) greedy fixer, over any order of
+//!   the variables;
 //! * [`phased_fix`] — the LOCAL compilation by color classes of the
 //!   variable square ([GHK17a, Prop. 3.2]), with measured rounds `2·C`;
 //! * [`distributed_phased_fix`] — the same compilation executed as real
@@ -33,5 +33,5 @@ mod fixer;
 mod local_fixer;
 
 pub use estimator::{chernoff_t, ColoringEstimator, FixerState};
-pub use fixer::{phased_fix, sequential_fix, sequential_fix_identity, FixOutcome};
+pub use fixer::{phased_fix, sequential_fix, FixOutcome};
 pub use local_fixer::distributed_phased_fix;

@@ -240,7 +240,7 @@ fn assert_parity(b: &BipartiteGraph, kind: Kind, order_seed: u64) {
     }
     // whole-pass cross-check: sequential_fix over the same order reproduces
     // the step-by-step trajectory exactly
-    let out = sequential_fix(b, est, &order);
+    let out = sequential_fix(b, est, order.iter().copied());
     assert_eq!(out.colors, colors);
     assert!(close(out.final_phi, naive.total()));
 }

@@ -15,7 +15,7 @@
 //! paper runs with `ε = 1/log² n` and degree `Ω(log n/ε²)` — same
 //! constraint, asymptotic form).
 
-use derand::{sequential_fix_identity, ColoringEstimator};
+use derand::{sequential_fix, ColoringEstimator};
 use local_runtime::{NodeRngs, RoundLedger};
 use rand::RngExt;
 use splitgraph::generators::doubling_instance;
@@ -92,7 +92,7 @@ pub fn uniform_splitting_deterministic(
         "conditional-expectation phases (compiled)",
         2.0 * (sched_palette + 1) as f64,
     );
-    let fix = sequential_fix_identity(&b, est);
+    let fix = sequential_fix(&b, est, 0..b.right_count());
     if fix.initial_phi >= 1.0 {
         return Err(SplitError::EstimatorTooLarge {
             phi: fix.initial_phi,

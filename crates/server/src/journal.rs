@@ -420,15 +420,6 @@ impl<'a> BodyReader<'a> {
     }
 }
 
-fn priority_from_lane(lane: u8) -> Option<Priority> {
-    match lane {
-        0 => Some(Priority::High),
-        1 => Some(Priority::Normal),
-        2 => Some(Priority::Low),
-        _ => None,
-    }
-}
-
 fn encode_body(record: &Record) -> Vec<u8> {
     let mut body = Vec::new();
     match record {
@@ -484,7 +475,7 @@ fn decode_body(body: &[u8]) -> Option<Record> {
         },
         KIND_ADMITTED => {
             let record_id = r.u64()?;
-            let priority = priority_from_lane(r.u8()?)?;
+            let priority = Priority::from_lane(r.u8()?)?;
             let flags = r.u8()?;
             let deadline_ms = if flags & 1 != 0 { Some(r.u64()?) } else { None };
             let idempotency_key = if flags & 2 != 0 { Some(r.str()?) } else { None };
@@ -1223,7 +1214,7 @@ mod tests {
                     records.push(Record::Admitted(AdmittedRecord {
                         record_id: i as u64,
                         id: format!("id-{token:x}"),
-                        priority: priority_from_lane(*lane).unwrap(),
+                        priority: Priority::from_lane(*lane).unwrap(),
                         deadline_ms: (i % 2 == 0).then_some(i as u64 * 10),
                         idempotency_key: (*has_key == 1).then(|| format!("key-{token:x}")),
                         payload: hash,

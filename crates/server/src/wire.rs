@@ -44,35 +44,38 @@ pub enum Priority {
 }
 
 impl Priority {
+    /// The queue lanes, most urgent first, with their stable wire names:
+    /// a priority's lane index is its position here.
+    const LANES: [(Priority, &'static str); 3] = [
+        (Priority::High, "high"),
+        (Priority::Normal, "normal"),
+        (Priority::Low, "low"),
+    ];
+
     /// Number of priority lanes.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = Self::LANES.len();
 
     /// Stable wire name.
     pub fn name(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        }
+        Self::LANES[self.lane()].1
     }
 
     /// Parses a wire name.
     pub fn parse(s: &str) -> Option<Priority> {
-        match s {
-            "high" => Some(Priority::High),
-            "normal" => Some(Priority::Normal),
-            "low" => Some(Priority::Low),
-            _ => None,
-        }
+        Self::LANES.iter().find(|l| l.1 == s).map(|l| l.0)
     }
 
     /// The queue lane index (0 = most urgent).
     pub fn lane(self) -> usize {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => 1,
-            Priority::Low => 2,
-        }
+        Self::LANES
+            .iter()
+            .position(|l| l.0 == self)
+            .expect("every priority has a lane")
+    }
+
+    /// The priority of queue lane `lane`, if there is one.
+    pub(crate) fn from_lane(lane: u8) -> Option<Priority> {
+        Self::LANES.get(usize::from(lane)).map(|l| l.0)
     }
 }
 
@@ -1547,6 +1550,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use splitgraph::generators;
+
+    #[test]
+    fn priority_lanes_and_names_are_pinned() {
+        // lane bytes are stored in the journal and names are on the wire
+        for (lane, (p, name)) in [
+            (Priority::High, "high"),
+            (Priority::Normal, "normal"),
+            (Priority::Low, "low"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!((p.lane(), p.name()), (lane, name));
+            assert_eq!(Priority::parse(name), Some(p));
+            assert_eq!(Priority::from_lane(lane as u8), Some(p));
+        }
+        assert_eq!(Priority::from_lane(3), None);
+        assert_eq!(Priority::parse("urgent"), None);
+    }
 
     /// Classifies a frame, discarding its body.
     fn classify(line: &str) -> Result<ClientFrame, ApiError> {

@@ -48,68 +48,6 @@ impl Components {
     pub fn max_size(&self) -> usize {
         self.sizes().into_iter().max().unwrap_or(0)
     }
-
-    /// Node lists per component.
-    ///
-    /// Convenience wrapper over [`Components::members_grouped`]; prefer the
-    /// grouped form on hot paths — this one allocates one `Vec` per
-    /// component.
-    pub fn members(&self) -> Vec<Vec<usize>> {
-        let grouped = self.members_grouped();
-        (0..self.count).map(|c| grouped.group(c).to_vec()).collect()
-    }
-
-    /// Node lists per component in CSR form: one counting sort, two
-    /// allocations total (offsets + node storage), no per-node pushes.
-    /// Nodes within a group are in ascending order.
-    pub fn members_grouped(&self) -> GroupedMembers {
-        let mut starts = vec![0usize; self.count + 1];
-        for &l in &self.labels {
-            starts[l + 1] += 1;
-        }
-        for c in 0..self.count {
-            starts[c + 1] += starts[c];
-        }
-        let mut nodes = vec![0usize; self.labels.len()];
-        let mut cursor = starts.clone();
-        for (v, &l) in self.labels.iter().enumerate() {
-            nodes[cursor[l]] = v;
-            cursor[l] += 1;
-        }
-        GroupedMembers { starts, nodes }
-    }
-}
-
-/// Component membership in CSR form: component `c`'s nodes are the slice
-/// `nodes[starts[c]..starts[c + 1]]`, ascending. Built by one counting sort
-/// in [`Components::members_grouped`] — the allocation-free-per-node
-/// alternative to [`Components::members`] used by the churn dirty-region
-/// walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupedMembers {
-    starts: Vec<usize>,
-    nodes: Vec<usize>,
-}
-
-impl GroupedMembers {
-    /// Number of components.
-    pub fn count(&self) -> usize {
-        self.starts.len().saturating_sub(1)
-    }
-
-    /// The nodes of component `c`, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    pub fn group(&self, c: usize) -> &[usize] {
-        &self.nodes[self.starts[c]..self.starts[c + 1]]
-    }
-
-    /// Iterates over all component node slices in label order.
-    pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
-        (0..self.count()).map(move |c| self.group(c))
-    }
 }
 
 /// Computes connected components of `g` by BFS.
@@ -257,15 +195,13 @@ mod tests {
     }
 
     #[test]
-    fn two_components_with_members() {
+    fn two_components_with_labels() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]).unwrap();
         let cc = connected_components(&g);
         assert_eq!(cc.count(), 3);
-        let members = cc.members();
-        assert_eq!(members[cc.label(0)], vec![0, 1, 2]);
-        assert_eq!(members[cc.label(3)], vec![3, 4]);
-        assert_eq!(members[cc.label(5)], vec![5]);
-        assert_eq!(cc.labels().len(), 6);
+        assert_eq!(cc.labels(), &[0, 0, 0, 1, 1, 2]);
+        assert_eq!(cc.sizes(), vec![3, 2, 1]);
+        assert_eq!(cc.label(3), 1);
     }
 
     #[test]
@@ -286,25 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn grouped_members_match_per_component_lists() {
-        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (3, 4), (5, 6)]).unwrap();
-        let cc = connected_components(&g);
-        let grouped = cc.members_grouped();
-        assert_eq!(grouped.count(), cc.count());
-        let lists = cc.members();
-        for (c, list) in lists.iter().enumerate() {
-            assert_eq!(grouped.group(c), list.as_slice());
-        }
-        let total: usize = grouped.iter().map(<[usize]>::len).sum();
-        assert_eq!(total, 7);
-    }
-
-    #[test]
-    fn grouped_members_empty_graph() {
+    fn empty_graph_has_no_components() {
         let cc = connected_components(&Graph::new(0));
-        let grouped = cc.members_grouped();
-        assert_eq!(grouped.count(), 0);
-        assert_eq!(grouped.iter().count(), 0);
+        assert_eq!(cc.count(), 0);
+        assert!(cc.labels().is_empty());
+        assert_eq!(cc.max_size(), 0);
     }
 
     #[test]

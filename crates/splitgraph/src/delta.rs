@@ -312,35 +312,6 @@ impl DirtyRegion {
         }
         self.halo.len() as f64 / b.left_count() as f64
     }
-
-    /// All nodes (flattened index space: left `0..|U|`, right shifted by
-    /// `|U|`) in connected components touched by the region — the maximal
-    /// blast radius of any repair cascade. Walks component membership via
-    /// [`crate::Components::members_grouped`], so the closure costs two
-    /// allocations regardless of component count.
-    pub fn component_closure(&self, b: &BipartiteGraph, cc: &crate::Components) -> Vec<usize> {
-        let shift = b.left_count();
-        let grouped = cc.members_grouped();
-        let mut touched = vec![false; cc.count()];
-        for &u in &self.left {
-            touched[cc.label(u)] = true;
-        }
-        for &v in &self.right {
-            touched[cc.label(shift + v)] = true;
-        }
-        let total: usize = (0..cc.count())
-            .filter(|&c| touched[c])
-            .map(|c| grouped.group(c).len())
-            .sum();
-        let mut closure = Vec::with_capacity(total);
-        for (c, hit) in touched.iter().enumerate() {
-            if *hit {
-                closure.extend_from_slice(grouped.group(c));
-            }
-        }
-        closure.sort_unstable();
-        closure
-    }
 }
 
 /// Churn-stream styles for [`random_delta`]: what mix of inserts and
@@ -429,7 +400,6 @@ pub fn random_delta<R: rand::Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connected_components;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -544,19 +514,6 @@ mod tests {
         assert!(region.is_empty());
         assert!(region.halo.is_empty());
         assert_eq!(b, before);
-    }
-
-    #[test]
-    fn component_closure_covers_touched_components_only() {
-        // two components: {u0, v0, v1} and {u1, u2, v2}
-        let mut b = BipartiteGraph::from_edges(3, 3, &[(0, 0), (0, 1), (1, 2), (2, 2)]).unwrap();
-        let d = EdgeDelta::new(&b, &[], &[(0, 1)]).unwrap();
-        let region = d.apply(&mut b).unwrap();
-        // components of the *post-patch* graph: v1 is now isolated
-        let cc = connected_components(&b.to_graph());
-        let closure = region.component_closure(&b, &cc);
-        // touched: u0's component {u0, v0} and v1's singleton {v1}
-        assert_eq!(closure, vec![0, 3, 4]);
     }
 
     mod props {

@@ -60,9 +60,7 @@ mod power;
 
 pub use bipartite::BipartiteGraph;
 pub use color::{Color, MultiColor};
-pub use components::{
-    bipartite_components, connected_components, BipartiteComponent, Components, GroupedMembers,
-};
+pub use components::{bipartite_components, connected_components, BipartiteComponent, Components};
 pub use delta::{DeltaError, DirtyRegion, EdgeDelta};
 pub use error::GraphError;
 pub use girth::{bipartite_girth, girth};

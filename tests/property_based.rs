@@ -118,8 +118,7 @@ proptest! {
     fn conditional_expectation_fix_valid_when_phi_below_one(b in arb_bipartite()) {
         use derand::{sequential_fix, ColoringEstimator};
         let est = ColoringEstimator::monochromatic(&b);
-        let order: Vec<usize> = (0..b.right_count()).collect();
-        let out = sequential_fix(&b, est, &order);
+        let out = sequential_fix(&b, est, 0..b.right_count());
         if out.initial_phi < 1.0 {
             let colors = core::to_two_coloring(&out.colors);
             prop_assert!(checks::is_weak_splitting(&b, &colors, 0));
@@ -146,8 +145,7 @@ proptest! {
         let h = core::truncate_left_degrees(&b, 4);
         use derand::{sequential_fix, ColoringEstimator};
         let est = ColoringEstimator::monochromatic(&h);
-        let order: Vec<usize> = (0..h.right_count()).collect();
-        let out = sequential_fix(&h, est, &order);
+        let out = sequential_fix(&h, est, 0..h.right_count());
         if out.initial_phi < 1.0 {
             let colors = core::to_two_coloring(&out.colors);
             prop_assert!(checks::is_weak_splitting(&h, &colors, 0));
